@@ -12,6 +12,7 @@ depth-1 head doubles as the final prediction head.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -186,7 +187,9 @@ def save_checkpoint(path, net, epoch, rng_state=None, extras=None):
     """Write a lossless .npz checkpoint: config, parameters, epoch, RNG state.
 
     extras: optional dict of additional arrays (e.g. optimizer moments,
-    teacher parameters), stored under an "extra:" prefix.
+    teacher parameters), stored under an "extra:" prefix. The file is
+    written under a temporary name and renamed over `path`, so a crash
+    mid-write leaves any previous checkpoint at `path` intact.
     """
     payload = {f"param:{k}": v for k, v in net.state_arrays().items()}
     meta = {
@@ -200,7 +203,16 @@ def save_checkpoint(path, net, epoch, rng_state=None, extras=None):
     if extras:
         for k, v in extras.items():
             payload[f"extra:{k}"] = np.asarray(v)
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"  # the name np.savez writes
+    tmp = path[:-len(".npz")] + ".tmp.npz"
+    try:
+        np.savez(tmp, **payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 class Checkpoint:

@@ -6,9 +6,18 @@ sigmoid, log, clamp, reductions, 2x2 max-pool, 3x3 same-padding
 convolution, bilinear upsampling, temperature softmax, concat/reshape).
 Gradients are computed by replaying closures over a topologically sorted
 computation graph, numpy arrays underneath.
+
+The 3x3 convolution correlates a flat, zero-padded copy of its input
+(rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
+on shifted views of that buffer when the contraction is wide, otherwise
+as one GEMM over a strided column copy. The input gradient is the same
+correlation of the output gradient with the flipped, transposed kernel,
+and the graph keeps only the padded input, never a 9x column buffer.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -144,8 +153,12 @@ def _pair(a, b):
     return _as_tensor(a), _as_tensor(b)
 
 
+def _needs_grad(t):
+    return t.requires_grad or bool(t._prev)
+
+
 def _accumulate(t, g):
-    if not t.requires_grad and not t._prev:
+    if not _needs_grad(t):
         return
     g = np.asarray(g, dtype=t.data.dtype)
     if g.shape != t.data.shape:
@@ -380,29 +393,53 @@ def maxpool2x2(x):
     return out
 
 
-def _im2col3(arr):
-    """[C,H,W] -> [C*9, H*W] of 3x3 neighborhoods under zero padding 1."""
+# contraction width from which 9 GEMMs on shifted views of the padded input
+# beat one GEMM over a 9x column copy; below it the per-tap GEMMs are too
+# thin (numpy's matmul with contraction 1 is ~10x slower than the copy)
+_VIEW_MIN_CONTRACTION = 16
+
+
+def _pad_flat(arr):
+    """[C,H,W] -> [C, (H+2)*(W+2) + 2]: zero padding 1, rows flattened.
+
+    Output pixel (i, j) reads tap (di, dj) at flat index
+    i*(W+2) + j + di*(W+2) + dj, so every tap is one contiguous window of
+    H*(W+2) entries; the two trailing zeros keep the last window in bounds.
+    """
     c, h, w = arr.shape
-    padded = np.pad(arr, ((0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c, 9, h, w), dtype=arr.dtype)
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[:, k] = padded[:, di:di + h, dj:dj + w]
-            k += 1
-    return cols.reshape(c * 9, h * w)
+    flat = np.zeros((c, (h + 2) * (w + 2) + 2), dtype=arr.dtype)
+    flat[:, :(h + 2) * (w + 2)].reshape(c, h + 2, w + 2)[:, 1:h + 1, 1:w + 1] = arr
+    return flat
 
 
-def _col2im3(cols, c, h, w):
-    """Adjoint of _im2col3: scatter-add columns back onto the input grid."""
-    padded = np.zeros((c, h + 2, w + 2), dtype=cols.dtype)
-    cols = cols.reshape(c, 9, h, w)
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            padded[:, di:di + h, dj:dj + w] += cols[:, k]
-            k += 1
-    return padded[:, 1:1 + h, 1:1 + w]
+def _tap_offsets(w):
+    return [di * (w + 2) + dj for di in range(3) for dj in range(3)]
+
+
+def _correlate3(flat, kernel, h, w):
+    """3x3 correlation of a _pad_flat buffer with a [C_out,C,3,3] kernel.
+
+    Rows come out W+2 wide; the two junk columns per row are cropped, so
+    the result is a [C_out,H,W] view.
+    """
+    c = flat.shape[0]
+    c_out = kernel.shape[0]
+    n = h * (w + 2)
+    if c >= _VIEW_MIN_CONTRACTION:
+        # contiguous per-tap matrices: a kernel[:, :, di, dj] slice is not BLAS-able
+        taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(9, c_out, c)
+        offsets = _tap_offsets(w)
+        out = taps[0] @ flat[:, :n]
+        tmp = np.empty_like(out)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            np.matmul(tap, flat[:, off:off + n], out=tmp)
+            out += tmp
+    else:
+        s_c, s = flat.strides
+        cols = np.lib.stride_tricks.as_strided(
+            flat, shape=(c, 3, 3, n), strides=(s_c, (w + 2) * s, s, s))
+        out = kernel.reshape(c_out, c * 9) @ cols.reshape(c * 9, n)
+    return out.reshape(c_out, h, w + 2)[:, :, :w]
 
 
 def conv2d(x, kernel, bias):
@@ -424,23 +461,34 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
-    cols = _im2col3(x.data)
-    kmat = kernel.data.reshape(c_out, c_in * 9)
-    y = (kmat @ cols).reshape(c_out, h, w) + bias.data[:, None, None]
+    k = kernel.data
+    flat = _pad_flat(x.data)
+    y = _correlate3(flat, k, h, w) + bias.data[:, None, None]
     out_holder = []
 
     def backward():
         g = out_holder[0].grad
-        gflat = g.reshape(c_out, h * w)
-        _accumulate(kernel, (gflat @ cols.T).reshape(kernel.data.shape))
-        _accumulate(bias, g.sum(axis=(1, 2)))
-        _accumulate(x, _col2im3(kmat.T @ gflat, c_in, h, w))
+        g_flat = _pad_flat(g)
+        if _needs_grad(kernel):
+            # g on the W+2-wide output grid: its two junk columns per row
+            # fall on g_flat's zero padding
+            n = h * (w + 2)
+            g_wide = g_flat[:, w + 3:w + 3 + n]
+            gk = np.stack([g_wide @ flat[:, off:off + n].T for off in _tap_offsets(w)])
+            _accumulate(kernel, gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+        if _needs_grad(bias):
+            _accumulate(bias, g.sum(axis=(1, 2)))
+        if _needs_grad(x):
+            # adjoint of correlation: correlate g with the flipped, transposed kernel
+            flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            _accumulate(x, _correlate3(g_flat, flipped, h, w))
 
     out = _make(y, (x, kernel, bias), backward)
     out_holder.append(out)
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _interp_matrix(n_in, factor, dtype):
     """Dense 1-D bilinear interpolation matrix, half-pixel centers, edge clamp."""
     n_out = n_in * factor
@@ -453,6 +501,7 @@ def _interp_matrix(n_in, factor, dtype):
     rows = np.arange(n_out)
     np.add.at(mat, (rows, i0), 1.0 - w1)
     np.add.at(mat, (rows, i1), w1)
+    mat.setflags(write=False)  # shared by every caller through the cache
     return mat
 
 
@@ -468,12 +517,12 @@ def bilinear_upsample(x, factor):
     _, h, w = x.data.shape
     wh = _interp_matrix(h, factor, x.data.dtype)
     ww = _interp_matrix(w, factor, x.data.dtype)
-    y = np.einsum("oi,cij,pj->cop", wh, x.data, ww, optimize=True)
+    y = wh @ x.data @ ww.T
     out_holder = []
 
     def backward():
         g = out_holder[0].grad
-        _accumulate(x, np.einsum("oi,cop,pj->cij", wh, g, ww, optimize=True))
+        _accumulate(x, wh.T @ g @ ww)
 
     out = _make(y, (x,), backward)
     out_holder.append(out)

@@ -45,10 +45,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.network.height % self.distill.grid_g or self.network.width % self.distill.grid_g:
-            raise ValueError(
-                f"patch grid {self.distill.grid_g} does not divide input "
-                f"{self.network.height}x{self.network.width}")
+        distill.PatchGrid.for_shape(self.network.height, self.network.width,
+                                    self.distill.grid_g)
 
     @staticmethod
     def from_dict(d):
@@ -101,7 +99,7 @@ class TrainResult:
 
 
 def _predict(net, sample):
-    pred, _ = net.forward(sample.image)
+    pred, _ = net.forward(Tensor(sample.image.data.astype(net.dtype)))
     return pred
 
 
@@ -191,7 +189,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every, cfg.lr_mode)
         use_teacher = teacher_net is not None and not cfg.dice_only and t >= 2
         term_sums = {"ddl": 0.0, "psdl": 0.0, "dice": 0.0}
-        loss_sum = 0.0
         n_batches = 0
         for batch in batches(dataset.train, cfg.batch_size, cfg.seed, t):
             terms = _batch_terms(net, teacher_net if use_teacher else None,
@@ -201,19 +198,16 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             opt.step(lr=lr)
             for k in term_sums:
                 term_sums[k] += terms[k].item()
-            # recorded total is the 64-bit sum of the recorded components,
-            # so the logged identity total == ddl + psdl + dice is exact
-            loss_sum += terms["ddl"].item() + terms["psdl"].item() + terms["dice"].item()
             n_batches += 1
 
         val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
         alpha = distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T) if t >= 2 else 0.0
+        means = {k: v / n_batches for k, v in term_sums.items()}
         log = EpochLog(
             epoch=t,
-            train_loss=loss_sum / n_batches,
-            ddl=term_sums["ddl"] / n_batches,
-            psdl=term_sums["psdl"] / n_batches,
-            dice=term_sums["dice"] / n_batches,
+            # the sum of the logged means, so train_loss == ddl + psdl + dice exactly
+            train_loss=means["ddl"] + means["psdl"] + means["dice"],
+            **means,
             val_dsc=val.dsc, val_acc=val.acc, val_sen=val.sen, val_iou=val.iou,
             alpha=alpha, lr=lr,
         )

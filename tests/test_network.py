@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,21 @@ class TestForward:
         p1, _ = small_net(seed=5).forward(x)
         p2, _ = small_net(seed=5).forward(x)
         np.testing.assert_array_equal(p1.data, p2.data)
+
+    def test_forward_graph_retains_no_column_buffers(self):
+        """A trainable forward graph keeps activations and padded inputs
+        only, not 9x-sized conv column buffers (13.4 MB when it did)."""
+        cfg = NetworkConfig(depth=3, base_channels=8, height=64, width=64)
+        net = SegNetwork(cfg, seed=0, dtype=np.float32)
+        x = Tensor(np.random.default_rng(0).uniform(size=(1, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            graph = net.forward(x)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph[0].requires_grad
+        assert retained <= 6 * 2**20
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -140,6 +157,22 @@ class TestSnapshots:
             p.data = p.data + 0.1
         frozen_after, _ = snap.restore().forward(x)
         np.testing.assert_array_equal(frozen_before.data, frozen_after.data)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "last.npz"
+        save_checkpoint(path, small_net(seed=1), epoch=1)
+
+        def crash_mid_write(file, **arrays):
+            with open(file, "wb") as f:
+                f.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash_mid_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, small_net(seed=2), epoch=2)
+        monkeypatch.undo()
+        assert load_checkpoint(path).epoch == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["last.npz"]
 
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         net = small_net(seed=9)

@@ -27,35 +27,73 @@ class TestConv2d:
         for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)]:
             assert out.data[0, i, j] == 4.0
 
-    def test_matches_nested_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(2, 5, 5))
-        k = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=3)
-        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
+    # C_in and C_out fall on both sides of the contraction width at which
+    # conv2d switches from a column copy to GEMMs on shifted views
+    CHANNELS = [(1, 1), (1, 3), (2, 1), (2, 3), (24, 1), (24, 3), (2, 16)]
+    SHAPES = [(5, 5), (4, 7)]
 
-        expected = np.zeros((3, 5, 5))
-        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        for co in range(3):
-            for i in range(5):
-                for j in range(5):
-                    acc = b[co]
-                    for ci in range(2):
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("h,w", SHAPES)
+    @pytest.mark.parametrize("c_in,c_out", CHANNELS)
+    def test_matches_nested_loop_oracle(self, c_in, c_out, h, w, dtype):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(c_in, h, w)).astype(dtype)
+        k = rng.normal(size=(c_out, c_in, 3, 3)).astype(dtype)
+        b = rng.normal(size=c_out).astype(dtype)
+        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
+        assert out.data.dtype == dtype
+
+        expected = np.zeros((c_out, h, w))
+        magnitude = np.zeros((c_out, h, w))
+        padded = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1)))
+        for co in range(c_out):
+            for i in range(h):
+                for j in range(w):
+                    acc = float(b[co])
+                    mag = abs(acc)
+                    for ci in range(c_in):
                         for di in range(3):
                             for dj in range(3):
-                                acc += k[co, ci, di, dj] * padded[ci, i + di, j + dj]
+                                term = float(k[co, ci, di, dj]) * padded[ci, i + di, j + dj]
+                                acc += term
+                                mag += abs(term)
                     expected[co, i, j] = acc
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+                    magnitude[co, i, j] = mag
+        # standard bound for a sum of n rounded products, with room for the
+        # oracle's own float64 rounding
+        n = c_in * 9 + 1
+        bound = 2 * n * np.finfo(dtype).eps * magnitude
+        assert np.all(np.abs(out.data - expected) <= bound)
 
-    def test_gradient_vs_finite_differences(self):
+    @pytest.mark.parametrize("h,w", SHAPES)
+    @pytest.mark.parametrize("c_in,c_out", CHANNELS)
+    def test_gradient_vs_finite_differences(self, c_in, c_out, h, w):
         rng = np.random.default_rng(7)
-        x = rand_tensor(rng, (2, 5, 5))
-        k = rand_tensor(rng, (3, 2, 3, 3), lo=-0.5, hi=0.5)
-        b = rand_tensor(rng, (3,), lo=-0.5, hi=0.5)
+        x = rand_tensor(rng, (c_in, h, w))
+        k = rand_tensor(rng, (c_out, c_in, 3, 3), lo=-0.5, hi=0.5)
+        b = rand_tensor(rng, (c_out,), lo=-0.5, hi=0.5)
         ok, _ = gradcheck(
             lambda x, k, b: T.tsum(T.sigmoid(T.conv2d(x, k, b))), (x, k, b),
             rtol=1e-4)
         assert ok
+
+    @pytest.mark.parametrize("h,w", SHAPES)
+    @pytest.mark.parametrize("c_in,c_out", CHANNELS)
+    def test_float32_gradients_match_float64(self, c_in, c_out, h, w):
+        """float32 runs the same code paths as the gradchecked float64."""
+        rng = np.random.default_rng(8)
+        arrays = (rng.uniform(-1, 1, size=(c_in, h, w)),
+                  rng.uniform(-0.5, 0.5, size=(c_out, c_in, 3, 3)),
+                  rng.uniform(-0.5, 0.5, size=c_out))
+        g = rng.normal(size=(c_out, h, w))
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            T.tsum(T.conv2d(*inputs) * Tensor(g.astype(dtype))).backward()
+            grads[dtype] = [t.grad for t in inputs]
+        for g32, g64 in zip(grads[np.float32], grads[np.float64]):
+            assert g32.dtype == np.float32
+            np.testing.assert_allclose(g32, g64, rtol=1e-4, atol=1e-4)
 
     def test_preserves_spatial_shape(self):
         rng = np.random.default_rng(1)

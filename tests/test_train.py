@@ -1,12 +1,16 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
 from vesseldistill.data import generate_synthetic, split
 from vesseldistill.distill import DistillConfig
+from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.network import NetworkConfig, load_checkpoint
-from vesseldistill.train import TrainConfig, evaluate, train
+from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
+
+train_module = importlib.import_module("vesseldistill.train")
 
 
 def tiny_cfg(out_dir, epochs=3, **kw):
@@ -45,6 +49,14 @@ class TestLoop:
         for log in result.logs:
             parts = log.ddl + log.psdl + log.dice
             assert abs(log.train_loss - parts) < 1e-9
+
+    def test_logged_total_is_exact_sum_of_logged_terms(self, tiny_dataset, tmp_path):
+        # per-batch sums of the three terms drift from the sum of the
+        # per-term means by an ulp on some epochs of this run
+        cfg = dataclasses.replace(tiny_cfg(tmp_path / "c2", epochs=4), batch_size=2, seed=1)
+        result = train(cfg, tiny_dataset)
+        for log in result.logs:
+            assert log.train_loss == log.ddl + log.psdl + log.dice
 
     def test_deterministic_reruns(self, tiny_dataset, tmp_path):
         r1 = train(tiny_cfg(tmp_path / "d1", epochs=2), tiny_dataset)
@@ -148,9 +160,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_rejects_non_square_patches(self, tmp_path):
+        # 16x32 is divisible by grid 4 but its patches would be 4x8
+        cfg = dataclasses.replace(
+            tiny_cfg(tmp_path / "w2"),
+            network=NetworkConfig(depth=2, base_channels=4, height=16, width=32))
+        with pytest.raises(ValueError, match="square patches"):
+            cfg.validate()
+
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
         net = load_checkpoint(result.final_path).to_network()
         report = evaluate(net, tiny_dataset.test)
         assert 0.0 <= report.dsc <= 1.0
         assert set(report.as_dict()) == {"DSC", "ACC", "SEN", "IOU"}
+
+    def test_evaluate_matches_predict_on_float32_net(self, tiny_dataset, tmp_path, monkeypatch):
+        """evaluate computes at the net's precision, as predict_to_file does."""
+        result = train(tiny_cfg(tmp_path / "y", epochs=1), tiny_dataset)
+        net = load_checkpoint(result.final_path).to_network()
+        assert net.dtype == np.float32
+        seen = []
+
+        def capture(pairs, **kwargs):
+            seen.extend(pairs)
+            return evaluate_pairs(pairs, **kwargs)
+
+        monkeypatch.setattr(train_module, "evaluate_pairs", capture)
+        evaluate(net, tiny_dataset.test)
+        assert len(seen) == len(tiny_dataset.test)
+        for i, ((pred, _), sample) in enumerate(zip(seen, tiny_dataset.test)):
+            assert pred.dtype == np.float32
+            mask = predict_to_file(result.final_path, sample.image, tmp_path / f"m{i}.pgm")
+            np.testing.assert_array_equal(pred[0] >= 0.5, mask.astype(bool))
