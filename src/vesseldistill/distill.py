@@ -50,9 +50,6 @@ class DistillConfig:
     tau: float = 3.0
     grid_g: int = 4
     alpha_T: float = 0.5
-    normalize_counts: bool = True
-    count_mode: str = "soft"  # "soft" (differentiable) or "hard" (evaluation only)
-    kl_direction: str = "student-first"  # or "teacher-first" for experimentation
     eps: float = 1e-7
 
     def __post_init__(self):
@@ -60,10 +57,6 @@ class DistillConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not 0.0 <= self.alpha_T <= 1.0:
             raise ValueError(f"alpha_T must be in [0,1], got {self.alpha_T}")
-        if self.count_mode not in ("soft", "hard"):
-            raise ValueError(f"count_mode must be 'soft' or 'hard', got {self.count_mode!r}")
-        if self.kl_direction not in ("student-first", "teacher-first"):
-            raise ValueError(f"unknown kl_direction {self.kl_direction!r}")
 
 
 def patch_counts(side_output, grid: PatchGrid, mode="soft"):
@@ -93,11 +86,11 @@ def patch_counts(side_output, grid: PatchGrid, mode="soft"):
     return T.concat([fg, bg], axis=1)
 
 
-def prob_vector(counts, tau, normalize_counts=True):
+def prob_vector(counts, tau):
     """Flatten an [n,2] count matrix and apply a temperature softmax.
 
-    With normalize_counts the counts are divided by the patch area first
-    so the logits stay O(1) at any resolution; the flat order is
+    The counts are divided by the patch area first so the logits stay
+    O(1) at any resolution; the flat order is
     [p_{1,fg}, p_{1,bg}, p_{2,fg}, ...].
     """
     z = counts if isinstance(counts, Tensor) else Tensor(counts)
@@ -105,9 +98,7 @@ def prob_vector(counts, tau, normalize_counts=True):
         raise ShapeError(f"prob_vector: expected [n,2] counts, got {z.data.shape}")
     if tau <= 0:
         raise ValueError(f"prob_vector: tau must be positive, got {tau}")
-    if normalize_counts:
-        area = float(z.data[0].sum())
-        z = z / area
+    z = z / float(z.data[0].sum())
     return T.softmax(z.reshape((z.data.shape[0] * 2,)), tau=tau)
 
 
@@ -132,16 +123,10 @@ def ddl(student_sides, teacher_sides, cfg: DistillConfig):
     for ys, yt in zip(student_sides, teacher_sides):
         _, h, w = ys.data.shape
         grid = PatchGrid.for_shape(h, w, cfg.grid_g)
-        ps = prob_vector(patch_counts(ys, grid, cfg.count_mode), cfg.tau, cfg.normalize_counts)
+        ps = prob_vector(patch_counts(ys, grid), cfg.tau)
         yt = yt.detach() if isinstance(yt, Tensor) else Tensor(yt)
-        pt = prob_vector(patch_counts(yt, grid, cfg.count_mode), cfg.tau, cfg.normalize_counts)
-        if cfg.kl_direction == "student-first":
-            term = kl_div(ps, pt, cfg.eps)
-        else:
-            # swapped direction keeps the teacher constant: only the second
-            # argument's values come from the student graph
-            term = T.tsum(Tensor(pt.data) * (T.log(Tensor(np.clip(pt.data, cfg.eps, 1.0)))
-                                             - T.log(T.clamp(ps, cfg.eps, 1.0))))
+        pt = prob_vector(patch_counts(yt, grid), cfg.tau)
+        term = kl_div(ps, pt, cfg.eps)
         total = term if total is None else total + term
     return total
 

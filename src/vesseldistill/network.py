@@ -109,14 +109,23 @@ class SegNetwork:
     def forward(self, x):
         """Run the network; returns (prediction [1,H,W], decoder features).
 
+        Being fully convolutional, the net takes any [in_channels,H,W]
+        input whose H and W are divisible by 2^(depth-1), not only the
+        training size in its config.
+
         decoder_features[i-1] is the depth-i map, index 0 at full
         resolution, the last entry being the bottleneck output.
         """
         x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
         cfg = self.config
-        expected = (cfg.in_channels, cfg.height, cfg.width)
-        if x.data.shape != expected:
-            raise ShapeError(f"forward: input shape {x.data.shape} != {expected}")
+        stride = 2 ** (cfg.depth - 1)
+        shape = x.data.shape
+        if len(shape) != 3 or shape[0] != cfg.in_channels or shape[1] % stride \
+                or shape[2] % stride:
+            raise ShapeError(
+                f"forward: input shape {shape} is not [{cfg.in_channels},H,W] "
+                f"with H and W divisible by 2^(depth-1) = {stride}"
+            )
 
         d = cfg.depth
         skips = []
@@ -183,8 +192,8 @@ class TeacherSnapshot:
 
 # ---- checkpoint I/O ----
 
-def save_checkpoint(path, net, epoch, rng_state=None, extras=None):
-    """Write a lossless .npz checkpoint: config, parameters, epoch, RNG state.
+def save_checkpoint(path, net, epoch, extras=None):
+    """Write a lossless .npz checkpoint: config, parameters, epoch.
 
     extras: optional dict of additional arrays (e.g. optimizer moments,
     teacher parameters), stored under an "extra:" prefix. The file is
@@ -196,7 +205,6 @@ def save_checkpoint(path, net, epoch, rng_state=None, extras=None):
         "config": asdict(net.config),
         "dtype": str(net.dtype),
         "epoch": int(epoch),
-        "rng_state": rng_state,
         "param_order": list(net.named_parameters().keys()),
     }
     payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -216,11 +224,10 @@ def save_checkpoint(path, net, epoch, rng_state=None, extras=None):
 
 
 class Checkpoint:
-    def __init__(self, config, params, epoch, rng_state, dtype, extras):
+    def __init__(self, config, params, epoch, dtype, extras):
         self.config = config
         self.params = params
         self.epoch = epoch
-        self.rng_state = rng_state
         self.dtype = dtype
         self.extras = extras
 
@@ -237,5 +244,4 @@ def load_checkpoint(path):
         params = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
         extras = {k[len("extra:"):]: z[k] for k in z.files if k.startswith("extra:")}
     config = NetworkConfig(**meta["config"])
-    return Checkpoint(config, params, meta["epoch"], meta["rng_state"],
-                      meta["dtype"], extras)
+    return Checkpoint(config, params, meta["epoch"], meta["dtype"], extras)

@@ -52,17 +52,8 @@ class AdamW:
             self.v[i] = np.asarray(state[f"v{i}"], dtype=p.data.dtype).copy()
 
 
-def lr_at(t, initial_lr, gamma=0.3, step_every=10, mode="compound"):
-    """Learning rate for epoch t (1-based).
-
-    compound: multiply by gamma every step_every epochs.
-    clamp: drop once to gamma * initial after the first window and hold.
-    """
+def lr_at(t, initial_lr, gamma=0.3, step_every=10):
+    """Learning rate for epoch t (1-based): times gamma every step_every epochs."""
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")
-    k = (t - 1) // step_every
-    if mode == "compound":
-        return initial_lr * gamma ** k
-    if mode == "clamp":
-        return initial_lr if k == 0 else initial_lr * gamma
-    raise ValueError(f"unknown lr mode {mode!r}")
+    return initial_lr * gamma ** ((t - 1) // step_every)

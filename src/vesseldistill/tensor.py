@@ -7,6 +7,14 @@ convolution, bilinear upsampling, temperature softmax, concat/reshape).
 Gradients are computed by replaying closures over a topologically sorted
 computation graph, numpy arrays underneath.
 
+Every primitive hands `_make` its output array, its operands and one
+closure `backward(g)` that maps the output's gradient `g` onto its
+operands. `_make` stores it as the node's zero-argument `_backward`,
+which reads `g` through a weak reference to the output, so a graph has
+no reference cycles and is freed by reference counting alone. Inside
+`with no_grad():` no graph is recorded at all, which is how inference
+on a trainable network runs.
+
 The 3x3 convolution correlates a flat, zero-padded copy of its input
 (rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
 on shifted views of that buffer when the contraction is wide, otherwise
@@ -17,7 +25,9 @@ and the graph keeps only the padded input, never a 9x column buffer.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import weakref
 
 import numpy as np
 
@@ -33,7 +43,7 @@ class GraphError(RuntimeError):
 class Tensor:
     """A dense real array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -167,13 +177,36 @@ def _accumulate(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block: outputs are plain, untracked tensors."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, prev, backward):
+    """Wrap an op's output; record backward(g) if any operand is tracked.
+
+    The stored closure reaches the output only through a weak reference,
+    so a graph holds no reference cycle and is freed as soon as its last
+    tensor is dropped.
+    """
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     tracked = tuple(p for p in prev if p.requires_grad or p._prev)
     if tracked:
         out.requires_grad = True
         out._prev = tracked
-        out._backward = backward
+        ref = weakref.ref(out)
+        out._backward = lambda: backward(ref().grad)
     return out
 
 
@@ -189,61 +222,45 @@ def _check_elementwise(a, b, op):
 def add(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "add")
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
-    out = _make(a.data + b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _make(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "sub")
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(a, g)
         _accumulate(b, -g)
 
-    out = _make(a.data - b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "mul")
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    out = _make(a.data * b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _make(a.data * b.data, (a, b), backward)
 
 
 def div(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "div")
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(a, g / b.data)
         _accumulate(b, -g * a.data / (b.data * b.data))
 
-    out = _make(a.data / b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _make(a.data / b.data, (a, b), backward)
 
 
 # ---- element-wise nonlinearities ----
@@ -251,14 +268,11 @@ def div(a, b):
 def relu(x):
     x = _as_tensor(x)
     mask = x.data > 0
-    out_holder = []
 
-    def backward():
-        _accumulate(x, out_holder[0].grad * mask)
+    def backward(g):
+        _accumulate(x, g * mask)
 
-    out = _make(np.where(mask, x.data, 0.0), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(np.where(mask, x.data, 0.0), (x,), backward)
 
 
 def sigmoid(x):
@@ -269,100 +283,78 @@ def sigmoid(x):
     s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
     ex = np.exp(x.data[~pos])
     s[~pos] = ex / (1.0 + ex)
-    out_holder = []
 
-    def backward():
-        _accumulate(x, out_holder[0].grad * s * (1.0 - s))
+    def backward(g):
+        _accumulate(x, g * s * (1.0 - s))
 
-    out = _make(s, (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(s, (x,), backward)
 
 
 def log(x):
     x = _as_tensor(x)
     if np.any(x.data <= 0):
         raise ValueError("log: input must be strictly positive (clamp first)")
-    out_holder = []
 
-    def backward():
-        _accumulate(x, out_holder[0].grad / x.data)
+    def backward(g):
+        _accumulate(x, g / x.data)
 
-    out = _make(np.log(x.data), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(np.log(x.data), (x,), backward)
 
 
 def clamp(x, lo, hi):
     x = _as_tensor(x)
     inside = (x.data >= lo) & (x.data <= hi)
-    out_holder = []
 
-    def backward():
-        _accumulate(x, out_holder[0].grad * inside)
+    def backward(g):
+        _accumulate(x, g * inside)
 
-    out = _make(np.clip(x.data, lo, hi), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(np.clip(x.data, lo, hi), (x,), backward)
 
 
 # ---- reductions / reshaping ----
 
 def tsum(x, axis=None):
     x = _as_tensor(x)
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         if axis is None:
             _accumulate(x, np.broadcast_to(g, x.data.shape))
         else:
             _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
 
-    out = _make(x.data.sum(axis=axis), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(x.data.sum(axis=axis), (x,), backward)
 
 
 def tmean(x):
     x = _as_tensor(x)
     n = x.data.size
-    out_holder = []
 
-    def backward():
-        _accumulate(x, np.broadcast_to(out_holder[0].grad / n, x.data.shape))
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g / n, x.data.shape))
 
-    out = _make(x.data.mean(), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(x.data.mean(), (x,), backward)
 
 
 def reshape(x, shape):
     x = _as_tensor(x)
-    out_holder = []
 
-    def backward():
-        _accumulate(x, out_holder[0].grad.reshape(x.data.shape))
+    def backward(g):
+        _accumulate(x, g.reshape(x.data.shape))
 
-    out = _make(x.data.reshape(shape), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(x.data.reshape(shape), (x,), backward)
 
 
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
-    out_holder = []
 
-    def backward():
-        pieces = np.split(out_holder[0].grad, splits, axis=axis)
-        for t, g in zip(tensors, pieces):
-            _accumulate(t, g)
+    def backward(g):
+        pieces = np.split(g, splits, axis=axis)
+        for t, piece in zip(tensors, pieces):
+            _accumulate(t, piece)
 
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-    out_holder.append(out)
-    return out
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 # ---- structured primitives ----
@@ -379,18 +371,14 @@ def maxpool2x2(x):
     windows = windows.reshape(c, h // 2, w // 2, 4)
     idx = windows.argmax(axis=-1)
     pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         gw = np.zeros((c, h // 2, w // 2, 4), dtype=x.data.dtype)
         np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
         gx = gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
         _accumulate(x, gx)
 
-    out = _make(pooled.copy(), (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(pooled.copy(), (x,), backward)
 
 
 # contraction width from which 9 GEMMs on shifted views of the padded input
@@ -464,10 +452,8 @@ def conv2d(x, kernel, bias):
     k = kernel.data
     flat = _pad_flat(x.data)
     y = _correlate3(flat, k, h, w) + bias.data[:, None, None]
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         g_flat = _pad_flat(g)
         if _needs_grad(kernel):
             # g on the W+2-wide output grid: its two junk columns per row
@@ -483,9 +469,7 @@ def conv2d(x, kernel, bias):
             flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             _accumulate(x, _correlate3(g_flat, flipped, h, w))
 
-    out = _make(y, (x, kernel, bias), backward)
-    out_holder.append(out)
-    return out
+    return _make(y, (x, kernel, bias), backward)
 
 
 @functools.lru_cache(maxsize=64)
@@ -518,15 +502,11 @@ def bilinear_upsample(x, factor):
     wh = _interp_matrix(h, factor, x.data.dtype)
     ww = _interp_matrix(w, factor, x.data.dtype)
     y = wh @ x.data @ ww.T
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(x, wh.T @ g @ ww)
 
-    out = _make(y, (x,), backward)
-    out_holder.append(out)
-    return out
+    return _make(y, (x,), backward)
 
 
 def softmax(logits, tau=1.0):
@@ -543,15 +523,11 @@ def softmax(logits, tau=1.0):
     # floor underflowed entries so the output is strictly positive
     p = np.maximum(p, np.finfo(p.dtype).tiny)
     p = p / p.sum()
-    out_holder = []
 
-    def backward():
-        g = out_holder[0].grad
+    def backward(g):
         _accumulate(logits, (p * (g - np.dot(g, p))) / tau)
 
-    out = _make(p, (logits,), backward)
-    out_holder.append(out)
-    return out
+    return _make(p, (logits,), backward)
 
 
 # ---- gradient checking ----

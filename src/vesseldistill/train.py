@@ -19,9 +19,9 @@ import numpy as np
 from . import distill
 from .data import DatasetSplit, batches, save_pgm
 from .metrics import MetricReport, evaluate_pairs
-from .network import Checkpoint, NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
+from .network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
 from .optim import AdamW, lr_at
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,6 @@ class TrainConfig:
     weight_decay: float = 1e-5
     lr_step_every: int = 10
     lr_gamma: float = 0.3
-    lr_mode: str = "compound"
     distill: distill.DistillConfig = field(default_factory=distill.DistillConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
     seed: int = 0
@@ -105,7 +104,8 @@ def _predict(net, sample):
 
 def evaluate(net, samples, threshold=0.5, average="macro"):
     """Macro (default) or micro averaged metrics over a sample list."""
-    pairs = [(_predict(net, s).data, s.mask.data) for s in samples]
+    with no_grad():
+        pairs = [(_predict(net, s).data, s.mask.data) for s in samples]
     return evaluate_pairs(pairs, threshold=threshold, average=average)
 
 
@@ -130,15 +130,37 @@ def _batch_terms(net, teacher_net, batch, cfg, t):
     return {k: v * scale for k, v in sums.items()}
 
 
-def _save(path, net, opt, epoch, rng, best_dsc, logs, cfg):
-    rng_state = rng.bit_generator.state
+def _save(path, net, opt, epoch, best_dsc, logs, cfg):
     extras = dict(opt.state_arrays())
     extras["best_dsc"] = np.array(best_dsc)
     extras["logs"] = np.frombuffer(
         json.dumps([log.row() for log in logs]).encode(), dtype=np.uint8)
     extras["train_config"] = np.frombuffer(
         json.dumps(cfg.to_dict()).encode(), dtype=np.uint8)
-    save_checkpoint(path, net, epoch, rng_state=rng_state, extras=extras)
+    save_checkpoint(path, net, epoch, extras=extras)
+
+
+def _flat_config(d, prefix=""):
+    flat = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            flat.update(_flat_config(v, f"{prefix}{k}."))
+        else:
+            flat[prefix + k] = v
+    return flat
+
+
+def _check_resume_config(ckpt, cfg):
+    """Refuse a resume whose config differs from the checkpointed run's, out_dir aside."""
+    if "train_config" not in ckpt.extras:
+        raise ValueError("cannot resume: the checkpoint stores no train_config to check against")
+    stored = _flat_config(json.loads(bytes(ckpt.extras["train_config"]).decode()))
+    current = _flat_config(cfg.to_dict())
+    differing = sorted(k for k in stored.keys() | current.keys()
+                       if k != "out_dir" and stored.get(k) != current.get(k))
+    if differing:
+        raise ValueError(
+            f"cannot resume: config differs from the checkpointed run in {', '.join(differing)}")
 
 
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
@@ -147,8 +169,9 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     """Run the full training loop; returns checkpoint paths and the epoch log.
 
     resume_from: path to a checkpoint written by this function; training
-    continues from the next epoch with optimizer and RNG state restored,
-    reproducing the uninterrupted run exactly.
+    continues from the next epoch with the optimizer state restored,
+    reproducing the uninterrupted run exactly. The config must match the
+    checkpointed run's in every field but out_dir, or ValueError is raised.
     """
     cfg.validate()
     if not dataset.train:
@@ -160,7 +183,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     logs = []
     best_dsc = -1.0
     start_epoch = 1
-    rng = np.random.default_rng(cfg.seed + 1)  # reserved stochastic state
     if resume_from is None:
         net = SegNetwork(cfg.network, seed=cfg.seed, dtype=dtype)
         opt = AdamW(net.parameters(), lr=cfg.learning_rate,
@@ -168,11 +190,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         teacher_net = None
     else:
         ckpt = load_checkpoint(resume_from)
+        _check_resume_config(ckpt, cfg)
         net = ckpt.to_network(trainable=True)
         opt = AdamW(net.parameters(), lr=cfg.learning_rate,
                     weight_decay=cfg.weight_decay)
         opt.load_state_arrays(ckpt.extras)
-        rng.bit_generator.state = ckpt.rng_state
         best_dsc = float(ckpt.extras["best_dsc"])
         for row in json.loads(bytes(ckpt.extras["logs"]).decode()):
             logs.append(EpochLog(int(row[0]), *row[1:]))
@@ -186,7 +208,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     for t in range(start_epoch, cfg.epochs + 1):
         if epoch_start_hook is not None:
             epoch_start_hook(t, teacher_net)
-        lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every, cfg.lr_mode)
+        lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
         use_teacher = teacher_net is not None and not cfg.dice_only and t >= 2
         term_sums = {"ddl": 0.0, "psdl": 0.0, "dice": 0.0}
         n_batches = 0
@@ -214,18 +236,18 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         logs.append(log)
 
         teacher_net = net.snapshot(t).restore(trainable=False)
-        _save(final_path, net, opt, t, rng, max(best_dsc, val.dsc), logs, cfg)
+        _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
         if keep_epoch_checkpoints:
-            _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t, rng,
+            _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,
                   max(best_dsc, val.dsc), logs, cfg)
         if val.dsc > best_dsc:
             best_dsc = val.dsc
-            _save(best_path, net, opt, t, rng, best_dsc, logs, cfg)
+            _save(best_path, net, opt, t, best_dsc, logs, cfg)
         if epoch_end_hook is not None:
             epoch_end_hook(t, net, teacher_net, log)
 
     if not best_path.exists():
-        _save(best_path, net, opt, cfg.epochs, rng, best_dsc, logs, cfg)
+        _save(best_path, net, opt, cfg.epochs, best_dsc, logs, cfg)
     write_epoch_csv(logs, out_dir / "epochs.csv")
     return TrainResult(final_path=final_path, best_path=best_path, logs=logs,
                        best_val_dsc=best_dsc)

@@ -70,11 +70,11 @@ class TestTrain:
 
     def test_dotted_override_reaches_nested_section(self):
         from vesseldistill.cli import _apply_overrides
-        d = _apply_overrides({}, ["distill.tau=4.5", "seed=3", "lr_mode=clamp"])
+        d = _apply_overrides({}, ["distill.tau=4.5", "seed=3", "lr_gamma=0.5"])
         cfg = TrainConfig.from_dict(d)
         assert cfg.distill.tau == 4.5
         assert cfg.seed == 3
-        assert cfg.lr_mode == "clamp"
+        assert cfg.lr_gamma == 0.5
 
     def test_malformed_override_is_usage_error(self, data_dir):
         assert main(["train", "--data", str(data_dir), "epochs"]) == 1

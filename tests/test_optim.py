@@ -98,18 +98,9 @@ class TestLRSchedule:
         assert lr_at(10, 1e-3) == 1e-3
         assert abs(lr_at(11, 1e-3) - 3e-4) < 1e-18
 
-    def test_clamp_mode_drops_once(self):
-        assert lr_at(5, 1e-3, mode="clamp") == 1e-3
-        assert abs(lr_at(15, 1e-3, mode="clamp") - 3e-4) < 1e-18
-        assert abs(lr_at(95, 1e-3, mode="clamp") - 3e-4) < 1e-18
-
     def test_custom_gamma_and_window(self):
         assert abs(lr_at(7, 1.0, gamma=0.5, step_every=3) - 0.25) < 1e-15
 
     def test_bad_epoch(self):
         with pytest.raises(ValueError):
             lr_at(0, 1e-3)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            lr_at(1, 1e-3, mode="linear")

@@ -270,6 +270,18 @@ class TestBackward:
         with pytest.raises(GraphError):
             Tensor(np.ones(1), requires_grad=True).backward()
 
+    def test_no_grad_records_nothing_and_restores_after_exception(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                y = T.tsum(x * 2.0)
+                assert not y.requires_grad and y._backward is None
+                raise RuntimeError("inside")
+        loss = T.tsum(x * 2.0)
+        assert loss.requires_grad
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
 
 class TestMiscPrimitives:
     def test_shape_mismatch_raises(self):

@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vesseldistill.data import generate_synthetic, split
+from vesseldistill.data import generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
-from vesseldistill.network import NetworkConfig, load_checkpoint
+from vesseldistill.network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
 
 train_module = importlib.import_module("vesseldistill.train")
@@ -138,6 +140,23 @@ class TestResume:
         for name in w_full:
             np.testing.assert_array_equal(w_full[name].data, w_res[name].data)
 
+    def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
+        cfg = tiny_cfg(tmp_path / "r1", epochs=1)
+        result = train(cfg, tiny_dataset)
+        started = []
+        changed = dataclasses.replace(cfg, learning_rate=2e-3, out_dir=str(tmp_path / "r2"))
+        with pytest.raises(ValueError, match="learning_rate"):
+            train(changed, tiny_dataset, resume_from=result.final_path,
+                  epoch_start_hook=lambda t, teacher: started.append(t))
+        assert not started
+
+    def test_resume_refuses_a_checkpoint_without_config(self, tiny_dataset, tmp_path):
+        cfg = tiny_cfg(tmp_path / "r3", epochs=2)
+        path = tmp_path / "bare.npz"
+        save_checkpoint(path, SegNetwork(cfg.network, dtype=np.float32), epoch=1)
+        with pytest.raises(ValueError, match="train_config"):
+            train(cfg, tiny_dataset, resume_from=path)
+
     def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
         import json
         cfg = tiny_cfg(tmp_path / "cfgchk", epochs=1)
@@ -193,3 +212,48 @@ class TestValidation:
             assert pred.dtype == np.float32
             mask = predict_to_file(result.final_path, sample.image, tmp_path / f"m{i}.pgm")
             np.testing.assert_array_equal(pred[0] >= 0.5, mask.astype(bool))
+
+    def test_predict_on_another_image_size(self, tmp_path):
+        net = SegNetwork(NetworkConfig(depth=3, base_channels=4, height=64, width=64),
+                         dtype=np.float32)
+        save_checkpoint(tmp_path / "net.npz", net, epoch=1)
+        image = np.random.default_rng(0).uniform(size=(96, 128))
+        mask = predict_to_file(tmp_path / "net.npz", image, tmp_path / "mask.pgm")
+        assert mask.shape == (96, 128)
+        assert load_pgm(tmp_path / "mask.pgm").shape == (96, 128)
+
+
+class TestGraphLifetime:
+    def test_training_step_leaves_no_cyclic_garbage(self, tiny_dataset):
+        """A step's graph is freed by reference counting, with no cycles
+        left for the collector."""
+        cfg = tiny_cfg("unused", epochs=2)
+        net = SegNetwork(cfg.network, dtype=np.float32)
+        teacher = net.snapshot(1).restore(trainable=False)
+        batch = tiny_dataset.train[:2]
+        gc.collect()
+        gc.disable()
+        try:
+            terms = train_module._batch_terms(net, teacher, batch, cfg, 2)
+            (terms["ddl"] + terms["psdl"] + terms["dice"]).backward()
+            del terms
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_evaluate_builds_no_graph(self, tmp_path):
+        cfg = NetworkConfig(depth=3, base_channels=8, height=64, width=64)
+        trainable = SegNetwork(cfg, dtype=np.float32)
+        frozen = SegNetwork(cfg, dtype=np.float32, trainable=False)
+        sample = generate_synthetic(seed=3, count=1, size=64)
+
+        def peak(net):
+            evaluate(net, sample)  # warm caches outside the measurement
+            tracemalloc.start()
+            try:
+                evaluate(net, sample)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(trainable) <= 1.2 * peak(frozen)
