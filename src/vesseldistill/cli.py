@@ -76,7 +76,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    net = load_checkpoint(args.checkpoint).to_network(trainable=False)
+    net = load_checkpoint(args.checkpoint, extras=False).to_network(trainable=False)
     samples = load_sample_dir(args.data)
     if args.split != "all":
         dataset = split(samples, seed=args.seed)

@@ -238,10 +238,16 @@ class Checkpoint:
         return net
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, extras=True):
+    """Read a checkpoint written by save_checkpoint.
+
+    extras=False decodes only the config and the parameters, which is
+    all inference needs, and leaves Checkpoint.extras empty.
+    """
     with np.load(path) as z:
         meta = json.loads(bytes(z["meta"]).decode())
         params = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
-        extras = {k[len("extra:"):]: z[k] for k in z.files if k.startswith("extra:")}
+        stored = {k[len("extra:"):]: z[k] for k in z.files
+                  if extras and k.startswith("extra:")}
     config = NetworkConfig(**meta["config"])
-    return Checkpoint(config, params, meta["epoch"], meta["dtype"], extras)
+    return Checkpoint(config, params, meta["epoch"], meta["dtype"], stored)

@@ -37,6 +37,7 @@ class AdamW:
             m_hat = self.m[i] / bc1
             v_hat = self.v[i] / bc2
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.grad = None  # consumed: a later graph without p must not reapply it
 
     def state_arrays(self):
         state = {"t": np.array(self.t, dtype=np.int64)}

@@ -21,6 +21,11 @@ on shifted views of that buffer when the contraction is wide, otherwise
 as one GEMM over a strided column copy. The input gradient is the same
 correlation of the output gradient with the flipped, transposed kernel,
 and the graph keeps only the padded input, never a 9x column buffer.
+
+relu, sigmoid and 2x2 max-pool keep no masks or index arrays: relu's
+and sigmoid's backward read their own outputs, and max-pool's backward
+compares the input's four stride-2 views with the pooled output to
+route each window's gradient to its first maximum.
 """
 
 from __future__ import annotations
@@ -267,22 +272,19 @@ def div(a, b):
 
 def relu(x):
     x = _as_tensor(x)
-    mask = x.data > 0
+    y = np.maximum(x.data, 0)  # NaN propagates; -0.0 maps to +0.0
 
     def backward(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (y > 0))
 
-    return _make(np.where(mask, x.data, 0.0), (x,), backward)
+    return _make(y, (x,), backward)
 
 
 def sigmoid(x):
     x = _as_tensor(x)
-    # split by sign to avoid overflow in exp
-    pos = x.data >= 0
-    s = np.empty_like(x.data)
-    s[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    ex = np.exp(x.data[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    # exp of -|x| never overflows; each sign takes its stable form
+    e = np.exp(-np.abs(x.data))
+    s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accumulate(x, g * s * (1.0 - s))
@@ -360,25 +362,36 @@ def concat(tensors, axis=0):
 # ---- structured primitives ----
 
 def maxpool2x2(x):
-    """2x2 max-pool, stride 2, over a [C,H,W] tensor with even H and W."""
+    """2x2 max-pool, stride 2, over a [C,H,W] tensor with even H and W.
+
+    The gradient goes to the first maximum of each window in the order
+    (0,0), (0,1), (1,0), (1,1); ties are common, since relu zeros fill
+    whole windows.
+    """
     x = _as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2x2: expected [C,H,W], got {x.data.shape}")
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2x2: spatial dims must be even, got {h}x{w}")
-    windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
-    windows = windows.reshape(c, h // 2, w // 2, 4)
-    idx = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    rows = x.data.reshape(c, h // 2, 2, w)
+    taps = [rows[:, :, i, j::2] for i in (0, 1) for j in (0, 1)]
+    # np.maximum returns its second operand on a tie, so the earlier tap
+    # goes second: the pooled value is the first maximum, sign of zero included
+    pooled = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
 
     def backward(g):
-        gw = np.zeros((c, h // 2, w // 2, 4), dtype=x.data.dtype)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
-        gx = gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-        _accumulate(x, gx)
+        gx = np.zeros((c, h // 2, 2, w), dtype=x.data.dtype)
+        free = np.ones(pooled.shape, dtype=bool)  # windows not yet routed
+        for (i, j), tap in zip(((0, 0), (0, 1), (1, 0)), taps):
+            hit = tap == pooled
+            hit &= free
+            np.copyto(gx[:, :, i, j::2], g, where=hit)
+            free &= ~hit
+        np.copyto(gx[:, :, 1, 1::2], g, where=free)
+        _accumulate(x, gx.reshape(c, h, w))
 
-    return _make(pooled.copy(), (x,), backward)
+    return _make(pooled, (x,), backward)
 
 
 # contraction width from which 9 GEMMs on shifted views of the padded input

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,6 +173,10 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     continues from the next epoch with the optimizer state restored,
     reproducing the uninterrupted run exactly. The config must match the
     checkpointed run's in every field but out_dir, or ValueError is raised.
+
+    A non-finite ddl, psdl or dice term raises FloatingPointError naming
+    the epoch, the batch and the term, before that batch's backward pass
+    and before the epoch writes any checkpoint.
     """
     cfg.validate()
     if not dataset.train:
@@ -215,11 +220,16 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         for batch in batches(dataset.train, cfg.batch_size, cfg.seed, t):
             terms = _batch_terms(net, teacher_net if use_teacher else None,
                                  batch, cfg, t if use_teacher or t == 1 else 1)
+            values = {k: terms[k].item() for k in term_sums}
+            for k, v in values.items():
+                if not math.isfinite(v):
+                    raise FloatingPointError(
+                        f"epoch {t}, batch {n_batches}: {k} loss is {v}")
             total = terms["ddl"] + terms["psdl"] + terms["dice"]
             total.backward()
             opt.step(lr=lr)
             for k in term_sums:
-                term_sums[k] += terms[k].item()
+                term_sums[k] += values[k]
             n_batches += 1
 
         val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
@@ -255,7 +265,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
 
 def predict_to_file(checkpoint_path, image, out_path, threshold=0.5):
     """Forward an image through a checkpoint and write a binary P5 mask."""
-    net = load_checkpoint(checkpoint_path).to_network(trainable=False)
+    net = load_checkpoint(checkpoint_path, extras=False).to_network(trainable=False)
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     if arr.ndim == 2:
         arr = arr[None]
@@ -285,7 +295,7 @@ def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
             base_cfg, distill=dcfg,
             out_dir=str(Path(base_cfg.out_dir) / f"{axis}_{value}"))
         result = train(cfg, dataset)
-        net = load_checkpoint(result.best_path).to_network(trainable=False)
+        net = load_checkpoint(result.best_path, extras=False).to_network(trainable=False)
         report = evaluate(net, dataset.test)
         rows.append({axis: value, **report.as_dict()})
     return rows

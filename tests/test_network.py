@@ -177,6 +177,22 @@ class TestSnapshots:
         assert load_checkpoint(path).epoch == 1
         assert [p.name for p in tmp_path.iterdir()] == ["last.npz"]
 
+    def test_parameters_only_load_matches_full_load(self, tmp_path):
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=16, width=16),
+                         seed=3, dtype=np.float32)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, net, epoch=4,
+                        extras={"m0": np.ones(3), "logs": np.arange(5, dtype=np.uint8)})
+        full = load_checkpoint(path)
+        lean = load_checkpoint(path, extras=False)
+        assert set(full.extras) == {"m0", "logs"}
+        assert lean.extras == {}
+        assert (lean.config, lean.epoch, lean.dtype) == (full.config, full.epoch, full.dtype)
+        assert lean.params.keys() == full.params.keys()
+        for name, arr in full.params.items():
+            assert lean.params[name].dtype == arr.dtype
+            assert lean.params[name].tobytes() == arr.tobytes()
+
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         net = small_net(seed=9)
         path = tmp_path / "ckpt.npz"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vesseldistill.network import NetworkConfig, SegNetwork
 from vesseldistill.optim import AdamW, lr_at
 from vesseldistill.tensor import Tensor
 
@@ -77,6 +78,21 @@ class TestAdamW:
         opt.step()
         opt2.step()
         np.testing.assert_array_equal(p.data, q.data)
+
+    def test_gradient_is_not_reapplied_to_a_parameter_left_out_of_the_graph(self):
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8))
+        x = Tensor(np.random.default_rng(0).uniform(size=(1, 8, 8)))
+        opt = AdamW(net.parameters(), lr=0.1, weight_decay=0.01)
+        head2 = net.named_parameters()["head2.w"]
+
+        pred, feats = net.forward(x)
+        (pred.sum() + net.side_output(feats[1], 2).sum()).backward()
+        opt.step()
+        before = head2.data.copy()
+        pred, _ = net.forward(x)
+        pred.sum().backward()  # head2 takes no part in this loss
+        opt.step()
+        np.testing.assert_array_equal(head2.data, before - 0.1 * 0.01 * before)
 
     def test_converges_on_quadratic(self):
         p = param([4.0])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,91 @@ class TestSigmoid:
         x = rand_tensor(rng, (3, 3), lo=-3, hi=3)
         ok, _ = gradcheck(lambda x: T.tsum(T.sigmoid(x)), (x,), rtol=1e-4)
         assert ok
+
+    @pytest.mark.parametrize("dtype, points", [
+        (np.float64, [0.0, -0.0, 1e-8, -1e-8, 80.0, -80.0, 700.0, -700.0]),
+        (np.float32, [0.0, -0.0, 1e-8, -1e-8, 80.0, -80.0]),
+    ])
+    def test_bitwise_equal_to_split_by_sign_formula(self, dtype, points):
+        def split_by_sign(x):
+            pos = x >= 0
+            s = np.empty_like(x)
+            s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            s[~pos] = ex / (1.0 + ex)
+            return s
+
+        rng = np.random.default_rng(5)
+        # the listed points, then lengths that leave every SIMD tail width
+        inputs = [np.array(points, dtype=dtype)] + [
+            (rng.normal(size=n) * 20).astype(dtype) for n in (1, 7, 16, 33, 1000)]
+        for x in inputs:
+            assert T.sigmoid(Tensor(x)).data.tobytes() == split_by_sign(x).tobytes()
+
+
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_value_and_gradient_match_mask_reference(self, dtype):
+        x = Tensor(np.array([-2.0, -1e-30, -0.0, 0.0, 1e-30, 3.0], dtype=dtype),
+                   requires_grad=True)
+        y = T.relu(x)
+        assert y.data.dtype == dtype
+        assert y.data.tobytes() == np.where(x.data > 0, x.data, 0.0).tobytes()
+        g = np.arange(1.0, 7.0, dtype=dtype)
+        T.tsum(y * Tensor(g)).backward()
+        assert x.grad.tobytes() == (g * (x.data > 0)).tobytes()
+
+    def test_nan_propagates(self):
+        y = T.relu(Tensor(np.array([np.nan, -1.0, 1.0])))
+        assert np.isnan(y.data[0])
+        np.testing.assert_array_equal(y.data[1:], [0.0, 1.0])
+
+
+def maxpool_reference(x, g):
+    """Pooled values and input gradient of an argmax max-pool (first max wins)."""
+    c, h, w = x.shape
+    windows = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4)
+    windows = windows.reshape(c, h // 2, w // 2, 4)
+    idx = windows.argmax(axis=-1)
+    pooled = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    gw = np.zeros((c, h // 2, w // 2, 4), dtype=x.dtype)
+    np.put_along_axis(gw, idx[..., None], g[..., None], axis=-1)
+    gx = gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+    return pooled, gx
+
+
+class TestMaxpool:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (-2.0, -1.0), (-0.0, 0.0), (0.0, -0.0)])
+    def test_every_tie_pattern_matches_argmax_reference(self, dtype, low, high):
+        # one window per choice of which of its 4 entries hold the maximum:
+        # single maxima, pairs, triples and all-equal windows (low == high
+        # in value for the signed-zero cases, so all of those are ties)
+        patterns = list(itertools.product((low, high), repeat=4))
+        x = np.empty((2, 2, 2 * len(patterns)), dtype=dtype)
+        for k, pat in enumerate(patterns):
+            x[:, :, 2 * k:2 * k + 2] = np.array(pat, dtype=dtype).reshape(2, 2)
+        g = np.arange(1.0, 1.0 + x.size // 4, dtype=dtype).reshape(2, 1, len(patterns))
+
+        xt = Tensor(x.copy(), requires_grad=True)
+        y = T.maxpool2x2(xt)
+        T.tsum(y * Tensor(g)).backward()
+        ref_pooled, ref_grad = maxpool_reference(x, g)
+        assert y.data.dtype == dtype
+        assert y.data.tobytes() == ref_pooled.tobytes()
+        assert xt.grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_output_matches_argmax_reference(self, dtype):
+        rng = np.random.default_rng(6)
+        x = T.relu(Tensor(rng.normal(size=(3, 8, 12)).astype(dtype)))
+        g = rng.normal(size=(3, 4, 6)).astype(dtype)
+        xt = Tensor(x.data.copy(), requires_grad=True)
+        y = T.maxpool2x2(xt)
+        T.tsum(y * Tensor(g)).backward()
+        ref_pooled, ref_grad = maxpool_reference(x.data, g)
+        assert y.data.tobytes() == ref_pooled.tobytes()
+        assert xt.grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSoftmax:

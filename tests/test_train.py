@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import importlib
@@ -10,6 +11,7 @@ from vesseldistill.data import generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
+from vesseldistill.tensor import Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
 
 train_module = importlib.import_module("vesseldistill.train")
@@ -213,6 +215,16 @@ class TestValidation:
             mask = predict_to_file(result.final_path, sample.image, tmp_path / f"m{i}.pgm")
             np.testing.assert_array_equal(pred[0] >= 0.5, mask.astype(bool))
 
+    def test_predict_writes_the_full_load_mask(self, tiny_dataset, tmp_path):
+        result = train(tiny_cfg(tmp_path / "p", epochs=2), tiny_dataset)
+        image = tiny_dataset.test[0].image
+        full = load_checkpoint(result.final_path).to_network(trainable=False)
+        pred, _ = full.forward(Tensor(image.data.astype(full.dtype)))
+        expected = (pred.data[0] >= 0.5).astype(np.float64)
+        mask = predict_to_file(result.final_path, image, tmp_path / "mask.pgm")
+        np.testing.assert_array_equal(mask, expected)
+        np.testing.assert_array_equal(load_pgm(tmp_path / "mask.pgm"), expected)
+
     def test_predict_on_another_image_size(self, tmp_path):
         net = SegNetwork(NetworkConfig(depth=3, base_channels=4, height=64, width=64),
                          dtype=np.float32)
@@ -221,6 +233,16 @@ class TestValidation:
         mask = predict_to_file(tmp_path / "net.npz", image, tmp_path / "mask.pgm")
         assert mask.shape == (96, 128)
         assert load_pgm(tmp_path / "mask.pgm").shape == (96, 128)
+
+
+class TestNonFiniteLoss:
+    def test_nan_pixel_stops_training_naming_the_term(self, tiny_dataset, tmp_path):
+        poisoned = copy.deepcopy(tiny_dataset)
+        poisoned.train[3].image.data[0, 5, 7] = np.nan
+        out = tmp_path / "nan"
+        with pytest.raises(FloatingPointError, match=r"epoch 1, batch \d+: dice loss is nan"):
+            train(tiny_cfg(out, epochs=2), poisoned)
+        assert not list(out.glob("*.npz"))
 
 
 class TestGraphLifetime:
