@@ -85,10 +85,10 @@ def loss_checks(seed, dcfg=None):
 
     def student_outputs():
         pred, feats = student.forward(x)
-        return pred, student.side_outputs(feats)
+        return pred, student.side_outputs(feats, pred)
 
     t_pred, t_feats = teacher.forward(x)
-    t_sides = teacher.side_outputs(t_feats)
+    t_sides = teacher.side_outputs(t_feats, t_pred)
 
     def ddl_loss(*_):
         _, sides = student_outputs()

@@ -265,6 +265,6 @@ def batches(samples, batch_size, seed, epoch):
     """Yield reshuffled batches; the shuffle is a pure function of seed and epoch."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.random.default_rng(seed ^ epoch).permutation(len(samples))
+    order = np.random.default_rng([seed, epoch]).permutation(len(samples))
     for start in range(0, len(samples), batch_size):
         yield [samples[i] for i in order[start:start + batch_size]]

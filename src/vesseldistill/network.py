@@ -156,9 +156,15 @@ class SegNetwork:
         h = T.bilinear_upsample(h, 2 ** (depth - 1))
         return T.sigmoid(h)
 
-    def side_outputs(self, features):
-        """All side outputs, shallowest first."""
-        return [self.side_output(f, i + 1) for i, f in enumerate(features)]
+    def side_outputs(self, features, prediction=None):
+        """All side outputs, shallowest first.
+
+        The depth-1 side output is the prediction; pass the one `forward`
+        returned to reuse it instead of running the depth-1 head again.
+        """
+        if prediction is None:
+            prediction = self.side_output(features[0], 1)
+        return [prediction] + [self.side_output(f, i) for i, f in enumerate(features[1:], 2)]
 
     # ---- snapshots ----
 

@@ -4,14 +4,27 @@ Epoch 1 optimizes dice only. At the end of every epoch the just-updated
 weights are frozen as the teacher for all batches of the next epoch, so
 from epoch 2 on each batch runs a gradient-free teacher forward and the
 full three-term objective with a linearly ramped soft-label weight.
+
+Training splits every batch across min(CPUs, batch size) processes: this
+one and workers forked when training starts (one process without fork).
+Each process runs forward, loss and backward one sample at a time, its
+terms scaled by 1/len(batch). This process sums the samples' term values
+and gradients in sample order, in the net's dtype, then steps the
+optimizer, so the numbers are bitwise the same for any process count.
+While there are several processes, each runs OpenBLAS on one thread.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import signal
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,25 +123,181 @@ def evaluate(net, samples, threshold=0.5, average="macro"):
     return evaluate_pairs(pairs, threshold=threshold, average=average)
 
 
-def _batch_terms(net, teacher_net, batch, cfg, t):
-    """Mean loss terms over one batch, as graph tensors."""
-    sums = None
-    for sample in batch:
-        dtype = net.dtype
-        x = Tensor(sample.image.data.astype(dtype))
-        y = Tensor(sample.mask.data.astype(dtype))
-        pred, feats = net.forward(x)
-        sides = net.side_outputs(feats)
-        if teacher_net is None:
-            t_pred, t_sides = None, None
-        else:
-            t_pred, t_sides = teacher_net.forward(x)
-            t_sides = teacher_net.side_outputs(t_sides)
-        terms = distill.loss_terms(pred, sides, t_pred, t_sides, y,
-                                   cfg.distill, t, cfg.epochs)
-        sums = terms if sums is None else {k: sums[k] + terms[k] for k in sums}
-    scale = 1.0 / len(batch)
-    return {k: v * scale for k, v in sums.items()}
+_TERMS = ("ddl", "psdl", "dice")
+
+
+def _sample_step(net, teacher_net, sample, cfg, t, scale):
+    """Forward, loss and backward of one sample, its terms scaled by `scale`.
+
+    Returns the scaled ddl, psdl and dice values and the parameter
+    gradients (None for a parameter outside the graph). The deeper side
+    outputs are built only when there is a teacher for the DDL to read.
+    """
+    x = Tensor(sample.image.data.astype(net.dtype))
+    y = Tensor(sample.mask.data.astype(net.dtype))
+    pred, feats = net.forward(x)
+    if teacher_net is None:
+        sides = t_pred = t_sides = None
+    else:
+        sides = net.side_outputs(feats, pred)
+        t_pred, t_feats = teacher_net.forward(x)
+        t_sides = teacher_net.side_outputs(t_feats, t_pred)
+    terms = distill.loss_terms(pred, sides, t_pred, t_sides, y, cfg.distill, t, cfg.epochs)
+    terms = [terms[k] * scale for k in _TERMS]
+    (terms[0] + terms[1] + terms[2]).backward()
+    grads = []
+    for p in net.parameters():
+        grads.append(p.grad)
+        p.grad = None
+    return [v.data for v in terms], grads
+
+
+def _sum_in_order(results):
+    """Sum per-sample (values, grads) results in the order given."""
+    values, grads = results[0]
+    for v, g in results[1:]:
+        values = [a + b for a, b in zip(values, v)]
+        grads = [None if a is None else a + b for a, b in zip(grads, g)]
+    return [float(v) for v in values], grads
+
+
+def _process_count(batch_size):
+    """Processes a batch is split across: min(usable CPUs, batch size)."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, batch_size)
+
+
+def _share_steps(net, teacher_net, batch, cfg, t, rank, size):
+    """Step results for process `rank`'s contiguous share of a batch split `size` ways."""
+    lo, hi = (math.ceil(len(batch) * r / size) for r in (rank, rank + 1))
+    return [_sample_step(net, teacher_net, s, cfg, t, 1.0 / len(batch)) for s in batch[lo:hi]]
+
+
+def _openblas_threads():
+    """The loaded OpenBLAS's thread-count (getter, setter), or None if none is found."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
+            get = getattr(lib, name.format("_get_num_threads"), None)
+            put = getattr(lib, name.format("_set_num_threads"), None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                return get, put
+    return None
+
+
+def _worker(conn, inherited, net, samples, cfg, rank, size):
+    """Compute this worker's share of each batch the main process announces.
+
+    It reads the batch order from `batches`, as the main process does,
+    and answers every batch with its samples' step results or the
+    exception one of them raised, with its traceback.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops us
+    for c in inherited:
+        c.close()  # so this worker sees EOF when the main process is gone
+    teacher = SegNetwork(cfg.network, dtype=net.dtype, trainable=False)
+    try:
+        while (msg := conn.recv()) is not None:
+            if msg[0] == "epoch":
+                _, epoch, t, teacher_arrays = msg
+                order = batches(samples, cfg.batch_size, cfg.seed, epoch)
+                if teacher_arrays is not None:
+                    teacher.load_state_arrays(teacher_arrays)
+                step_teacher = None if teacher_arrays is None else teacher
+                continue
+            net.load_state_arrays(msg[1])
+            batch = next(order)
+            try:
+                reply = ("ok", _share_steps(net, step_teacher, batch, cfg, t, rank, size))
+            except Exception as exc:
+                reply = ("error", (exc, traceback.format_exc()))
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the main process is gone; there is no one left to answer
+
+
+class _Workers:
+    """Forked processes computing ranks 1..size-1 of each batch; rank 0 is this one."""
+
+    def __init__(self, size, net, samples, cfg):
+        self.size = size
+        self.conns, self.procs = [], []
+        # one BLAS thread per process while they share the CPUs; the
+        # workers inherit the setting, this process gets its own back on close
+        self.blas = _openblas_threads() if size > 1 else None
+        if self.blas is not None:
+            self.blas_threads = self.blas[0]()
+            self.blas[1](1)
+        try:
+            ctx = multiprocessing.get_context("fork") if size > 1 else None
+            for rank in range(1, size):
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(target=_worker, daemon=True, args=(
+                    theirs, self.conns + [ours], net, samples, cfg, rank, size))
+                proc.start()
+                theirs.close()
+                self.conns.append(ours)
+                self.procs.append(proc)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def send(self, *msg):
+        try:
+            for conn in self.conns:
+                conn.send(msg)
+        except OSError as exc:
+            raise RuntimeError("a training worker exited unexpectedly") from exc
+
+    def gather(self):
+        """The workers' step results for the current batch, in rank order."""
+        results = []
+        for conn in self.conns:
+            try:
+                status, payload = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise RuntimeError("a training worker exited unexpectedly") from exc
+            if status == "error":
+                exc, worker_traceback = payload
+                raise exc from RuntimeError(f"in a training worker:\n{worker_traceback}")
+            results += payload
+        return results
+
+    def close(self):
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already gone
+            conn.close()
+        for proc in self.procs:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        if self.blas is not None:
+            self.blas[1](self.blas_threads)
 
 
 def _save(path, net, opt, epoch, best_dsc, logs, cfg):
@@ -175,8 +344,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     checkpointed run's in every field but out_dir, or ValueError is raised.
 
     A non-finite ddl, psdl or dice term raises FloatingPointError naming
-    the epoch, the batch and the term, before that batch's backward pass
+    the epoch, the batch and the term, before that batch's optimizer step
     and before the epoch writes any checkpoint.
+
+    Batches are split across min(CPUs, batch size) processes (see the
+    module docstring); hooks, checkpoints and evaluation run in this one.
     """
     cfg.validate()
     if not dataset.train:
@@ -210,51 +382,56 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     best_path = out_dir / "best.npz"
     final_path = out_dir / "last.npz"
 
-    for t in range(start_epoch, cfg.epochs + 1):
-        if epoch_start_hook is not None:
-            epoch_start_hook(t, teacher_net)
-        lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
-        use_teacher = teacher_net is not None and not cfg.dice_only and t >= 2
-        term_sums = {"ddl": 0.0, "psdl": 0.0, "dice": 0.0}
-        n_batches = 0
-        for batch in batches(dataset.train, cfg.batch_size, cfg.seed, t):
-            terms = _batch_terms(net, teacher_net if use_teacher else None,
-                                 batch, cfg, t if use_teacher or t == 1 else 1)
-            values = {k: terms[k].item() for k in term_sums}
-            for k, v in values.items():
-                if not math.isfinite(v):
-                    raise FloatingPointError(
-                        f"epoch {t}, batch {n_batches}: {k} loss is {v}")
-            total = terms["ddl"] + terms["psdl"] + terms["dice"]
-            total.backward()
-            opt.step(lr=lr)
-            for k in term_sums:
-                term_sums[k] += values[k]
-            n_batches += 1
+    with _Workers(_process_count(cfg.batch_size), net, dataset.train, cfg) as workers:
+        for t in range(start_epoch, cfg.epochs + 1):
+            if epoch_start_hook is not None:
+                epoch_start_hook(t, teacher_net)
+            lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
+            use_teacher = teacher_net is not None and not cfg.dice_only and t >= 2
+            step_teacher = teacher_net if use_teacher else None
+            loss_t = t if use_teacher else 1
+            workers.send("epoch", t, loss_t,
+                         step_teacher.state_arrays() if use_teacher else None)
+            term_sums = dict.fromkeys(_TERMS, 0.0)
+            n_batches = 0
+            for batch in batches(dataset.train, cfg.batch_size, cfg.seed, t):
+                workers.send("batch", net.state_arrays())
+                ours = _share_steps(net, step_teacher, batch, cfg, loss_t, 0, workers.size)
+                values, grads = _sum_in_order(ours + workers.gather())
+                for k, v in zip(_TERMS, values):
+                    if not math.isfinite(v):
+                        raise FloatingPointError(
+                            f"epoch {t}, batch {n_batches}: {k} loss is {v}")
+                for p, g in zip(net.parameters(), grads):
+                    p.grad = g
+                opt.step(lr=lr)
+                for k, v in zip(_TERMS, values):
+                    term_sums[k] += v
+                n_batches += 1
 
-        val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
-        alpha = distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T) if t >= 2 else 0.0
-        means = {k: v / n_batches for k, v in term_sums.items()}
-        log = EpochLog(
-            epoch=t,
-            # the sum of the logged means, so train_loss == ddl + psdl + dice exactly
-            train_loss=means["ddl"] + means["psdl"] + means["dice"],
-            **means,
-            val_dsc=val.dsc, val_acc=val.acc, val_sen=val.sen, val_iou=val.iou,
-            alpha=alpha, lr=lr,
-        )
-        logs.append(log)
+            val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
+            alpha = distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T) if t >= 2 else 0.0
+            means = {k: v / n_batches for k, v in term_sums.items()}
+            log = EpochLog(
+                epoch=t,
+                # the sum of the logged means, so train_loss == ddl + psdl + dice exactly
+                train_loss=means["ddl"] + means["psdl"] + means["dice"],
+                **means,
+                val_dsc=val.dsc, val_acc=val.acc, val_sen=val.sen, val_iou=val.iou,
+                alpha=alpha, lr=lr,
+            )
+            logs.append(log)
 
-        teacher_net = net.snapshot(t).restore(trainable=False)
-        _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
-        if keep_epoch_checkpoints:
-            _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,
-                  max(best_dsc, val.dsc), logs, cfg)
-        if val.dsc > best_dsc:
-            best_dsc = val.dsc
-            _save(best_path, net, opt, t, best_dsc, logs, cfg)
-        if epoch_end_hook is not None:
-            epoch_end_hook(t, net, teacher_net, log)
+            teacher_net = net.snapshot(t).restore(trainable=False)
+            _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
+            if keep_epoch_checkpoints:
+                _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,
+                      max(best_dsc, val.dsc), logs, cfg)
+            if val.dsc > best_dsc:
+                best_dsc = val.dsc
+                _save(best_path, net, opt, t, best_dsc, logs, cfg)
+            if epoch_end_hook is not None:
+                epoch_end_hook(t, net, teacher_net, log)
 
     if not best_path.exists():
         _save(best_path, net, opt, cfg.epochs, best_dsc, logs, cfg)

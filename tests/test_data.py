@@ -183,6 +183,13 @@ class TestBatches:
         assert e1 != e2
         assert e1 == e1_again
 
+    def test_distinct_seed_epoch_pairs_shuffle_differently(self):
+        # seed ^ epoch maps (0, 3) and (1, 2) to the same generator seed
+        items = list(range(20))
+        orders = {(seed, epoch): [x for b in batches(items, 4, seed, epoch) for x in b]
+                  for seed in range(4) for epoch in range(1, 5)}
+        assert len({tuple(o) for o in orders.values()}) == len(orders)
+
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
             list(batches([1], 0, seed=0, epoch=1))

@@ -108,6 +108,14 @@ class TestSideOutputs:
                 assert s.data.shape == (1, 32, 32)
                 assert np.all(s.data > 0) and np.all(s.data < 1)
 
+    def test_prediction_is_reused_as_the_depth1_output(self):
+        net = small_net(depth=3)
+        pred, feats = net.forward(rand_input(6))
+        reused = net.side_outputs(feats, pred)
+        assert reused[0] is pred
+        for a, b in zip(reused, net.side_outputs(feats)):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_depth_out_of_range(self):
         net = small_net()
         _, feats = net.forward(rand_input(7))

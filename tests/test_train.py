@@ -2,16 +2,20 @@ import copy
 import dataclasses
 import gc
 import importlib
+import multiprocessing
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vesseldistill.data import generate_synthetic, load_pgm, split
+from vesseldistill import distill
+from vesseldistill.data import batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
-from vesseldistill.tensor import Tensor
+from vesseldistill.tensor import ShapeError, Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
 
 train_module = importlib.import_module("vesseldistill.train")
@@ -32,6 +36,13 @@ def tiny_cfg(out_dir, epochs=3, **kw):
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return split(generate_synthetic(seed=1, count=20, size=32), seed=0)
+
+
+def worker_sample(dataset, position=2):
+    """Index of the training sample at `position` in epoch 1's first batch;
+    split across 2 processes, positions 2 and 3 fall to the worker."""
+    first = next(batches(list(range(len(dataset.train))), 4, seed=0, epoch=1))
+    return first[position]
 
 
 class TestLoop:
@@ -244,21 +255,29 @@ class TestNonFiniteLoss:
             train(tiny_cfg(out, epochs=2), poisoned)
         assert not list(out.glob("*.npz"))
 
+    def test_nan_in_a_workers_share_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
+        poisoned = copy.deepcopy(tiny_dataset)
+        poisoned.train[worker_sample(poisoned)].image.data[0, 5, 7] = np.nan
+        out = tmp_path / "nan"
+        with pytest.raises(FloatingPointError, match=r"epoch 1, batch 0: dice loss is nan"):
+            train(tiny_cfg(out, epochs=2), poisoned)
+        assert not list(out.glob("*.npz"))
+        assert not multiprocessing.active_children()
+
 
 class TestGraphLifetime:
     def test_training_step_leaves_no_cyclic_garbage(self, tiny_dataset):
-        """A step's graph is freed by reference counting, with no cycles
-        left for the collector."""
+        """A sample step's graph is freed by reference counting, with no
+        cycles left for the collector."""
         cfg = tiny_cfg("unused", epochs=2)
         net = SegNetwork(cfg.network, dtype=np.float32)
         teacher = net.snapshot(1).restore(trainable=False)
-        batch = tiny_dataset.train[:2]
         gc.collect()
         gc.disable()
         try:
-            terms = train_module._batch_terms(net, teacher, batch, cfg, 2)
-            (terms["ddl"] + terms["psdl"] + terms["dice"]).backward()
-            del terms
+            for sample in tiny_dataset.train[:2]:
+                train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -279,3 +298,114 @@ class TestGraphLifetime:
                 tracemalloc.stop()
 
         assert peak(trainable) <= 1.2 * peak(frozen)
+
+
+def single_graph_batch_grads(net, teacher, batch, cfg, t):
+    """The batch gradient as one graph over all samples: the sum of each
+    sample's terms, scaled by 1/len(batch), and one backward."""
+    sums = None
+    for sample in batch:
+        x = Tensor(sample.image.data.astype(net.dtype))
+        y = Tensor(sample.mask.data.astype(net.dtype))
+        pred, feats = net.forward(x)
+        t_pred, t_feats = teacher.forward(x)
+        terms = distill.loss_terms(pred, net.side_outputs(feats), t_pred,
+                                   teacher.side_outputs(t_feats), y, cfg.distill, t, cfg.epochs)
+        sums = terms if sums is None else {k: sums[k] + terms[k] for k in sums}
+    scale = 1.0 / len(batch)
+    (sums["ddl"] * scale + sums["psdl"] * scale + sums["dice"] * scale).backward()
+    grads = [p.grad for p in net.parameters()]
+    for p in net.parameters():
+        p.grad = None
+    return grads
+
+
+class TestWorkers:
+    def run(self, tiny_dataset, out, monkeypatch, processes, **kw):
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: processes)
+        return train(tiny_cfg(out, **kw), tiny_dataset)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_results_do_not_depend_on_the_process_count(self, tiny_dataset, tmp_path,
+                                                        monkeypatch, processes):
+        # 14 training samples: batches of 4, 4, 4 and 2, so 3 processes
+        # also get uneven and empty shares
+        one = self.run(tiny_dataset, tmp_path / "one", monkeypatch, 1, epochs=3)
+        many = self.run(tiny_dataset, tmp_path / "many", monkeypatch, processes, epochs=3)
+        assert ((tmp_path / "one" / "epochs.csv").read_bytes()
+                == (tmp_path / "many" / "epochs.csv").read_bytes())
+        w1 = load_checkpoint(one.final_path).params
+        w2 = load_checkpoint(many.final_path).params
+        for name in w1:
+            np.testing.assert_array_equal(w1[name], w2[name])
+
+    def test_no_worker_outlives_train(self, tiny_dataset, tmp_path, monkeypatch):
+        self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=2)
+        assert not multiprocessing.active_children()
+
+    def test_blas_threads_are_restored(self, tiny_dataset, tmp_path, monkeypatch):
+        blas = train_module._openblas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS found in this process")
+        before = blas[0]()
+        self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=1)
+        assert blas[0]() == before
+
+    @pytest.mark.parametrize("position", [0, 2])  # the main process's share, a worker's
+    def test_a_failing_sample_raises_its_exception(self, tiny_dataset, tmp_path, monkeypatch,
+                                                   position):
+        broken = copy.deepcopy(tiny_dataset)
+        broken.train[worker_sample(broken, position)].mask = Tensor(np.zeros((1, 16, 16)))
+        with pytest.raises(ShapeError) as raised:
+            self.run(broken, tmp_path / "b", monkeypatch, 2, epochs=2)
+        if position >= 2:
+            assert "dice_loss" in str(raised.value.__cause__)  # the worker's traceback
+        assert not multiprocessing.active_children()
+
+    def test_a_killed_worker_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
+        def kill_workers(t, teacher):
+            if t == 2:
+                for child in multiprocessing.active_children():
+                    os.kill(child.pid, signal.SIGKILL)
+                    child.join(timeout=10)
+
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
+        with pytest.raises(RuntimeError, match="worker exited"):
+            train(tiny_cfg(tmp_path / "k", epochs=3), tiny_dataset, epoch_start_hook=kill_workers)
+        assert not multiprocessing.active_children()
+
+    def test_sample_order_sum_matches_the_single_graph_batch_gradient(self, tiny_dataset):
+        cfg = tiny_cfg("unused", epochs=3)
+        net = SegNetwork(cfg.network, seed=2, dtype=np.float32)
+        teacher = SegNetwork(cfg.network, seed=3, dtype=np.float32, trainable=False)
+        batch = tiny_dataset.train[:4]
+        want = single_graph_batch_grads(net, teacher, batch, cfg, 2)
+        results = [train_module._sample_step(net, teacher, s, cfg, 2, 1.0 / len(batch))
+                   for s in batch]
+        _, got = train_module._sum_in_order(results)
+        for g, w in zip(got, want):
+            assert g.dtype == np.float32
+            np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-6 * np.abs(w).max())
+
+    @pytest.mark.parametrize("dice_only", [False, True])
+    def test_deeper_heads_run_only_for_the_ddl(self, tiny_dataset, tmp_path, monkeypatch,
+                                               dice_only):
+        depths = []
+        side_output = SegNetwork.side_output
+
+        def counted(net, feature, depth):
+            depths.append(depth)
+            return side_output(net, feature, depth)
+
+        monkeypatch.setattr(SegNetwork, "side_output", counted)
+        starts = {}
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 1)
+        train(tiny_cfg(tmp_path / "c", epochs=2, dice_only=dice_only), tiny_dataset,
+              epoch_start_hook=lambda t, teacher: starts.setdefault(t, len(depths)))
+        n = len(tiny_dataset.train)
+        epoch1 = depths[starts[1]:starts[2]]
+        epoch2 = depths[starts[2]:]
+        assert 2 not in epoch1
+        # epoch 2: the student's and the teacher's depth-2 heads, once per sample
+        assert epoch2.count(2) == (0 if dice_only else 2 * n)
+        assert epoch2.count(1) == (1 if dice_only else 2) * n + len(tiny_dataset.val)
