@@ -12,6 +12,7 @@ depth-1 head doubles as the final prediction head.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -45,37 +46,62 @@ class NetworkConfig:
         return self.base_channels * 2 ** (level - 1)
 
 
+def _param_shapes(config):
+    """(name, shape) of every parameter of a net with this config, in declared order."""
+    shapes = []
+    d = config.depth
+
+    def conv(name, c_in, c_out):
+        shapes.append((f"{name}.w", (c_out, c_in, 3, 3)))
+        shapes.append((f"{name}.b", (c_out,)))
+
+    for k in range(1, d + 1):
+        c_in = config.in_channels if k == 1 else config.channels(k - 1)
+        conv(f"enc{k}.conv1", c_in, config.channels(k))
+        conv(f"enc{k}.conv2", config.channels(k), config.channels(k))
+    for k in range(d - 1, 0, -1):
+        conv(f"dec{k}.conv1", config.channels(k + 1) + config.channels(k), config.channels(k))
+        conv(f"dec{k}.conv2", config.channels(k), config.channels(k))
+    for k in range(1, d + 1):
+        conv(f"head{k}", config.channels(k), 1)
+    return shapes
+
+
 class SegNetwork:
     """Segmentation network; parameters are autodiff tensors in a fixed order."""
 
     def __init__(self, config: NetworkConfig, seed=0, dtype=np.float64,
                  trainable=True):
+        """A randomly initialised net: He-normal kernels, zero biases."""
+        rng = np.random.default_rng(seed)
+        arrays = {
+            name: rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
+            if name.endswith(".w") else np.zeros(shape)
+            for name, shape in _param_shapes(config)
+        }
+        self._adopt(config, arrays, dtype, trainable)
+
+    @classmethod
+    def from_arrays(cls, config, arrays, dtype=np.float64, trainable=True):
+        """A net holding copies of `arrays` (name -> array); draws no initialisation."""
+        net = cls.__new__(cls)
+        net._adopt(config, arrays, dtype, trainable)
+        return net
+
+    def _adopt(self, config, arrays, dtype, trainable):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.trainable = trainable
-        self._params = {}  # name -> Tensor, insertion order is the declared order
-        rng = np.random.default_rng(seed)
-        d = config.depth
+        # name -> Tensor, insertion order is the declared order
+        self._params = {name: Tensor(self._checked_copy(name, arrays[name], shape),
+                                     requires_grad=trainable)
+                        for name, shape in _param_shapes(config)}
 
-        def conv_param(name, c_in, c_out):
-            scale = np.sqrt(2.0 / (c_in * 9))
-            w = rng.normal(0.0, scale, size=(c_out, c_in, 3, 3))
-            self._params[f"{name}.w"] = Tensor(w.astype(self.dtype), requires_grad=trainable)
-            self._params[f"{name}.b"] = Tensor(
-                np.zeros(c_out, dtype=self.dtype), requires_grad=trainable)
-
-        for k in range(1, d + 1):
-            c_in = config.in_channels if k == 1 else config.channels(k - 1)
-            c_out = config.channels(k)
-            conv_param(f"enc{k}.conv1", c_in, c_out)
-            conv_param(f"enc{k}.conv2", c_out, c_out)
-        for k in range(d - 1, 0, -1):
-            c_in = config.channels(k + 1) + config.channels(k)
-            c_out = config.channels(k)
-            conv_param(f"dec{k}.conv1", c_in, c_out)
-            conv_param(f"dec{k}.conv2", c_out, c_out)
-        for k in range(1, d + 1):
-            conv_param(f"head{k}", config.channels(k), 1)
+    def _checked_copy(self, name, arr, shape):
+        if np.shape(arr) != shape:
+            raise ShapeError(
+                f"parameter {name}: stored shape {np.shape(arr)} != expected {shape}")
+        return np.array(arr, dtype=self.dtype)
 
     # ---- parameter access ----
 
@@ -90,13 +116,9 @@ class SegNetwork:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state_arrays(self, arrays):
+        """Overwrite every parameter with a copy of arrays[name]; clears gradients."""
         for name, p in self._params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != p.data.shape:
-                raise ShapeError(
-                    f"parameter {name}: stored shape {arr.shape} != expected {p.data.shape}"
-                )
-            p.data = arr.copy()
+            p.data = self._checked_copy(name, arrays[name], p.data.shape)
             p.grad = None
 
     # ---- forward ----
@@ -190,10 +212,8 @@ class TeacherSnapshot:
         The default is a frozen (gradient-free) teacher; pass
         trainable=True to resume training from the stored weights.
         """
-        net = SegNetwork(self.config, seed=0, dtype=np.dtype(self.dtype),
-                         trainable=trainable)
-        net.load_state_arrays(self._arrays)
-        return net
+        return SegNetwork.from_arrays(self.config, self._arrays, dtype=self.dtype,
+                                      trainable=trainable)
 
 
 # ---- checkpoint I/O ----
@@ -201,19 +221,24 @@ class TeacherSnapshot:
 def save_checkpoint(path, net, epoch, extras=None):
     """Write a lossless .npz checkpoint: config, parameters, epoch.
 
-    extras: optional dict of additional arrays (e.g. optimizer moments,
-    teacher parameters), stored under an "extra:" prefix. The file is
-    written under a temporary name and renamed over `path`, so a crash
-    mid-write leaves any previous checkpoint at `path` intact.
+    The file holds a JSON "meta" member (config, dtype, epoch, parameter
+    order) and one flat "params" array, every parameter raveled in that
+    order; the config gives their shapes. extras: optional dict of
+    additional arrays (e.g. optimizer moments), stored under an "extra:"
+    prefix. The file is written under a temporary name and renamed over
+    `path`, so a crash mid-write leaves any previous checkpoint at `path`
+    intact.
     """
-    payload = {f"param:{k}": v for k, v in net.state_arrays().items()}
     meta = {
         "config": asdict(net.config),
         "dtype": str(net.dtype),
         "epoch": int(epoch),
         "param_order": list(net.named_parameters().keys()),
     }
-    payload["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    payload = {
+        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "params": np.concatenate([p.data.ravel() for p in net.parameters()]),
+    }
     if extras:
         for k, v in extras.items():
             payload[f"extra:{k}"] = np.asarray(v)
@@ -238,22 +263,37 @@ class Checkpoint:
         self.extras = extras
 
     def to_network(self, trainable=True):
-        net = SegNetwork(self.config, seed=0, dtype=np.dtype(self.dtype),
-                         trainable=trainable)
-        net.load_state_arrays(self.params)
-        return net
+        return SegNetwork.from_arrays(self.config, self.params, dtype=self.dtype,
+                                      trainable=trainable)
+
+
+def _split_params(path, flat, config, order):
+    """Slice a flat "params" array into name -> array, shapes from the config."""
+    shapes = dict(_param_shapes(config))
+    sizes = [math.prod(shapes[name]) for name in order]
+    if flat.size != sum(sizes):
+        raise ValueError(
+            f"{os.fspath(path)}: params holds {flat.size} values, but the config's "
+            f"{len(sizes)} parameters need {sum(sizes)}")
+    offsets = np.cumsum([0] + sizes)
+    return {name: flat[lo:hi].reshape(shapes[name])
+            for name, lo, hi in zip(order, offsets[:-1], offsets[1:])}
 
 
 def load_checkpoint(path, extras=True):
     """Read a checkpoint written by save_checkpoint.
 
-    extras=False decodes only the config and the parameters, which is
-    all inference needs, and leaves Checkpoint.extras empty.
+    extras=False decodes only the "meta" and "params" members, which is
+    all inference needs, and leaves Checkpoint.extras empty. A file in
+    the older layout, one "param:<name>" member per parameter, is read too.
     """
     with np.load(path) as z:
         meta = json.loads(bytes(z["meta"]).decode())
-        params = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
+        config = NetworkConfig(**meta["config"])
+        if "params" in z.files:
+            params = _split_params(path, z["params"], config, meta["param_order"])
+        else:
+            params = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
-    config = NetworkConfig(**meta["config"])
     return Checkpoint(config, params, meta["epoch"], meta["dtype"], stored)

@@ -210,7 +210,8 @@ def _worker(conn, inherited, net, samples, cfg, rank, size):
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops us
     for c in inherited:
         c.close()  # so this worker sees EOF when the main process is gone
-    teacher = SegNetwork(cfg.network, dtype=net.dtype, trainable=False)
+    teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=net.dtype,
+                                     trainable=False)
     try:
         while (msg := conn.recv()) is not None:
             if msg[0] == "epoch":
@@ -347,6 +348,13 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     the epoch, the batch and the term, before that batch's optimizer step
     and before the epoch writes any checkpoint.
 
+    epoch_start_hook(t, teacher_net) runs before epoch t and
+    epoch_end_hook(t, net, teacher_net, log) after it. teacher_net is the
+    frozen teacher for epoch t (for t + 1 in the end hook), or None at the
+    start of epoch 1. It is one object for the whole run, refilled in place
+    at the end of every epoch, so a hook that keeps one epoch's teacher
+    keeps a copy of teacher_net.state_arrays(), not teacher_net itself.
+
     Batches are split across min(CPUs, batch size) processes (see the
     module docstring); hooks, checkpoints and evaluation run in this one.
     """
@@ -364,7 +372,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         net = SegNetwork(cfg.network, seed=cfg.seed, dtype=dtype)
         opt = AdamW(net.parameters(), lr=cfg.learning_rate,
                     weight_decay=cfg.weight_decay)
-        teacher_net = None
     else:
         ckpt = load_checkpoint(resume_from)
         _check_resume_config(ckpt, cfg)
@@ -376,8 +383,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         for row in json.loads(bytes(ckpt.extras["logs"]).decode()):
             logs.append(EpochLog(int(row[0]), *row[1:]))
         start_epoch = ckpt.epoch + 1
-        # the teacher for the next epoch is exactly the checkpointed weights
-        teacher_net = net.snapshot(ckpt.epoch).restore(trainable=False)
+    # the one frozen teacher, refilled from net at the end of every epoch; on
+    # resume its first weights are exactly the checkpointed ones
+    teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=dtype,
+                                     trainable=False)
+    teacher_net = None if resume_from is None else teacher
 
     best_path = out_dir / "best.npz"
     final_path = out_dir / "last.npz"
@@ -422,7 +432,8 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             )
             logs.append(log)
 
-            teacher_net = net.snapshot(t).restore(trainable=False)
+            teacher.load_state_arrays(net.state_arrays())
+            teacher_net = teacher
             _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
             if keep_epoch_checkpoints:
                 _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,

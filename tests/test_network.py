@@ -1,9 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vesseldistill import distill
+from vesseldistill import distill, network
 from vesseldistill.network import (
     NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint,
 )
@@ -211,3 +212,66 @@ class TestSnapshots:
         restored = ckpt.to_network()
         for name, p in net.named_parameters().items():
             np.testing.assert_array_equal(p.data, restored.named_parameters()[name].data)
+
+
+class TestWeightsToNetwork:
+    def test_from_arrays_copies_its_input_and_checks_shapes(self):
+        net = small_net(seed=6)
+        arrays = net.state_arrays()
+        built = SegNetwork.from_arrays(net.config, arrays, dtype=np.float32, trainable=False)
+        assert all(p.data.dtype == np.float32 and not p.requires_grad
+                   for p in built.parameters())
+        arrays["head1.b"][:] = 7.0
+        assert not np.any(built.named_parameters()["head1.b"].data == 7.0)
+        arrays["head1.b"] = np.zeros(2)
+        with pytest.raises(ShapeError, match=r"head1\.b"):
+            SegNetwork.from_arrays(net.config, arrays)
+
+    def test_weights_to_net_draws_no_initialisation(self, tmp_path, monkeypatch):
+        net = small_net(seed=5)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, net, epoch=1)
+        ckpt = load_checkpoint(path)
+        snap = net.snapshot(epoch=1)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("drew a random initialisation")
+
+        monkeypatch.setattr(network.np.random, "default_rng", no_rng)
+        for restored in (ckpt.to_network(), snap.restore()):
+            for name, p in net.named_parameters().items():
+                np.testing.assert_array_equal(p.data, restored.named_parameters()[name].data)
+
+
+class TestCheckpointLayout:
+    def test_parameters_only_load_decodes_only_meta_and_params(self, tmp_path, monkeypatch):
+        net = small_net(seed=4)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, net, epoch=2,
+                        extras={f"m{i}": np.ones(3) for i in range(len(net.parameters()))})
+        decoded = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def recording(z, key):
+            decoded.append(key)
+            return getitem(z, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+        ckpt = load_checkpoint(path, extras=False)
+        assert sorted(decoded) == ["meta", "params"]
+        for name, p in net.named_parameters().items():
+            np.testing.assert_array_equal(ckpt.params[name], p.data)
+
+    def test_a_params_array_of_the_wrong_length_is_refused(self, tmp_path):
+        net = small_net(seed=3)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, net, epoch=1)
+        with np.load(path) as z:
+            payload = {k: z[k] for k in z.files}
+        payload["params"] = payload["params"][:-5]
+        np.savez(path, **payload)
+        need = sum(p.data.size for p in net.parameters())
+        message = (f"{re.escape(str(path))}: params holds {need - 5} values, "
+                   f"but the config's {len(net.parameters())} parameters need {need}")
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path, extras=False)

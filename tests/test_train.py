@@ -102,6 +102,14 @@ class TestLoop:
             for name, arr in teachers[t].items():
                 np.testing.assert_array_equal(arr, params[name].data)
 
+    def test_teacher_is_one_object_refilled_each_epoch(self, tiny_dataset, tmp_path):
+        starts, ends = {}, {}
+        train(tiny_cfg(tmp_path / "one", epochs=3), tiny_dataset,
+              epoch_start_hook=lambda t, teacher: starts.setdefault(t, teacher),
+              epoch_end_hook=lambda t, net, teacher, log: ends.setdefault(t, teacher))
+        assert starts[1] is None
+        assert len({id(teacher) for teacher in [starts[2], starts[3], *ends.values()]}) == 1
+
     def test_teacher_never_accumulates_gradients(self, tiny_dataset, tmp_path):
         seen = []
 
@@ -152,6 +160,33 @@ class TestResume:
         w_res = load_checkpoint(resumed.final_path).to_network().named_parameters()
         for name in w_full:
             np.testing.assert_array_equal(w_full[name].data, w_res[name].data)
+
+    def test_resume_from_the_older_checkpoint_layout(self, tiny_dataset, tmp_path):
+        """A file with one param:<name> member per parameter, and no flat
+        params array, loads bitwise and resumes the uninterrupted run."""
+        full_cfg = tiny_cfg(tmp_path / "full", epochs=3)
+        full = train(full_cfg, tiny_dataset, keep_epoch_checkpoints=True)
+        new_path = tmp_path / "full" / "epoch_002.npz"
+        new = load_checkpoint(new_path)
+        old_path = tmp_path / "old.npz"
+        with np.load(new_path) as z:
+            payload = {k: z[k] for k in z.files if k != "params"}
+        np.savez(old_path, **payload, **{f"param:{k}": v for k, v in new.params.items()})
+
+        for extras in (True, False):
+            old = load_checkpoint(old_path, extras=extras)
+            assert old.params.keys() == new.params.keys()
+            for name, arr in new.params.items():
+                assert old.params[name].dtype == arr.dtype
+                assert old.params[name].tobytes() == arr.tobytes()
+
+        resumed = train(dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed")),
+                        tiny_dataset, resume_from=old_path)
+        assert [log.row() for log in resumed.logs] == [log.row() for log in full.logs]
+        w_full = load_checkpoint(full.final_path).params
+        w_res = load_checkpoint(resumed.final_path).params
+        for name in w_full:
+            assert w_full[name].tobytes() == w_res[name].tobytes()
 
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
