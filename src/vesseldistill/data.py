@@ -1,10 +1,12 @@
 """Synthetic vessel images, PGM I/O, dataset splitting, and batching.
 
-The synthetic generator is a stand-in for real angiography data: each
-sample is a procedurally grown vessel tree (1-3 root curves entering from
-the borders, recursive branching with shrinking width) rasterized to a
-binary mask, rendered as dark vessels over a smooth random background
-with blur and noise.
+The synthetic generator is a stand-in for real angiography data. Each
+sample's mask is made in two phases: grow a procedural vessel tree (1-3
+root curves entering from the borders, recursive branching with shrinking
+width) as a list of (y, x, radius) disks, one per path step, then
+rasterize the union of the disks in one vectorized pass. The mask is
+rendered as dark vessels over a smooth random background with blur and
+noise.
 """
 
 from __future__ import annotations
@@ -44,38 +46,56 @@ class ImageSample:
 
 # ---- synthetic generation ----
 
-def _draw_disk(mask, cy, cx, radius):
-    h, w = mask.shape
-    r = int(math.ceil(radius))
-    y0, y1 = max(0, int(cy) - r), min(h, int(cy) + r + 2)
-    x0, x1 = max(0, int(cx) - r), min(w, int(cx) + r + 2)
-    if y0 >= y1 or x0 >= x1:
-        return
-    yy, xx = np.mgrid[y0:y1, x0:x1]
-    mask[y0:y1, x0:x1] |= (yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2
-
-
-def _grow_branch(mask, rng, y, x, angle, width, length, depth):
-    h, w = mask.shape
+def _grow_branch(disks, size, rng, y, x, angle, width, length, depth):
+    """Append the (y, x, radius) disk of every step of one branch and its children."""
     step = 1.0
     for _ in range(int(length)):
-        _draw_disk(mask, y, x, width / 2.0)
+        disks.append((y, x, width / 2.0))
         angle += rng.normal(0.0, 0.18)
         y += step * math.sin(angle)
         x += step * math.cos(angle)
-        if not (-width <= y < h + width and -width <= x < w + width):
+        if not (-width <= y < size + width and -width <= x < size + width):
             break
     if depth > 0 and width > 1.0:
         n_children = rng.integers(1, 3)
         for _ in range(n_children):
             child_angle = angle + rng.uniform(0.4, 1.0) * rng.choice([-1.0, 1.0])
             child_len = length * rng.uniform(0.5, 0.8)
-            _grow_branch(mask, rng, y, x, child_angle, max(1.0, width * 0.7),
+            _grow_branch(disks, size, rng, y, x, child_angle, max(1.0, width * 0.7),
                          child_len, depth - 1)
 
 
-def _vessel_mask(rng, size):
+def _rasterize(disks, size):
+    """[size,size] bool mask of the union of the (y, x, radius) disks.
+
+    A disk of radius r covers pixel (i, j) when (i - y)**2 + (j - x)**2 <= r**2.
+    Its candidate pixels are the (2*ceil(r) + 2)**2 box from int(y) - ceil(r)
+    and int(x) - ceil(r), so the disks are grouped by ceil(r) and each group
+    is tested in one broadcast pass.
+    """
     mask = np.zeros((size, size), dtype=bool)
+    if not disks:  # a branch shorter than one step draws none
+        return mask
+    cy, cx, radius = (np.array(column) for column in zip(*disks))
+    r2 = np.array([r ** 2 for _, _, r in disks])  # Python float powers
+    ceil_r = np.ceil(radius).astype(np.int64)
+    for r in np.unique(ceil_r):
+        group = ceil_r == r
+        offsets = np.arange(2 * r + 2)
+        # int() truncates toward zero; so does the cast
+        yy = (cy[group].astype(np.int64) - r)[:, None] + offsets
+        xx = (cx[group].astype(np.int64) - r)[:, None] + offsets
+        dy2 = (yy - cy[group][:, None]) ** 2
+        dx2 = (xx - cx[group][:, None]) ** 2
+        hit = dy2[:, :, None] + dx2[:, None, :] <= r2[group][:, None, None]
+        hit &= ((yy >= 0) & (yy < size))[:, :, None] & ((xx >= 0) & (xx < size))[:, None, :]
+        k, i, j = np.nonzero(hit)
+        mask[yy[k, i], xx[k, j]] = True
+    return mask
+
+
+def _vessel_mask(rng, size):
+    disks = []
     n_roots = int(rng.integers(1, 4))
     for _ in range(n_roots):
         side = rng.integers(0, 4)
@@ -91,9 +111,9 @@ def _vessel_mask(rng, size):
         angle += rng.normal(0.0, 0.3)
         width = rng.uniform(2.5, 4.5) * size / 64.0
         depth = int(rng.integers(2, 5))
-        _grow_branch(mask, rng, y, x, angle, width, length=size * rng.uniform(0.5, 0.9),
+        _grow_branch(disks, size, rng, y, x, angle, width, length=size * rng.uniform(0.5, 0.9),
                      depth=depth)
-    return mask
+    return _rasterize(disks, size)
 
 
 def _render_image(rng, mask, size):
@@ -120,6 +140,8 @@ def generate_synthetic(seed, count, size=64):
     """Deterministically generate `count` vessel samples of shape [1,size,size]."""
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
+    if size < 1:
+        raise ValueError(f"size must be positive, got {size}")
     rng = np.random.default_rng(seed)
     samples = []
     for idx in range(count):

@@ -40,17 +40,31 @@ class AdamW:
             p.grad = None  # consumed: a later graph without p must not reapply it
 
     def state_arrays(self):
-        state = {"t": np.array(self.t, dtype=np.int64)}
-        for i in range(len(self.params)):
-            state[f"m{i}"] = self.m[i].copy()
-            state[f"v{i}"] = self.v[i].copy()
-        return state
+        """t, and one flat m and one flat v: every parameter's moment
+        raveled in parameter order."""
+        return {"t": np.array(self.t, dtype=np.int64),
+                "m": np.concatenate([m.ravel() for m in self.m]),
+                "v": np.concatenate([v.ravel() for v in self.v])}
 
     def load_state_arrays(self, state):
+        """Inverse of state_arrays; per-parameter m<i> and v<i> arrays, the
+        older layout, are read too."""
         self.t = int(state["t"])
-        for i, p in enumerate(self.params):
-            self.m[i] = np.asarray(state[f"m{i}"], dtype=p.data.dtype).copy()
-            self.v[i] = np.asarray(state[f"v{i}"], dtype=p.data.dtype).copy()
+        self.m = self._moments(state, "m")
+        self.v = self._moments(state, "v")
+
+    def _moments(self, state, kind):
+        if kind in state:
+            flat = state[kind]
+            sizes = [p.data.size for p in self.params]
+            if flat.size != sum(sizes):
+                raise ValueError(f"optimizer state {kind!r} holds {flat.size} values, "
+                                 f"but the {len(sizes)} parameters need {sum(sizes)}")
+            parts = np.split(flat, np.cumsum(sizes)[:-1])
+        else:
+            parts = [state[f"{kind}{i}"] for i in range(len(self.params))]
+        return [np.asarray(a, dtype=p.data.dtype).reshape(p.data.shape).copy()
+                for a, p in zip(parts, self.params)]
 
 
 def lr_at(t, initial_lr, gamma=0.3, step_every=10):

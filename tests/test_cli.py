@@ -47,6 +47,13 @@ class TestGenerateData:
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image.data, t.image.data)
 
+    def test_empty_size_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "empty"
+        assert main(["generate-data", "--out", str(out), "--count", "2",
+                     "--size", "0"]) == 1
+        assert "size must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoints_and_log(self, run_dir):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from vesseldistill import data
 from vesseldistill.data import (
     PGMMagicError, PGMMaxvalError, PGMTruncatedError, batches,
     generate_synthetic, load_pgm, load_sample_dir, save_pgm, save_sample_dir,
@@ -130,6 +133,111 @@ class TestGenerator:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             generate_synthetic(seed=0, count=0)
+
+    def test_bad_size(self):
+        for size in (0, -3):
+            with pytest.raises(ValueError, match="size must be positive"):
+                generate_synthetic(seed=0, count=1, size=size)
+
+
+# Reference generator for the rasterizer: every path step ORs its own disk
+# into the mask at once, with no disk list and no grouping.
+
+def draw_disk_oracle(mask, cy, cx, radius):
+    h, w = mask.shape
+    r = int(math.ceil(radius))
+    y0, y1 = max(0, int(cy) - r), min(h, int(cy) + r + 2)
+    x0, x1 = max(0, int(cx) - r), min(w, int(cx) + r + 2)
+    if y0 >= y1 or x0 >= x1:
+        return
+    yy, xx = np.mgrid[y0:y1, x0:x1]
+    mask[y0:y1, x0:x1] |= (yy - cy) ** 2 + (xx - cx) ** 2 <= radius ** 2
+
+
+def grow_branch_oracle(mask, rng, y, x, angle, width, length, depth):
+    h, w = mask.shape
+    for _ in range(int(length)):
+        draw_disk_oracle(mask, y, x, width / 2.0)
+        angle += rng.normal(0.0, 0.18)
+        y += math.sin(angle)
+        x += math.cos(angle)
+        if not (-width <= y < h + width and -width <= x < w + width):
+            break
+    if depth > 0 and width > 1.0:
+        for _ in range(rng.integers(1, 3)):
+            child_angle = angle + rng.uniform(0.4, 1.0) * rng.choice([-1.0, 1.0])
+            child_len = length * rng.uniform(0.5, 0.8)
+            grow_branch_oracle(mask, rng, y, x, child_angle, max(1.0, width * 0.7),
+                               child_len, depth - 1)
+
+
+def vessel_mask_oracle(rng, size):
+    mask = np.zeros((size, size), dtype=bool)
+    for _ in range(int(rng.integers(1, 4))):
+        side = rng.integers(0, 4)
+        pos = rng.uniform(0.2, 0.8) * size
+        if side == 0:
+            y, x, angle = 0.0, pos, math.pi / 2
+        elif side == 1:
+            y, x, angle = float(size - 1), pos, -math.pi / 2
+        elif side == 2:
+            y, x, angle = pos, 0.0, 0.0
+        else:
+            y, x, angle = pos, float(size - 1), math.pi
+        angle += rng.normal(0.0, 0.3)
+        width = rng.uniform(2.5, 4.5) * size / 64.0
+        depth = int(rng.integers(2, 5))
+        grow_branch_oracle(mask, rng, y, x, angle, width,
+                           size * rng.uniform(0.5, 0.9), depth)
+    return mask
+
+
+def generate_oracle(seed, count, size):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        mask = vessel_mask_oracle(rng, size)
+        out.append((data._render_image(rng, mask, size), mask))
+    return out
+
+
+class TestRasterizer:
+    @pytest.mark.parametrize("seed,size", [(seed, size) for size in (1, 2, 8, 16, 33, 64)
+                                           for seed in range(20)]
+                             + [(0, 256), (605, 256)])
+    def test_bitwise_equal_to_per_step_oracle(self, seed, size):
+        count = 1 if size == 256 else 3
+        samples = generate_synthetic(seed=seed, count=count, size=size)
+        for idx, (s, (image, mask)) in enumerate(zip(samples, generate_oracle(seed, count, size))):
+            assert s.id == f"synthetic-{seed}-{idx:04d}"
+            assert s.mask.data.tobytes() == mask[None].astype(np.float64).tobytes()
+            assert s.image.data.tobytes() == image[None].tobytes()
+
+    def test_hand_built_disks_match_the_oracle(self):
+        size = 12
+        disks = [
+            (-2.5, 3.0, 2.0), (-0.3, -0.7, 1.2), (4.0, -1.9, 2.4),     # negative centres
+            (size + 1.5, 4.0, 2.5), (6.0, size + 0.4, 1.0),           # beyond the far edge
+            (5.0, 5.0, 2.0), (6.0, 8.0, 3.0),                          # integer radius on a pixel
+            (2.0, 9.0, 0.5), (9.2, 2.0, 0.25), (9.5, 9.5, 0.5), (1.5, 1.5, 0.3),  # radius <= 0.5
+        ]
+        expected = np.zeros((size, size), dtype=bool)
+        for disk in disks:
+            draw_disk_oracle(expected, *disk)
+        mask = data._rasterize(disks, size)
+        assert mask.dtype == bool and mask.shape == (size, size)
+        assert mask.tobytes() == expected.tobytes()
+        # the <= boundary: pixels at distance exactly 2 and 3 are inside
+        assert mask[5, 3] and mask[5, 7] and mask[3, 5] and mask[7, 5] and mask[9, 8]
+        assert not mask[3, 3]  # distance sqrt(8) from (5, 5), sqrt(34) from (6, 8)
+        assert mask[2, 9] and not mask[2, 10] and not mask[1, 9]  # radius 0.5 on a pixel
+        assert mask[9, 2] and not mask[10, 2]
+        assert not mask[9:11, 9:11].any() and not mask[1:3, 1:3].any()  # covers no pixel centre
+
+    def test_disks_outside_the_image_leave_it_empty(self):
+        disks = [(-5.0, 4.0, 2.0), (4.0, -3.1, 2.9), (20.0, 20.0, 3.5), (4.0, 16.5, 0.5)]
+        assert not data._rasterize(disks, 16).any()
+        assert not data._rasterize([], 16).any()
 
 
 class TestSplit:

@@ -79,6 +79,33 @@ class TestAdamW:
         opt2.step()
         np.testing.assert_array_equal(p.data, q.data)
 
+    def test_state_packs_each_moment_kind_into_one_flat_array(self):
+        params = [param(np.arange(6.0).reshape(2, 3)), param([4.0]), param(np.ones((2, 2)))]
+        opt = AdamW(params, lr=0.01)
+        for k in range(2):
+            for i, p in enumerate(params):
+                p.grad = np.full(p.data.shape, 0.5 + i - k)
+            opt.step()
+        state = opt.state_arrays()
+        assert sorted(state) == ["m", "t", "v"]
+        np.testing.assert_array_equal(state["m"], np.concatenate([m.ravel() for m in opt.m]))
+        np.testing.assert_array_equal(state["v"], np.concatenate([v.ravel() for v in opt.v]))
+
+        per_parameter = {"t": state["t"]}
+        for i in range(len(params)):
+            per_parameter[f"m{i}"] = opt.m[i]
+            per_parameter[f"v{i}"] = opt.v[i]
+        for loaded in (state, per_parameter):
+            opt2 = AdamW([param(p.data) for p in params], lr=0.01)
+            opt2.load_state_arrays(loaded)
+            assert opt2.t == 2
+            for a, b in zip(opt2.m + opt2.v, opt.m + opt.v):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        state["v"] = state["v"][:-1]
+        with pytest.raises(ValueError, match="'v' holds 10 values.*need 11"):
+            AdamW([param(p.data) for p in params]).load_state_arrays(state)
+
     def test_gradient_is_not_reapplied_to_a_parameter_left_out_of_the_graph(self):
         net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8))
         x = Tensor(np.random.default_rng(0).uniform(size=(1, 8, 8)))

@@ -188,6 +188,38 @@ class TestResume:
         for name in w_full:
             assert w_full[name].tobytes() == w_res[name].tobytes()
 
+    def test_training_checkpoint_has_eight_members(self, tiny_dataset, tmp_path):
+        result = train(tiny_cfg(tmp_path / "members", epochs=1), tiny_dataset)
+        with np.load(result.final_path) as z:
+            assert sorted(z.files) == sorted([
+                "meta", "params", "extra:t", "extra:m", "extra:v",
+                "extra:best_dsc", "extra:logs", "extra:train_config"])
+
+    def test_resume_from_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
+        """A file holding one extra:m<i> and extra:v<i> member per parameter,
+        as checkpoints did before the moments were packed, resumes the
+        uninterrupted run bitwise."""
+        full_cfg = tiny_cfg(tmp_path / "full", epochs=3)
+        full = train(full_cfg, tiny_dataset, keep_epoch_checkpoints=True)
+        new_path = tmp_path / "full" / "epoch_002.npz"
+        shapes = [a.shape for a in load_checkpoint(new_path).params.values()]
+        old_path = tmp_path / "old.npz"
+        with np.load(new_path) as z:
+            payload = {k: z[k] for k in z.files if k not in ("extra:m", "extra:v")}
+            ends = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
+            for kind in ("m", "v"):
+                for i, (a, shape) in enumerate(zip(np.split(z[f"extra:{kind}"], ends), shapes)):
+                    payload[f"extra:{kind}{i}"] = a.reshape(shape)
+        np.savez(old_path, **payload)
+
+        resumed = train(dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed")),
+                        tiny_dataset, resume_from=old_path)
+        assert [log.row() for log in resumed.logs] == [log.row() for log in full.logs]
+        w_full = load_checkpoint(full.final_path).params
+        w_res = load_checkpoint(resumed.final_path).params
+        for name in w_full:
+            assert w_full[name].tobytes() == w_res[name].tobytes()
+
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
         result = train(cfg, tiny_dataset)
