@@ -34,7 +34,7 @@ class PGMTruncatedError(PGMError):
 
 
 class PGMMaxvalError(PGMError):
-    """Maxval outside the supported 1..255 range."""
+    """Maxval outside the supported 1..255 range, or a pixel value outside 0..maxval."""
 
 
 @dataclass
@@ -180,7 +180,10 @@ def _read_tokens(data, n):
 
 
 def load_pgm(path):
-    """Load a P2/P5 PGM as a float array in [0,1] of shape [H,W]."""
+    """Load a P2/P5 PGM as a float array in [0,1] of shape [H,W].
+
+    A pixel value outside 0..maxval raises PGMMaxvalError.
+    """
     data = Path(path).read_bytes()
     if len(data) < 2:
         raise PGMTruncatedError(f"{path}: file too short for a magic number")
@@ -207,6 +210,10 @@ def load_pgm(path):
             raise PGMTruncatedError(
                 f"{path}: payload holds {len(values)} values, expected {n_pixels}")
         pixels = np.array([int(v) for v in values[:n_pixels]], dtype=np.float64)
+    bad = (pixels < 0) | (pixels > maxval)
+    if bad.any():
+        raise PGMMaxvalError(
+            f"{path}: pixel value {int(pixels[bad][0])} outside 0..maxval {maxval}")
     return (pixels / maxval).reshape(height, width)
 
 

@@ -7,20 +7,30 @@ convolution, bilinear upsampling, temperature softmax, concat/reshape).
 Gradients are computed by replaying closures over a topologically sorted
 computation graph, numpy arrays underneath.
 
-Every primitive hands `_make` its output array, its operands and one
-closure `backward(g)` that maps the output's gradient `g` onto its
-operands. `_make` stores it as the node's zero-argument `_backward`,
-which reads `g` through a weak reference to the output, so a graph has
-no reference cycles and is freed by reference counting alone. Inside
-`with no_grad():` no graph is recorded at all, which is how inference
-on a trainable network runs.
+The graph is made of small nodes that hold no values. A tracked tensor
+gets a private `_Node` with its gradient, its operands' nodes, its
+backward closure, and its shape and dtype. Every primitive hands `_make`
+its output array, its operands and one closure `backward(g, *nodes)`
+that maps the output's gradient `g` onto the operands' nodes (None for
+an untracked operand). The closure saves only the arrays its backward
+reads, never an operand Tensor: relu and sigmoid keep their outputs;
+concat, reshape, tsum, tmean and bilinear_upsample keep no operand
+values. So an op output that nobody holds, such as a conv pre-activation
+under relu or an upsample output under concat, is freed right after
+forward. `_make` stores the closure as the node's zero-argument
+`_backward`, which reads `g` through a weak reference to the node, so a
+graph has no reference cycles and is freed by reference counting alone.
+`Tensor.backward` drops each intermediate gradient once it has been
+passed on; only leaves keep `.grad`. Inside `with no_grad():` no graph
+is recorded at all, which is how inference on a trainable network runs.
 
 The 3x3 convolution correlates a flat, zero-padded copy of its input
 (rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
 on shifted views of that buffer when the contraction is wide, otherwise
 as one GEMM over a strided column copy. The input gradient is the same
-correlation of the output gradient with the flipped, transposed kernel,
-and the graph keeps only the padded input, never a 9x column buffer.
+correlation of the output gradient with the flipped, transposed kernel.
+The graph keeps the unpadded input, which backward pads again for the
+kernel gradient, and never a padded copy or a 9x column buffer.
 
 relu, sigmoid and 2x2 max-pool keep no masks or index arrays: relu's
 and sigmoid's backward read their own outputs, and max-pool's backward
@@ -45,10 +55,29 @@ class GraphError(RuntimeError):
     """Raised on invalid backward calls (non-scalar loss, leaf tensor)."""
 
 
+class _Node:
+    """The graph bookkeeping of one tracked tensor; it holds no values.
+
+    `grad` is the gradient accumulated so far, `prev` the nodes of the
+    tracked operands, `backward` the zero-argument closure that passes
+    `grad` on to them (None on a leaf), and `shape`/`dtype` those of the
+    tensor's data, which every gradient reaching the node is given.
+    """
+
+    __slots__ = ("grad", "prev", "backward", "shape", "dtype", "__weakref__")
+
+    def __init__(self, shape, dtype, prev=()):
+        self.grad = None
+        self.prev = prev
+        self.backward = None
+        self.shape = shape
+        self.dtype = dtype
+
+
 class Tensor:
     """A dense real array with optional gradient tracking."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data)
@@ -57,10 +86,8 @@ class Tensor:
         elif arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
-        self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._prev = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -69,6 +96,31 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            if value is None:
+                return
+            self._node = _Node(self.data.shape, self.data.dtype)
+        self._node.grad = value
+
+    @property
+    def _prev(self):
+        """The nodes of the tracked operands this tensor was computed from."""
+        return () if self._node is None else self._node.prev
+
+    @property
+    def _backward(self):
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, fn):
+        self._node.backward = fn
 
     def item(self):
         return float(self.data)
@@ -83,10 +135,12 @@ class Tensor:
     # ---- backward ----
 
     def backward(self):
-        """Populate .grad on every tensor reachable from this scalar loss.
+        """Populate .grad on every leaf requiring grad that reaches this scalar loss.
 
         Grads are zeroed across the graph first, so repeated backward
-        calls after the same forward pass are idempotent.
+        calls after the same forward pass are idempotent. An intermediate
+        gradient is dropped once it has been passed on, so afterwards
+        only leaves have a .grad.
         """
         if self.data.size != 1:
             raise GraphError(
@@ -95,28 +149,30 @@ class Tensor:
         if not self._prev:
             raise GraphError("backward called on a tensor with no recorded forward pass")
 
+        root = self._node
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
-            for child in node._prev:
-                if id(child) not in visited:
+            for child in node.prev:
+                if child not in visited:
                     stack.append((child, False))
 
         for node in topo:
             node.grad = None
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones(root.shape, dtype=root.dtype)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            if node.backward is not None:
+                node.backward()
+                node.grad = None
 
     # ---- operator sugar ----
 
@@ -168,18 +224,28 @@ def _pair(a, b):
     return _as_tensor(a), _as_tensor(b)
 
 
-def _needs_grad(t):
-    return t.requires_grad or bool(t._prev)
+def _node_of(t):
+    """The node gradients flow into for operand t, or None if t is untracked."""
+    node = t._node
+    if node is not None and node.prev:
+        return node
+    if not t.requires_grad:
+        return None
+    if node is None:
+        node = t._node = _Node(t.data.shape, t.data.dtype)
+    else:  # a leaf whose data may have been reassigned since its last use
+        node.shape, node.dtype = t.data.shape, t.data.dtype
+    return node
 
 
-def _accumulate(t, g):
-    if not _needs_grad(t):
+def _accumulate(node, g):
+    if node is None:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
-    if g.shape != t.data.shape:
+    g = np.asarray(g, dtype=node.dtype)
+    if g.shape != node.shape:
         # scalar operand paired with an array one
-        g = g.sum().reshape(t.data.shape)
-    t.grad = g if t.grad is None else t.grad + g
+        g = g.sum().reshape(node.shape)
+    node.grad = g if node.grad is None else node.grad + g
 
 
 _grad_enabled = True
@@ -196,22 +262,25 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _make(data, prev, backward):
-    """Wrap an op's output; record backward(g) if any operand is tracked.
+def _make(data, operands, backward):
+    """Wrap an op's output; record backward(g, *nodes) if any operand is tracked.
 
-    The stored closure reaches the output only through a weak reference,
-    so a graph holds no reference cycle and is freed as soon as its last
-    tensor is dropped.
+    `nodes` are the operands' nodes in order, None for an untracked one
+    (so a one-operand backward always gets a node).
+    The recorded closure reaches the output's node only through a weak
+    reference, so a graph holds no reference cycle and is freed as soon
+    as its last tensor is dropped.
     """
     out = Tensor(data)
     if not _grad_enabled:
         return out
-    tracked = tuple(p for p in prev if p.requires_grad or p._prev)
+    nodes = tuple(_node_of(t) for t in operands)
+    tracked = tuple(n for n in nodes if n is not None)
     if tracked:
         out.requires_grad = True
-        out._prev = tracked
-        ref = weakref.ref(out)
-        out._backward = lambda: backward(ref().grad)
+        node = out._node = _Node(out.data.shape, out.data.dtype, tracked)
+        ref = weakref.ref(node)
+        node.backward = lambda: backward(ref().grad, *nodes)
     return out
 
 
@@ -228,9 +297,9 @@ def add(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "add")
 
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+    def backward(g, na, nb):
+        _accumulate(na, g)
+        _accumulate(nb, g)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -239,9 +308,9 @@ def sub(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "sub")
 
-    def backward(g):
-        _accumulate(a, g)
-        _accumulate(b, -g)
+    def backward(g, na, nb):
+        _accumulate(na, g)
+        _accumulate(nb, -g)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -249,23 +318,25 @@ def sub(a, b):
 def mul(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "mul")
+    ad, bd = a.data, b.data
 
-    def backward(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+    def backward(g, na, nb):
+        _accumulate(na, g * bd)
+        _accumulate(nb, g * ad)
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(ad * bd, (a, b), backward)
 
 
 def div(a, b):
     a, b = _pair(a, b)
     _check_elementwise(a, b, "div")
+    ad, bd = a.data, b.data
 
-    def backward(g):
-        _accumulate(a, g / b.data)
-        _accumulate(b, -g * a.data / (b.data * b.data))
+    def backward(g, na, nb):
+        _accumulate(na, g / bd)
+        _accumulate(nb, -g * ad / (bd * bd))
 
-    return _make(a.data / b.data, (a, b), backward)
+    return _make(ad / bd, (a, b), backward)
 
 
 # ---- element-wise nonlinearities ----
@@ -274,8 +345,8 @@ def relu(x):
     x = _as_tensor(x)
     y = np.maximum(x.data, 0)  # NaN propagates; -0.0 maps to +0.0
 
-    def backward(g):
-        _accumulate(x, g * (y > 0))
+    def backward(g, nx):
+        _accumulate(nx, g * (y > 0))
 
     return _make(y, (x,), backward)
 
@@ -286,29 +357,30 @@ def sigmoid(x):
     e = np.exp(-np.abs(x.data))
     s = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    def backward(g):
-        _accumulate(x, g * s * (1.0 - s))
+    def backward(g, nx):
+        _accumulate(nx, g * s * (1.0 - s))
 
     return _make(s, (x,), backward)
 
 
 def log(x):
     x = _as_tensor(x)
-    if np.any(x.data <= 0):
+    xd = x.data
+    if np.any(xd <= 0):
         raise ValueError("log: input must be strictly positive (clamp first)")
 
-    def backward(g):
-        _accumulate(x, g / x.data)
+    def backward(g, nx):
+        _accumulate(nx, g / xd)
 
-    return _make(np.log(x.data), (x,), backward)
+    return _make(np.log(xd), (x,), backward)
 
 
 def clamp(x, lo, hi):
     x = _as_tensor(x)
     inside = (x.data >= lo) & (x.data <= hi)
 
-    def backward(g):
-        _accumulate(x, g * inside)
+    def backward(g, nx):
+        _accumulate(nx, g * inside)
 
     return _make(np.clip(x.data, lo, hi), (x,), backward)
 
@@ -318,11 +390,11 @@ def clamp(x, lo, hi):
 def tsum(x, axis=None):
     x = _as_tensor(x)
 
-    def backward(g):
+    def backward(g, nx):
         if axis is None:
-            _accumulate(x, np.broadcast_to(g, x.data.shape))
+            _accumulate(nx, np.broadcast_to(g, nx.shape))
         else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+            _accumulate(nx, np.broadcast_to(np.expand_dims(g, axis), nx.shape))
 
     return _make(x.data.sum(axis=axis), (x,), backward)
 
@@ -331,8 +403,8 @@ def tmean(x):
     x = _as_tensor(x)
     n = x.data.size
 
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g / n, x.data.shape))
+    def backward(g, nx):
+        _accumulate(nx, np.broadcast_to(g / n, nx.shape))
 
     return _make(x.data.mean(), (x,), backward)
 
@@ -340,8 +412,8 @@ def tmean(x):
 def reshape(x, shape):
     x = _as_tensor(x)
 
-    def backward(g):
-        _accumulate(x, g.reshape(x.data.shape))
+    def backward(g, nx):
+        _accumulate(nx, g.reshape(nx.shape))
 
     return _make(x.data.reshape(shape), (x,), backward)
 
@@ -351,12 +423,12 @@ def concat(tensors, axis=0):
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def backward(g):
+    def backward(g, *nodes):
         pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _accumulate(t, piece)
+        for node, piece in zip(nodes, pieces):
+            _accumulate(node, piece)
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 # ---- structured primitives ----
@@ -380,8 +452,8 @@ def maxpool2x2(x):
     # goes second: the pooled value is the first maximum, sign of zero included
     pooled = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
 
-    def backward(g):
-        gx = np.zeros((c, h // 2, 2, w), dtype=x.data.dtype)
+    def backward(g, nx):
+        gx = np.zeros((c, h // 2, 2, w), dtype=pooled.dtype)
         free = np.ones(pooled.shape, dtype=bool)  # windows not yet routed
         for (i, j), tap in zip(((0, 0), (0, 1), (1, 0)), taps):
             hit = tap == pooled
@@ -389,7 +461,7 @@ def maxpool2x2(x):
             np.copyto(gx[:, :, i, j::2], g, where=hit)
             free &= ~hit
         np.copyto(gx[:, :, 1, 1::2], g, where=free)
-        _accumulate(x, gx.reshape(c, h, w))
+        _accumulate(nx, gx.reshape(c, h, w))
 
     return _make(pooled, (x,), backward)
 
@@ -462,25 +534,26 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
-    k = kernel.data
-    flat = _pad_flat(x.data)
-    y = _correlate3(flat, k, h, w) + bias.data[:, None, None]
+    xd, k = x.data, kernel.data
+    y = _correlate3(_pad_flat(xd), k, h, w) + bias.data[:, None, None]
 
-    def backward(g):
+    def backward(g, nx, nk, nb):
         g_flat = _pad_flat(g)
-        if _needs_grad(kernel):
+        if nk is not None:
             # g on the W+2-wide output grid: its two junk columns per row
             # fall on g_flat's zero padding
             n = h * (w + 2)
             g_wide = g_flat[:, w + 3:w + 3 + n]
+            flat = _pad_flat(xd)  # re-padded here rather than kept from forward
             gk = np.stack([g_wide @ flat[:, off:off + n].T for off in _tap_offsets(w)])
-            _accumulate(kernel, gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
-        if _needs_grad(bias):
-            _accumulate(bias, g.sum(axis=(1, 2)))
-        if _needs_grad(x):
+            del flat  # before the input gradient allocates its buffers
+            _accumulate(nk, gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
+        if nb is not None:
+            _accumulate(nb, g.sum(axis=(1, 2)))
+        if nx is not None:
             # adjoint of correlation: correlate g with the flipped, transposed kernel
             flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accumulate(x, _correlate3(g_flat, flipped, h, w))
+            _accumulate(nx, _correlate3(g_flat, flipped, h, w))
 
     return _make(y, (x, kernel, bias), backward)
 
@@ -516,8 +589,8 @@ def bilinear_upsample(x, factor):
     ww = _interp_matrix(w, factor, x.data.dtype)
     y = wh @ x.data @ ww.T
 
-    def backward(g):
-        _accumulate(x, wh.T @ g @ ww)
+    def backward(g, nx):
+        _accumulate(nx, wh.T @ g @ ww)
 
     return _make(y, (x,), backward)
 
@@ -537,8 +610,8 @@ def softmax(logits, tau=1.0):
     p = np.maximum(p, np.finfo(p.dtype).tiny)
     p = p / p.sum()
 
-    def backward(g):
-        _accumulate(logits, (p * (g - np.dot(g, p))) / tau)
+    def backward(g, nl):
+        _accumulate(nl, (p * (g - np.dot(g, p))) / tau)
 
     return _make(p, (logits,), backward)
 

@@ -58,6 +58,21 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        try:
+            dtype = np.dtype(self.dtype)
+        except TypeError:
+            dtype = None
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        # written as negations so that NaN fails them too
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.lr_step_every < 1:
+            raise ValueError(f"lr_step_every must be >= 1, got {self.lr_step_every}")
+        if not 0 < self.lr_gamma <= 1:  # the step schedule decays
+            raise ValueError(f"lr_gamma must be in (0, 1], got {self.lr_gamma}")
         distill.PatchGrid.for_shape(self.network.height, self.network.width,
                                     self.distill.grid_g)
 

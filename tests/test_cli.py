@@ -86,6 +86,13 @@ class TestTrain:
     def test_malformed_override_is_usage_error(self, data_dir):
         assert main(["train", "--data", str(data_dir), "epochs"]) == 1
 
+    def test_bad_dtype_is_usage_error_and_trains_nothing(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "int"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}",
+                     *TINY, "dtype=int32"]) == 1
+        assert "dtype must be float32 or float64, got 'int32'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_data_dir_is_usage_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"), *TINY]) == 1
 

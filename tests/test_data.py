@@ -45,6 +45,18 @@ class TestPGMLoad:
         with pytest.raises(PGMMaxvalError):
             load_pgm(p)
 
+    def test_binary_pixel_above_maxval(self, tmp_path):
+        p = tmp_path / "over.pgm"
+        p.write_bytes(b"P5 2 1 100\n" + bytes([50, 200]))
+        with pytest.raises(PGMMaxvalError, match="pixel value 200 outside 0..maxval 100"):
+            load_pgm(p)
+
+    def test_ascii_negative_pixel(self, tmp_path):
+        p = tmp_path / "neg.pgm"
+        p.write_text("P2\n2 1\n100\n-5 50\n")
+        with pytest.raises(PGMMaxvalError, match="pixel value -5 outside 0..maxval 100"):
+            load_pgm(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "short.pgm"
         p.write_bytes(b"P5 4 4 255\n\x00\x01")

@@ -69,6 +69,22 @@ class TestForward:
         assert graph[0].requires_grad
         assert retained <= 6 * 2**20
 
+    def test_forward_graph_keeps_only_what_backward_reads(self):
+        """A trainable 64x64 forward retains the arrays its backward reads:
+        no conv pre-activations under relu, no upsample outputs under
+        concat, no padded conv inputs (3.9 MB when it kept them)."""
+        cfg = NetworkConfig(depth=3, base_channels=8, height=64, width=64)
+        net = SegNetwork(cfg, seed=0, dtype=np.float32)
+        x = Tensor(np.random.default_rng(0).uniform(size=(1, 64, 64)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            graph = net.forward(x)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph[0].requires_grad
+        assert retained <= 2 * 2**20
+
     def test_shape_mismatch_raises(self):
         net = small_net(depth=3, size=32)
         with pytest.raises(ShapeError, match=r"2\^\(depth-1\) = 4"):

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -368,6 +369,72 @@ class TestBackward:
         assert loss.requires_grad
         loss.backward()
         np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
+
+class TestGraphContract:
+    """The graph keeps only what backward reads, and backward leaves
+    gradients on leaves only."""
+
+    @staticmethod
+    def unet_block(x, k, b, hold):
+        """conv -> relu -> pool -> upsample -> concat with the skip, as a
+        decoder level does; returns the loss, weak references to the conv
+        output's and the upsample output's arrays, and the held tensors."""
+        pre = T.conv2d(x, k, b)
+        skip = T.relu(pre)
+        up = T.bilinear_upsample(T.maxpool2x2(skip), 2)
+        cat = T.concat([up, skip], axis=0)
+        weights = Tensor(np.arange(cat.data.size, dtype=np.float64).reshape(cat.data.shape))
+        loss = T.tsum(cat * weights)
+        refs = weakref.ref(pre.data), weakref.ref(up.data)
+        return loss, refs, (pre, up) if hold else ()
+
+    def test_op_output_nobody_holds_is_freed_after_forward(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 8, 8)))
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+
+        loss, (pre_ref, up_ref), held = self.unet_block(x, k, b, hold=True)
+        loss.backward()
+        expected = k.grad.copy(), b.grad.copy()
+        assert pre_ref() is not None and up_ref() is not None
+        del held
+
+        loss, (pre_ref, up_ref), _ = self.unet_block(x, k, b, hold=False)
+        # neither relu nor concat reads its operand's values in backward
+        assert pre_ref() is None
+        assert up_ref() is None
+        loss.backward()
+        assert k.grad.tobytes() == expected[0].tobytes()
+        assert b.grad.tobytes() == expected[1].tobytes()
+
+    def test_only_leaves_keep_grads_after_backward(self):
+        rng = np.random.default_rng(22)
+        x = Tensor(rng.normal(size=(1, 4, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 1, 3, 3)), requires_grad=True)
+        b = Tensor(np.zeros(2), requires_grad=True)
+        constant = Tensor(rng.normal(size=(2, 4, 4)))
+        h = T.relu(T.conv2d(x, k, b))
+        s = T.sigmoid(h * constant)
+        loss = T.tmean(s)
+        loss.backward()
+        for t in (h, s, loss):
+            assert t.grad is None
+        assert constant.grad is None
+        for leaf in (x, k, b):
+            assert leaf.grad is not None
+            assert leaf.grad.shape == leaf.data.shape
+            assert leaf.grad.dtype == leaf.data.dtype
+
+    def test_backward_reads_operands_as_of_forward(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.array([1.0, 2.0, 3.0]))
+        loss = T.tsum(a * b)
+        old = b.data
+        b.data = b.data * 2.0
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, old)
 
 
 class TestMiscPrimitives:

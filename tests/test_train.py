@@ -267,6 +267,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="square patches"):
             cfg.validate()
 
+    @pytest.mark.parametrize("value", ["int32", "complex64", "float16", "bogus"])
+    def test_rejects_dtype_other_than_float32_or_float64(self, value):
+        with pytest.raises(ValueError, match=f"dtype must be float32 or float64, got '{value}'"):
+            tiny_cfg("unused", dtype=value).validate()
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
+    def test_rejects_non_positive_learning_rate(self, value):
+        with pytest.raises(ValueError, match=f"learning_rate must be > 0, got {value}"):
+            tiny_cfg("unused", learning_rate=value).validate()
+
+    @pytest.mark.parametrize("value", [-1.0, -1e-9])
+    def test_rejects_negative_weight_decay(self, value):
+        with pytest.raises(ValueError, match=f"weight_decay must be >= 0, got {value}"):
+            tiny_cfg("unused", weight_decay=value).validate()
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_lr_step_every_below_one(self, value):
+        with pytest.raises(ValueError, match=f"lr_step_every must be >= 1, got {value}"):
+            tiny_cfg("unused", lr_step_every=value).validate()
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
+    def test_rejects_lr_gamma_outside_unit_interval(self, value):
+        with pytest.raises(ValueError, match=rf"lr_gamma must be in \(0, 1\], got {value}"):
+            tiny_cfg("unused", lr_gamma=value).validate()
+
+    def test_accepts_the_boundaries(self):
+        tiny_cfg("unused", dtype="float64", weight_decay=0.0, lr_step_every=1,
+                 lr_gamma=1.0).validate()
+
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
         net = load_checkpoint(result.final_path).to_network()
@@ -348,6 +377,25 @@ class TestGraphLifetime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_training_step_peak_memory(self):
+        """One smoke-shape sample step with a teacher (64x64, depth 3,
+        base 8, float32) peaks under 6 MB: the graph keeps only what
+        backward reads and backward drops each intermediate gradient once
+        passed on (8.4 MB when it kept them)."""
+        cfg = TrainConfig(epochs=2, network=NetworkConfig(depth=3, base_channels=8,
+                                                          height=64, width=64))
+        net = SegNetwork(cfg.network, dtype=np.float32)
+        teacher = net.snapshot(1).restore(trainable=False)
+        sample = generate_synthetic(seed=3, count=1, size=64)[0]
+        train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)  # warm caches
+        tracemalloc.start()
+        try:
+            train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_evaluate_builds_no_graph(self, tmp_path):
         cfg = NetworkConfig(depth=3, base_channels=8, height=64, width=64)
