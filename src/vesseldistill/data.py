@@ -182,7 +182,8 @@ def _read_tokens(data, n):
 def load_pgm(path):
     """Load a P2/P5 PGM as a float array in [0,1] of shape [H,W].
 
-    A pixel value outside 0..maxval raises PGMMaxvalError.
+    A pixel value outside 0..maxval raises PGMMaxvalError, and a P2 pixel
+    value that is not a decimal integer raises PGMError.
     """
     data = Path(path).read_bytes()
     if len(data) < 2:
@@ -209,7 +210,12 @@ def load_pgm(path):
         if len(values) < n_pixels:
             raise PGMTruncatedError(
                 f"{path}: payload holds {len(values)} values, expected {n_pixels}")
-        pixels = np.array([int(v) for v in values[:n_pixels]], dtype=np.float64)
+        try:
+            pixels = np.array([int(v) for v in values[:n_pixels]], dtype=np.float64)
+        except ValueError:
+            token = next(v for v in values if not v.lstrip(b"+-").isdigit())
+            raise PGMError(f"{path}: pixel value {token.decode(errors='replace')!r} "
+                           "is not a decimal integer") from None
     bad = (pixels < 0) | (pixels > maxval)
     if bad.any():
         raise PGMMaxvalError(

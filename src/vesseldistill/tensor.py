@@ -27,10 +27,12 @@ is recorded at all, which is how inference on a trainable network runs.
 The 3x3 convolution correlates a flat, zero-padded copy of its input
 (rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
 on shifted views of that buffer when the contraction is wide, otherwise
-as one GEMM over a strided column copy. The input gradient is the same
-correlation of the output gradient with the flipped, transposed kernel.
-The graph keeps the unpadded input, which backward pads again for the
-kernel gradient, and never a padded copy or a 9x column buffer.
+as GEMMs over a 9x column copy, built in one reused buffer of at most
+4 MiB a block of columns at a time, so its memory does not grow with the
+image. The input gradient is the same correlation of the output gradient
+with the flipped, transposed kernel, under the same bound. The graph
+keeps the unpadded input, which backward pads again for the kernel
+gradient, and never a padded copy or a 9x column buffer.
 
 relu, sigmoid and 2x2 max-pool keep no masks or index arrays: relu's
 and sigmoid's backward read their own outputs, and max-pool's backward
@@ -471,6 +473,11 @@ def maxpool2x2(x):
 # thin (numpy's matmul with contraction 1 is ~10x slower than the copy)
 _VIEW_MIN_CONTRACTION = 16
 
+# bytes of column matrix built at once. Blocks of whole 64-column units keep
+# one GEMM's bits on OpenBLAS (blocks of whole rows do not), and the 64x64
+# smoke shape's column matrices each fit in one block
+_COLUMN_BUDGET = 4 << 20
+
 
 def _pad_flat(arr):
     """[C,H,W] -> [C, (H+2)*(W+2) + 2]: zero padding 1, rows flattened.
@@ -511,7 +518,18 @@ def _correlate3(flat, kernel, h, w):
         s_c, s = flat.strides
         cols = np.lib.stride_tricks.as_strided(
             flat, shape=(c, 3, 3, n), strides=(s_c, (w + 2) * s, s, s))
-        out = kernel.reshape(c_out, c * 9) @ cols.reshape(c * 9, n)
+        kmat = kernel.reshape(c_out, c * 9)
+        # as few blocks as the budget allows, of equal whole 64-column units
+        units = max(_COLUMN_BUDGET // (9 * c * flat.itemsize * 64), 1)
+        blocks = -(-n // (64 * units))
+        step = -(-n // (64 * blocks)) * 64
+        out = np.empty((c_out, n), np.result_type(kernel, flat))
+        buf = np.empty(c * 9 * step, flat.dtype)  # reused by every block
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            block = buf[:c * 9 * m].reshape(c, 3, 3, m)
+            np.copyto(block, cols[..., lo:lo + m])
+            np.matmul(kmat, block.reshape(c * 9, m), out=out[:, lo:lo + m])
     return out.reshape(c_out, h, w + 2)[:, :, :w]
 
 

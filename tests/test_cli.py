@@ -130,6 +130,14 @@ class TestPredict:
         assert mask.shape == (32, 32)
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
+    def test_non_numeric_pixel_exits_1_naming_file_and_token(self, run_dir, tmp_path, capsys):
+        image = tmp_path / "word.pgm"
+        image.write_text("P2 2 1 255\n0 x\n")
+        code = main(["predict", "--checkpoint", str(run_dir / "best.npz"),
+                     "--image", str(image), "--out", str(tmp_path / "pred.pgm")])
+        assert code == 1
+        assert "word.pgm: pixel value 'x' is not a decimal integer" in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_and_prints_per_check_lines(self, capsys):

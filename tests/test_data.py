@@ -5,7 +5,7 @@ import pytest
 
 from vesseldistill import data
 from vesseldistill.data import (
-    PGMMagicError, PGMMaxvalError, PGMTruncatedError, batches,
+    PGMError, PGMMagicError, PGMMaxvalError, PGMTruncatedError, batches,
     generate_synthetic, load_pgm, load_sample_dir, save_pgm, save_sample_dir,
     split,
 )
@@ -55,6 +55,12 @@ class TestPGMLoad:
         p = tmp_path / "neg.pgm"
         p.write_text("P2\n2 1\n100\n-5 50\n")
         with pytest.raises(PGMMaxvalError, match="pixel value -5 outside 0..maxval 100"):
+            load_pgm(p)
+
+    def test_ascii_non_numeric_pixel_names_file_and_token(self, tmp_path):
+        p = tmp_path / "word.pgm"
+        p.write_text("P2 3 1 255\n-1 x 7\n")
+        with pytest.raises(PGMError, match=r"word\.pgm: pixel value 'x' is not a decimal integer"):
             load_pgm(p)
 
     def test_truncated_payload(self, tmp_path):

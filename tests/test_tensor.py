@@ -12,6 +12,33 @@ def rand_tensor(rng, shape, lo=-1.0, hi=1.0, grad=True):
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad=grad)
 
 
+def assert_matches_oracle(out, x, k, b):
+    """conv2d's output against nested float64 loops, within the rounding
+    bound of its dtype."""
+    (c_out, c_in), (h, w) = k.shape[:2], x.shape[1:]
+    expected = np.zeros((c_out, h, w))
+    magnitude = np.zeros((c_out, h, w))
+    padded = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1)))
+    for co in range(c_out):
+        for i in range(h):
+            for j in range(w):
+                acc = float(b[co])
+                mag = abs(acc)
+                for ci in range(c_in):
+                    for di in range(3):
+                        for dj in range(3):
+                            term = float(k[co, ci, di, dj]) * padded[ci, i + di, j + dj]
+                            acc += term
+                            mag += abs(term)
+                expected[co, i, j] = acc
+                magnitude[co, i, j] = mag
+    # standard bound for a sum of n rounded products, with room for the
+    # oracle's own float64 rounding
+    n = c_in * 9 + 1
+    bound = 2 * n * np.finfo(out.dtype).eps * magnitude
+    assert np.all(np.abs(out - expected) <= bound)
+
+
 class TestConv2d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -45,34 +72,42 @@ class TestConv2d:
         b = rng.normal(size=c_out).astype(dtype)
         out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
         assert out.data.dtype == dtype
-
-        expected = np.zeros((c_out, h, w))
-        magnitude = np.zeros((c_out, h, w))
-        padded = np.pad(x.astype(np.float64), ((0, 0), (1, 1), (1, 1)))
-        for co in range(c_out):
-            for i in range(h):
-                for j in range(w):
-                    acc = float(b[co])
-                    mag = abs(acc)
-                    for ci in range(c_in):
-                        for di in range(3):
-                            for dj in range(3):
-                                term = float(k[co, ci, di, dj]) * padded[ci, i + di, j + dj]
-                                acc += term
-                                mag += abs(term)
-                    expected[co, i, j] = acc
-                    magnitude[co, i, j] = mag
-        # standard bound for a sum of n rounded products, with room for the
-        # oracle's own float64 rounding
-        n = c_in * 9 + 1
-        bound = 2 * n * np.finfo(dtype).eps * magnitude
-        assert np.all(np.abs(out.data - expected) <= bound)
+        assert_matches_oracle(out.data, x, k, b)
 
     @pytest.mark.parametrize("h,w", SHAPES)
     @pytest.mark.parametrize("c_in,c_out", CHANNELS)
     def test_gradient_vs_finite_differences(self, c_in, c_out, h, w):
         rng = np.random.default_rng(7)
         x = rand_tensor(rng, (c_in, h, w))
+        k = rand_tensor(rng, (c_out, c_in, 3, 3), lo=-0.5, hi=0.5)
+        b = rand_tensor(rng, (c_out,), lo=-0.5, hi=0.5)
+        ok, _ = gradcheck(
+            lambda x, k, b: T.tsum(T.sigmoid(T.conv2d(x, k, b))), (x, k, b),
+            rtol=1e-4)
+        assert ok
+
+    # with a budget of one byte every column matrix is built in 64-column
+    # blocks; both shapes end in a short block, and (6, 29) puts block
+    # boundaries inside output rows
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("h,w", [(13, 17), (6, 29)])
+    @pytest.mark.parametrize("c_in", [1, 2, 8])
+    def test_column_blocks_match_nested_loop_oracle(self, c_in, h, w, dtype, monkeypatch):
+        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(c_in, h, w)).astype(dtype)
+        k = rng.normal(size=(3, c_in, 3, 3)).astype(dtype)
+        b = rng.normal(size=3).astype(dtype)
+        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
+        assert out.data.dtype == dtype
+        assert_matches_oracle(out.data, x, k, b)
+
+    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (2, 3), (8, 2)])
+    def test_gradient_through_column_blocks(self, c_in, c_out, monkeypatch):
+        """Forward and input gradient both run in 64-column blocks."""
+        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1)
+        rng = np.random.default_rng(9)
+        x = rand_tensor(rng, (c_in, 6, 29))
         k = rand_tensor(rng, (c_out, c_in, 3, 3), lo=-0.5, hi=0.5)
         b = rand_tensor(rng, (c_out,), lo=-0.5, hi=0.5)
         ok, _ = gradcheck(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vesseldistill import distill
+from vesseldistill import tensor as T
 from vesseldistill.data import batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
@@ -132,6 +133,25 @@ class TestLoop:
         result = train(cfg, tiny_dataset)
         lrs = [log.lr for log in result.logs]
         np.testing.assert_allclose(lrs, [1e-3, 1e-3, 3e-4, 3e-4])
+
+    def test_column_budget_leaves_smoke_training_bitwise_unchanged(self, tmp_path,
+                                                                    monkeypatch):
+        """At the smoke shape every conv column matrix fits the budget, so
+        training matches unbounded single GEMMs bit for bit."""
+        dataset = split(generate_synthetic(seed=6, count=16, size=64), seed=0)
+        cfg = TrainConfig(
+            epochs=3, network=NetworkConfig(depth=3, base_channels=8, height=64, width=64),
+            seed=0, out_dir=str(tmp_path / "bounded"))
+        bounded = train(cfg, dataset)
+        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1 << 62)
+        unbounded = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "unbounded")),
+                          dataset)
+        assert ((tmp_path / "bounded" / "epochs.csv").read_bytes()
+                == (tmp_path / "unbounded" / "epochs.csv").read_bytes())
+        w1 = load_checkpoint(bounded.final_path).to_network().named_parameters()
+        w2 = load_checkpoint(unbounded.final_path).to_network().named_parameters()
+        for name in w1:
+            np.testing.assert_array_equal(w1[name].data, w2[name].data)
 
     def test_artifacts_written(self, tiny_dataset, tmp_path):
         out = tmp_path / "i"
