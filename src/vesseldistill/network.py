@@ -159,11 +159,12 @@ class SegNetwork:
                 h = T.maxpool2x2(h)
 
         features = [None] * d
-        features[d - 1] = skips[d - 1]  # bottleneck
-        h = skips[d - 1]
+        h = features[d - 1] = skips.pop()  # bottleneck
         for k in range(d - 1, 0, -1):
-            up = T.bilinear_upsample(h, 2)
-            h = self._block(T.concat([up, skips[k - 1]], axis=0), f"dec{k}")
+            # the upsampled map and the skip are held only by the concat's
+            # inputs, so both are freed before the decoder block runs
+            h = self._block(T.concat([T.bilinear_upsample(h, 2), skips.pop()], axis=0),
+                            f"dec{k}")
             features[k - 1] = h
 
         prediction = self.side_output(features[0], 1)

@@ -27,12 +27,26 @@ is recorded at all, which is how inference on a trainable network runs.
 The 3x3 convolution correlates a flat, zero-padded copy of its input
 (rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
 on shifted views of that buffer when the contraction is wide, otherwise
-as GEMMs over a 9x column copy, built in one reused buffer of at most
-4 MiB a block of columns at a time, so its memory does not grow with the
-image. The input gradient is the same correlation of the output gradient
-with the flipped, transposed kernel, under the same bound. The graph
-keeps the unpadded input, which backward pads again for the kernel
-gradient, and never a padded copy or a 9x column buffer.
+as GEMMs over a 9x column copy. Both paths fill the output a block of
+whole 64-column units at a time, each block's workspace (its column
+matrix, or its input columns, output and tap product) within about
+1 MiB, half a per-core L2 cache, so the GEMM operands stay in cache and
+memory does not grow with the image. Where H*(W+2) is a multiple of 64,
+such blocks keep OpenBLAS's GEMM bits; its sgemv picks a kernel by
+length, so a one-output-channel conv on the view path, a GEMV per tap,
+stays one block.
+The input gradient is the same correlation of the output gradient with
+the flipped, transposed kernel, blocked the same way. The graph keeps the
+unpadded input, which backward pads again for the kernel gradient, and
+never a padded copy or a 9x column buffer.
+
+On glibc, importing this module makes the allocator keep freed heap
+pages mapped, so repeated forwards reuse their pages instead of
+page-faulting them in afresh: arrays under 32 MiB come from the heap, and
+up to 64 MiB of freed heap stays resident instead of going back to the
+OS. Larger arrays are still mapped and unmapped one by one. Setting any of
+glibc's MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or MALLOC_TOP_PAD_
+leaves the allocator as the environment configures it.
 
 relu, sigmoid and 2x2 max-pool keep no masks or index arrays: relu's
 and sigmoid's backward read their own outputs, and max-pool's backward
@@ -43,10 +57,37 @@ route each window's gradient to its first maximum.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
+import os
 import weakref
 
 import numpy as np
+
+
+def _keep_freed_heap():
+    """Set glibc's mmap and trim thresholds (see the module docstring);
+    True if both took.
+
+    Both are needed: a trim threshold alone also freezes glibc's dynamic
+    mmap threshold where it stands (128 KiB at start), and page faults per
+    forward more than triple.
+    """
+    tuned = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
+    if any(name in os.environ for name in tuned):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ValueError, OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
+    return bool(mallopt(m_mmap_threshold, 32 << 20) and mallopt(m_trim_threshold, 64 << 20))
+
+
+_HEAP_KEPT = _keep_freed_heap()
 
 
 class ShapeError(ValueError):
@@ -473,10 +514,12 @@ def maxpool2x2(x):
 # thin (numpy's matmul with contraction 1 is ~10x slower than the copy)
 _VIEW_MIN_CONTRACTION = 16
 
-# bytes of column matrix built at once. Blocks of whole 64-column units keep
-# one GEMM's bits on OpenBLAS (blocks of whole rows do not), and the 64x64
-# smoke shape's column matrices each fit in one block
-_COLUMN_BUDGET = 4 << 20
+# bytes of conv workspace per block, about half of a 2 MiB per-core L2: the
+# column path's 9x column matrix, or the view path's input columns with its
+# output and tap-product blocks. Blocks of whole 64-column units keep one
+# GEMM's bits on OpenBLAS (blocks of whole rows do not); a ragged last
+# block may not
+_BLOCK_BUDGET = 1 << 20
 
 
 def _pad_flat(arr):
@@ -505,25 +548,35 @@ def _correlate3(flat, kernel, h, w):
     c = flat.shape[0]
     c_out = kernel.shape[0]
     n = h * (w + 2)
-    if c >= _VIEW_MIN_CONTRACTION:
+    view = c >= _VIEW_MIN_CONTRACTION
+    if view and c_out == 1:
+        # a one-row GEMM runs as a GEMV, and OpenBLAS's sgemv picks its
+        # kernel by length, so the view path's one-channel heads stay whole
+        step = n
+    else:
+        col_bytes = (c + 2 * c_out if view else 9 * c) * flat.itemsize
+        # as few blocks as the budget allows, of equal whole 64-column units
+        units = max(_BLOCK_BUDGET // (col_bytes * 64), 1)
+        blocks = -(-n // (64 * units))
+        step = -(-n // (64 * blocks)) * 64
+    out = np.empty((c_out, n), np.result_type(kernel, flat))
+    if view:
         # contiguous per-tap matrices: a kernel[:, :, di, dj] slice is not BLAS-able
         taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(9, c_out, c)
         offsets = _tap_offsets(w)
-        out = taps[0] @ flat[:, :n]
-        tmp = np.empty_like(out)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            np.matmul(tap, flat[:, off:off + n], out=tmp)
-            out += tmp
+        tmp = np.empty((c_out, step), out.dtype)  # reused by every block
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            block = out[:, lo:lo + m]
+            np.matmul(taps[0], flat[:, lo:lo + m], out=block)
+            for tap, off in zip(taps[1:], offsets[1:]):
+                np.matmul(tap, flat[:, off + lo:off + lo + m], out=tmp[:, :m])
+                block += tmp[:, :m]
     else:
         s_c, s = flat.strides
         cols = np.lib.stride_tricks.as_strided(
             flat, shape=(c, 3, 3, n), strides=(s_c, (w + 2) * s, s, s))
         kmat = kernel.reshape(c_out, c * 9)
-        # as few blocks as the budget allows, of equal whole 64-column units
-        units = max(_COLUMN_BUDGET // (9 * c * flat.itemsize * 64), 1)
-        blocks = -(-n // (64 * units))
-        step = -(-n // (64 * blocks)) * 64
-        out = np.empty((c_out, n), np.result_type(kernel, flat))
         buf = np.empty(c * 9 * step, flat.dtype)  # reused by every block
         for lo in range(0, n, step):
             m = min(step, n - lo)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -86,14 +89,14 @@ class TestConv2d:
             rtol=1e-4)
         assert ok
 
-    # with a budget of one byte every column matrix is built in 64-column
-    # blocks; both shapes end in a short block, and (6, 29) puts block
-    # boundaries inside output rows
+    # with a budget of one byte every conv runs in 64-column blocks, on the
+    # column path (C_in < 16) and the view path alike; both shapes end in a
+    # short block, and (6, 29) puts block boundaries inside output rows
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("h,w", [(13, 17), (6, 29)])
-    @pytest.mark.parametrize("c_in", [1, 2, 8])
+    @pytest.mark.parametrize("c_in", [1, 2, 8, 16, 24])
     def test_column_blocks_match_nested_loop_oracle(self, c_in, h, w, dtype, monkeypatch):
-        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1)
+        monkeypatch.setattr(T, "_BLOCK_BUDGET", 1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(c_in, h, w)).astype(dtype)
         k = rng.normal(size=(3, c_in, 3, 3)).astype(dtype)
@@ -102,10 +105,11 @@ class TestConv2d:
         assert out.data.dtype == dtype
         assert_matches_oracle(out.data, x, k, b)
 
-    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (2, 3), (8, 2)])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 1), (2, 3), (8, 2), (16, 3), (24, 2)])
     def test_gradient_through_column_blocks(self, c_in, c_out, monkeypatch):
-        """Forward and input gradient both run in 64-column blocks."""
-        monkeypatch.setattr(T, "_COLUMN_BUDGET", 1)
+        """Forward and input gradient both run in 64-column blocks, on
+        either conv path."""
+        monkeypatch.setattr(T, "_BLOCK_BUDGET", 1)
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, (c_in, 6, 29))
         k = rand_tensor(rng, (c_out, c_in, 3, 3), lo=-0.5, hi=0.5)
@@ -520,3 +524,14 @@ def test_all_primitives_gradcheck_many_seeds():
         for name, fn, inputs in primitive_checks(seed):
             ok, worst = gradcheck(fn, inputs)
             assert ok, f"{name} failed at seed {seed}: worst err {worst}"
+
+
+def test_allocator_left_as_the_environment_tunes_it():
+    """Importing tensor sets no glibc malloc thresholds when the user set
+    one of glibc's own malloc tuning variables."""
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, MALLOC_TOP_PAD_="131072", PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "from vesseldistill import tensor; print(tensor._HEAP_KEPT)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
