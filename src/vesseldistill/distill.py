@@ -25,6 +25,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor, ShapeError
 
+_EPS = 1e-7  # keeps the logs of kl_div and psdl finite and dice's ratio defined
+
 
 @dataclass(frozen=True)
 class PatchGrid:
@@ -50,21 +52,19 @@ class DistillConfig:
     tau: float = 3.0
     grid_g: int = 4
     alpha_T: float = 0.5
-    eps: float = 1e-7
 
     def __post_init__(self):
-        if self.tau <= 0:
+        # written as negations so that NaN fails them too
+        if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.grid_g >= 1:
+            raise ValueError(f"grid_g must be >= 1, got {self.grid_g}")
         if not 0.0 <= self.alpha_T <= 1.0:
             raise ValueError(f"alpha_T must be in [0,1], got {self.alpha_T}")
 
 
-def patch_counts(side_output, grid: PatchGrid, mode="soft"):
-    """Per-patch [foreground, background] mass matrix, shape [n, 2].
-
-    Soft mode sums probabilities (differentiable); hard mode binarizes at
-    0.5 and counts indicators (evaluation/oracle use only).
-    """
+def patch_counts(side_output, grid: PatchGrid):
+    """Per-patch [foreground, background] probability mass matrix, shape [n, 2]."""
     y = side_output if isinstance(side_output, Tensor) else Tensor(side_output)
     if y.data.ndim != 3 or y.data.shape[0] != 1:
         raise ShapeError(f"patch_counts: expected [1,H,W], got {y.data.shape}")
@@ -74,12 +74,6 @@ def patch_counts(side_output, grid: PatchGrid, mode="soft"):
     if np.any(y.data < 0) or np.any(y.data > 1):
         raise ValueError("patch_counts: values must lie in [0,1]")
     g, s = grid.g, grid.s
-    if mode == "hard":
-        binary = (y.data[0] >= 0.5).astype(y.data.dtype)
-        fg = binary.reshape(g, s, g, s).sum(axis=(1, 3)).reshape(grid.n, 1)
-        return T.concat([Tensor(fg), Tensor(s * s - fg)], axis=1)
-    if mode != "soft":
-        raise ValueError(f"unknown count mode {mode!r}")
     fg = T.tsum(y.reshape((g, s, g, s)), axis=3)
     fg = T.tsum(fg, axis=1).reshape((grid.n, 1))
     bg = float(s * s) - fg
@@ -102,14 +96,14 @@ def prob_vector(counts, tau):
     return T.softmax(z.reshape((z.data.shape[0] * 2,)), tau=tau)
 
 
-def kl_div(p_first, p_second, eps=1e-7):
+def kl_div(p_first, p_second):
     """KL(p_first || p_second); gradient flows into p_first only."""
     p = p_first if isinstance(p_first, Tensor) else Tensor(p_first)
     q = p_second if isinstance(p_second, Tensor) else Tensor(p_second)
     if p.data.shape != q.data.shape:
         raise ShapeError(f"kl_div: lengths differ, {p.data.shape} vs {q.data.shape}")
     q = q.detach()
-    log_ratio = T.log(T.clamp(p, eps, 1.0)) - T.log(T.clamp(q, eps, 1.0))
+    log_ratio = T.log(T.clamp(p, _EPS, 1.0)) - T.log(T.clamp(q, _EPS, 1.0))
     return T.tsum(p * log_ratio)
 
 
@@ -126,7 +120,7 @@ def ddl(student_sides, teacher_sides, cfg: DistillConfig):
         ps = prob_vector(patch_counts(ys, grid), cfg.tau)
         yt = yt.detach() if isinstance(yt, Tensor) else Tensor(yt)
         pt = prob_vector(patch_counts(yt, grid), cfg.tau)
-        term = kl_div(ps, pt, cfg.eps)
+        term = kl_div(ps, pt)
         total = term if total is None else total + term
     return total
 
@@ -151,24 +145,24 @@ def soften_label(teacher_pred, ground_truth, alpha):
     return alpha * yt + (1.0 - alpha) * y
 
 
-def psdl(student_pred, soft_label, eps=1e-7):
+def psdl(student_pred, soft_label):
     """Pixel-mean cross entropy of the student prediction against a soft label."""
     p = student_pred if isinstance(student_pred, Tensor) else Tensor(student_pred)
     target = soft_label.detach() if isinstance(soft_label, Tensor) else Tensor(soft_label)
     if p.data.shape != target.data.shape:
         raise ShapeError(f"psdl: shapes differ, {p.data.shape} vs {target.data.shape}")
-    p = T.clamp(p, eps, 1.0 - eps)
+    p = T.clamp(p, _EPS, 1.0 - _EPS)
     return -T.tmean(target * T.log(p) + (1.0 - target) * T.log(1.0 - p))
 
 
-def dice_loss(pred, ground_truth, eps=1e-7):
+def dice_loss(pred, ground_truth):
     """Soft dice complement: 1 - (2*overlap + eps) / (mass(pred) + mass(gt) + eps)."""
     p = pred if isinstance(pred, Tensor) else Tensor(pred)
     y = ground_truth if isinstance(ground_truth, Tensor) else Tensor(ground_truth)
     if p.data.shape != y.data.shape:
         raise ShapeError(f"dice_loss: shapes differ, {p.data.shape} vs {y.data.shape}")
     overlap = T.tsum(p * y)
-    return 1.0 - (2.0 * overlap + eps) / (T.tsum(p) + T.tsum(y) + eps)
+    return 1.0 - (2.0 * overlap + _EPS) / (T.tsum(p) + T.tsum(y) + _EPS)
 
 
 def loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
@@ -184,7 +178,7 @@ def loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
     if t >= 2 and not (teacher_pred is not None and teacher_sides is not None):
         raise ValueError(f"epoch {t} requires a teacher prediction and side outputs")
 
-    dice = dice_loss(student_pred, ground_truth, cfg.eps)
+    dice = dice_loss(student_pred, ground_truth)
     if t == 1:
         zero = Tensor(np.zeros((), dtype=dice.data.dtype))
         return {"ddl": zero, "psdl": zero, "dice": dice}
@@ -193,7 +187,7 @@ def loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
     soft = soften_label(teacher_pred, ground_truth, alpha)
     return {
         "ddl": ddl(student_sides, teacher_sides, cfg),
-        "psdl": psdl(student_pred, soft, cfg.eps),
+        "psdl": psdl(student_pred, soft),
         "dice": dice,
     }
 

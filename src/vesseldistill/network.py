@@ -285,16 +285,16 @@ def load_checkpoint(path, extras=True):
     """Read a checkpoint written by save_checkpoint.
 
     extras=False decodes only the "meta" and "params" members, which is
-    all inference needs, and leaves Checkpoint.extras empty. A file in
-    the older layout, one "param:<name>" member per parameter, is read too.
+    all inference needs, and leaves Checkpoint.extras empty. A file
+    without a flat "params" array raises ValueError.
     """
     with np.load(path) as z:
+        if "params" not in z.files:
+            raise ValueError(f"{os.fspath(path)}: no flat params array, "
+                             "so not a checkpoint save_checkpoint wrote")
         meta = json.loads(bytes(z["meta"]).decode())
         config = NetworkConfig(**meta["config"])
-        if "params" in z.files:
-            params = _split_params(path, z["params"], config, meta["param_order"])
-        else:
-            params = {k[len("param:"):]: z[k] for k in z.files if k.startswith("param:")}
+        params = _split_params(path, z["params"], config, meta["param_order"])
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
     return Checkpoint(config, params, meta["epoch"], meta["dtype"], stored)

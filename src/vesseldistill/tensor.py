@@ -122,11 +122,9 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_node")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
+    def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype)
-        elif arr.dtype.kind != "f":
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -151,11 +149,6 @@ class Tensor:
                 return
             self._node = _Node(self.data.shape, self.data.dtype)
         self._node.grad = value
-
-    @property
-    def _prev(self):
-        """The nodes of the tracked operands this tensor was computed from."""
-        return () if self._node is None else self._node.prev
 
     @property
     def _backward(self):
@@ -189,7 +182,7 @@ class Tensor:
             raise GraphError(
                 f"backward requires a scalar loss, got shape {self.data.shape}"
             )
-        if not self._prev:
+        if self._node is None or not self._node.prev:
             raise GraphError("backward called on a tensor with no recorded forward pass")
 
         root = self._node

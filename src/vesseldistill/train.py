@@ -11,7 +11,8 @@ Each process runs forward, loss and backward one sample at a time, its
 terms scaled by 1/len(batch). This process sums the samples' term values
 and gradients in sample order, in the net's dtype, then steps the
 optimizer, so the numbers are bitwise the same for any process count.
-While there are several processes, each runs OpenBLAS on one thread.
+Each process runs OpenBLAS on one thread while training, however many
+there are: a float32 GEMV's bits depend on each BLAS thread's share of it.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ class _Workers:
     def __init__(self, size, net, samples, cfg):
         self.size = size
         self.conns, self.procs = [], []
-        # one BLAS thread per process while they share the CPUs; the
-        # workers inherit the setting, this process gets its own back on close
-        self.blas = _openblas_threads() if size > 1 else None
+        # one BLAS thread per process, for any process count (see the module
+        # docstring); the workers inherit it, this process gets its own back on close
+        self.blas = _openblas_threads()
         if self.blas is not None:
             self.blas_threads = self.blas[0]()
             self.blas[1](1)
@@ -336,17 +337,21 @@ def _flat_config(d, prefix=""):
     return flat
 
 
-def _check_resume_config(ckpt, cfg):
-    """Refuse a resume whose config differs from the checkpointed run's, out_dir aside."""
-    if "train_config" not in ckpt.extras:
-        raise ValueError("cannot resume: the checkpoint stores no train_config to check against")
+def _check_resumable(path, ckpt, cfg):
+    """Refuse a resume from a file _save did not write, or whose config
+    differs from the checkpointed run's, out_dir aside."""
+    missing = [k for k in ("t", "m", "v", "best_dsc", "logs", "train_config")
+               if k not in ckpt.extras]
+    if missing:
+        raise ValueError(f"cannot resume from {os.fspath(path)}: "
+                         f"it stores no {', '.join(missing)}")
     stored = _flat_config(json.loads(bytes(ckpt.extras["train_config"]).decode()))
     current = _flat_config(cfg.to_dict())
     differing = sorted(k for k in stored.keys() | current.keys()
                        if k != "out_dir" and stored.get(k) != current.get(k))
     if differing:
-        raise ValueError(
-            f"cannot resume: config differs from the checkpointed run in {', '.join(differing)}")
+        raise ValueError(f"cannot resume from {os.fspath(path)}: config differs from "
+                         f"the checkpointed run in {', '.join(differing)}")
 
 
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
@@ -357,7 +362,8 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     resume_from: path to a checkpoint written by this function; training
     continues from the next epoch with the optimizer state restored,
     reproducing the uninterrupted run exactly. The config must match the
-    checkpointed run's in every field but out_dir, or ValueError is raised.
+    checkpointed run's in every field but out_dir, and the file must hold
+    the flat optimizer moments, or ValueError naming the file is raised.
 
     A non-finite ddl, psdl or dice term raises FloatingPointError naming
     the epoch, the batch and the term, before that batch's optimizer step
@@ -389,7 +395,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                     weight_decay=cfg.weight_decay)
     else:
         ckpt = load_checkpoint(resume_from)
-        _check_resume_config(ckpt, cfg)
+        _check_resumable(resume_from, ckpt, cfg)
         net = ckpt.to_network(trainable=True)
         opt = AdamW(net.parameters(), lr=cfg.learning_rate,
                     weight_decay=cfg.weight_decay)
@@ -504,11 +510,10 @@ def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
     return rows
 
 
-def write_metrics_csv(rows, path, key=None):
+def write_metrics_csv(rows, path):
     if not rows:
         raise ValueError("no metric rows to write")
-    fields = list(rows[0].keys()) if key is None else key
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=fields)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

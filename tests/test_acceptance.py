@@ -54,7 +54,7 @@ def _ddl_oracle(student_sides, teacher_sides, cfg):
             z = sum(exps)
             vectors.append([e / z for e in exps])
         for a, b in zip(*vectors):
-            total += a * math.log(max(a, cfg.eps) / max(b, cfg.eps))
+            total += a * math.log(max(a, 1e-7) / max(b, 1e-7))
     return total
 
 
@@ -99,7 +99,7 @@ def test_criterion_3_self_distillation_fixed_point(acceptance_record):
         soft = distill.soften_label(pred.detach(), Tensor(np.zeros_like(pred.data)), 1.0)
         p = pred.data
         entropy = float(-(p * np.log(p) + (1 - p) * np.log(1 - p)).mean())
-        worst_psdl = max(worst_psdl, abs(psdl(pred, soft, cfg.eps).item() - entropy))
+        worst_psdl = max(worst_psdl, abs(psdl(pred, soft).item() - entropy))
     ok = worst_ddl <= 1e-9 and worst_psdl < 1e-9
     check(acceptance_record, 3, "self-distillation fixed point", ok,
           f"worst ddl {worst_ddl:.2e}, worst entropy |diff| {worst_psdl:.2e}")

@@ -93,6 +93,26 @@ class TestTrain:
         assert "dtype must be float32 or float64, got 'int32'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ("distill.grid_g=0", "grid_g must be >= 1, got 0"),
+        ("distill.tau=NaN", "tau must be positive, got nan"),
+    ])
+    def test_bad_patch_grid_or_temperature_trains_nothing(self, data_dir, tmp_path, capsys,
+                                                          override, message):
+        out = tmp_path / "bad"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}",
+                     *TINY, override]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_setting_the_removed_epsilon_is_usage_error(self, data_dir, tmp_path):
+        cfg_file = tmp_path / "eps.json"
+        out = tmp_path / "eps"
+        cfg_file.write_text(json.dumps({"distill": {"grid_g": 4, "eps": 1e-7},
+                                        "out_dir": str(out)}))
+        assert main(["train", "--data", str(data_dir), "--config", str(cfg_file)]) == 1
+        assert not out.exists()
+
     def test_missing_data_dir_is_usage_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"), *TINY]) == 1
 

@@ -47,7 +47,7 @@ def ddl_oracle(student_sides, teacher_sides, cfg):
         ps = prob_oracle(counts_oracle(ys[0], cfg.grid_g, False), cfg.tau, s)
         pt = prob_oracle(counts_oracle(yt[0], cfg.grid_g, False), cfg.tau, s)
         for a, b in zip(ps, pt):
-            total += a * math.log(max(a, cfg.eps) / max(b, cfg.eps))
+            total += a * math.log(max(a, 1e-7) / max(b, 1e-7))
     return total
 
 
@@ -62,22 +62,14 @@ class TestPatchCounts:
         np.testing.assert_allclose(z.data, [[2.0, 2.0]] * 4)
 
     def test_soft_constant_half(self):
-        z = patch_counts(Tensor(np.full((1, 4, 4), 0.5)), PatchGrid(g=2, s=2), "soft")
+        z = patch_counts(Tensor(np.full((1, 4, 4), 0.5)), PatchGrid(g=2, s=2))
         np.testing.assert_allclose(z.data, [[2.0, 2.0]] * 4)
-
-    def test_hard_matches_nested_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        plane = (rng.uniform(size=(16, 16)) < 0.4).astype(float)
-        z = patch_counts(Tensor(plane[None]), PatchGrid(g=4, s=4), "hard")
-        np.testing.assert_array_equal(z.data, counts_oracle(plane, 4, hard=True))
 
     def test_soft_equals_hard_on_binary_maps(self):
         rng = np.random.default_rng(1)
         plane = (rng.uniform(size=(8, 8)) < 0.3).astype(float)
-        grid = PatchGrid(g=2, s=4)
-        soft = patch_counts(Tensor(plane[None]), grid, "soft")
-        hard = patch_counts(Tensor(plane[None]), grid, "hard")
-        np.testing.assert_allclose(soft.data, hard.data)
+        soft = patch_counts(Tensor(plane[None]), PatchGrid(g=2, s=4))
+        np.testing.assert_allclose(soft.data, counts_oracle(plane, 2, hard=True))
 
     def test_rows_sum_to_patch_area(self):
         rng = np.random.default_rng(2)
@@ -91,11 +83,6 @@ class TestPatchCounts:
     def test_out_of_range_values_raise(self):
         with pytest.raises(ValueError):
             patch_counts(Tensor(np.full((1, 4, 4), 1.5)), PatchGrid(g=2, s=2))
-
-    def test_hard_counts_carry_no_gradient(self):
-        p = Tensor(np.random.default_rng(3).uniform(size=(1, 4, 4)), requires_grad=True)
-        z = patch_counts(p, PatchGrid(g=2, s=2), "hard")
-        assert not z.requires_grad
 
 
 class TestProbVector:
@@ -175,7 +162,7 @@ class TestDDL:
         grid = PatchGrid(g=2, s=2)
         expected = kl_div(
             prob_vector(patch_counts(ys, grid), cfg.tau),
-            prob_vector(patch_counts(yt, grid), cfg.tau), cfg.eps).item()
+            prob_vector(patch_counts(yt, grid), cfg.tau)).item()
         assert abs(ddl([ys], [yt], cfg).item() - expected) < 1e-12
 
     def test_matches_scalar_oracle_100_cases(self):
@@ -221,6 +208,18 @@ class TestAlphaSchedule:
             alpha_at(0, 10, 0.5)
         with pytest.raises(ValueError):
             alpha_at(11, 10, 0.5)
+
+
+class TestDistillConfig:
+    @pytest.mark.parametrize("grid_g", [0, -4])
+    def test_rejects_a_grid_below_one(self, grid_g):
+        with pytest.raises(ValueError, match=f"grid_g must be >= 1, got {grid_g}"):
+            DistillConfig(grid_g=grid_g)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_rejects_a_non_positive_or_nan_tau(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
+            DistillConfig(tau=tau)
 
 
 class TestSoftenLabel:
@@ -316,7 +315,7 @@ class TestTotalLoss:
         sides = student.side_outputs(feats)
         cfg = DistillConfig(grid_g=2)
         total = total_loss(pred, sides, None, None, y, cfg, t=1, total_epochs=10)
-        assert abs(total.item() - dice_loss(pred, y, cfg.eps).item()) < 1e-12
+        assert abs(total.item() - dice_loss(pred, y).item()) < 1e-12
 
     def test_identical_teacher_small_alpha(self):
         student, _, x, y = toy_setup(3)
@@ -330,7 +329,7 @@ class TestTotalLoss:
                            total_epochs=100)
         alpha = alpha_at(2, 100, 0.01)
         soft = soften_label(t_pred.detach(), y, alpha)
-        expected = psdl(pred, soft, cfg.eps).item() + dice_loss(pred, y, cfg.eps).item()
+        expected = psdl(pred, soft).item() + dice_loss(pred, y).item()
         assert abs(total.item() - expected) < 1e-9
 
     def test_matches_term_by_term_oracle(self):
@@ -346,10 +345,10 @@ class TestTotalLoss:
         want = ddl_oracle([s.data for s in sides], [s.data for s in t_sides], cfg)
         alpha = 0.5 * 2 / 4
         soft = alpha * t_pred.data + (1 - alpha) * y.data
-        p = np.clip(pred.data, cfg.eps, 1 - cfg.eps)
+        p = np.clip(pred.data, 1e-7, 1 - 1e-7)
         want += float(-(soft * np.log(p) + (1 - soft) * np.log(1 - p)).mean())
-        num = 2 * float((pred.data * y.data).sum()) + cfg.eps
-        den = float(pred.data.sum() + y.data.sum()) + cfg.eps
+        num = 2 * float((pred.data * y.data).sum()) + 1e-7
+        den = float(pred.data.sum() + y.data.sum()) + 1e-7
         want += 1 - num / den
         assert abs(total.item() - want) < 1e-9
 

@@ -91,16 +91,19 @@ class TestAdamW:
         np.testing.assert_array_equal(state["m"], np.concatenate([m.ravel() for m in opt.m]))
         np.testing.assert_array_equal(state["v"], np.concatenate([v.ravel() for v in opt.v]))
 
+        opt2 = AdamW([param(p.data) for p in params], lr=0.01)
+        opt2.load_state_arrays(state)
+        assert opt2.t == 2
+        for a, b in zip(opt2.m + opt2.v, opt.m + opt.v):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+        # the older per-parameter layout is not read
         per_parameter = {"t": state["t"]}
         for i in range(len(params)):
             per_parameter[f"m{i}"] = opt.m[i]
             per_parameter[f"v{i}"] = opt.v[i]
-        for loaded in (state, per_parameter):
-            opt2 = AdamW([param(p.data) for p in params], lr=0.01)
-            opt2.load_state_arrays(loaded)
-            assert opt2.t == 2
-            for a, b in zip(opt2.m + opt2.v, opt.m + opt.v):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        with pytest.raises(KeyError, match="'m'"):
+            AdamW([param(p.data) for p in params]).load_state_arrays(per_parameter)
 
         state["v"] = state["v"][:-1]
         with pytest.raises(ValueError, match="'v' holds 10 values.*need 11"):

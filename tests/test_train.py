@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import gc
 import importlib
+import json
 import multiprocessing
 import os
+import re
 import signal
 import tracemalloc
 
@@ -183,32 +185,23 @@ class TestResume:
         for name in w_full:
             np.testing.assert_array_equal(w_full[name].data, w_res[name].data)
 
-    def test_resume_from_the_older_checkpoint_layout(self, tiny_dataset, tmp_path):
+    def test_resume_refuses_the_older_checkpoint_layout(self, tiny_dataset, tmp_path):
         """A file with one param:<name> member per parameter, and no flat
-        params array, loads bitwise and resumes the uninterrupted run."""
-        full_cfg = tiny_cfg(tmp_path / "full", epochs=3)
-        full = train(full_cfg, tiny_dataset, keep_epoch_checkpoints=True)
-        new_path = tmp_path / "full" / "epoch_002.npz"
-        new = load_checkpoint(new_path)
+        params array, is refused by name, for inference and for a resume."""
+        cfg = tiny_cfg(tmp_path / "full", epochs=1)
+        new_path = train(cfg, tiny_dataset).final_path
         old_path = tmp_path / "old.npz"
         with np.load(new_path) as z:
             payload = {k: z[k] for k in z.files if k != "params"}
-        np.savez(old_path, **payload, **{f"param:{k}": v for k, v in new.params.items()})
+        params = load_checkpoint(new_path).params
+        np.savez(old_path, **payload, **{f"param:{k}": v for k, v in params.items()})
 
+        refusal = f"{re.escape(str(old_path))}: no flat params array"
         for extras in (True, False):
-            old = load_checkpoint(old_path, extras=extras)
-            assert old.params.keys() == new.params.keys()
-            for name, arr in new.params.items():
-                assert old.params[name].dtype == arr.dtype
-                assert old.params[name].tobytes() == arr.tobytes()
-
-        resumed = train(dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed")),
-                        tiny_dataset, resume_from=old_path)
-        assert [log.row() for log in resumed.logs] == [log.row() for log in full.logs]
-        w_full = load_checkpoint(full.final_path).params
-        w_res = load_checkpoint(resumed.final_path).params
-        for name in w_full:
-            assert w_full[name].tobytes() == w_res[name].tobytes()
+            with pytest.raises(ValueError, match=refusal):
+                load_checkpoint(old_path, extras=extras)
+        with pytest.raises(ValueError, match=refusal):
+            train(cfg, tiny_dataset, resume_from=old_path)
 
     def test_training_checkpoint_has_eight_members(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "members", epochs=1), tiny_dataset)
@@ -217,13 +210,11 @@ class TestResume:
                 "meta", "params", "extra:t", "extra:m", "extra:v",
                 "extra:best_dsc", "extra:logs", "extra:train_config"])
 
-    def test_resume_from_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
+    def test_resume_refuses_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
         """A file holding one extra:m<i> and extra:v<i> member per parameter,
-        as checkpoints did before the moments were packed, resumes the
-        uninterrupted run bitwise."""
-        full_cfg = tiny_cfg(tmp_path / "full", epochs=3)
-        full = train(full_cfg, tiny_dataset, keep_epoch_checkpoints=True)
-        new_path = tmp_path / "full" / "epoch_002.npz"
+        as checkpoints did before the moments were packed, is refused by name."""
+        cfg = tiny_cfg(tmp_path / "full", epochs=1)
+        new_path = train(cfg, tiny_dataset).final_path
         shapes = [a.shape for a in load_checkpoint(new_path).params.values()]
         old_path = tmp_path / "old.npz"
         with np.load(new_path) as z:
@@ -234,13 +225,29 @@ class TestResume:
                     payload[f"extra:{kind}{i}"] = a.reshape(shape)
         np.savez(old_path, **payload)
 
-        resumed = train(dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed")),
-                        tiny_dataset, resume_from=old_path)
-        assert [log.row() for log in resumed.logs] == [log.row() for log in full.logs]
-        w_full = load_checkpoint(full.final_path).params
-        w_res = load_checkpoint(resumed.final_path).params
-        for name in w_full:
-            assert w_full[name].tobytes() == w_res[name].tobytes()
+        started = []
+        refusal = f"cannot resume from {re.escape(str(old_path))}: it stores no m, v$"
+        with pytest.raises(ValueError, match=refusal):
+            train(cfg, tiny_dataset, resume_from=old_path,
+                  epoch_start_hook=lambda t, teacher: started.append(t))
+        assert not started
+
+    def test_resume_refuses_a_config_with_the_removed_epsilon(self, tiny_dataset, tmp_path):
+        """Checkpoints written while DistillConfig had an eps field still
+        load, but resuming one is refused, naming the field."""
+        cfg = tiny_cfg(tmp_path / "full", epochs=2)
+        new_path = train(dataclasses.replace(cfg, epochs=1), tiny_dataset).final_path
+        stored = cfg.to_dict()
+        stored["distill"]["eps"] = 1e-7
+        old_path = tmp_path / "old.npz"
+        with np.load(new_path) as z:
+            payload = {k: z[k] for k in z.files}
+        payload["extra:train_config"] = np.frombuffer(json.dumps(stored).encode(), np.uint8)
+        np.savez(old_path, **payload)
+
+        assert load_checkpoint(old_path, extras=False).epoch == 1
+        with pytest.raises(ValueError, match=r"checkpointed run in distill\.eps$"):
+            train(cfg, tiny_dataset, resume_from=old_path)
 
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
@@ -487,6 +494,24 @@ class TestWorkers:
         before = blas[0]()
         self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=1)
         assert blas[0]() == before
+
+    def test_one_process_trains_on_one_blas_thread(self, tmp_path, monkeypatch):
+        """At 344x344 a float32 one-channel head's GEMV is long enough for
+        OpenBLAS to split it across threads and switch kernel, so a single
+        process that kept the default thread count would end with other
+        weights than two processes on one thread each."""
+        samples = generate_synthetic(seed=3, count=2, size=344)
+        dataset = train_module.DatasetSplit(train=samples, val=[], test=[], ratios=(1, 0, 0))
+        cfg = TrainConfig(epochs=2, batch_size=2, network=NetworkConfig(
+            depth=3, base_channels=8, height=344, width=344), seed=0)
+        weights = []
+        for processes in (1, 2):
+            monkeypatch.setattr(train_module, "_process_count", lambda batch_size: processes)
+            out = str(tmp_path / str(processes))
+            result = train(dataclasses.replace(cfg, out_dir=out), dataset)
+            weights.append(load_checkpoint(result.final_path).params)
+        for name in weights[0]:
+            np.testing.assert_array_equal(weights[0][name], weights[1][name], err_msg=name)
 
     @pytest.mark.parametrize("position", [0, 2])  # the main process's share, a worker's
     def test_a_failing_sample_raises_its_exception(self, tiny_dataset, tmp_path, monkeypatch,
