@@ -13,7 +13,8 @@ Three terms make up the training objective:
   epochs;
 * a soft dice loss against the ground truth.
 
-At epoch 1 there is no teacher yet and the objective is dice only.
+Without a teacher (epoch 1, which has none yet, and the dice-only
+control) the objective is dice alone.
 """
 
 from __future__ import annotations
@@ -169,17 +170,15 @@ def loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
                ground_truth, cfg: DistillConfig, t, total_epochs):
     """The three objective terms for epoch t as a dict of scalar tensors.
 
-    Epoch 1 has no teacher: distribution and pixel-wise terms are zero
-    and the objective is dice alone.
+    The teacher's presence is the only switch. Without one the distribution
+    and pixel-wise terms are zero and the objective is dice alone; with one
+    the soft label blends in the teacher at weight alpha_at(t, total_epochs).
     """
-    has_teacher = teacher_pred is not None or teacher_sides is not None
-    if t == 1 and has_teacher:
-        raise ValueError("epoch 1 takes no teacher (dice-only branch)")
-    if t >= 2 and not (teacher_pred is not None and teacher_sides is not None):
-        raise ValueError(f"epoch {t} requires a teacher prediction and side outputs")
+    if (teacher_pred is None) != (teacher_sides is None):
+        raise ValueError("pass both the teacher prediction and side outputs, or neither")
 
     dice = dice_loss(student_pred, ground_truth)
-    if t == 1:
+    if teacher_pred is None:
         zero = Tensor(np.zeros((), dtype=dice.data.dtype))
         return {"ddl": zero, "psdl": zero, "dice": dice}
 

@@ -5,14 +5,16 @@ weights are frozen as the teacher for all batches of the next epoch, so
 from epoch 2 on each batch runs a gradient-free teacher forward and the
 full three-term objective with a linearly ramped soft-label weight.
 
-Training splits every batch across min(CPUs, batch size) processes: this
-one and workers forked when training starts (one process without fork).
-Each process runs forward, loss and backward one sample at a time, its
-terms scaled by 1/len(batch). This process sums the samples' term values
-and gradients in sample order, in the net's dtype, then steps the
-optimizer, so the numbers are bitwise the same for any process count.
-Each process runs OpenBLAS on one thread while training, however many
-there are: a float32 GEMV's bits depend on each BLAS thread's share of it.
+Training splits every batch across min(CPUs, batch size) processes: this one
+and workers forked when training starts (one process without fork). This
+process orders and splits the batches. A worker keeps no state between
+batches: a request carries student weights, teacher weights or None, sample
+indices, epoch and loss scale 1/len(batch). Each process runs forward, loss
+and backward one sample at a time. This process sums the samples' term
+values and gradients in sample order, in the net's dtype, then steps the
+optimizer, so the numbers are bitwise the same for any process count. Each
+process runs OpenBLAS on one thread while training, however many there are:
+a float32 GEMV's bits depend on each BLAS thread's share of it.
 """
 
 from __future__ import annotations
@@ -188,12 +190,6 @@ def _process_count(batch_size):
     return min(cpus, batch_size)
 
 
-def _share_steps(net, teacher_net, batch, cfg, t, rank, size):
-    """Step results for process `rank`'s contiguous share of a batch split `size` ways."""
-    lo, hi = (math.ceil(len(batch) * r / size) for r in (rank, rank + 1))
-    return [_sample_step(net, teacher_net, s, cfg, t, 1.0 / len(batch)) for s in batch[lo:hi]]
-
-
 def _openblas_threads():
     """The loaded OpenBLAS's thread-count (getter, setter), or None if none is found."""
     try:
@@ -216,42 +212,38 @@ def _openblas_threads():
     return None
 
 
-def _worker(conn, inherited, net, samples, cfg, rank, size):
-    """Compute this worker's share of each batch the main process announces.
+def _answer(request, samples, cfg):
+    """A request's step results, or the exception that stopped them and its traceback."""
+    student, teacher, indices, t, scale = request
+    try:
+        net = SegNetwork.from_arrays(cfg.network, student, dtype=cfg.dtype)
+        if teacher is not None:
+            teacher = SegNetwork.from_arrays(cfg.network, teacher, dtype=cfg.dtype,
+                                             trainable=False)
+        return "ok", [_sample_step(net, teacher, samples[i], cfg, t, scale) for i in indices]
+    except Exception as exc:
+        return "error", (exc, traceback.format_exc())
 
-    It reads the batch order from `batches`, as the main process does,
-    and answers every batch with its samples' step results or the
-    exception one of them raised, with its traceback.
-    """
+
+def _worker(conn, inherited, samples, cfg):
+    """Answer step requests until the main process sends None or is gone.
+
+    A request is (student arrays, teacher arrays or None, sample indices, t,
+    scale); its nets go with the reply, so no state outlives a request."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops us
     for c in inherited:
         c.close()  # so this worker sees EOF when the main process is gone
-    teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=net.dtype,
-                                     trainable=False)
     try:
-        while (msg := conn.recv()) is not None:
-            if msg[0] == "epoch":
-                _, epoch, t, teacher_arrays = msg
-                order = batches(samples, cfg.batch_size, cfg.seed, epoch)
-                if teacher_arrays is not None:
-                    teacher.load_state_arrays(teacher_arrays)
-                step_teacher = None if teacher_arrays is None else teacher
-                continue
-            net.load_state_arrays(msg[1])
-            batch = next(order)
-            try:
-                reply = ("ok", _share_steps(net, step_teacher, batch, cfg, t, rank, size))
-            except Exception as exc:
-                reply = ("error", (exc, traceback.format_exc()))
-            conn.send(reply)
+        while (request := conn.recv()) is not None:
+            conn.send(_answer(request, samples, cfg))
     except (EOFError, OSError):
         pass  # the main process is gone; there is no one left to answer
 
 
 class _Workers:
-    """Forked processes computing ranks 1..size-1 of each batch; rank 0 is this one."""
+    """Forked processes answering requests for shares 1..size-1; share 0 is this one's."""
 
-    def __init__(self, size, net, samples, cfg):
+    def __init__(self, size, samples, cfg):
         self.size = size
         self.conns, self.procs = [], []
         # one BLAS thread per process, for any process count (see the module
@@ -262,10 +254,10 @@ class _Workers:
             self.blas[1](1)
         try:
             ctx = multiprocessing.get_context("fork") if size > 1 else None
-            for rank in range(1, size):
+            for _ in range(size - 1):
                 ours, theirs = ctx.Pipe()
                 proc = ctx.Process(target=_worker, daemon=True, args=(
-                    theirs, self.conns + [ours], net, samples, cfg, rank, size))
+                    theirs, self.conns + [ours], samples, cfg))
                 proc.start()
                 theirs.close()
                 self.conns.append(ours)
@@ -280,15 +272,20 @@ class _Workers:
     def __exit__(self, *exc_info):
         self.close()
 
-    def send(self, *msg):
+    def send(self, net, teacher, shares, t, scale):
+        """Ask each worker for the step results of its share of sample indices."""
+        # uncopied: each send pickles them at once
+        student = {k: p.data for k, p in net.named_parameters().items()}
+        if teacher is not None:
+            teacher = {k: p.data for k, p in teacher.named_parameters().items()}
         try:
-            for conn in self.conns:
-                conn.send(msg)
+            for conn, share in zip(self.conns, shares):
+                conn.send((student, teacher, share, t, scale))
         except OSError as exc:
             raise RuntimeError("a training worker exited unexpectedly") from exc
 
     def gather(self):
-        """The workers' step results for the current batch, in rank order."""
+        """The workers' step results for the current batch, in share order."""
         results = []
         for conn in self.conns:
             try:
@@ -370,11 +367,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     and before the epoch writes any checkpoint.
 
     epoch_start_hook(t, teacher_net) runs before epoch t and
-    epoch_end_hook(t, net, teacher_net, log) after it. teacher_net is the
-    frozen teacher for epoch t (for t + 1 in the end hook), or None at the
-    start of epoch 1. It is one object for the whole run, refilled in place
-    at the end of every epoch, so a hook that keeps one epoch's teacher
-    keeps a copy of teacher_net.state_arrays(), not teacher_net itself.
+    epoch_end_hook(t, net, teacher_net, log) after it. teacher_net holds the
+    previous epoch's frozen weights (epoch t's in the end hook; unused when
+    dice_only), or None at the start of epoch 1. It is one object for the
+    whole run, refilled in place at the end of every epoch, so a hook that
+    keeps one epoch's teacher keeps a copy of teacher_net.state_arrays(),
+    not teacher_net itself.
 
     Batches are split across min(CPUs, batch size) processes (see the
     module docstring); hooks, checkpoints and evaluation run in this one.
@@ -405,30 +403,29 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             logs.append(EpochLog(int(row[0]), *row[1:]))
         start_epoch = ckpt.epoch + 1
     # the one frozen teacher, refilled from net at the end of every epoch; on
-    # resume its first weights are exactly the checkpointed ones
+    # resume (never at epoch 1) its first weights are exactly the checkpointed ones
     teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=dtype,
                                      trainable=False)
-    teacher_net = None if resume_from is None else teacher
 
     best_path = out_dir / "best.npz"
     final_path = out_dir / "last.npz"
 
-    with _Workers(_process_count(cfg.batch_size), net, dataset.train, cfg) as workers:
+    with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
         for t in range(start_epoch, cfg.epochs + 1):
             if epoch_start_hook is not None:
-                epoch_start_hook(t, teacher_net)
+                epoch_start_hook(t, None if t == 1 else teacher)
             lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
-            use_teacher = teacher_net is not None and not cfg.dice_only and t >= 2
-            step_teacher = teacher_net if use_teacher else None
-            loss_t = t if use_teacher else 1
-            workers.send("epoch", t, loss_t,
-                         step_teacher.state_arrays() if use_teacher else None)
+            # the one fact that decides whether this epoch's steps distill
+            step_teacher = None if t == 1 or cfg.dice_only else teacher
             term_sums = dict.fromkeys(_TERMS, 0.0)
             n_batches = 0
-            for batch in batches(dataset.train, cfg.batch_size, cfg.seed, t):
-                workers.send("batch", net.state_arrays())
-                ours = _share_steps(net, step_teacher, batch, cfg, loss_t, 0, workers.size)
-                values, grads = _sum_in_order(ours + workers.gather())
+            for batch in batches(range(len(dataset.train)), cfg.batch_size, cfg.seed, t):
+                ours, *theirs = np.array_split(batch, workers.size)
+                scale = 1.0 / len(batch)
+                workers.send(net, step_teacher, theirs, t, scale)
+                results = [_sample_step(net, step_teacher, dataset.train[i], cfg, t, scale)
+                           for i in ours]
+                values, grads = _sum_in_order(results + workers.gather())
                 for k, v in zip(_TERMS, values):
                     if not math.isfinite(v):
                         raise FloatingPointError(
@@ -441,7 +438,8 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                 n_batches += 1
 
             val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
-            alpha = distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T) if t >= 2 else 0.0
+            alpha = (0.0 if step_teacher is None
+                     else distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T))
             means = {k: v / n_batches for k, v in term_sums.items()}
             log = EpochLog(
                 epoch=t,
@@ -454,16 +452,16 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             logs.append(log)
 
             teacher.load_state_arrays(net.state_arrays())
-            teacher_net = teacher
             _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
             if keep_epoch_checkpoints:
                 _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,
                       max(best_dsc, val.dsc), logs, cfg)
-            if val.dsc > best_dsc:
+            # without validation samples every val.dsc is 0: the best is the last
+            if val.dsc > best_dsc or not dataset.val:
                 best_dsc = val.dsc
                 _save(best_path, net, opt, t, best_dsc, logs, cfg)
             if epoch_end_hook is not None:
-                epoch_end_hook(t, net, teacher_net, log)
+                epoch_end_hook(t, net, teacher, log)
 
     if not best_path.exists():
         _save(best_path, net, opt, cfg.epochs, best_dsc, logs, cfg)

@@ -6,8 +6,8 @@ import pytest
 from vesseldistill import distill
 from vesseldistill.checks import toy_setup
 from vesseldistill.distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, patch_counts,
-    prob_vector, psdl, soften_label, total_loss,
+    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, loss_terms,
+    patch_counts, prob_vector, psdl, soften_label, total_loss,
 )
 from vesseldistill.tensor import ShapeError, Tensor, gradcheck
 
@@ -352,14 +352,18 @@ class TestTotalLoss:
         want += 1 - num / den
         assert abs(total.item() - want) < 1e-9
 
-    def test_teacher_presence_contract(self):
+    def test_teacher_presence_is_the_only_switch(self):
         student, teacher, x, y = toy_setup(5)
         pred, feats = student.forward(x)
         sides = student.side_outputs(feats)
         t_pred, t_feats = teacher.forward(x)
         t_sides = teacher.side_outputs(t_feats)
         cfg = DistillConfig(grid_g=2)
-        with pytest.raises(ValueError):
-            total_loss(pred, sides, t_pred, t_sides, y, cfg, t=1, total_epochs=10)
-        with pytest.raises(ValueError):
-            total_loss(pred, sides, None, None, y, cfg, t=2, total_epochs=10)
+        with pytest.raises(ValueError, match="or neither"):
+            loss_terms(pred, sides, t_pred, None, y, cfg, t=2, total_epochs=10)
+        with pytest.raises(ValueError, match="or neither"):
+            loss_terms(pred, sides, None, t_sides, y, cfg, t=2, total_epochs=10)
+        for t in (2, 10):
+            terms = loss_terms(pred, sides, None, None, y, cfg, t=t, total_epochs=10)
+            assert terms["ddl"].item() == 0.0 and terms["psdl"].item() == 0.0
+            assert terms["dice"].item() == dice_loss(pred, y).item()

@@ -6,7 +6,11 @@ import json
 import multiprocessing
 import os
 import re
+import select
 import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -128,6 +132,27 @@ class TestLoop:
                        tiny_dataset)
         for log in result.logs:
             assert log.ddl == 0.0 and log.psdl == 0.0
+
+    def test_logged_alpha_is_zero_in_every_epoch_without_a_teacher(self, tiny_dataset,
+                                                                   tmp_path):
+        full = train(tiny_cfg(tmp_path / "full", epochs=4), tiny_dataset)
+        assert [log.alpha for log in full.logs] == [0.0, 0.25, 0.375, 0.5]
+        control = train(tiny_cfg(tmp_path / "control", epochs=4, dice_only=True), tiny_dataset)
+        assert [log.alpha for log in control.logs] == [0.0] * 4
+
+    def test_best_is_the_epoch_with_the_highest_validation_dsc(self, tiny_dataset, tmp_path):
+        result = train(tiny_cfg(tmp_path / "v", epochs=4), tiny_dataset)
+        dscs = [log.val_dsc for log in result.logs]
+        assert load_checkpoint(result.best_path).epoch == 1 + dscs.index(max(dscs))
+        assert result.best_val_dsc == max(dscs)
+
+    def test_best_is_the_last_epoch_without_validation_samples(self, tiny_dataset, tmp_path):
+        no_val = dataclasses.replace(tiny_dataset, val=[])
+        result = train(tiny_cfg(tmp_path / "nv", epochs=3), no_val)
+        best, last = load_checkpoint(result.best_path), load_checkpoint(result.final_path)
+        assert best.epoch == last.epoch == 3
+        for name in last.params:
+            np.testing.assert_array_equal(best.params[name], last.params[name])
 
     def test_logged_lr_follows_schedule(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "h", epochs=4)
@@ -571,3 +596,74 @@ class TestWorkers:
         # epoch 2: the student's and the teacher's depth-2 heads, once per sample
         assert epoch2.count(2) == (0 if dice_only else 2 * n)
         assert epoch2.count(1) == (1 if dice_only else 2) * n + len(tiny_dataset.val)
+
+    def test_only_the_main_process_orders_batches(self, tiny_dataset, tmp_path, monkeypatch):
+        main_pid = os.getpid()
+        ordered = train_module.batches
+
+        def main_only(*args, **kwargs):
+            if os.getpid() != main_pid:
+                raise AssertionError("a worker ordered the batches")
+            return ordered(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "batches", main_only)
+        one = self.run(tiny_dataset, tmp_path / "one", monkeypatch, 1, epochs=2)
+        two = self.run(tiny_dataset, tmp_path / "two", monkeypatch, 2, epochs=2)
+        assert [log.row() for log in one.logs] == [log.row() for log in two.logs]
+
+    def test_workers_exit_when_the_main_process_is_killed(self, tmp_path):
+        """SIGKILL gives the main process no chance to send the workers
+        None; each must see its pipe close and exit on its own."""
+        if "fork" not in multiprocessing.get_all_start_methods() or not os.path.isdir("/proc"):
+            pytest.skip("needs fork and /proc")
+        src = os.path.dirname(os.path.dirname(train_module.__file__))
+        main = subprocess.Popen([sys.executable, "-c", KILLED_MAIN, str(tmp_path)],
+                                stdout=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        try:
+            assert select.select([main.stdout], [], [], 60)[0], "no epoch 2 within 60 s"
+            workers = [int(pid) for pid in main.stdout.readline().split()]
+        finally:
+            main.kill()  # mid-training: the run has hundreds of epochs left
+            main.wait()
+            main.stdout.close()
+        assert workers
+        deadline = time.monotonic() + 10
+        while (alive := [pid for pid in workers if running(pid)]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        for pid in alive:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert not alive
+
+
+# trains with 2 processes in a fresh interpreter and prints its workers'
+# pids at the start of epoch 2
+KILLED_MAIN = """
+import importlib, multiprocessing, sys
+from vesseldistill.data import generate_synthetic, split
+from vesseldistill.distill import DistillConfig
+from vesseldistill.network import NetworkConfig
+train_module = importlib.import_module("vesseldistill.train")
+train_module._process_count = lambda batch_size: 2
+
+def announce(t, teacher):
+    if t == 2:
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+train_module.train(train_module.TrainConfig(
+    epochs=500, network=NetworkConfig(depth=2, base_channels=4, height=32, width=32),
+    distill=DistillConfig(grid_g=4), out_dir=sys.argv[1],
+), split(generate_synthetic(seed=1, count=20, size=32), seed=0), epoch_start_hook=announce)
+"""
+
+
+def running(pid):
+    """Whether process `pid` still runs; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
