@@ -3,25 +3,25 @@
 Shows how a side output is reduced to a patch-level foreground/background
 distribution, how student and teacher distributions are compared with a
 temperature-softened KL term, how the soft-label weight ramps over epochs,
-and what each loss term contributes to the total.
+and what each loss term contributes to the total. A teacher is passed as
+its list of side outputs, whose first entry is its prediction.
 """
 
 import numpy as np
 
 from vesseldistill.checks import toy_setup
 from vesseldistill.distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, patch_counts,
-    prob_vector, psdl, soften_label, total_loss,
+    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, loss_terms, patch_counts,
+    prob_vector, psdl, soften_label,
 )
-from vesseldistill.tensor import Tensor
 
 cfg = DistillConfig(grid_g=2)
 student, teacher, x, y = toy_setup(seed=0)
 
 pred, feats = student.forward(x)
-sides = student.side_outputs(feats)
+sides = student.side_outputs(feats, pred)
 t_pred, t_feats = teacher.forward(x)
-t_sides = teacher.side_outputs(t_feats)
+t_sides = teacher.side_outputs(t_feats, t_pred)
 
 # 1. A side output becomes a 2x2 grid of [fg mass, bg mass] rows ...
 counts = patch_counts(sides[0], PatchGrid(g=2, s=4))
@@ -47,5 +47,11 @@ soft = soften_label(t_pred, y, alpha)
 print(f"\nL_PSDL at epoch 3: {psdl(pred, soft).item():.6f}")
 print(f"L_DICE:            {dice_loss(pred, y).item():.6f}")
 
-total = total_loss(pred, sides, t_pred, t_sides, y, cfg, t=3, total_epochs=10)
+# 6. loss_terms gives all three at once, from the student's and the
+#    teacher's side outputs and the epoch's alpha; the objective is their sum.
+terms = loss_terms(sides, t_sides, y, cfg, alpha)
+total = terms["ddl"] + terms["psdl"] + terms["dice"]
 print(f"L_total:           {total.item():.6f} (unweighted sum of the three)")
+dice_only = loss_terms(sides, None, y, cfg, 0.0)
+print(f"without a teacher: ddl {dice_only['ddl'].item()}, psdl {dice_only['psdl'].item()}, "
+      f"dice {dice_only['dice'].item():.6f}")

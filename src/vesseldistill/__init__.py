@@ -11,7 +11,7 @@ from .tensor import Tensor, ShapeError, GraphError, gradcheck
 from .network import NetworkConfig, SegNetwork, TeacherSnapshot, load_checkpoint, save_checkpoint
 from .distill import (
     DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, patch_counts,
-    prob_vector, psdl, soften_label, total_loss,
+    prob_vector, psdl, soften_label,
 )
 from .data import DatasetSplit, ImageSample, batches, generate_synthetic, load_pgm, save_pgm, split
 from .metrics import ConfusionCounts, MetricReport, compute_metrics, confusion, evaluate_pairs
@@ -24,7 +24,7 @@ __all__ = [
     "Tensor", "ShapeError", "GraphError", "gradcheck",
     "NetworkConfig", "SegNetwork", "TeacherSnapshot", "load_checkpoint", "save_checkpoint",
     "DistillConfig", "PatchGrid", "alpha_at", "ddl", "dice_loss", "kl_div",
-    "patch_counts", "prob_vector", "psdl", "soften_label", "total_loss",
+    "patch_counts", "prob_vector", "psdl", "soften_label",
     "DatasetSplit", "ImageSample", "batches", "generate_synthetic",
     "load_pgm", "save_pgm", "split",
     "ConfusionCounts", "MetricReport", "compute_metrics", "confusion", "evaluate_pairs",

@@ -103,9 +103,9 @@ def loss_checks(seed):
         return distill.dice_loss(pred, y)
 
     def total(*_):
-        pred, sides = student_outputs()
-        return distill.total_loss(pred, sides, t_pred, t_sides, y, dcfg, t=2,
-                                  total_epochs=4)
+        _, sides = student_outputs()
+        terms = distill.loss_terms(sides, t_sides, y, dcfg, 0.25)
+        return terms["ddl"] + terms["psdl"] + terms["dice"]
 
     return [
         ("L_DDL", ddl_loss, params),

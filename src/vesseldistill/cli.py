@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import checks
 from .data import generate_synthetic, load_pgm, load_sample_dir, save_sample_dir, split
 from .network import load_checkpoint
@@ -51,11 +49,6 @@ def _load_train_config(args):
     return TrainConfig.from_dict(config_dict)
 
 
-def _load_dataset(args, cfg):
-    samples = load_sample_dir(args.data)
-    return split(samples, seed=cfg.seed)
-
-
 def cmd_generate_data(args):
     samples = generate_synthetic(seed=args.seed, count=args.count, size=args.size)
     save_sample_dir(samples, args.out)
@@ -65,8 +58,7 @@ def cmd_generate_data(args):
 
 def cmd_train(args):
     cfg = _load_train_config(args)
-    dataset = _load_dataset(args, cfg)
-    result = train(cfg, dataset)
+    result = train(cfg, split(load_sample_dir(args.data), seed=cfg.seed))
     last = result.logs[-1]
     print(f"trained {cfg.epochs} epochs; best val DSC {result.best_val_dsc:.4f}; "
           f"final train loss {last.train_loss:.4f}")
@@ -76,11 +68,18 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    net = load_checkpoint(args.checkpoint, extras=False).to_network(trainable=False)
+    seed = args.seed
+    from_checkpoint = args.split != "all" and seed is None  # split as train did, with its seed
+    ckpt = load_checkpoint(args.checkpoint, extras=from_checkpoint)
+    if from_checkpoint:
+        if "train_config" not in ckpt.extras:
+            raise ValueError(f"{args.checkpoint} stores no training config to take the "
+                             "split seed from; pass --seed")
+        seed = json.loads(bytes(ckpt.extras["train_config"]).decode())["seed"]
+    net = ckpt.to_network(trainable=False)
     samples = load_sample_dir(args.data)
     if args.split != "all":
-        dataset = split(samples, seed=args.seed)
-        samples = getattr(dataset, args.split)
+        samples = getattr(split(samples, seed=seed), args.split)
     report = evaluate(net, samples, threshold=args.threshold, average=args.average)
     print(f"{'metric':<8}{'value':>10}")
     for name, value in report.as_dict().items():
@@ -113,9 +112,8 @@ def cmd_gradcheck(args):
 
 def cmd_sweep(args):
     cfg = _load_train_config(args)
-    dataset = _load_dataset(args, cfg)
     values = [json.loads(v) for v in args.values.split(",")]
-    rows = sweep(args.axis, values, cfg, dataset)
+    rows = sweep(args.axis, values, cfg, split(load_sample_dir(args.data), seed=cfg.seed))
     out = args.csv or str(Path(cfg.out_dir) / f"sweep_{args.axis}.csv")
     write_metrics_csv(rows, out)
     header = [args.axis, "DSC", "ACC", "SEN", "IOU"]
@@ -154,7 +152,8 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int,
+                   help="split seed (default: the seed the checkpoint was trained with)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--average", choices=["macro", "micro"], default="macro")
     p.add_argument("--csv", help="also write a machine-readable CSV")

@@ -9,12 +9,13 @@ Three terms make up the training objective:
   divergence, summed over all decoder depths;
 * a pixel-wise distillation loss: binary cross entropy between the
   student prediction and a soft label blending the teacher prediction
-  with the ground truth, with the blend weight ramped up linearly over
-  epochs;
+  with the ground truth at weight alpha, ramped up linearly over epochs;
 * a soft dice loss against the ground truth.
 
-Without a teacher (epoch 1, which has none yet, and the dice-only
-control) the objective is dice alone.
+The objective is the unweighted sum of the terms loss_terms returns. A
+prediction is its net's depth-1 side output, so a teacher is one list of
+side outputs. Without a teacher (epoch 1, which has none yet, and the
+dice-only control) the objective is dice alone.
 """
 
 from __future__ import annotations
@@ -166,34 +167,24 @@ def dice_loss(pred, ground_truth):
     return 1.0 - (2.0 * overlap + _EPS) / (T.tsum(p) + T.tsum(y) + _EPS)
 
 
-def loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
-               ground_truth, cfg: DistillConfig, t, total_epochs):
-    """The three objective terms for epoch t as a dict of scalar tensors.
+def loss_terms(sides, teacher_sides, ground_truth, cfg: DistillConfig, alpha):
+    """The three objective terms as a dict of scalar tensors.
 
-    The teacher's presence is the only switch. Without one the distribution
-    and pixel-wise terms are zero and the objective is dice alone; with one
-    the soft label blends in the teacher at weight alpha_at(t, total_epochs).
+    sides and teacher_sides are side outputs, shallowest first, so [0] is
+    the prediction. The teacher's presence is the only switch: with
+    teacher_sides None, only sides[0] is read, the distribution and
+    pixel-wise terms are zero and the objective is dice alone; with them
+    the soft label blends in teacher_sides[0] at weight alpha.
     """
-    if (teacher_pred is None) != (teacher_sides is None):
-        raise ValueError("pass both the teacher prediction and side outputs, or neither")
-
-    dice = dice_loss(student_pred, ground_truth)
-    if teacher_pred is None:
+    pred = sides[0]
+    dice = dice_loss(pred, ground_truth)
+    if teacher_sides is None:
         zero = Tensor(np.zeros((), dtype=dice.data.dtype))
         return {"ddl": zero, "psdl": zero, "dice": dice}
 
-    alpha = alpha_at(t, total_epochs, cfg.alpha_T)
-    soft = soften_label(teacher_pred, ground_truth, alpha)
+    soft = soften_label(teacher_sides[0], ground_truth, alpha)
     return {
-        "ddl": ddl(student_sides, teacher_sides, cfg),
-        "psdl": psdl(student_pred, soft),
+        "ddl": ddl(sides, teacher_sides, cfg),
+        "psdl": psdl(pred, soft),
         "dice": dice,
     }
-
-
-def total_loss(student_pred, student_sides, teacher_pred, teacher_sides,
-               ground_truth, cfg: DistillConfig, t, total_epochs):
-    """Unweighted sum of the distribution, pixel-wise, and dice terms."""
-    terms = loss_terms(student_pred, student_sides, teacher_pred, teacher_sides,
-                       ground_truth, cfg, t, total_epochs)
-    return terms["ddl"] + terms["psdl"] + terms["dice"]

@@ -35,11 +35,7 @@ class NetworkConfig:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
-        stride = 2 ** (self.depth - 1)
-        if self.height % stride or self.width % stride:
-            raise ValueError(
-                f"input {self.height}x{self.width} not divisible by 2^(depth-1) = {stride}"
-            )
+        _check_input_shape(self, (self.in_channels, self.height, self.width))
 
     def channels(self, level):
         """Feature channels at encoder/decoder level (1 = shallowest)."""
@@ -65,6 +61,18 @@ def _param_shapes(config):
     for k in range(1, d + 1):
         conv(f"head{k}", config.channels(k), 1)
     return shapes
+
+
+def _check_input_shape(config, shape):
+    """ShapeError unless `shape` is [in_channels,H,W] with H and W divisible
+    by 2^(depth-1): the inputs a net with this config can forward."""
+    stride = 2 ** (config.depth - 1)
+    if len(shape) != 3 or shape[0] != config.in_channels or shape[1] % stride \
+            or shape[2] % stride:
+        raise ShapeError(
+            f"input shape {shape} is not [{config.in_channels},H,W] "
+            f"with H and W divisible by 2^(depth-1) = {stride}"
+        )
 
 
 class SegNetwork:
@@ -133,23 +141,19 @@ class SegNetwork:
 
         Being fully convolutional, the net takes any [in_channels,H,W]
         input whose H and W are divisible by 2^(depth-1), not only the
-        training size in its config.
+        training size in its config. An input of another dtype is cast to
+        the net's; a Tensor of the net's dtype is used uncopied.
 
         decoder_features[i-1] is the depth-i map, index 0 at full
         resolution, the last entry being the bottleneck output.
         """
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
-        cfg = self.config
-        stride = 2 ** (cfg.depth - 1)
-        shape = x.data.shape
-        if len(shape) != 3 or shape[0] != cfg.in_channels or shape[1] % stride \
-                or shape[2] % stride:
-            raise ShapeError(
-                f"forward: input shape {shape} is not [{cfg.in_channels},H,W] "
-                f"with H and W divisible by 2^(depth-1) = {stride}"
-            )
+        if isinstance(x, Tensor):
+            x = x if x.dtype == self.dtype else Tensor(x.data.astype(self.dtype))
+        else:
+            x = Tensor(np.asarray(x, dtype=self.dtype))
+        _check_input_shape(self.config, x.data.shape)
 
-        d = cfg.depth
+        d = self.config.depth
         skips = []
         h = x
         for k in range(1, d + 1):
@@ -179,14 +183,10 @@ class SegNetwork:
         h = T.bilinear_upsample(h, 2 ** (depth - 1))
         return T.sigmoid(h)
 
-    def side_outputs(self, features, prediction=None):
-        """All side outputs, shallowest first.
-
-        The depth-1 side output is the prediction; pass the one `forward`
-        returned to reuse it instead of running the depth-1 head again.
-        """
-        if prediction is None:
-            prediction = self.side_output(features[0], 1)
+    def side_outputs(self, features, prediction):
+        """All side outputs, shallowest first, from the prediction and
+        decoder features one `forward` returned. The depth-1 side output is
+        that prediction itself, so the depth-1 head runs once."""
         return [prediction] + [self.side_output(f, i) for i, f in enumerate(features[1:], 2)]
 
     # ---- snapshots ----

@@ -60,7 +60,7 @@ class AdamW:
                 for a, p in zip(parts, self.params)]
 
 
-def lr_at(t, initial_lr, gamma=0.3, step_every=10):
+def lr_at(t, initial_lr, gamma, step_every):
     """Learning rate for epoch t (1-based): times gamma every step_every epochs."""
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")

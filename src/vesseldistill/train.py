@@ -3,13 +3,15 @@
 Epoch 1 optimizes dice only. At the end of every epoch the just-updated
 weights are frozen as the teacher for all batches of the next epoch, so
 from epoch 2 on each batch runs a gradient-free teacher forward and the
-full three-term objective with a linearly ramped soft-label weight.
+full three-term objective with a linearly ramped soft-label weight α.
+`train` decides each epoch's teacher (None in epoch 1 and dice_only runs)
+and α (0.0 without a teacher) once, and logs that α.
 
 Training splits every batch across min(CPUs, batch size) processes: this one
 and workers forked when training starts (one process without fork). This
 process orders and splits the batches. A worker keeps no state between
 batches: a request carries student weights, teacher weights or None, sample
-indices, epoch and loss scale 1/len(batch). Each process runs forward, loss
+indices, α and loss scale 1/len(batch). Each process runs forward, loss
 and backward one sample at a time. This process sums the samples' term
 values and gradients in sample order, in the net's dtype, then steps the
 optimizer, so the numbers are bitwise the same for any process count. Each
@@ -36,7 +38,8 @@ import numpy as np
 from . import distill
 from .data import DatasetSplit, batches, save_pgm
 from .metrics import MetricReport, evaluate_pairs
-from .network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
+from .network import (NetworkConfig, SegNetwork, _check_input_shape, load_checkpoint,
+                      save_checkpoint)
 from .optim import AdamW, lr_at
 from .tensor import Tensor, no_grad
 
@@ -106,17 +109,14 @@ class EpochLog:
     alpha: float
     lr: float
 
-    FIELDS = ("epoch", "train_loss", "ddl", "psdl", "dice",
-              "val_dsc", "val_acc", "val_sen", "val_iou", "alpha", "lr")
-
-    def row(self):
-        return [getattr(self, f) for f in self.FIELDS]
+    def row(self):  # in field order, the CSV's column order
+        return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
 
 def write_epoch_csv(logs, path):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(EpochLog.FIELDS)
+        writer.writerow([f.name for f in dataclasses.fields(EpochLog)])
         for log in logs:
             writer.writerow(log.row())
 
@@ -129,38 +129,32 @@ class TrainResult:
     best_val_dsc: float
 
 
-def _predict(net, sample):
-    pred, _ = net.forward(Tensor(sample.image.data.astype(net.dtype)))
-    return pred
-
-
 def evaluate(net, samples, threshold=0.5, average="macro"):
     """Macro (default) or micro averaged metrics over a sample list."""
     with no_grad():
-        pairs = [(_predict(net, s).data, s.mask.data) for s in samples]
+        pairs = [(net.forward(s.image)[0].data, s.mask.data) for s in samples]
     return evaluate_pairs(pairs, threshold=threshold, average=average)
 
 
 _TERMS = ("ddl", "psdl", "dice")
 
 
-def _sample_step(net, teacher_net, sample, cfg, t, scale):
+def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     """Forward, loss and backward of one sample, its terms scaled by `scale`.
 
     Returns the scaled ddl, psdl and dice values and the parameter
     gradients (None for a parameter outside the graph). The deeper side
     outputs are built only when there is a teacher for the DDL to read.
     """
-    x = Tensor(sample.image.data.astype(net.dtype))
     y = Tensor(sample.mask.data.astype(net.dtype))
-    pred, feats = net.forward(x)
+    pred, feats = net.forward(sample.image)
     if teacher_net is None:
-        sides = t_pred = t_sides = None
+        sides, t_sides = [pred], None
     else:
         sides = net.side_outputs(feats, pred)
-        t_pred, t_feats = teacher_net.forward(x)
+        t_pred, t_feats = teacher_net.forward(sample.image)
         t_sides = teacher_net.side_outputs(t_feats, t_pred)
-    terms = distill.loss_terms(pred, sides, t_pred, t_sides, y, cfg.distill, t, cfg.epochs)
+    terms = distill.loss_terms(sides, t_sides, y, cfg.distill, alpha)
     terms = [terms[k] * scale for k in _TERMS]
     (terms[0] + terms[1] + terms[2]).backward()
     grads = []
@@ -183,11 +177,9 @@ def _process_count(batch_size):
     """Processes a batch is split across: min(usable CPUs, batch size)."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, batch_size)
+    if not hasattr(os, "sched_getaffinity"):  # e.g. macOS
+        return min(os.cpu_count() or 1, batch_size)
+    return min(len(os.sched_getaffinity(0)), batch_size)
 
 
 def _openblas_threads():
@@ -214,22 +206,21 @@ def _openblas_threads():
 
 def _answer(request, samples, cfg):
     """A request's step results, or the exception that stopped them and its traceback."""
-    student, teacher, indices, t, scale = request
+    student, teacher, indices, alpha, scale = request
     try:
         net = SegNetwork.from_arrays(cfg.network, student, dtype=cfg.dtype)
         if teacher is not None:
             teacher = SegNetwork.from_arrays(cfg.network, teacher, dtype=cfg.dtype,
                                              trainable=False)
-        return "ok", [_sample_step(net, teacher, samples[i], cfg, t, scale) for i in indices]
+        return "ok", [_sample_step(net, teacher, samples[i], cfg, alpha, scale)
+                      for i in indices]
     except Exception as exc:
         return "error", (exc, traceback.format_exc())
 
 
 def _worker(conn, inherited, samples, cfg):
-    """Answer step requests until the main process sends None or is gone.
-
-    A request is (student arrays, teacher arrays or None, sample indices, t,
-    scale); its nets go with the reply, so no state outlives a request."""
+    """Answer step requests (see _Workers.send) until the main process sends
+    None or is gone; a request's nets go with its reply, so none outlives it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops us
     for c in inherited:
         c.close()  # so this worker sees EOF when the main process is gone
@@ -272,15 +263,16 @@ class _Workers:
     def __exit__(self, *exc_info):
         self.close()
 
-    def send(self, net, teacher, shares, t, scale):
-        """Ask each worker for the step results of its share of sample indices."""
+    def send(self, net, teacher, shares, alpha, scale):
+        """Ask each worker for the step results of its share of sample indices:
+        a request is (student arrays, teacher arrays or None, share, alpha, scale)."""
         # uncopied: each send pickles them at once
         student = {k: p.data for k, p in net.named_parameters().items()}
         if teacher is not None:
             teacher = {k: p.data for k, p in teacher.named_parameters().items()}
         try:
             for conn, share in zip(self.conns, shares):
-                conn.send((student, teacher, share, t, scale))
+                conn.send((student, teacher, share, alpha, scale))
         except OSError as exc:
             raise RuntimeError("a training worker exited unexpectedly") from exc
 
@@ -351,6 +343,21 @@ def _check_resumable(path, ckpt, cfg):
                          f"the checkpointed run in {', '.join(differing)}")
 
 
+def _check_run(cfg, dataset):
+    """ValueError unless train() can run cfg on dataset: see train()."""
+    cfg.validate()
+    if not dataset.train:
+        raise ValueError("dataset has no training samples")
+    # one sample per image shape, the first of each
+    shapes = {s.image.data.shape: s for s in reversed([*dataset.train, *dataset.val])}
+    for shape, sample in shapes.items():
+        try:
+            _check_input_shape(cfg.network, shape)
+            distill.PatchGrid.for_shape(shape[1], shape[2], cfg.distill.grid_g)
+        except ValueError as exc:
+            raise ValueError(f"sample {sample.id!r}: {exc}") from None
+
+
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
           epoch_start_hook=None, epoch_end_hook=None,
           keep_epoch_checkpoints=False):
@@ -362,9 +369,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     checkpointed run's in every field but out_dir, and the file must hold
     the flat optimizer moments, or ValueError naming the file is raised.
 
-    A non-finite ddl, psdl or dice term raises FloatingPointError naming
-    the epoch, the batch and the term, before that batch's optimizer step
-    and before the epoch writes any checkpoint.
+    Before any epoch or file write, ValueError is raised for a config
+    validate() rejects, an empty training split, or (naming the sample) an
+    image shape that forward or the DDL's patch grid cannot take. A
+    non-finite ddl, psdl or dice term raises FloatingPointError naming the
+    epoch, the batch and the term, before that batch's optimizer step and
+    before the epoch writes any checkpoint.
 
     epoch_start_hook(t, teacher_net) runs before epoch t and
     epoch_end_hook(t, net, teacher_net, log) after it. teacher_net holds the
@@ -377,30 +387,24 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     Batches are split across min(CPUs, batch size) processes (see the
     module docstring); hooks, checkpoints and evaluation run in this one.
     """
-    cfg.validate()
-    if not dataset.train:
-        raise ValueError("dataset has no training samples")
+    _check_run(cfg, dataset)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dtype = np.dtype(cfg.dtype)
 
-    logs = []
-    best_dsc = -1.0
-    start_epoch = 1
+    logs, best_dsc, start_epoch = [], -1.0, 1
     if resume_from is None:
         net = SegNetwork(cfg.network, seed=cfg.seed, dtype=dtype)
-        opt = AdamW(net.parameters(), lr=cfg.learning_rate,
-                    weight_decay=cfg.weight_decay)
     else:
         ckpt = load_checkpoint(resume_from)
         _check_resumable(resume_from, ckpt, cfg)
         net = ckpt.to_network(trainable=True)
-        opt = AdamW(net.parameters(), lr=cfg.learning_rate,
-                    weight_decay=cfg.weight_decay)
+    opt = AdamW(net.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    if resume_from is not None:
         opt.load_state_arrays(ckpt.extras)
         best_dsc = float(ckpt.extras["best_dsc"])
-        for row in json.loads(bytes(ckpt.extras["logs"]).decode()):
-            logs.append(EpochLog(int(row[0]), *row[1:]))
+        logs = [EpochLog(int(row[0]), *row[1:])
+                for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
         start_epoch = ckpt.epoch + 1
     # the one frozen teacher, refilled from net at the end of every epoch; on
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
@@ -415,15 +419,18 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             if epoch_start_hook is not None:
                 epoch_start_hook(t, None if t == 1 else teacher)
             lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
-            # the one fact that decides whether this epoch's steps distill
+            # the one fact that decides whether this epoch's steps distill,
+            # and the epoch's one soft-label weight
             step_teacher = None if t == 1 or cfg.dice_only else teacher
+            alpha = (0.0 if step_teacher is None
+                     else distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T))
             term_sums = dict.fromkeys(_TERMS, 0.0)
             n_batches = 0
             for batch in batches(range(len(dataset.train)), cfg.batch_size, cfg.seed, t):
                 ours, *theirs = np.array_split(batch, workers.size)
                 scale = 1.0 / len(batch)
-                workers.send(net, step_teacher, theirs, t, scale)
-                results = [_sample_step(net, step_teacher, dataset.train[i], cfg, t, scale)
+                workers.send(net, step_teacher, theirs, alpha, scale)
+                results = [_sample_step(net, step_teacher, dataset.train[i], cfg, alpha, scale)
                            for i in ours]
                 values, grads = _sum_in_order(results + workers.gather())
                 for k, v in zip(_TERMS, values):
@@ -438,8 +445,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                 n_batches += 1
 
             val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
-            alpha = (0.0 if step_teacher is None
-                     else distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T))
             means = {k: v / n_batches for k, v in term_sums.items()}
             log = EpochLog(
                 epoch=t,
@@ -474,33 +479,35 @@ def predict_to_file(checkpoint_path, image, out_path, threshold=0.5):
     """Forward an image through a checkpoint and write a binary P5 mask."""
     net = load_checkpoint(checkpoint_path, extras=False).to_network(trainable=False)
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
-    if arr.ndim == 2:
-        arr = arr[None]
-    pred, _ = net.forward(Tensor(arr.astype(net.dtype)))
+    pred, _ = net.forward(arr[None] if arr.ndim == 2 else arr)
     mask = (pred.data[0] >= threshold).astype(np.float64)
     save_pgm(mask, out_path)
     return mask
 
 
 def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
-    """Train once per value of tau / n / alpha; returns test-set metric rows."""
-    if axis not in ("tau", "n", "alpha"):
+    """Train once per value of tau / n / alpha; returns test-set metric rows.
+
+    Every run is checked as train() checks it before the first one trains.
+    """
+    field = {"tau": "tau", "n": "grid_g", "alpha": "alpha_T"}.get(axis)
+    if field is None:
         raise ValueError(f"unknown sweep axis {axis!r} (expected tau, n, or alpha)")
-    rows = []
+    cfgs = []
     for value in values:
-        dcfg = base_cfg.distill
-        if axis == "tau":
-            dcfg = dataclasses.replace(dcfg, tau=float(value))
-        elif axis == "n":
-            g = int(round(float(value) ** 0.5))
-            if g * g != int(value):
-                raise ValueError(f"patch count {value} is not a perfect square")
-            dcfg = dataclasses.replace(dcfg, grid_g=g)
-        else:
-            dcfg = dataclasses.replace(dcfg, alpha_T=float(value))
+        setting = float(value)
+        if axis == "n":
+            g = math.isqrt(int(setting)) if setting >= 1 and setting.is_integer() else 0
+            if g == 0 or g * g != setting:
+                raise ValueError(f"patch count {value!r} is not a positive whole perfect square")
+            setting = g
         cfg = dataclasses.replace(
-            base_cfg, distill=dcfg,
+            base_cfg, distill=dataclasses.replace(base_cfg.distill, **{field: setting}),
             out_dir=str(Path(base_cfg.out_dir) / f"{axis}_{value}"))
+        _check_run(cfg, dataset)
+        cfgs.append(cfg)
+    rows = []
+    for value, cfg in zip(values, cfgs):
         result = train(cfg, dataset)
         net = load_checkpoint(result.best_path, extras=False).to_network(trainable=False)
         report = evaluate(net, dataset.test)

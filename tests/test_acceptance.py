@@ -92,7 +92,7 @@ def test_criterion_3_self_distillation_fixed_point(acceptance_record):
     for seed in range(10):
         net, _, x, _ = checks.toy_setup(seed)
         pred, feats = net.forward(x)
-        sides = net.side_outputs(feats)
+        sides = net.side_outputs(feats, pred)
         worst_ddl = max(worst_ddl, abs(ddl(sides, sides, cfg).item()))
         # alpha=1 with teacher == student: the soft label is the prediction
         # itself, so the cross entropy collapses to the self-entropy
@@ -133,7 +133,9 @@ def test_criterion_5_schedule_conformance(acceptance_record):
     table = {t: 1e-3 for t in range(1, 11)}
     table.update({t: 3e-4 for t in range(11, 21)})
     table.update({t: 9e-5 for t in range(21, 31)})
-    lr_ok = all(abs(lr_at(t, 1e-3) - lr) < 1e-18 for t, lr in table.items())
+    cfg = TrainConfig()  # the paper's schedule is the default one
+    lr_ok = all(abs(lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every) - lr) < 1e-18
+                for t, lr in table.items())
     check(acceptance_record, 5, "alpha/lr schedule conformance",
           alpha_ok and lr_ok)
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from vesseldistill import cli
 from vesseldistill.cli import main
-from vesseldistill.data import load_pgm, load_sample_dir
+from vesseldistill.data import load_pgm, load_sample_dir, split
+from vesseldistill.network import NetworkConfig, SegNetwork, save_checkpoint
 from vesseldistill.train import TrainConfig
 
 
@@ -138,6 +140,38 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(tmp_path / "no.npz"),
                      "--data", str(data_dir)]) == 1
 
+    def test_split_seed_defaults_to_the_training_seed(self, data_dir, tmp_path, monkeypatch):
+        out = tmp_path / "seed3"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}", *TINY, "seed=3"]) == 0
+        evaluated = []
+
+        def capture(net, samples, **kwargs):
+            evaluated.append([s.id for s in samples])
+            return evaluate(net, samples, **kwargs)
+
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", capture)
+        for seed in ([], ["--seed", "3"], ["--seed", "0"]):
+            assert main(["evaluate", "--checkpoint", str(out / "best.npz"),
+                         "--data", str(data_dir), "--split", "test", *seed]) == 0
+        samples = load_sample_dir(data_dir)
+        trained_with = [s.id for s in split(samples, seed=3).test]
+        other = [s.id for s in split(samples, seed=0).test]
+        assert trained_with != other
+        assert evaluated == [trained_with, trained_with, other]
+
+    def test_split_needs_a_seed_when_the_checkpoint_stores_none(self, data_dir, tmp_path,
+                                                                 capsys):
+        path = tmp_path / "bare.npz"
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=32, width=32))
+        save_checkpoint(path, net, epoch=0)
+        assert main(["evaluate", "--checkpoint", str(path), "--data", str(data_dir),
+                     "--split", "test"]) == 1
+        assert f"{path} stores no training config" in capsys.readouterr().err
+        for args in (["--split", "test", "--seed", "0"], ["--split", "all"]):
+            assert main(["evaluate", "--checkpoint", str(path), "--data", str(data_dir),
+                         *args]) == 0
+
 
 class TestPredict:
     def test_writes_binary_p5_mask(self, data_dir, run_dir, tmp_path):
@@ -184,6 +218,18 @@ class TestSweep:
                      "--data", str(data_dir), "epochs=1",
                      f"out_dir={tmp_path}", *TINY[:-2]])
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["16.5", "-4", "0"])
+    def test_patch_count_that_is_no_positive_whole_square_trains_nothing(
+            self, data_dir, tmp_path, capsys, bad):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--axis", "n", "--values", f"4,{bad}",
+                     "--data", str(data_dir), "epochs=1",
+                     f"out_dir={out}", *TINY[:-2]])
+        assert code == 1
+        assert f"patch count {bad} is not a positive whole perfect square" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

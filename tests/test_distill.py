@@ -7,9 +7,21 @@ from vesseldistill import distill
 from vesseldistill.checks import toy_setup
 from vesseldistill.distill import (
     DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, loss_terms,
-    patch_counts, prob_vector, psdl, soften_label, total_loss,
+    patch_counts, prob_vector, psdl, soften_label,
 )
 from vesseldistill.tensor import ShapeError, Tensor, gradcheck
+
+
+def outputs(net, x):
+    """A net's side outputs for x, its prediction first."""
+    pred, feats = net.forward(x)
+    return net.side_outputs(feats, pred)
+
+
+def total_loss(sides, teacher_sides, y, cfg, alpha):
+    """The objective: the unweighted sum of loss_terms' three terms."""
+    terms = loss_terms(sides, teacher_sides, y, cfg, alpha)
+    return terms["ddl"] + terms["psdl"] + terms["dice"]
 
 
 # ---- independent straight-line oracle for the distribution loss ----
@@ -150,8 +162,7 @@ class TestDDL:
     def test_identical_networks_give_zero(self):
         cfg = DistillConfig(grid_g=2)
         student, _, x, _ = toy_setup(0)
-        _, feats = student.forward(x)
-        sides = student.side_outputs(feats)
+        sides = outputs(student, x)
         assert abs(ddl(sides, sides, cfg).item()) < 1e-9
 
     def test_single_depth_reduces_to_kl(self):
@@ -311,40 +322,34 @@ class TestDiceLoss:
 class TestTotalLoss:
     def test_epoch1_is_dice_only(self):
         student, _, x, y = toy_setup(2)
-        pred, feats = student.forward(x)
-        sides = student.side_outputs(feats)
+        pred = student.forward(x)[0]
         cfg = DistillConfig(grid_g=2)
-        total = total_loss(pred, sides, None, None, y, cfg, t=1, total_epochs=10)
+        total = total_loss([pred], None, y, cfg, 0.0)
         assert abs(total.item() - dice_loss(pred, y).item()) < 1e-12
 
     def test_identical_teacher_small_alpha(self):
         student, _, x, y = toy_setup(3)
         cfg = DistillConfig(grid_g=2, alpha_T=0.01)
-        pred, feats = student.forward(x)
-        sides = student.side_outputs(feats)
-        t_pred, t_feats = student.forward(x)
-        t_sides = student.side_outputs(t_feats)
-        total = total_loss(pred, sides, t_pred.detach(),
-                           [s.detach() for s in t_sides], y, cfg, t=2,
-                           total_epochs=100)
+        sides = outputs(student, x)
+        t_sides = [s.detach() for s in outputs(student, x)]
         alpha = alpha_at(2, 100, 0.01)
-        soft = soften_label(t_pred.detach(), y, alpha)
-        expected = psdl(pred, soft).item() + dice_loss(pred, y).item()
+        total = total_loss(sides, t_sides, y, cfg, alpha)
+        soft = soften_label(t_sides[0], y, alpha)
+        expected = psdl(sides[0], soft).item() + dice_loss(sides[0], y).item()
         assert abs(total.item() - expected) < 1e-9
 
     def test_matches_term_by_term_oracle(self):
         student, teacher, x, y = toy_setup(4)
         cfg = DistillConfig(grid_g=2)
-        pred, feats = student.forward(x)
-        sides = student.side_outputs(feats)
-        t_pred, t_feats = teacher.forward(x)
-        t_sides = teacher.side_outputs(t_feats)
-        total = total_loss(pred, sides, t_pred, t_sides, y, cfg, t=2, total_epochs=4)
+        sides = outputs(student, x)
+        t_sides = outputs(teacher, x)
+        total = total_loss(sides, t_sides, y, cfg, alpha_at(2, 4, cfg.alpha_T))
 
         # independent scalar recomputation of all three terms
         want = ddl_oracle([s.data for s in sides], [s.data for s in t_sides], cfg)
         alpha = 0.5 * 2 / 4
-        soft = alpha * t_pred.data + (1 - alpha) * y.data
+        pred = sides[0]
+        soft = alpha * t_sides[0].data + (1 - alpha) * y.data
         p = np.clip(pred.data, 1e-7, 1 - 1e-7)
         want += float(-(soft * np.log(p) + (1 - soft) * np.log(1 - p)).mean())
         num = 2 * float((pred.data * y.data).sum()) + 1e-7
@@ -353,17 +358,19 @@ class TestTotalLoss:
         assert abs(total.item() - want) < 1e-9
 
     def test_teacher_presence_is_the_only_switch(self):
-        student, teacher, x, y = toy_setup(5)
-        pred, feats = student.forward(x)
-        sides = student.side_outputs(feats)
-        t_pred, t_feats = teacher.forward(x)
-        t_sides = teacher.side_outputs(t_feats)
+        """Without a teacher the loss is dice alone, whatever alpha is."""
+        student, _, x, y = toy_setup(5)
+        sides = outputs(student, x)
         cfg = DistillConfig(grid_g=2)
-        with pytest.raises(ValueError, match="or neither"):
-            loss_terms(pred, sides, t_pred, None, y, cfg, t=2, total_epochs=10)
-        with pytest.raises(ValueError, match="or neither"):
-            loss_terms(pred, sides, None, t_sides, y, cfg, t=2, total_epochs=10)
-        for t in (2, 10):
-            terms = loss_terms(pred, sides, None, None, y, cfg, t=t, total_epochs=10)
+        dice = dice_loss(sides[0], y).item()
+        for alpha in (0.0, 0.25, 1.0):
+            terms = loss_terms(sides, None, y, cfg, alpha)
             assert terms["ddl"].item() == 0.0 and terms["psdl"].item() == 0.0
-            assert terms["dice"].item() == dice_loss(pred, y).item()
+            assert terms["dice"].item() == dice
+            assert total_loss(sides, None, y, cfg, alpha).item() == dice
+
+    def test_a_teacher_of_another_depth_raises(self):
+        student, _, x, y = toy_setup(6)
+        sides = outputs(student, x)
+        with pytest.raises(ShapeError, match="depth mismatch"):
+            loss_terms(sides, sides[:1], y, DistillConfig(grid_g=2), 0.25)

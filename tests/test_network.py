@@ -136,6 +136,21 @@ class TestForward:
         net.forward(x)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
+    def test_input_of_the_nets_dtype_is_used_uncopied(self, monkeypatch):
+        net = small_net()
+        x = rand_input(0)
+        assert x.dtype == net.dtype
+        first_inputs = []
+        conv2d = T.conv2d
+
+        def recording(a, *rest):
+            first_inputs.append(a)
+            return conv2d(a, *rest)
+
+        monkeypatch.setattr(T, "conv2d", recording)
+        net.forward(x)
+        assert first_inputs[0] is x
+
     def test_shape_mismatch_raises(self):
         net = small_net(depth=3, size=32)
         with pytest.raises(ShapeError, match=r"2\^\(depth-1\) = 4"):
@@ -169,8 +184,8 @@ class TestSideOutputs:
     def test_count_and_range(self):
         for depth in (2, 3):
             net = small_net(depth=depth)
-            _, feats = net.forward(rand_input(6))
-            sides = net.side_outputs(feats)
+            pred, feats = net.forward(rand_input(6))
+            sides = net.side_outputs(feats, pred)
             assert len(sides) == depth
             for s in sides:
                 assert s.data.shape == (1, 32, 32)
@@ -181,8 +196,8 @@ class TestSideOutputs:
         pred, feats = net.forward(rand_input(6))
         reused = net.side_outputs(feats, pred)
         assert reused[0] is pred
-        for a, b in zip(reused, net.side_outputs(feats)):
-            np.testing.assert_array_equal(a.data, b.data)
+        for depth, (a, f) in enumerate(zip(reused, feats), 1):
+            np.testing.assert_array_equal(a.data, net.side_output(f, depth).data)
 
     def test_depth_out_of_range(self):
         net = small_net()
@@ -202,10 +217,10 @@ class TestGradientFlow:
                    .astype(np.float64))
         pred, feats = net.forward(x)
         t_pred, t_feats = teacher.forward(x)
-        loss = distill.total_loss(
-            pred, net.side_outputs(feats), t_pred, teacher.side_outputs(t_feats),
-            y, distill.DistillConfig(), t=2, total_epochs=10)
-        loss.backward()
+        terms = distill.loss_terms(
+            net.side_outputs(feats, pred), teacher.side_outputs(t_feats, t_pred),
+            y, distill.DistillConfig(), distill.alpha_at(2, 10, 0.5))
+        (terms["ddl"] + terms["psdl"] + terms["dice"]).backward()
         for name, p in net.named_parameters().items():
             assert p.grad is not None, f"no grad on {name}"
             assert np.any(p.grad != 0), f"all-zero grad on {name}"

@@ -138,15 +138,15 @@ class TestLRSchedule:
         expected = {range(1, 11): 1e-3, range(11, 21): 3e-4, range(21, 31): 9e-5}
         for window, lr in expected.items():
             for t in window:
-                assert abs(lr_at(t, 1e-3) - lr) < 1e-18, f"epoch {t}"
+                assert abs(lr_at(t, 1e-3, 0.3, 10) - lr) < 1e-18, f"epoch {t}"
 
     def test_boundaries(self):
-        assert lr_at(10, 1e-3) == 1e-3
-        assert abs(lr_at(11, 1e-3) - 3e-4) < 1e-18
+        assert lr_at(10, 1e-3, 0.3, 10) == 1e-3
+        assert abs(lr_at(11, 1e-3, 0.3, 10) - 3e-4) < 1e-18
 
     def test_custom_gamma_and_window(self):
         assert abs(lr_at(7, 1.0, gamma=0.5, step_every=3) - 0.25) < 1e-15
 
     def test_bad_epoch(self):
         with pytest.raises(ValueError):
-            lr_at(0, 1e-3)
+            lr_at(0, 1e-3, 0.3, 10)

@@ -140,6 +140,30 @@ class TestLoop:
         control = train(tiny_cfg(tmp_path / "control", epochs=4, dice_only=True), tiny_dataset)
         assert [log.alpha for log in control.logs] == [0.0] * 4
 
+    @pytest.mark.parametrize("dice_only", [False, True])
+    def test_logged_alpha_is_the_alpha_every_step_received(self, tiny_dataset, tmp_path,
+                                                           monkeypatch, dice_only):
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 1)
+        received = {}
+        loss_terms = distill.loss_terms
+
+        def recording(sides, teacher_sides, y, cfg, alpha):
+            received[epoch].append(alpha)
+            return loss_terms(sides, teacher_sides, y, cfg, alpha)
+
+        def start(t, teacher):
+            nonlocal epoch
+            epoch = t
+            received[t] = []
+
+        epoch = None
+        monkeypatch.setattr(distill, "loss_terms", recording)
+        result = train(tiny_cfg(tmp_path / "r", epochs=3, dice_only=dice_only), tiny_dataset,
+                       epoch_start_hook=start)
+        n = len(tiny_dataset.train)
+        assert received == {log.epoch: [log.alpha] * n for log in result.logs}
+        assert received[1] == [0.0] * n
+
     def test_best_is_the_epoch_with_the_highest_validation_dsc(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "v", epochs=4), tiny_dataset)
         dscs = [log.val_dsc for log in result.logs]
@@ -302,6 +326,24 @@ class TestResume:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("size, network, grid_g, message", [
+        # the DDL's grid: epoch 1 has no teacher, so this used to fail in epoch 2
+        (64, NetworkConfig(depth=2, base_channels=4, height=48, width=48), 3,
+         "grid 3x3 does not evenly tile 64x64"),
+        (34, NetworkConfig(depth=3, base_channels=4, height=32, width=32), 2,
+         r"input shape \(1, 34, 34\) is not \[1,H,W\] with H and W divisible"),
+    ])
+    def test_rejects_data_the_config_cannot_take_before_epoch_1(self, tmp_path, size,
+                                                                network, grid_g, message):
+        dataset = split(generate_synthetic(seed=1, count=10, size=size), seed=0)
+        cfg = TrainConfig(epochs=2, network=network, distill=DistillConfig(grid_g=grid_g),
+                          out_dir=str(tmp_path / "run"))
+        started = []
+        with pytest.raises(ValueError, match=rf"sample '{dataset.train[0].id}': {message}"):
+            train(cfg, dataset, epoch_start_hook=lambda t, teacher: started.append(t))
+        assert not started
+        assert not (tmp_path / "run").exists()
+
     def test_rejects_empty_train_split(self, tmp_path):
         ds = split(generate_synthetic(seed=2, count=3, size=32), ratios=(0, 1, 2))
         with pytest.raises(ValueError):
@@ -376,6 +418,26 @@ class TestValidation:
             mask = predict_to_file(result.final_path, sample.image, tmp_path / f"m{i}.pgm")
             np.testing.assert_array_equal(pred[0] >= 0.5, mask.astype(bool))
 
+    def test_float64_image_through_a_float32_net(self, tiny_dataset, monkeypatch):
+        """forward casts the image to the net's dtype, so a float64 image
+        gives the float32 prediction evaluate thresholds, bit for bit."""
+        net = SegNetwork(tiny_cfg("unused").network, seed=1, dtype=np.float32)
+        sample = tiny_dataset.test[0]
+        assert sample.image.dtype == np.float64
+        seen = []
+
+        def capture(pairs, **kwargs):
+            seen.extend(pairs)
+            return evaluate_pairs(pairs, **kwargs)
+
+        monkeypatch.setattr(train_module, "evaluate_pairs", capture)
+        evaluate(net, [sample])
+        for image in (sample.image, sample.image.data):
+            pred, feats = net.forward(image)
+            assert pred.dtype == np.float32
+            assert all(f.dtype == np.float32 for f in feats)
+            np.testing.assert_array_equal(pred.data, seen[0][0])
+
     def test_predict_writes_the_full_load_mask(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "p", epochs=2), tiny_dataset)
         image = tiny_dataset.test[0].image
@@ -427,7 +489,7 @@ class TestGraphLifetime:
         gc.disable()
         try:
             for sample in tiny_dataset.train[:2]:
-                train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)
+                train_module._sample_step(net, teacher, sample, cfg, 0.25, 0.5)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -442,10 +504,10 @@ class TestGraphLifetime:
         net = SegNetwork(cfg.network, dtype=np.float32)
         teacher = net.snapshot(1).restore(trainable=False)
         sample = generate_synthetic(seed=3, count=1, size=64)[0]
-        train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)  # warm caches
+        train_module._sample_step(net, teacher, sample, cfg, 0.25, 0.5)  # warm caches
         tracemalloc.start()
         try:
-            train_module._sample_step(net, teacher, sample, cfg, 2, 0.5)
+            train_module._sample_step(net, teacher, sample, cfg, 0.25, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -469,17 +531,16 @@ class TestGraphLifetime:
         assert peak(trainable) <= 1.2 * peak(frozen)
 
 
-def single_graph_batch_grads(net, teacher, batch, cfg, t):
+def single_graph_batch_grads(net, teacher, batch, cfg, alpha):
     """The batch gradient as one graph over all samples: the sum of each
     sample's terms, scaled by 1/len(batch), and one backward."""
     sums = None
     for sample in batch:
-        x = Tensor(sample.image.data.astype(net.dtype))
         y = Tensor(sample.mask.data.astype(net.dtype))
-        pred, feats = net.forward(x)
-        t_pred, t_feats = teacher.forward(x)
-        terms = distill.loss_terms(pred, net.side_outputs(feats), t_pred,
-                                   teacher.side_outputs(t_feats), y, cfg.distill, t, cfg.epochs)
+        pred, feats = net.forward(sample.image)
+        t_pred, t_feats = teacher.forward(sample.image)
+        terms = distill.loss_terms(net.side_outputs(feats, pred),
+                                   teacher.side_outputs(t_feats, t_pred), y, cfg.distill, alpha)
         sums = terms if sums is None else {k: sums[k] + terms[k] for k in sums}
     scale = 1.0 / len(batch)
     (sums["ddl"] * scale + sums["psdl"] * scale + sums["dice"] * scale).backward()
@@ -566,8 +627,9 @@ class TestWorkers:
         net = SegNetwork(cfg.network, seed=2, dtype=np.float32)
         teacher = SegNetwork(cfg.network, seed=3, dtype=np.float32, trainable=False)
         batch = tiny_dataset.train[:4]
-        want = single_graph_batch_grads(net, teacher, batch, cfg, 2)
-        results = [train_module._sample_step(net, teacher, s, cfg, 2, 1.0 / len(batch))
+        alpha = distill.alpha_at(2, cfg.epochs, cfg.distill.alpha_T)
+        want = single_graph_batch_grads(net, teacher, batch, cfg, alpha)
+        results = [train_module._sample_step(net, teacher, s, cfg, alpha, 1.0 / len(batch))
                    for s in batch]
         _, got = train_module._sum_in_order(results)
         for g, w in zip(got, want):
