@@ -42,11 +42,13 @@ never a padded copy or a 9x column buffer.
 
 On glibc, importing this module makes the allocator keep freed heap
 pages mapped, so repeated forwards reuse their pages instead of
-page-faulting them in afresh: arrays under 32 MiB come from the heap, and
-up to 64 MiB of freed heap stays resident instead of going back to the
-OS. Larger arrays are still mapped and unmapped one by one. Setting any of
-glibc's MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or MALLOC_TOP_PAD_
-leaves the allocator as the environment configures it.
+page-faulting them in afresh: arrays under 8 MiB (all of a float32 256x256
+forward's) come from the heap, and up to 64 MiB of freed heap stays
+resident. A larger array that freed heap has no room for is mapped on its
+own, leaving no hole that later arrays fit or miss by chance (with 32 MiB,
+identical float64 256x256 forwards after float32 ones peaked at 124-138 MB).
+Setting any of glibc's MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or
+MALLOC_TOP_PAD_ leaves the allocator as the environment configures it.
 
 relu, sigmoid and 2x2 max-pool keep no masks or index arrays: relu's
 and sigmoid's backward read their own outputs, and max-pool's backward
@@ -84,7 +86,7 @@ def _keep_freed_heap():
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     m_trim_threshold, m_mmap_threshold = -1, -3  # glibc's malloc.h
-    return bool(mallopt(m_mmap_threshold, 32 << 20) and mallopt(m_trim_threshold, 64 << 20))
+    return bool(mallopt(m_mmap_threshold, 8 << 20) and mallopt(m_trim_threshold, 64 << 20))
 
 
 _HEAP_KEPT = _keep_freed_heap()

@@ -535,3 +535,26 @@ def test_allocator_left_as_the_environment_tunes_it():
         [sys.executable, "-c", "from vesseldistill import tensor; print(tensor._HEAP_KEPT)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.skipif(not T._HEAP_KEPT or not os.path.exists("/proc/self/status"),
+                    reason="glibc's mallopt is unavailable or tuned from the environment")
+def test_arrays_of_8_mib_and_more_go_back_to_the_os_when_freed():
+    """In a fresh process, whose heap has no room for it, a 16 MiB array is
+    mapped on its own rather than cut from the kept heap, so freeing it
+    leaves no hole that later arrays fit or miss depending on the run."""
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    code = (
+        "import numpy as np\n"
+        "from vesseldistill import tensor\n"
+        "def rss_kib():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(l.split()[1]) for l in f if l.startswith('VmRSS:'))\n"
+        "a = np.ones(16 << 17)\n"  # 16 MiB of float64, every page touched
+        "held = rss_kib()\n"
+        "del a\n"
+        "print(held - rss_kib())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert int(out.stdout) >= 15 << 10
