@@ -71,8 +71,9 @@ def patch_counts(side_output, grid: PatchGrid):
     if y.data.ndim != 3 or y.data.shape[0] != 1:
         raise ShapeError(f"patch_counts: expected [1,H,W], got {y.data.shape}")
     _, h, w = y.data.shape
-    if h % grid.g or w % grid.g:
-        raise ValueError(f"grid {grid.g}x{grid.g} does not divide {h}x{w}")
+    if h != grid.g * grid.s or w != grid.g * grid.s:
+        raise ValueError(f"grid {grid.g}x{grid.g} of {grid.s}x{grid.s} patches "
+                         f"does not tile {h}x{w}")
     if np.any(y.data < 0) or np.any(y.data > 1):
         raise ValueError("patch_counts: values must lie in [0,1]")
     g, s = grid.g, grid.s

@@ -60,16 +60,25 @@ class TrainConfig:
     dice_only: bool = False  # baseline control: skip distillation entirely
 
     def validate(self):
+        # types first: a bool is an int to Python, and a CLI override that is
+        # not JSON arrives as a string, which the range checks would take
+        for name in ("epochs", "batch_size", "lr_step_every", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        for name in ("learning_rate", "weight_decay", "lr_gamma"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.dice_only, bool):
+            raise ValueError(f"dice_only must be true or false, got {self.dice_only!r}")
+        # the name itself, which checkpoints store as JSON
+        if not isinstance(self.dtype, str) or self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        try:
-            dtype = np.dtype(self.dtype)
-        except TypeError:
-            dtype = None
-        if dtype not in (np.float32, np.float64):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
         # written as negations so that NaN fails them too
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")

@@ -96,6 +96,19 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("override, message", [
+        # not JSON, so the override arrives as the string "False"
+        ("dice_only=False", "dice_only must be true or false, got 'False'"),
+        ("epochs=2.5", "epochs must be an int, got 2.5"),
+    ])
+    def test_wrong_typed_override_is_usage_error_and_trains_nothing(
+            self, data_dir, tmp_path, capsys, override, message):
+        out = tmp_path / "typed"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}",
+                     *TINY, override]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, message", [
         ("distill.grid_g=0", "grid_g must be >= 1, got 0"),
         ("distill.tau=NaN", "tau must be positive, got nan"),
     ])

@@ -92,6 +92,11 @@ class TestPatchCounts:
         with pytest.raises(ValueError):
             patch_counts(Tensor(np.ones((1, 6, 6))), PatchGrid(g=4, s=1))
 
+    def test_map_the_grid_does_not_tile_raises_the_grid_error(self):
+        # 2 divides 8, but 2x2 patches of side 2 cover 4x4, not 8x8
+        with pytest.raises(ValueError, match="grid 2x2 of 2x2 patches does not tile 8x8"):
+            patch_counts(Tensor(np.full((1, 8, 8), 0.5)), PatchGrid(g=2, s=2))
+
     def test_out_of_range_values_raise(self):
         with pytest.raises(ValueError):
             patch_counts(Tensor(np.full((1, 4, 4), 1.5)), PatchGrid(g=2, s=2))

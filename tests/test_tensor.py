@@ -209,6 +209,68 @@ class TestBilinearUpsample:
         assert ok
 
 
+# every upsample of the two benchmark workloads, as (channels, input side,
+# factor): the smoke shape's decoders and side-output heads, then a 256x256
+# forward's decoders
+WORKLOAD_UPSAMPLES = [(32, 16, 2), (16, 32, 2), (1, 32, 2), (1, 16, 4),
+                      (32, 64, 2), (16, 128, 2)]
+
+
+def dense_upsample(x, factor):
+    """The dense products bilinear_upsample runs by bands: wh @ x @ ww.T."""
+    wh = T._interp_matrix(x.shape[1], factor, x.dtype)
+    ww = T._interp_matrix(x.shape[2], factor, x.dtype)
+    return wh @ x @ ww.T
+
+
+def dense_upsample_grad(g, factor):
+    """... and their adjoint: wh.T @ g @ ww."""
+    wh = T._interp_matrix(g.shape[1] // factor, factor, g.dtype)
+    ww = T._interp_matrix(g.shape[2] // factor, factor, g.dtype)
+    return wh.T @ g @ ww
+
+
+def upsample_and_grad(x, g, factor):
+    """bilinear_upsample's output for x and the gradient it passes back for g."""
+    xt = Tensor(x, requires_grad=True)
+    y = T.bilinear_upsample(xt, factor)
+    T.tsum(y * Tensor(g)).backward()
+    return y.data, xt.grad
+
+
+class TestBandedUpsample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels, side, factor", WORKLOAD_UPSAMPLES)
+    def test_equals_the_dense_product_bit_for_bit(self, channels, side, factor, dtype):
+        rng = np.random.default_rng(channels * side * factor)
+        x = rng.normal(size=(channels, side, side)).astype(dtype)
+        g = rng.normal(size=(channels, side * factor, side * factor)).astype(dtype)
+        y, gx = upsample_and_grad(x, g, factor)
+        assert y.dtype == gx.dtype == dtype
+        np.testing.assert_array_equal(y, dense_upsample(x, factor))
+        np.testing.assert_array_equal(gx, dense_upsample_grad(g, factor))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels, side, factor", [
+        (4, 25, 2), (4, 50, 2), (4, 100, 2), (2, 150, 2), (2, 75, 4),
+        (2, 256, 2), (2, 128, 4)])  # the last two 512 out
+    def test_within_ulps_of_the_dense_product_elsewhere(self, channels, side, factor, dtype):
+        # positive data, so no sum cancels and an ulp bound is a tight one
+        rng = np.random.default_rng(side)
+        x = rng.uniform(0.5, 1.0, size=(channels, side, side)).astype(dtype)
+        g = rng.uniform(0.5, 1.0, size=(channels, side * factor, side * factor)).astype(dtype)
+        y, gx = upsample_and_grad(x, g, factor)
+        np.testing.assert_array_max_ulp(y, dense_upsample(x, factor), maxulp=4)
+        np.testing.assert_array_max_ulp(gx, dense_upsample_grad(g, factor), maxulp=4)
+
+    def test_non_square_and_non_contiguous_input(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 3, 70)).transpose(1, 0, 2)  # [3, 40, 70], strided
+        y = T.bilinear_upsample(Tensor(x), 2).data
+        np.testing.assert_allclose(y, dense_upsample(x, 2), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(y[1], upsample_oracle(x[1], 2), rtol=1e-12, atol=1e-12)
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         assert T.sigmoid(Tensor(np.zeros(3))).data[0] == 0.5

@@ -363,9 +363,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="square patches"):
             cfg.validate()
 
-    @pytest.mark.parametrize("value", ["int32", "complex64", "float16", "bogus"])
+    # np.float32 used to train epoch 1 and then fail to write its checkpoint
+    @pytest.mark.parametrize("value", ["int32", "complex64", "float16", "bogus",
+                                       np.float32, np.dtype("float32"), np.float64])
     def test_rejects_dtype_other_than_float32_or_float64(self, value):
-        with pytest.raises(ValueError, match=f"dtype must be float32 or float64, got '{value}'"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"dtype must be float32 or float64, got {value!r}")):
             tiny_cfg("unused", dtype=value).validate()
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
@@ -388,9 +391,32 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"lr_gamma must be in \(0, 1\], got {value}"):
             tiny_cfg("unused", lr_gamma=value).validate()
 
+    @pytest.mark.parametrize("field", ["epochs", "batch_size", "lr_step_every", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
+    def test_rejects_an_int_field_of_another_type(self, field, value):
+        # epochs=2.5 used to pass and fail inside train() after out_dir existed;
+        # lr_step_every=1.5 trained on a floor-divided schedule
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
+            dataclasses.replace(tiny_cfg("unused"), **{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lr_gamma"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_rejects_a_float_field_that_is_no_number(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            dataclasses.replace(tiny_cfg("unused"), **{field: value}).validate()
+
+    @pytest.mark.parametrize("value", ["False", "no", 0, 1, None])
+    def test_rejects_dice_only_that_is_no_bool(self, value):
+        # the string "False" is truthy, so it used to train the dice-only control
+        with pytest.raises(ValueError, match=f"dice_only must be true or false, got {value!r}"):
+            tiny_cfg("unused", dice_only=value).validate()
+
     def test_accepts_the_boundaries(self):
         tiny_cfg("unused", dtype="float64", weight_decay=0.0, lr_step_every=1,
                  lr_gamma=1.0).validate()
+        # a float field takes an int, as JSON writes 1.0 as 1
+        tiny_cfg("unused", learning_rate=1, weight_decay=0, lr_gamma=1,
+                 dice_only=True).validate()
 
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
@@ -456,6 +482,30 @@ class TestValidation:
         mask = predict_to_file(tmp_path / "net.npz", image, tmp_path / "mask.pgm")
         assert mask.shape == (96, 128)
         assert load_pgm(tmp_path / "mask.pgm").shape == (96, 128)
+
+    @pytest.mark.parametrize("size", [300, 512])  # DCA1's and XCAD's frames
+    def test_inference_at_the_papers_image_sizes(self, size, tmp_path):
+        """The benchmark's two inference checks at the paper's sizes: a
+        float32 prediction within 1e-4 of a float64 forward of the same
+        weights, and predict_to_file's mask equal to the thresholded
+        prediction wherever that is more than 1e-4 from the threshold. At
+        300 the upsampling runs over 75 -> 150 -> 300, bands of no
+        power-of-two side."""
+        cfg = NetworkConfig(depth=3, base_channels=8, height=size, width=size)
+        net = SegNetwork(cfg, seed=2, dtype=np.float32, trainable=False)
+        save_checkpoint(tmp_path / "net.npz", net, epoch=1)
+        reference = SegNetwork(cfg, dtype=np.float64, trainable=False)
+        reference.load_state_arrays(net.state_arrays())
+        image = generate_synthetic(seed=4, count=1, size=size)[0].image
+
+        pred = net.forward(image)[0].data[0]
+        assert pred.dtype == np.float32
+        assert np.max(np.abs(pred - reference.forward(image)[0].data[0])) <= 1e-4
+        mask = predict_to_file(tmp_path / "net.npz", image, tmp_path / "mask.pgm")
+        decided = np.abs(pred - 0.5) > 1e-4
+        assert 0 < np.count_nonzero(mask[decided]) < np.count_nonzero(decided)
+        np.testing.assert_array_equal(mask[decided], (pred >= 0.5)[decided])
+        np.testing.assert_array_equal(load_pgm(tmp_path / "mask.pgm"), mask)
 
 
 class TestNonFiniteLoss:
