@@ -4,7 +4,7 @@ Subcommands: generate-data, train, evaluate, predict, gradcheck, sweep.
 Configuration comes from an optional JSON file plus --key=value overrides
 (dotted keys reach nested sections, e.g. --distill.tau=4).
 
-Exit codes: 0 success, 1 usage error, 2 validation or gradient-check failure.
+Exit codes: 0 success, 1 usage or validation error, 2 gradient-check failure.
 """
 
 from __future__ import annotations

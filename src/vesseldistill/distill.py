@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .network import _check_field_types
 from .tensor import Tensor, ShapeError
 
 _EPS = 1e-7  # keeps the logs of kl_div and psdl finite and dice's ratio defined
@@ -56,6 +57,7 @@ class DistillConfig:
     alpha_T: float = 0.5
 
     def __post_init__(self):
+        _check_field_types(self)
         # written as negations so that NaN fails them too
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
@@ -67,7 +69,7 @@ class DistillConfig:
 
 def patch_counts(side_output, grid: PatchGrid):
     """Per-patch [foreground, background] probability mass matrix, shape [n, 2]."""
-    y = side_output if isinstance(side_output, Tensor) else Tensor(side_output)
+    y = T._as_tensor(side_output)
     if y.data.ndim != 3 or y.data.shape[0] != 1:
         raise ShapeError(f"patch_counts: expected [1,H,W], got {y.data.shape}")
     _, h, w = y.data.shape
@@ -90,7 +92,7 @@ def prob_vector(counts, tau):
     O(1) at any resolution; the flat order is
     [p_{1,fg}, p_{1,bg}, p_{2,fg}, ...].
     """
-    z = counts if isinstance(counts, Tensor) else Tensor(counts)
+    z = T._as_tensor(counts)
     if z.data.ndim != 2 or z.data.shape[1] != 2:
         raise ShapeError(f"prob_vector: expected [n,2] counts, got {z.data.shape}")
     if tau <= 0:
@@ -101,11 +103,10 @@ def prob_vector(counts, tau):
 
 def kl_div(p_first, p_second):
     """KL(p_first || p_second); gradient flows into p_first only."""
-    p = p_first if isinstance(p_first, Tensor) else Tensor(p_first)
-    q = p_second if isinstance(p_second, Tensor) else Tensor(p_second)
+    p = T._as_tensor(p_first)
+    q = T._as_tensor(p_second).detach()
     if p.data.shape != q.data.shape:
         raise ShapeError(f"kl_div: lengths differ, {p.data.shape} vs {q.data.shape}")
-    q = q.detach()
     log_ratio = T.log(T.clamp(p, _EPS, 1.0)) - T.log(T.clamp(q, _EPS, 1.0))
     return T.tsum(p * log_ratio)
 
@@ -121,7 +122,7 @@ def ddl(student_sides, teacher_sides, cfg: DistillConfig):
         _, h, w = ys.data.shape
         grid = PatchGrid.for_shape(h, w, cfg.grid_g)
         ps = prob_vector(patch_counts(ys, grid), cfg.tau)
-        yt = yt.detach() if isinstance(yt, Tensor) else Tensor(yt)
+        yt = T._as_tensor(yt).detach()
         pt = prob_vector(patch_counts(yt, grid), cfg.tau)
         term = kl_div(ps, pt)
         total = term if total is None else total + term
@@ -141,8 +142,8 @@ def soften_label(teacher_pred, ground_truth, alpha):
     """Convex blend alpha * teacher + (1 - alpha) * ground truth."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    yt = teacher_pred.detach() if isinstance(teacher_pred, Tensor) else Tensor(teacher_pred)
-    y = ground_truth if isinstance(ground_truth, Tensor) else Tensor(ground_truth)
+    yt = T._as_tensor(teacher_pred).detach()
+    y = T._as_tensor(ground_truth)
     if yt.data.shape != y.data.shape:
         raise ShapeError(f"soften_label: shapes differ, {yt.data.shape} vs {y.data.shape}")
     return alpha * yt + (1.0 - alpha) * y
@@ -150,8 +151,8 @@ def soften_label(teacher_pred, ground_truth, alpha):
 
 def psdl(student_pred, soft_label):
     """Pixel-mean cross entropy of the student prediction against a soft label."""
-    p = student_pred if isinstance(student_pred, Tensor) else Tensor(student_pred)
-    target = soft_label.detach() if isinstance(soft_label, Tensor) else Tensor(soft_label)
+    p = T._as_tensor(student_pred)
+    target = T._as_tensor(soft_label).detach()
     if p.data.shape != target.data.shape:
         raise ShapeError(f"psdl: shapes differ, {p.data.shape} vs {target.data.shape}")
     p = T.clamp(p, _EPS, 1.0 - _EPS)
@@ -160,8 +161,8 @@ def psdl(student_pred, soft_label):
 
 def dice_loss(pred, ground_truth):
     """Soft dice complement: 1 - (2*overlap + eps) / (mass(pred) + mass(gt) + eps)."""
-    p = pred if isinstance(pred, Tensor) else Tensor(pred)
-    y = ground_truth if isinstance(ground_truth, Tensor) else Tensor(ground_truth)
+    p = T._as_tensor(pred)
+    y = T._as_tensor(ground_truth)
     if p.data.shape != y.data.shape:
         raise ShapeError(f"dice_loss: shapes differ, {p.data.shape} vs {y.data.shape}")
     overlap = T.tsum(p * y)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class NetworkConfig:
     width: int = 64
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.depth < 2:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_channels < 4:
@@ -40,6 +41,22 @@ class NetworkConfig:
     def channels(self, level):
         """Feature channels at encoder/decoder level (1 = shallowest)."""
         return self.base_channels * 2 ** (level - 1)
+
+
+# postponed annotation -> (the types a value may have, what the error says it
+# must be); a float field takes an int, as JSON writes 1.0 as 1
+_FIELD_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _check_field_types(cfg):
+    """ValueError naming the first int, float, bool or str field of the dataclass
+    `cfg` whose value is not of that type; a bool is neither an int nor a float."""
+    for f in fields(cfg):
+        types, must_be = _FIELD_TYPES.get(f.type, (object, None))
+        value = getattr(cfg, f.name)
+        if not isinstance(value, types) or isinstance(value, bool) and f.type in ("int", "float"):
+            raise ValueError(f"{f.name} must be {must_be}, got {value!r}")
 
 
 def _param_shapes(config):

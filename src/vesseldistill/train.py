@@ -38,8 +38,8 @@ import numpy as np
 from . import distill
 from .data import DatasetSplit, batches, save_pgm
 from .metrics import MetricReport, evaluate_pairs
-from .network import (NetworkConfig, SegNetwork, _check_input_shape, load_checkpoint,
-                      save_checkpoint)
+from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
+                      load_checkpoint, save_checkpoint)
 from .optim import AdamW, lr_at
 from .tensor import Tensor, no_grad
 
@@ -59,22 +59,11 @@ class TrainConfig:
     dtype: str = "float32"
     dice_only: bool = False  # baseline control: skip distillation entirely
 
-    def validate(self):
-        # types first: a bool is an int to Python, and a CLI override that is
-        # not JSON arrives as a string, which the range checks would take
-        for name in ("epochs", "batch_size", "lr_step_every", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        for name in ("learning_rate", "weight_decay", "lr_gamma"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.dice_only, bool):
-            raise ValueError(f"dice_only must be true or false, got {self.dice_only!r}")
-        # the name itself, which checkpoints store as JSON
+    def __post_init__(self):
+        # checked first, so np.float32 gets this message too: checkpoints store the name
         if not isinstance(self.dtype, str) or self.dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        _check_field_types(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -353,8 +342,7 @@ def _check_resumable(path, ckpt, cfg):
 
 
 def _check_run(cfg, dataset):
-    """ValueError unless train() can run cfg on dataset: see train()."""
-    cfg.validate()
+    """ValueError unless dataset has training samples of shapes cfg takes: see train()."""
     if not dataset.train:
         raise ValueError("dataset has no training samples")
     # one sample per image shape, the first of each
@@ -378,9 +366,9 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     checkpointed run's in every field but out_dir, and the file must hold
     the flat optimizer moments, or ValueError naming the file is raised.
 
-    Before any epoch or file write, ValueError is raised for a config
-    validate() rejects, an empty training split, or (naming the sample) an
-    image shape that forward or the DDL's patch grid cannot take. A
+    cfg is valid by construction. Before any epoch or file write,
+    ValueError is raised for an empty training split or (naming the sample)
+    an image shape that forward or the DDL's patch grid cannot take. A
     non-finite ddl, psdl or dice term raises FloatingPointError naming the
     epoch, the batch and the term, before that batch's optimizer step and
     before the epoch writes any checkpoint.

@@ -99,6 +99,8 @@ class TestTrain:
         # not JSON, so the override arrives as the string "False"
         ("dice_only=False", "dice_only must be true or false, got 'False'"),
         ("epochs=2.5", "epochs must be an int, got 2.5"),
+        ("network.depth=2.0", "depth must be an int, got 2.0"),
+        ("distill.grid_g=2.0", "grid_g must be an int, got 2.0"),
     ])
     def test_wrong_typed_override_is_usage_error_and_trains_nothing(
             self, data_dir, tmp_path, capsys, override, message):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,21 @@ class TestDistillConfig:
     def test_rejects_a_non_positive_or_nan_tau(self, tau):
         with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
             DistillConfig(tau=tau)
+
+    @pytest.mark.parametrize("value", [2.0, True, "2", np.int64(2)])
+    def test_rejects_a_grid_that_is_no_int(self, value):
+        # grid_g=2.0 used to train all of epoch 1 and fail in epoch 2's DDL
+        with pytest.raises(ValueError, match=re.escape(f"grid_g must be an int, got {value!r}")):
+            DistillConfig(grid_g=value)
+
+    @pytest.mark.parametrize("field", ["tau", "alpha_T"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_rejects_a_float_field_that_is_no_number(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+            DistillConfig(**{field: value})
+
+    def test_a_float_field_takes_an_int(self):
+        assert DistillConfig(tau=3, alpha_T=1).tau == 3
 
 
 class TestSoftenLabel:

@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(depth=4, height=36, width=36)
 
+    @pytest.mark.parametrize("field", ["depth", "base_channels", "in_channels", "height",
+                                       "width"])
+    @pytest.mark.parametrize("value", [2.0, 4.5, True, "4", np.int64(4)])
+    def test_rejects_a_field_that_is_no_int(self, field, value):
+        # depth=2.0 used to be built and fail in the first conv with a TypeError
+        # naming no field
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
+            NetworkConfig(**{field: value})
+
     def test_parameter_count_is_config_function(self):
         a = small_net(seed=1)
         b = small_net(seed=2)

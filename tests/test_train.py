@@ -5,6 +5,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import pathlib
 import re
 import select
 import signal
@@ -351,17 +352,15 @@ class TestValidation:
 
     def test_rejects_indivisible_patch_grid(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "w")
-        cfg = dataclasses.replace(cfg, distill=DistillConfig(grid_g=5))
         with pytest.raises(ValueError):
-            cfg.validate()
+            dataclasses.replace(cfg, distill=DistillConfig(grid_g=5))
 
     def test_rejects_non_square_patches(self, tmp_path):
         # 16x32 is divisible by grid 4 but its patches would be 4x8
-        cfg = dataclasses.replace(
-            tiny_cfg(tmp_path / "w2"),
-            network=NetworkConfig(depth=2, base_channels=4, height=16, width=32))
         with pytest.raises(ValueError, match="square patches"):
-            cfg.validate()
+            dataclasses.replace(
+                tiny_cfg(tmp_path / "w2"),
+                network=NetworkConfig(depth=2, base_channels=4, height=16, width=32))
 
     # np.float32 used to train epoch 1 and then fail to write its checkpoint
     @pytest.mark.parametrize("value", ["int32", "complex64", "float16", "bogus",
@@ -369,27 +368,27 @@ class TestValidation:
     def test_rejects_dtype_other_than_float32_or_float64(self, value):
         with pytest.raises(ValueError,
                            match=re.escape(f"dtype must be float32 or float64, got {value!r}")):
-            tiny_cfg("unused", dtype=value).validate()
+            tiny_cfg("unused", dtype=value)
 
     @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
     def test_rejects_non_positive_learning_rate(self, value):
         with pytest.raises(ValueError, match=f"learning_rate must be > 0, got {value}"):
-            tiny_cfg("unused", learning_rate=value).validate()
+            tiny_cfg("unused", learning_rate=value)
 
     @pytest.mark.parametrize("value", [-1.0, -1e-9])
     def test_rejects_negative_weight_decay(self, value):
         with pytest.raises(ValueError, match=f"weight_decay must be >= 0, got {value}"):
-            tiny_cfg("unused", weight_decay=value).validate()
+            tiny_cfg("unused", weight_decay=value)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_lr_step_every_below_one(self, value):
         with pytest.raises(ValueError, match=f"lr_step_every must be >= 1, got {value}"):
-            tiny_cfg("unused", lr_step_every=value).validate()
+            tiny_cfg("unused", lr_step_every=value)
 
     @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
     def test_rejects_lr_gamma_outside_unit_interval(self, value):
         with pytest.raises(ValueError, match=rf"lr_gamma must be in \(0, 1\], got {value}"):
-            tiny_cfg("unused", lr_gamma=value).validate()
+            tiny_cfg("unused", lr_gamma=value)
 
     @pytest.mark.parametrize("field", ["epochs", "batch_size", "lr_step_every", "seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
@@ -397,26 +396,33 @@ class TestValidation:
         # epochs=2.5 used to pass and fail inside train() after out_dir existed;
         # lr_step_every=1.5 trained on a floor-divided schedule
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), **{field: value}).validate()
+            dataclasses.replace(tiny_cfg("unused"), **{field: value})
 
     @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lr_gamma"])
     @pytest.mark.parametrize("value", [True, "0.5", None])
     def test_rejects_a_float_field_that_is_no_number(self, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), **{field: value}).validate()
+            dataclasses.replace(tiny_cfg("unused"), **{field: value})
 
     @pytest.mark.parametrize("value", ["False", "no", 0, 1, None])
     def test_rejects_dice_only_that_is_no_bool(self, value):
         # the string "False" is truthy, so it used to train the dice-only control
         with pytest.raises(ValueError, match=f"dice_only must be true or false, got {value!r}"):
-            tiny_cfg("unused", dice_only=value).validate()
+            tiny_cfg("unused", dice_only=value)
+
+    @pytest.mark.parametrize("value", [pathlib.Path("runs/x"), None, 3])
+    def test_rejects_an_out_dir_that_is_no_string(self, value):
+        # a Path used to train epoch 1 and then fail to write its checkpoint,
+        # whose JSON config cannot hold it
+        with pytest.raises(ValueError, match=re.escape(f"out_dir must be a string, got {value!r}")):
+            dataclasses.replace(tiny_cfg("unused"), out_dir=value)
 
     def test_accepts_the_boundaries(self):
         tiny_cfg("unused", dtype="float64", weight_decay=0.0, lr_step_every=1,
-                 lr_gamma=1.0).validate()
+                 lr_gamma=1.0)
         # a float field takes an int, as JSON writes 1.0 as 1
         tiny_cfg("unused", learning_rate=1, weight_decay=0, lr_gamma=1,
-                 dice_only=True).validate()
+                 dice_only=True)
 
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
