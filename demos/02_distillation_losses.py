@@ -11,7 +11,7 @@ import numpy as np
 
 from vesseldistill.checks import toy_setup
 from vesseldistill.distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, loss_terms, patch_counts,
+    DistillConfig, alpha_at, ddl, dice_loss, loss_terms, patch_counts,
     prob_vector, psdl, soften_label,
 )
 
@@ -24,7 +24,7 @@ t_pred, t_feats = teacher.forward(x)
 t_sides = teacher.side_outputs(t_feats, t_pred)
 
 # 1. A side output becomes a 2x2 grid of [fg mass, bg mass] rows ...
-counts = patch_counts(sides[0], PatchGrid(g=2, s=4))
+counts = patch_counts(sides[0], cfg.grid_g)
 print("patch count matrix (rows sum to s^2 = 16):")
 print(np.round(counts.data, 3))
 

@@ -10,7 +10,7 @@ teacher is the previous epoch's weights.
 from .tensor import Tensor, ShapeError, GraphError, gradcheck
 from .network import NetworkConfig, SegNetwork, TeacherSnapshot, load_checkpoint, save_checkpoint
 from .distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, patch_counts,
+    DistillConfig, alpha_at, ddl, dice_loss, kl_div, patch_counts,
     prob_vector, psdl, soften_label,
 )
 from .data import DatasetSplit, ImageSample, batches, generate_synthetic, load_pgm, save_pgm, split
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "ShapeError", "GraphError", "gradcheck",
     "NetworkConfig", "SegNetwork", "TeacherSnapshot", "load_checkpoint", "save_checkpoint",
-    "DistillConfig", "PatchGrid", "alpha_at", "ddl", "dice_loss", "kl_div",
+    "DistillConfig", "alpha_at", "ddl", "dice_loss", "kl_div",
     "patch_counts", "prob_vector", "psdl", "soften_label",
     "DatasetSplit", "ImageSample", "batches", "generate_synthetic",
     "load_pgm", "save_pgm", "split",

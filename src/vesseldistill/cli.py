@@ -80,7 +80,7 @@ def cmd_evaluate(args):
     samples = load_sample_dir(args.data)
     if args.split != "all":
         samples = getattr(split(samples, seed=seed), args.split)
-    report = evaluate(net, samples, threshold=args.threshold, average=args.average)
+    report = evaluate(net, samples, threshold=args.threshold)
     print(f"{'metric':<8}{'value':>10}")
     for name, value in report.as_dict().items():
         print(f"{name:<8}{value:>10.4f}")
@@ -155,7 +155,6 @@ def build_parser():
     p.add_argument("--seed", type=int,
                    help="split seed (default: the seed the checkpoint was trained with)")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--average", choices=["macro", "micro"], default="macro")
     p.add_argument("--csv", help="also write a machine-readable CSV")
     p.set_defaults(func=cmd_evaluate)
 

@@ -270,7 +270,6 @@ class DatasetSplit:
     train: list
     val: list
     test: list
-    ratios: tuple
 
 
 def split(samples, ratios=(7, 1, 2), seed=0):
@@ -292,7 +291,6 @@ def split(samples, ratios=(7, 1, 2), seed=0):
         train=shuffled[:n_train],
         val=shuffled[n_train:n_train + n_val],
         test=shuffled[n_train + n_val:],
-        ratios=tuple(ratios),
     )
 
 

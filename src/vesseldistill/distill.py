@@ -32,25 +32,6 @@ _EPS = 1e-7  # keeps the logs of kl_div and psdl finite and dice's ratio defined
 
 
 @dataclass(frozen=True)
-class PatchGrid:
-    """A g x g partition of an H x W map into n = g^2 patches of side s."""
-    g: int
-    s: int
-
-    @property
-    def n(self):
-        return self.g * self.g
-
-    @staticmethod
-    def for_shape(height, width, g):
-        if height % g or width % g or height // g != width // g:
-            raise ValueError(
-                f"grid {g}x{g} does not evenly tile {height}x{width} into square patches"
-            )
-        return PatchGrid(g=g, s=height // g)
-
-
-@dataclass(frozen=True)
 class DistillConfig:
     tau: float = 3.0
     grid_g: int = 4
@@ -67,20 +48,24 @@ class DistillConfig:
             raise ValueError(f"alpha_T must be in [0,1], got {self.alpha_T}")
 
 
-def patch_counts(side_output, grid: PatchGrid):
-    """Per-patch [foreground, background] probability mass matrix, shape [n, 2]."""
+def _patch_side(height, width, g):
+    """The side of the g x g square patches that tile a height x width map."""
+    if height % g or width % g or height // g != width // g:
+        raise ValueError(f"grid {g}x{g} does not evenly tile {height}x{width} into square patches")
+    return height // g
+
+
+def patch_counts(side_output, g):
+    """[foreground, background] probability mass of each of the g x g square
+    patches that tile a [1,H,W] map (else ValueError), row by row: [g*g, 2]."""
     y = T._as_tensor(side_output)
     if y.data.ndim != 3 or y.data.shape[0] != 1:
         raise ShapeError(f"patch_counts: expected [1,H,W], got {y.data.shape}")
-    _, h, w = y.data.shape
-    if h != grid.g * grid.s or w != grid.g * grid.s:
-        raise ValueError(f"grid {grid.g}x{grid.g} of {grid.s}x{grid.s} patches "
-                         f"does not tile {h}x{w}")
+    s = _patch_side(y.data.shape[1], y.data.shape[2], g)
     if np.any(y.data < 0) or np.any(y.data > 1):
         raise ValueError("patch_counts: values must lie in [0,1]")
-    g, s = grid.g, grid.s
     fg = T.tsum(y.reshape((g, s, g, s)), axis=3)
-    fg = T.tsum(fg, axis=1).reshape((grid.n, 1))
+    fg = T.tsum(fg, axis=1).reshape((g * g, 1))
     bg = float(s * s) - fg
     return T.concat([fg, bg], axis=1)
 
@@ -119,11 +104,11 @@ def ddl(student_sides, teacher_sides, cfg: DistillConfig):
         )
     total = None
     for ys, yt in zip(student_sides, teacher_sides):
-        _, h, w = ys.data.shape
-        grid = PatchGrid.for_shape(h, w, cfg.grid_g)
-        ps = prob_vector(patch_counts(ys, grid), cfg.tau)
         yt = T._as_tensor(yt).detach()
-        pt = prob_vector(patch_counts(yt, grid), cfg.tau)
+        if ys.data.shape != yt.data.shape:
+            raise ShapeError(f"ddl: side outputs differ, {ys.data.shape} vs {yt.data.shape}")
+        ps = prob_vector(patch_counts(ys, cfg.grid_g), cfg.tau)
+        pt = prob_vector(patch_counts(yt, cfg.grid_g), cfg.tau)
         term = kl_div(ps, pt)
         total = term if total is None else total + term
     return total

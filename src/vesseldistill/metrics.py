@@ -68,28 +68,13 @@ def compute_metrics(c: ConfusionCounts) -> MetricReport:
     return MetricReport(dsc, acc, sen, iou)
 
 
-def evaluate_pairs(pairs, threshold=0.5, average="macro"):
-    """Aggregate metrics over (pred, gt) pairs.
-
-    macro: compute per image then average; micro: pool confusion counts
-    across all images first.
-    """
+def evaluate_pairs(pairs, threshold=0.5):
+    """Each metric of every (pred, gt) pair, averaged over the pairs; the
+    report is degenerate when any pair's is."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no prediction/ground-truth pairs to evaluate")
-    if average == "macro":
-        reports = [compute_metrics(confusion(p, y, threshold)) for p, y in pairs]
-        return MetricReport(
-            dsc=float(np.mean([r.dsc for r in reports])),
-            acc=float(np.mean([r.acc for r in reports])),
-            sen=float(np.mean([r.sen for r in reports])),
-            iou=float(np.mean([r.iou for r in reports])),
-            degenerate=any(r.degenerate for r in reports),
-        )
-    if average == "micro":
-        cells = np.zeros(4, dtype=np.int64)
-        for p, y in pairs:
-            c = confusion(p, y, threshold)
-            cells += (c.tp, c.tn, c.fp, c.fn)
-        return compute_metrics(ConfusionCounts(*[int(v) for v in cells]))
-    raise ValueError(f"unknown average mode {average!r}")
+    reports = [compute_metrics(confusion(p, y, threshold)) for p, y in pairs]
+    columns = zip(*[(r.dsc, r.acc, r.sen, r.iou) for r in reports])
+    return MetricReport(*[float(np.mean(c)) for c in columns],
+                        degenerate=any(r.degenerate for r in reports))

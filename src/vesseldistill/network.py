@@ -50,10 +50,14 @@ _FIELD_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"),
 
 
 def _check_field_types(cfg):
-    """ValueError naming the first int, float, bool or str field of the dataclass
-    `cfg` whose value is not of that type; a bool is neither an int nor a float."""
+    """ValueError naming the first field of the dataclass `cfg` whose value is not
+    of its type: int, float, bool or str by annotation, or the class that is its
+    default_factory. A bool is neither an int nor a float."""
     for f in fields(cfg):
-        types, must_be = _FIELD_TYPES.get(f.type, (object, None))
+        if isinstance(f.default_factory, type):
+            types, must_be = f.default_factory, f"a {f.default_factory.__name__}"
+        else:
+            types, must_be = _FIELD_TYPES.get(f.type, (object, None))
         value = getattr(cfg, f.name)
         if not isinstance(value, types) or isinstance(value, bool) and f.type in ("int", "float"):
             raise ValueError(f"{f.name} must be {must_be}, got {value!r}")
@@ -95,8 +99,7 @@ def _check_input_shape(config, shape):
 class SegNetwork:
     """Segmentation network; parameters are autodiff tensors in a fixed order."""
 
-    def __init__(self, config: NetworkConfig, seed=0, dtype=np.float64,
-                 trainable=True):
+    def __init__(self, config: NetworkConfig, seed=0, *, dtype, trainable=True):
         """A randomly initialised net: He-normal kernels, zero biases."""
         rng = np.random.default_rng(seed)
         arrays = {
@@ -107,7 +110,7 @@ class SegNetwork:
         self._adopt(config, arrays, dtype, trainable)
 
     @classmethod
-    def from_arrays(cls, config, arrays, dtype=np.float64, trainable=True):
+    def from_arrays(cls, config, arrays, *, dtype, trainable=True):
         """A net holding copies of `arrays` (name -> array); draws no initialisation."""
         net = cls.__new__(cls)
         net._adopt(config, arrays, dtype, trainable)
@@ -209,13 +212,13 @@ class SegNetwork:
     # ---- snapshots ----
 
     def snapshot(self, epoch=0):
-        return TeacherSnapshot(self.config, self.state_arrays(), epoch, str(self.dtype))
+        return TeacherSnapshot(self.config, self.state_arrays(), epoch, dtype=str(self.dtype))
 
 
 class TeacherSnapshot:
     """Immutable copy of all network parameters frozen at an epoch boundary."""
 
-    def __init__(self, config, arrays, epoch, dtype="float64"):
+    def __init__(self, config, arrays, epoch, *, dtype):
         self.config = config
         self._arrays = {k: np.array(v, copy=True) for k, v in arrays.items()}
         self.epoch = int(epoch)

@@ -28,6 +28,7 @@ import json
 import math
 import multiprocessing
 import os
+import shutil
 import signal
 import traceback
 from dataclasses import dataclass, field
@@ -77,16 +78,18 @@ class TrainConfig:
             raise ValueError(f"lr_step_every must be >= 1, got {self.lr_step_every}")
         if not 0 < self.lr_gamma <= 1:  # the step schedule decays
             raise ValueError(f"lr_gamma must be in (0, 1], got {self.lr_gamma}")
-        distill.PatchGrid.for_shape(self.network.height, self.network.width,
-                                    self.distill.grid_g)
+        distill._patch_side(self.network.height, self.network.width, self.distill.grid_g)
 
     @staticmethod
     def from_dict(d):
+        """A TrainConfig from plain values; each nested section is a mapping of its fields."""
         d = dict(d)
-        if "distill" in d:
-            d["distill"] = distill.DistillConfig(**d["distill"])
-        if "network" in d:
-            d["network"] = NetworkConfig(**d["network"])
+        for f in dataclasses.fields(TrainConfig):
+            if isinstance(f.default_factory, type) and f.name in d:
+                if not isinstance(d[f.name], dict):
+                    raise ValueError(f"{f.name} must be a mapping of "
+                                     f"{f.default_factory.__name__} fields, got {d[f.name]!r}")
+                d[f.name] = f.default_factory(**d[f.name])
         return TrainConfig(**d)
 
     def to_dict(self):
@@ -127,11 +130,11 @@ class TrainResult:
     best_val_dsc: float
 
 
-def evaluate(net, samples, threshold=0.5, average="macro"):
-    """Macro (default) or micro averaged metrics over a sample list."""
+def evaluate(net, samples, threshold=0.5):
+    """Metrics over a sample list: each image's, averaged over the images."""
     with no_grad():
         pairs = [(net.forward(s.image)[0].data, s.mask.data) for s in samples]
-    return evaluate_pairs(pairs, threshold=threshold, average=average)
+    return evaluate_pairs(pairs, threshold=threshold)
 
 
 _TERMS = ("ddl", "psdl", "dice")
@@ -341,6 +344,24 @@ def _check_resumable(path, ckpt, cfg):
                          f"the checkpointed run in {', '.join(differing)}")
 
 
+def _best_so_far(path, ckpt, logs, has_val):
+    """The file holding the best epoch of checkpoint `path`'s run up to its
+    own epoch: `path` itself or the best.npz beside it; ValueError naming
+    that best.npz when it holds another epoch."""
+    best_dsc = float(ckpt.extras["best_dsc"])
+    best = ckpt.epoch  # train() keeps the last epoch without validation samples
+    if has_val:  # and the first with the highest val DSC with them
+        best = next((log.epoch for log in logs if log.val_dsc == best_dsc), best)
+    if best == ckpt.epoch:
+        return Path(path)
+    best_file = Path(path).with_name("best.npz")
+    stored = load_checkpoint(best_file) if best_file.exists() else None
+    if stored and stored.epoch == best and float(stored.extras["best_dsc"]) == best_dsc:
+        return best_file
+    raise ValueError(f"cannot resume from {os.fspath(path)}: its run's best epoch so far, "
+                     f"{best}, is not the one {os.fspath(best_file)} holds")
+
+
 def _check_run(cfg, dataset):
     """ValueError unless dataset has training samples of shapes cfg takes: see train()."""
     if not dataset.train:
@@ -350,21 +371,22 @@ def _check_run(cfg, dataset):
     for shape, sample in shapes.items():
         try:
             _check_input_shape(cfg.network, shape)
-            distill.PatchGrid.for_shape(shape[1], shape[2], cfg.distill.grid_g)
+            distill._patch_side(shape[1], shape[2], cfg.distill.grid_g)
         except ValueError as exc:
             raise ValueError(f"sample {sample.id!r}: {exc}") from None
 
 
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
-          epoch_start_hook=None, epoch_end_hook=None,
-          keep_epoch_checkpoints=False):
+          epoch_start_hook=None, epoch_end_hook=None):
     """Run the full training loop; returns checkpoint paths and the epoch log.
 
     resume_from: path to a checkpoint written by this function; training
     continues from the next epoch with the optimizer state restored,
-    reproducing the uninterrupted run exactly. The config must match the
-    checkpointed run's in every field but out_dir, and the file must hold
-    the flat optimizer moments, or ValueError naming the file is raised.
+    reproducing the uninterrupted run exactly, best.npz included. The
+    config must match the checkpointed run's in every field but out_dir,
+    the file must hold the flat optimizer moments, and unless its epoch is
+    its run's best so far, the best.npz beside it must hold that best
+    epoch; otherwise ValueError naming the file is raised.
 
     cfg is valid by construction. Before any epoch or file write,
     ValueError is raised for an empty training split or (naming the sample)
@@ -386,7 +408,8 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     """
     _check_run(cfg, dataset)
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    best_path = out_dir / "best.npz"
+    final_path = out_dir / "last.npz"
     dtype = np.dtype(cfg.dtype)
 
     logs, best_dsc, start_epoch = [], -1.0, 1
@@ -396,20 +419,21 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         ckpt = load_checkpoint(resume_from)
         _check_resumable(resume_from, ckpt, cfg)
         net = ckpt.to_network(trainable=True)
+        logs = [EpochLog(int(row[0]), *row[1:])
+                for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
+        best_source = _best_so_far(resume_from, ckpt, logs, bool(dataset.val))
+    out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(net.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     if resume_from is not None:
         opt.load_state_arrays(ckpt.extras)
         best_dsc = float(ckpt.extras["best_dsc"])
-        logs = [EpochLog(int(row[0]), *row[1:])
-                for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
         start_epoch = ckpt.epoch + 1
+        if best_source.resolve() != best_path.resolve():  # best.npz as of that epoch
+            shutil.copyfile(best_source, best_path)
     # the one frozen teacher, refilled from net at the end of every epoch; on
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
     teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=dtype,
                                      trainable=False)
-
-    best_path = out_dir / "best.npz"
-    final_path = out_dir / "last.npz"
 
     with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
         for t in range(start_epoch, cfg.epochs + 1):
@@ -455,9 +479,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
 
             teacher.load_state_arrays(net.state_arrays())
             _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
-            if keep_epoch_checkpoints:
-                _save(out_dir / f"epoch_{t:03d}.npz", net, opt, t,
-                      max(best_dsc, val.dsc), logs, cfg)
             # without validation samples every val.dsc is 0: the best is the last
             if val.dsc > best_dsc or not dataset.val:
                 best_dsc = val.dsc
@@ -465,8 +486,6 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             if epoch_end_hook is not None:
                 epoch_end_hook(t, net, teacher, log)
 
-    if not best_path.exists():
-        _save(best_path, net, opt, cfg.epochs, best_dsc, logs, cfg)
     write_epoch_csv(logs, out_dir / "epochs.csv")
     return TrainResult(final_path=final_path, best_path=best_path, logs=logs,
                        best_val_dsc=best_dsc)

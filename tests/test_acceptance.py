@@ -6,6 +6,7 @@ are printed in a dedicated section at the end of the run (see conftest).
 
 import dataclasses
 import math
+import shutil
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from vesseldistill.data import (
     load_pgm, save_pgm, split,
 )
 from vesseldistill.distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, kl_div, patch_counts, prob_vector,
+    DistillConfig, alpha_at, ddl, kl_div, patch_counts, prob_vector,
     psdl,
 )
 from vesseldistill.metrics import ConfusionCounts, compute_metrics, evaluate_pairs
@@ -158,9 +159,10 @@ def test_criterion_6_training_loop_conformance(acceptance_record, tmp_path):
 
     def on_end(t, net, teacher, log):
         grads_clean.append(all(p.grad is None for p in teacher.parameters()))
+        # last.npz is saved before this hook runs
+        shutil.copyfile(tmp_path / "run" / "last.npz", tmp_path / "run" / f"epoch_{t:03d}.npz")
 
-    result = train(cfg, dataset, epoch_start_hook=on_start,
-                   epoch_end_hook=on_end, keep_epoch_checkpoints=True)
+    result = train(cfg, dataset, epoch_start_hook=on_start, epoch_end_hook=on_end)
 
     first = result.logs[0]
     epoch1_ok = (first.ddl == 0.0 and first.psdl == 0.0
@@ -233,7 +235,10 @@ def test_criterion_9_determinism_and_persistence(acceptance_record, tmp_path):
             distill=DistillConfig(grid_g=4), seed=0,
             out_dir=str(tmp_path / name))
 
-    a = train(cfg("a"), dataset, keep_epoch_checkpoints=True)
+    def keep_epoch(t, net, teacher, log):
+        shutil.copyfile(tmp_path / "a" / "last.npz", tmp_path / "a" / f"epoch_{t:03d}.npz")
+
+    a = train(cfg("a"), dataset, epoch_end_hook=keep_epoch)
     b = train(cfg("b"), dataset)
     logs_ok = all(x.row() == y.row() for x, y in zip(a.logs, b.logs))
 

@@ -101,6 +101,9 @@ class TestTrain:
         ("epochs=2.5", "epochs must be an int, got 2.5"),
         ("network.depth=2.0", "depth must be an int, got 2.0"),
         ("distill.grid_g=2.0", "grid_g must be an int, got 2.0"),
+        # a whole section used to fail in a ** unpacking that named no field
+        ("network=5", "network must be a mapping of NetworkConfig fields, got 5"),
+        ("distill=[1]", "distill must be a mapping of DistillConfig fields, got [1]"),
     ])
     def test_wrong_typed_override_is_usage_error_and_trains_nothing(
             self, data_dir, tmp_path, capsys, override, message):
@@ -178,7 +181,8 @@ class TestEvaluate:
     def test_split_needs_a_seed_when_the_checkpoint_stores_none(self, data_dir, tmp_path,
                                                                  capsys):
         path = tmp_path / "bare.npz"
-        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=32, width=32))
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=32, width=32),
+                         dtype=np.float32)
         save_checkpoint(path, net, epoch=0)
         assert main(["evaluate", "--checkpoint", str(path), "--data", str(data_dir),
                      "--split", "test"]) == 1

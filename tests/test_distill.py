@@ -7,7 +7,7 @@ import pytest
 from vesseldistill import distill
 from vesseldistill.checks import toy_setup
 from vesseldistill.distill import (
-    DistillConfig, PatchGrid, alpha_at, ddl, dice_loss, kl_div, loss_terms,
+    DistillConfig, alpha_at, ddl, dice_loss, kl_div, loss_terms,
     patch_counts, prob_vector, psdl, soften_label,
 )
 from vesseldistill.tensor import ShapeError, Tensor, gradcheck
@@ -66,41 +66,39 @@ def ddl_oracle(student_sides, teacher_sides, cfg):
 
 class TestPatchCounts:
     def test_saturated_foreground(self):
-        z = patch_counts(Tensor(np.ones((1, 8, 8))), PatchGrid(g=2, s=4))
+        z = patch_counts(Tensor(np.ones((1, 8, 8))), 2)
         np.testing.assert_allclose(z.data, [[16.0, 0.0]] * 4)
 
     def test_checkerboard(self):
         board = np.indices((4, 4)).sum(axis=0) % 2
-        z = patch_counts(Tensor(board[None].astype(float)), PatchGrid(g=2, s=2))
+        z = patch_counts(Tensor(board[None].astype(float)), 2)
         np.testing.assert_allclose(z.data, [[2.0, 2.0]] * 4)
 
     def test_soft_constant_half(self):
-        z = patch_counts(Tensor(np.full((1, 4, 4), 0.5)), PatchGrid(g=2, s=2))
+        z = patch_counts(Tensor(np.full((1, 4, 4), 0.5)), 2)
         np.testing.assert_allclose(z.data, [[2.0, 2.0]] * 4)
 
     def test_soft_equals_hard_on_binary_maps(self):
         rng = np.random.default_rng(1)
         plane = (rng.uniform(size=(8, 8)) < 0.3).astype(float)
-        soft = patch_counts(Tensor(plane[None]), PatchGrid(g=2, s=4))
+        soft = patch_counts(Tensor(plane[None]), 2)
         np.testing.assert_allclose(soft.data, counts_oracle(plane, 2, hard=True))
 
     def test_rows_sum_to_patch_area(self):
         rng = np.random.default_rng(2)
-        z = patch_counts(Tensor(rng.uniform(size=(1, 8, 8))), PatchGrid(g=4, s=2))
+        z = patch_counts(Tensor(rng.uniform(size=(1, 8, 8))), 4)
         np.testing.assert_allclose(z.data.sum(axis=1), 4.0, atol=1e-9)
 
     def test_indivisible_grid_raises(self):
-        with pytest.raises(ValueError):
-            patch_counts(Tensor(np.ones((1, 6, 6))), PatchGrid(g=4, s=1))
-
-    def test_map_the_grid_does_not_tile_raises_the_grid_error(self):
-        # 2 divides 8, but 2x2 patches of side 2 cover 4x4, not 8x8
-        with pytest.raises(ValueError, match="grid 2x2 of 2x2 patches does not tile 8x8"):
-            patch_counts(Tensor(np.full((1, 8, 8), 0.5)), PatchGrid(g=2, s=2))
+        # 2 divides 8 and 16, but into 4x8 patches, which are not square
+        for shape, g in [((1, 6, 6), 4), ((1, 8, 16), 2)]:
+            with pytest.raises(ValueError, match=f"grid {g}x{g} does not evenly tile "
+                                                 f"{shape[1]}x{shape[2]} into square patches"):
+                patch_counts(Tensor(np.full(shape, 0.5)), g)
 
     def test_out_of_range_values_raise(self):
         with pytest.raises(ValueError):
-            patch_counts(Tensor(np.full((1, 4, 4), 1.5)), PatchGrid(g=2, s=2))
+            patch_counts(Tensor(np.full((1, 4, 4), 1.5)), 2)
 
 
 class TestProbVector:
@@ -176,10 +174,9 @@ class TestDDL:
         rng = np.random.default_rng(6)
         ys = Tensor(rng.uniform(size=(1, 4, 4)))
         yt = Tensor(rng.uniform(size=(1, 4, 4)))
-        grid = PatchGrid(g=2, s=2)
         expected = kl_div(
-            prob_vector(patch_counts(ys, grid), cfg.tau),
-            prob_vector(patch_counts(yt, grid), cfg.tau)).item()
+            prob_vector(patch_counts(ys, 2), cfg.tau),
+            prob_vector(patch_counts(yt, 2), cfg.tau)).item()
         assert abs(ddl([ys], [yt], cfg).item() - expected) < 1e-12
 
     def test_matches_scalar_oracle_100_cases(self):
@@ -196,6 +193,12 @@ class TestDDL:
         a = [Tensor(np.full((1, 4, 4), 0.5))]
         with pytest.raises(ShapeError):
             ddl(a, a * 2, DistillConfig(grid_g=2))
+
+    def test_side_output_shape_mismatch(self):
+        # both maps take a 2x2 grid, of patches of side 4 and 2
+        with pytest.raises(ShapeError, match=r"side outputs differ, \(1, 8, 8\) vs \(1, 4, 4\)"):
+            ddl([Tensor(np.full((1, 8, 8), 0.5))], [Tensor(np.full((1, 4, 4), 0.5))],
+                DistillConfig(grid_g=2))
 
     def test_soft_mode_gradient_vs_finite_differences(self):
         cfg = DistillConfig(grid_g=2)

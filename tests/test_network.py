@@ -7,14 +7,14 @@ import pytest
 from vesseldistill import distill, network
 from vesseldistill import tensor as T
 from vesseldistill.network import (
-    NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint,
+    NetworkConfig, SegNetwork, TeacherSnapshot, load_checkpoint, save_checkpoint,
 )
 from vesseldistill.tensor import ShapeError, Tensor
 
 
 def small_net(seed=0, depth=3, size=32, base=8):
     cfg = NetworkConfig(depth=depth, base_channels=base, height=size, width=size)
-    return SegNetwork(cfg, seed=seed)
+    return SegNetwork(cfg, seed=seed, dtype=np.float64)
 
 
 def rand_input(seed, size=32, channels=1):
@@ -316,7 +316,7 @@ class TestWeightsToNetwork:
         assert not np.any(built.named_parameters()["head1.b"].data == 7.0)
         arrays["head1.b"] = np.zeros(2)
         with pytest.raises(ShapeError, match=r"head1\.b"):
-            SegNetwork.from_arrays(net.config, arrays)
+            SegNetwork.from_arrays(net.config, arrays, dtype=np.float32)
 
     def test_weights_to_net_draws_no_initialisation(self, tmp_path, monkeypatch):
         net = small_net(seed=5)
@@ -332,6 +332,18 @@ class TestWeightsToNetwork:
         for restored in (ckpt.to_network(), snap.restore()):
             for name, p in net.named_parameters().items():
                 np.testing.assert_array_equal(p.data, restored.named_parameters()[name].data)
+
+
+    def test_a_net_has_no_default_dtype(self):
+        # TrainConfig.dtype holds the one default; these used to default to float64
+        cfg = NetworkConfig(depth=2, base_channels=4, height=8, width=8)
+        with pytest.raises(TypeError, match="dtype"):
+            SegNetwork(cfg)
+        arrays = SegNetwork(cfg, dtype=np.float32).state_arrays()
+        with pytest.raises(TypeError, match="dtype"):
+            SegNetwork.from_arrays(cfg, arrays)
+        with pytest.raises(TypeError, match="dtype"):
+            TeacherSnapshot(cfg, arrays, 1)
 
 
 class TestCheckpointLayout:

@@ -110,7 +110,8 @@ class TestAdamW:
             AdamW([param(p.data) for p in params]).load_state_arrays(state)
 
     def test_gradient_is_not_reapplied_to_a_parameter_left_out_of_the_graph(self):
-        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8))
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8),
+                         dtype=np.float64)
         x = Tensor(np.random.default_rng(0).uniform(size=(1, 8, 8)))
         opt = AdamW(net.parameters(), lr=0.1, weight_decay=0.01)
         head2 = net.named_parameters()["head2.w"]

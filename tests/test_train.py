@@ -8,6 +8,7 @@ import os
 import pathlib
 import re
 import select
+import shutil
 import signal
 import subprocess
 import sys
@@ -44,6 +45,14 @@ def tiny_cfg(out_dir, epochs=3, **kw):
 @pytest.fixture(scope="module")
 def tiny_dataset():
     return split(generate_synthetic(seed=1, count=20, size=32), seed=0)
+
+
+def keep_epochs(out_dir):
+    """An epoch_end_hook that copies each epoch's last.npz, saved before the
+    hook runs, to epoch_NNN.npz."""
+    out_dir = pathlib.Path(out_dir)
+    return lambda t, net, teacher, log: shutil.copyfile(out_dir / "last.npz",
+                                                        out_dir / f"epoch_{t:03d}.npz")
 
 
 def worker_sample(dataset, position=2):
@@ -103,7 +112,7 @@ class TestLoop:
 
         out = tmp_path / "e"
         train(tiny_cfg(out, epochs=3), tiny_dataset,
-              epoch_start_hook=on_start, keep_epoch_checkpoints=True)
+              epoch_start_hook=on_start, epoch_end_hook=keep_epochs(out))
         for t in (2, 3):
             saved = load_checkpoint(out / f"epoch_{t - 1:03d}.npz")
             params = saved.to_network().named_parameters()
@@ -220,7 +229,7 @@ class TestLoop:
 class TestResume:
     def test_resume_matches_uninterrupted(self, tiny_dataset, tmp_path):
         full_cfg = tiny_cfg(tmp_path / "full", epochs=4)
-        full = train(full_cfg, tiny_dataset, keep_epoch_checkpoints=True)
+        full = train(full_cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
 
         # restart from the interrupted run's epoch-2 checkpoint
         resumed_cfg = dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed"))
@@ -315,6 +324,48 @@ class TestResume:
         save_checkpoint(path, SegNetwork(cfg.network, dtype=np.float32), epoch=1)
         with pytest.raises(ValueError, match="train_config"):
             train(cfg, tiny_dataset, resume_from=path)
+
+    @staticmethod
+    def assert_same_best(a, b):
+        """Two runs' best.npz hold the same epoch, best_dsc and weights, bit for bit."""
+        best_a, best_b = load_checkpoint(a.best_path), load_checkpoint(b.best_path)
+        assert best_b.epoch == best_a.epoch
+        assert float(best_b.extras["best_dsc"]) == float(best_a.extras["best_dsc"])
+        assert b.best_val_dsc == a.best_val_dsc
+        for name, arr in best_a.params.items():
+            assert best_b.params[name].tobytes() == arr.tobytes()
+
+    def test_resume_at_the_best_epoch_into_a_new_directory_keeps_it_best(self, tiny_dataset,
+                                                                         tmp_path):
+        # seed 1's best epoch is 2 (val DSC 0.211; epoch 4 scores 0.023), and
+        # best.npz used to get epoch 4's weights with epoch 2's best_dsc
+        cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=1)
+        full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
+        assert load_checkpoint(full.best_path).epoch == 2
+        resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed")),
+                        tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
+        self.assert_same_best(full, resumed)
+
+    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path):
+        # seed 3's best epoch is 1, before the checkpoint
+        cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=3)
+        full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
+        assert load_checkpoint(full.best_path).epoch == 1
+        resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed")),
+                        tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
+        self.assert_same_best(full, resumed)
+
+        # once best.npz holds another epoch, nothing holds epoch 1's weights
+        shutil.copyfile(full.final_path, full.best_path)
+        started = []
+        refusal = (f"cannot resume from {re.escape(str(tmp_path / 'full' / 'epoch_002.npz'))}: "
+                   f"its run's best epoch so far, 1, is not the one "
+                   f"{re.escape(str(full.best_path))} holds")
+        with pytest.raises(ValueError, match=refusal):
+            train(dataclasses.replace(cfg, out_dir=str(tmp_path / "refused")), tiny_dataset,
+                  resume_from=tmp_path / "full" / "epoch_002.npz",
+                  epoch_start_hook=lambda t, teacher: started.append(t))
+        assert not started and not (tmp_path / "refused").exists()
 
     def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
         import json
@@ -416,6 +467,18 @@ class TestValidation:
         # whose JSON config cannot hold it
         with pytest.raises(ValueError, match=re.escape(f"out_dir must be a string, got {value!r}")):
             dataclasses.replace(tiny_cfg("unused"), out_dir=value)
+
+    @pytest.mark.parametrize("field, value, must_be", [
+        ("network", {"depth": 3}, "NetworkConfig"),
+        ("network", DistillConfig(), "NetworkConfig"),
+        ("distill", {"tau": 3.0}, "DistillConfig"),
+        ("distill", None, "DistillConfig"),
+    ])
+    def test_rejects_a_section_that_is_no_config(self, field, value, must_be):
+        # a dict used to fail with an AttributeError naming no field
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a {must_be}, "
+                                                       f"got {value!r}")):
+            dataclasses.replace(tiny_cfg("unused"), **{field: value})
 
     def test_accepts_the_boundaries(self):
         tiny_cfg("unused", dtype="float64", weight_decay=0.0, lr_step_every=1,
@@ -643,7 +706,7 @@ class TestWorkers:
         process that kept the default thread count would end with other
         weights than two processes on one thread each."""
         samples = generate_synthetic(seed=3, count=2, size=344)
-        dataset = train_module.DatasetSplit(train=samples, val=[], test=[], ratios=(1, 0, 0))
+        dataset = train_module.DatasetSplit(train=samples, val=[], test=[])
         cfg = TrainConfig(epochs=2, batch_size=2, network=NetworkConfig(
             depth=3, base_channels=8, height=344, width=344), seed=0)
         weights = []
