@@ -35,8 +35,11 @@ def _apply_overrides(config_dict, overrides):
             value = raw
         node = config_dict
         parts = key.split(".")
-        for part in parts[:-1]:
+        for i, part in enumerate(parts[:-1]):
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ValueError(f"{'.'.join(parts[:i + 1])} must be a mapping to set "
+                                 f"{key}, got {node!r}")
         node[parts[-1]] = value
     return config_dict
 

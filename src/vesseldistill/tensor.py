@@ -28,13 +28,16 @@ The 3x3 convolution correlates a flat, zero-padded copy of its input
 (rows W+2 wide, the two junk columns per output row cropped): as 9 GEMMs
 on shifted views of that buffer when the contraction is wide, otherwise
 as GEMMs over a 9x column copy. Both paths fill the output a block of
-whole 64-column units at a time, each block's workspace (its column
-matrix, or its input columns, output and tap product) within about
+whole 64-column units at a time: each block's workspace (its column
+matrix, or its input columns, accumulator and tap product) within about
 1 MiB, half a per-core L2 cache, so the GEMM operands stay in cache and
-memory does not grow with the image. Where H*(W+2) is a multiple of 64,
-such blocks keep OpenBLAS's GEMM bits; its sgemv picks a kernel by
-length, so a one-output-channel conv on the view path, a GEMV per tap,
-stays one block.
+memory does not grow with the image; each GEMM at most 100^3
+multiply-adds, which OpenBLAS runs on its faster small-matrix kernels.
+The view path sums a block's tap products in a contiguous accumulator
+and writes the output once (adding into a strided slice of it cost
+3-4x). Where H*(W+2) is a multiple of 64, such blocks keep OpenBLAS's
+GEMM bits; its sgemv picks a kernel by length, so a one-output-channel
+conv on the view path, a GEMV per tap, stays one block.
 The input gradient is the same correlation of the output gradient with
 the flipped, transposed kernel, blocked the same way. The graph keeps the
 unpadded input, which backward pads again for the kernel gradient, and
@@ -523,10 +526,16 @@ _VIEW_MIN_CONTRACTION = 16
 
 # bytes of conv workspace per block, about half of a 2 MiB per-core L2: the
 # column path's 9x column matrix, or the view path's input columns with its
-# output and tap-product blocks. Blocks of whole 64-column units keep one
-# GEMM's bits on OpenBLAS (blocks of whole rows do not); a ragged last
+# accumulator and tap-product blocks. Blocks of whole 64-column units keep
+# one GEMM's bits on OpenBLAS (blocks of whole rows do not); a ragged last
 # block may not
 _BLOCK_BUDGET = 1 << 20
+
+# multiply-adds per conv GEMM (C_out * contraction * block columns) at or
+# under which OpenBLAS (0.3.31, SkylakeX, one thread) runs its unpacked
+# small-matrix kernels, at about half the cost per column: a float32
+# [8,72]@[72,m] took 16 ns per column at m = 1728 and 26-28 from m = 1792
+_SMALL_GEMM = 100 ** 3
 
 
 def _pad_flat(arr):
@@ -562,8 +571,9 @@ def _correlate3(flat, kernel, h, w):
         step = n
     else:
         col_bytes = (c + 2 * c_out if view else 9 * c) * flat.itemsize
-        # as few blocks as the budget allows, of equal whole 64-column units
-        units = max(_BLOCK_BUDGET // (col_bytes * 64), 1)
+        madds = c_out * (c if view else 9 * c)  # per GEMM output column
+        # as few blocks as both limits allow, of equal whole 64-column units
+        units = max(min(_BLOCK_BUDGET // col_bytes, _SMALL_GEMM // madds) // 64, 1)
         blocks = -(-n // (64 * units))
         step = -(-n // (64 * blocks)) * 64
     out = np.empty((c_out, n), np.result_type(kernel, flat))
@@ -571,14 +581,16 @@ def _correlate3(flat, kernel, h, w):
         # contiguous per-tap matrices: a kernel[:, :, di, dj] slice is not BLAS-able
         taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(9, c_out, c)
         offsets = _tap_offsets(w)
-        tmp = np.empty((c_out, step), out.dtype)  # reused by every block
+        # reused by every block, and contiguous for a ragged last one too
+        acc, tmp = np.empty((2, c_out * step), out.dtype)
         for lo in range(0, n, step):
             m = min(step, n - lo)
-            block = out[:, lo:lo + m]
+            block, prod = acc[:c_out * m].reshape(c_out, m), tmp[:c_out * m].reshape(c_out, m)
             np.matmul(taps[0], flat[:, lo:lo + m], out=block)
             for tap, off in zip(taps[1:], offsets[1:]):
-                np.matmul(tap, flat[:, off + lo:off + lo + m], out=tmp[:, :m])
-                block += tmp[:, :m]
+                np.matmul(tap, flat[:, off + lo:off + lo + m], out=prod)
+                block += prod
+            out[:, lo:lo + m] = block
     else:
         s_c, s = flat.strides
         cols = np.lib.stride_tricks.as_strided(

@@ -113,6 +113,20 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (["network=5", "network.depth=3"],
+         "network must be a mapping to set network.depth, got 5"),
+        (["distill=[1]", "distill.tau=2"],
+         "distill must be a mapping to set distill.tau, got [1]"),
+    ])
+    def test_dotted_override_into_a_non_mapping_names_the_section(
+            self, data_dir, tmp_path, capsys, overrides, message):
+        out = tmp_path / "walked"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}",
+                     *TINY, *overrides]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, message", [
         ("distill.grid_g=0", "grid_g must be >= 1, got 0"),
         ("distill.tau=NaN", "tau must be positive, got nan"),

@@ -145,6 +145,21 @@ class TestForward:
         net.forward(x)
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 500
 
+    def test_frozen_256_float32_forward_keeps_whole_gemm_bits(self, monkeypatch):
+        """infer_256's net splits every conv GEMM into blocks of whole
+        64-column units for cache and for OpenBLAS's small-matrix kernels,
+        and its float32 256x256 forward is bitwise that of unsplit GEMMs."""
+        cfg = NetworkConfig(depth=3, base_channels=8, height=256, width=256)
+        net = SegNetwork(cfg, seed=0, dtype=np.float32, trainable=False)
+        x = Tensor(np.random.default_rng(0).uniform(size=(1, 256, 256)).astype(np.float32))
+        blocked, features = net.forward(x)
+        monkeypatch.setattr(T, "_BLOCK_BUDGET", 1 << 62)
+        monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)
+        whole, whole_features = net.forward(x)
+        np.testing.assert_array_equal(blocked.data, whole.data)
+        for a, b in zip(features, whole_features):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_input_of_the_nets_dtype_is_used_uncopied(self, monkeypatch):
         net = small_net()
         x = rand_input(0)

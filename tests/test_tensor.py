@@ -89,35 +89,40 @@ class TestConv2d:
             rtol=1e-4)
         assert ok
 
-    # with a budget of one byte every conv runs in 64-column blocks, on the
-    # column path (C_in < 16) and the view path alike; both shapes end in a
-    # short block, and (6, 29) puts block boundaries inside output rows
+    # with either limit at 1 (the block budget or the small-GEMM one) every
+    # conv runs in 64-column blocks, on the column path (C_in < 16) and the
+    # view path alike; both shapes end in a short block, and (6, 29) puts
+    # block boundaries inside output rows
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("h,w", [(13, 17), (6, 29)])
     @pytest.mark.parametrize("c_in", [1, 2, 8, 16, 24])
     def test_column_blocks_match_nested_loop_oracle(self, c_in, h, w, dtype, monkeypatch):
-        monkeypatch.setattr(T, "_BLOCK_BUDGET", 1)
         rng = np.random.default_rng(4)
         x = rng.normal(size=(c_in, h, w)).astype(dtype)
         k = rng.normal(size=(3, c_in, 3, 3)).astype(dtype)
         b = rng.normal(size=3).astype(dtype)
-        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
-        assert out.data.dtype == dtype
-        assert_matches_oracle(out.data, x, k, b)
+        for limit in ("_BLOCK_BUDGET", "_SMALL_GEMM"):
+            with monkeypatch.context() as patch:
+                patch.setattr(T, limit, 1)
+                out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
+            assert out.data.dtype == dtype
+            assert_matches_oracle(out.data, x, k, b)
 
     @pytest.mark.parametrize("c_in,c_out", [(1, 1), (2, 3), (8, 2), (16, 3), (24, 2)])
     def test_gradient_through_column_blocks(self, c_in, c_out, monkeypatch):
         """Forward and input gradient both run in 64-column blocks, on
-        either conv path."""
-        monkeypatch.setattr(T, "_BLOCK_BUDGET", 1)
+        either conv path, whichever limit forces them."""
         rng = np.random.default_rng(9)
         x = rand_tensor(rng, (c_in, 6, 29))
         k = rand_tensor(rng, (c_out, c_in, 3, 3), lo=-0.5, hi=0.5)
         b = rand_tensor(rng, (c_out,), lo=-0.5, hi=0.5)
-        ok, _ = gradcheck(
-            lambda x, k, b: T.tsum(T.sigmoid(T.conv2d(x, k, b))), (x, k, b),
-            rtol=1e-4)
-        assert ok
+        for limit in ("_BLOCK_BUDGET", "_SMALL_GEMM"):
+            with monkeypatch.context() as patch:
+                patch.setattr(T, limit, 1)
+                ok, _ = gradcheck(
+                    lambda x, k, b: T.tsum(T.sigmoid(T.conv2d(x, k, b))), (x, k, b),
+                    rtol=1e-4)
+            assert ok, limit
 
     @pytest.mark.parametrize("h,w", SHAPES)
     @pytest.mark.parametrize("c_in,c_out", CHANNELS)

@@ -197,16 +197,18 @@ class TestLoop:
 
     def test_column_budget_leaves_smoke_training_bitwise_unchanged(self, tmp_path,
                                                                     monkeypatch):
-        """At the smoke shape the 8-channel convs' column matrices (1.2 MB
-        in float32) exceed the block budget and are split, and blocks of
-        whole 64-column units keep OpenBLAS's bits, so training matches
-        unbounded single GEMMs bit for bit."""
+        """At the smoke shape the convs are split by the block budget (the
+        8-channel convs' column matrices are 1.2 MB in float32) and by the
+        small-GEMM limit, and blocks of whole 64-column units keep
+        OpenBLAS's bits, so training matches unbounded single GEMMs bit for
+        bit."""
         dataset = split(generate_synthetic(seed=6, count=16, size=64), seed=0)
         cfg = TrainConfig(
             epochs=3, network=NetworkConfig(depth=3, base_channels=8, height=64, width=64),
             seed=0, out_dir=str(tmp_path / "bounded"))
         bounded = train(cfg, dataset)
         monkeypatch.setattr(T, "_BLOCK_BUDGET", 1 << 62)
+        monkeypatch.setattr(T, "_SMALL_GEMM", 1 << 62)
         unbounded = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "unbounded")),
                           dataset)
         assert ((tmp_path / "bounded" / "epochs.csv").read_bytes()
