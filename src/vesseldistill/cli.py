@@ -1,8 +1,8 @@
 """Command-line front-end.
 
 Subcommands: generate-data, train, evaluate, predict, gradcheck, sweep.
-Configuration comes from an optional JSON file plus --key=value overrides
-(dotted keys reach nested sections, e.g. --distill.tau=4).
+Configuration comes from an optional JSON file plus positional key=value
+overrides (dotted keys reach nested sections, e.g. distill.tau=4).
 
 Exit codes: 0 success, 1 usage or validation error, 2 gradient-check failure.
 """
@@ -28,7 +28,6 @@ def _apply_overrides(config_dict, overrides):
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")
         key, raw = item.split("=", 1)
-        key = key.lstrip("-")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -47,9 +46,14 @@ def _apply_overrides(config_dict, overrides):
 def _load_train_config(args):
     config_dict = {}
     if args.config:
-        config_dict = json.loads(Path(args.config).read_text())
-    _apply_overrides(config_dict, args.overrides)
-    return TrainConfig.from_dict(config_dict)
+        must = f"{args.config} must hold a JSON object of TrainConfig fields"
+        try:
+            config_dict = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{must}; it is not valid JSON: {exc}") from None
+        if not isinstance(config_dict, dict):
+            raise ValueError(f"{must}, got {config_dict!r}")
+    return TrainConfig.from_dict(_apply_overrides(config_dict, args.overrides))
 
 
 def cmd_generate_data(args):
@@ -83,7 +87,7 @@ def cmd_evaluate(args):
     samples = load_sample_dir(args.data)
     if args.split != "all":
         samples = getattr(split(samples, seed=seed), args.split)
-    report = evaluate(net, samples, threshold=args.threshold)
+    report = evaluate(net, samples)
     print(f"{'metric':<8}{'value':>10}")
     for name, value in report.as_dict().items():
         print(f"{name:<8}{value:>10.4f}")
@@ -96,8 +100,7 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
-    image = load_pgm(args.image)
-    predict_to_file(args.checkpoint, image, args.out, threshold=args.threshold)
+    predict_to_file(args.checkpoint, load_pgm(args.image), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -157,7 +160,6 @@ def build_parser():
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
     p.add_argument("--seed", type=int,
                    help="split seed (default: the seed the checkpoint was trained with)")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--csv", help="also write a machine-readable CSV")
     p.set_defaults(func=cmd_evaluate)
 
@@ -165,7 +167,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")

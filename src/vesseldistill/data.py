@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from .metrics import _foreground
 from .tensor import Tensor
 
 
@@ -246,7 +247,7 @@ def load_sample_dir(root):
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask for {img_path.name} under {root / 'masks'}")
         img = load_pgm(img_path)
-        mask = (load_pgm(mask_path) >= 0.5).astype(np.float64)
+        mask = _foreground(load_pgm(mask_path)).astype(np.float64)
         samples.append(ImageSample(
             image=Tensor(img[None]), mask=Tensor(mask[None]), id=img_path.stem))
     if not samples:

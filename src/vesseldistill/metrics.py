@@ -33,14 +33,19 @@ class MetricReport:
         return {"DSC": self.dsc, "ACC": self.acc, "SEN": self.sen, "IOU": self.iou}
 
 
-def confusion(pred, gt, threshold=0.5):
-    """Binarize pred at threshold (>= counts as foreground) and tally cells."""
+def _foreground(values):
+    """The foreground cells of a probability map or mask, for every binarization."""
+    return values >= 0.5
+
+
+def confusion(pred, gt):
+    """Binarize pred and gt (see _foreground) and tally cells."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
     y = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
     if p.shape != y.shape:
         raise ShapeError(f"confusion: shapes differ, {p.shape} vs {y.shape}")
-    pb = p >= threshold
-    yb = y >= 0.5
+    pb = _foreground(p)
+    yb = _foreground(y)
     tp = int(np.count_nonzero(pb & yb))
     tn = int(np.count_nonzero(~pb & ~yb))
     fp = int(np.count_nonzero(pb & ~yb))
@@ -68,13 +73,13 @@ def compute_metrics(c: ConfusionCounts) -> MetricReport:
     return MetricReport(dsc, acc, sen, iou)
 
 
-def evaluate_pairs(pairs, threshold=0.5):
-    """Each metric of every (pred, gt) pair, averaged over the pairs; the
-    report is degenerate when any pair's is."""
+def evaluate_pairs(pairs):
+    """Each metric of every (pred, gt) pair, both binarized by confusion,
+    averaged over the pairs; the report is degenerate when any pair's is."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("no prediction/ground-truth pairs to evaluate")
-    reports = [compute_metrics(confusion(p, y, threshold)) for p, y in pairs]
+    reports = [compute_metrics(confusion(p, y)) for p, y in pairs]
     columns = zip(*[(r.dsc, r.acc, r.sen, r.iou) for r in reports])
     return MetricReport(*[float(np.mean(c)) for c in columns],
                         degenerate=any(r.degenerate for r in reports))

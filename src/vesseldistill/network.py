@@ -26,7 +26,6 @@ from .tensor import Tensor, ShapeError
 class NetworkConfig:
     depth: int = 3
     base_channels: int = 8
-    in_channels: int = 1
     height: int = 64
     width: int = 64
 
@@ -36,7 +35,7 @@ class NetworkConfig:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
-        _check_input_shape(self, (self.in_channels, self.height, self.width))
+        _check_input_shape(self, (1, self.height, self.width))
 
     def channels(self, level):
         """Feature channels at encoder/decoder level (1 = shallowest)."""
@@ -73,7 +72,7 @@ def _param_shapes(config):
         shapes.append((f"{name}.b", (c_out,)))
 
     for k in range(1, d + 1):
-        c_in = config.in_channels if k == 1 else config.channels(k - 1)
+        c_in = 1 if k == 1 else config.channels(k - 1)
         conv(f"enc{k}.conv1", c_in, config.channels(k))
         conv(f"enc{k}.conv2", config.channels(k), config.channels(k))
     for k in range(d - 1, 0, -1):
@@ -85,15 +84,12 @@ def _param_shapes(config):
 
 
 def _check_input_shape(config, shape):
-    """ShapeError unless `shape` is [in_channels,H,W] with H and W divisible
-    by 2^(depth-1): the inputs a net with this config can forward."""
+    """ShapeError unless `shape` is [1,H,W] (one channel, as angiograms have) with H
+    and W divisible by 2^(depth-1): the inputs a net with this config can forward."""
     stride = 2 ** (config.depth - 1)
-    if len(shape) != 3 or shape[0] != config.in_channels or shape[1] % stride \
-            or shape[2] % stride:
-        raise ShapeError(
-            f"input shape {shape} is not [{config.in_channels},H,W] "
-            f"with H and W divisible by 2^(depth-1) = {stride}"
-        )
+    if len(shape) != 3 or shape[0] != 1 or shape[1] % stride or shape[2] % stride:
+        raise ShapeError(f"input shape {shape} is not [1,H,W] "
+                         f"with H and W divisible by 2^(depth-1) = {stride}")
 
 
 class SegNetwork:
@@ -159,7 +155,7 @@ class SegNetwork:
     def forward(self, x):
         """Run the network; returns (prediction [1,H,W], decoder features).
 
-        Being fully convolutional, the net takes any [in_channels,H,W]
+        Being fully convolutional, the net takes any [1,H,W]
         input whose H and W are divisible by 2^(depth-1), not only the
         training size in its config. An input of another dtype is cast to
         the net's; a Tensor of the net's dtype is used uncopied.
@@ -224,9 +220,6 @@ class TeacherSnapshot:
         self.epoch = int(epoch)
         self.dtype = dtype
 
-    def arrays(self):
-        return {k: v.copy() for k, v in self._arrays.items()}
-
     def restore(self, trainable=False):
         """Rebuild a network with these exact parameter values.
 
@@ -242,20 +235,14 @@ class TeacherSnapshot:
 def save_checkpoint(path, net, epoch, extras=None):
     """Write a lossless .npz checkpoint: config, parameters, epoch.
 
-    The file holds a JSON "meta" member (config, dtype, epoch, parameter
-    order) and one flat "params" array, every parameter raveled in that
-    order; the config gives their shapes. extras: optional dict of
-    additional arrays (e.g. optimizer moments), stored under an "extra:"
-    prefix. The file is written under a temporary name and renamed over
-    `path`, so a crash mid-write leaves any previous checkpoint at `path`
-    intact.
+    The file holds a JSON "meta" member (config, dtype, epoch) and one flat
+    "params" array, every parameter raveled in the order and shapes the
+    config gives. extras: optional dict of additional arrays (e.g. optimizer
+    moments), stored under an "extra:" prefix. The file is written under a
+    temporary name and renamed over `path`, so a crash mid-write leaves any
+    previous checkpoint at `path` intact.
     """
-    meta = {
-        "config": asdict(net.config),
-        "dtype": str(net.dtype),
-        "epoch": int(epoch),
-        "param_order": list(net.named_parameters().keys()),
-    }
+    meta = {"config": asdict(net.config), "dtype": str(net.dtype), "epoch": int(epoch)}
     payload = {
         "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
         "params": np.concatenate([p.data.ravel() for p in net.parameters()]),
@@ -288,17 +275,17 @@ class Checkpoint:
                                       trainable=trainable)
 
 
-def _split_params(path, flat, config, order):
-    """Slice a flat "params" array into name -> array, shapes from the config."""
-    shapes = dict(_param_shapes(config))
-    sizes = [math.prod(shapes[name]) for name in order]
+def _split_params(path, flat, config):
+    """Slice a flat "params" array into name -> array, in the config's order and shapes."""
+    shapes = _param_shapes(config)
+    sizes = [math.prod(shape) for _, shape in shapes]
     if flat.size != sum(sizes):
         raise ValueError(
             f"{os.fspath(path)}: params holds {flat.size} values, but the config's "
             f"{len(sizes)} parameters need {sum(sizes)}")
     offsets = np.cumsum([0] + sizes)
-    return {name: flat[lo:hi].reshape(shapes[name])
-            for name, lo, hi in zip(order, offsets[:-1], offsets[1:])}
+    return {name: flat[lo:hi].reshape(shape)
+            for (name, shape), lo, hi in zip(shapes, offsets[:-1], offsets[1:])}
 
 
 def load_checkpoint(path, extras=True):
@@ -306,15 +293,20 @@ def load_checkpoint(path, extras=True):
 
     extras=False decodes only the "meta" and "params" members, which is
     all inference needs, and leaves Checkpoint.extras empty. A file
-    without a flat "params" array raises ValueError.
+    without a flat "params" array raises ValueError, as does an older file's
+    stored in_channels other than 1; its stored parameter order is not read.
     """
     with np.load(path) as z:
         if "params" not in z.files:
             raise ValueError(f"{os.fspath(path)}: no flat params array, "
                              "so not a checkpoint save_checkpoint wrote")
         meta = json.loads(bytes(z["meta"]).decode())
+        in_channels = meta["config"].pop("in_channels", 1)
+        if in_channels != 1:
+            raise ValueError(f"{os.fspath(path)}: its config stores in_channels "
+                             f"{in_channels!r}, but the net takes one input channel")
         config = NetworkConfig(**meta["config"])
-        params = _split_params(path, z["params"], config, meta["param_order"])
+        params = _split_params(path, z["params"], config)
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
     return Checkpoint(config, params, meta["epoch"], meta["dtype"], stored)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import distill
 from .data import DatasetSplit, batches, save_pgm
-from .metrics import MetricReport, evaluate_pairs
+from .metrics import MetricReport, _foreground, evaluate_pairs
 from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
                       load_checkpoint, save_checkpoint)
 from .optim import AdamW, lr_at
@@ -130,11 +130,11 @@ class TrainResult:
     best_val_dsc: float
 
 
-def evaluate(net, samples, threshold=0.5):
-    """Metrics over a sample list: each image's, averaged over the images."""
+def evaluate(net, samples):
+    """Metrics over a sample list (see evaluate_pairs), averaged over the images."""
     with no_grad():
         pairs = [(net.forward(s.image)[0].data, s.mask.data) for s in samples]
-    return evaluate_pairs(pairs, threshold=threshold)
+    return evaluate_pairs(pairs)
 
 
 _TERMS = ("ddl", "psdl", "dice")
@@ -491,12 +491,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                        best_val_dsc=best_dsc)
 
 
-def predict_to_file(checkpoint_path, image, out_path, threshold=0.5):
-    """Forward an image through a checkpoint and write a binary P5 mask."""
+def predict_to_file(checkpoint_path, image, out_path):
+    """Forward an [H,W] or [1,H,W] image through a checkpoint; write the binarized P5 mask."""
     net = load_checkpoint(checkpoint_path, extras=False).to_network(trainable=False)
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     pred, _ = net.forward(arr[None] if arr.ndim == 2 else arr)
-    mask = (pred.data[0] >= threshold).astype(np.float64)
+    mask = _foreground(pred.data[0]).astype(np.float64)
     save_pgm(mask, out_path)
     return mask
 

@@ -88,6 +88,29 @@ class TestTrain:
     def test_malformed_override_is_usage_error(self, data_dir):
         assert main(["train", "--data", str(data_dir), "epochs"]) == 1
 
+    def test_an_override_is_key_value_only(self, data_dir, tmp_path, capsys):
+        # --epochs=1 is no option, and after a -- separator it is no key either
+        out = tmp_path / "dashed"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}", *TINY,
+                     "--epochs=1"]) == 1
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}", *TINY,
+                     "--", "--epochs=1"]) == 1
+        assert "--epochs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", ["[1]", '"x"', '{"epochs": 1,\n'],
+                             ids=["list", "string", "truncated"])
+    def test_config_file_that_holds_no_object_is_usage_error(self, data_dir, tmp_path,
+                                                            capsys, content):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(content)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--config", str(cfg_file),
+                     f"out_dir={out}", *TINY]) == 1
+        assert (f"{cfg_file} must hold a JSON object of TrainConfig fields"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_dtype_is_usage_error_and_trains_nothing(self, data_dir, tmp_path, capsys):
         out = tmp_path / "int"
         assert main(["train", "--data", str(data_dir), f"out_dir={out}",
@@ -274,3 +297,12 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--checkpoint", "c.npz", "--data", "d"],
+        ["predict", "--checkpoint", "c.npz", "--image", "i.pgm", "--out", "o.pgm"],
+    ], ids=["evaluate", "predict"])
+    def test_threshold_is_no_option(self, command, capsys):
+        # foreground is a value >= 0.5, for the metrics and masks alike
+        assert main([*command, "--threshold", "0.3"]) == 1
+        assert "unrecognized arguments: --threshold 0.3" in capsys.readouterr().err

@@ -75,6 +75,22 @@ class TestPGMLoad:
         with pytest.raises(PGMTruncatedError):
             load_pgm(p)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"P", "file too short for a magic number"),
+        (b"P5 4 x 255\n\x00", r"non-numeric header fields \[b'4', b'x', b'255'\]"),
+        (b"P2 2 2 255\n0 1 2\n", "payload holds 3 values, expected 4"),
+    ], ids=["one-byte", "non-numeric-header", "short-ascii-payload"])
+    def test_truncated_or_garbled_file_names_itself(self, tmp_path, content, message):
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(content)
+        with pytest.raises(PGMTruncatedError, match=rf"bad\.pgm: {message}"):
+            load_pgm(p)
+
+    def test_save_refuses_more_than_one_channel(self, tmp_path):
+        with pytest.raises(ValueError, match=r"expected \[H,W\] or \[1,H,W\], got \(2, 3, 3\)"):
+            save_pgm(np.zeros((2, 3, 3)), tmp_path / "two.pgm")
+        assert not (tmp_path / "two.pgm").exists()
+
     def test_roundtrip_quantization_bound(self, tmp_path):
         rng = np.random.default_rng(0)
         img = rng.uniform(size=(9, 7))
@@ -287,6 +303,8 @@ class TestSplit:
             split([1, 2, 3], ratios=(1, 2))
         with pytest.raises(ValueError):
             split([1, 2, 3], ratios=(-1, 1, 1))
+        with pytest.raises(ValueError, match="sum to a positive whole number"):
+            split([1, 2, 3], ratios=(1, 1, 0.5))
         with pytest.raises(ValueError):
             split([], ratios=(7, 1, 2))
 

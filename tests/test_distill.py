@@ -228,6 +228,8 @@ class TestAlphaSchedule:
             alpha_at(0, 10, 0.5)
         with pytest.raises(ValueError):
             alpha_at(11, 10, 0.5)
+        with pytest.raises(ValueError, match="total_epochs must be >= 1, got 0"):
+            alpha_at(1, 0, 0.5)
 
 
 class TestDistillConfig:
@@ -240,6 +242,11 @@ class TestDistillConfig:
     def test_rejects_a_non_positive_or_nan_tau(self, tau):
         with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
             DistillConfig(tau=tau)
+
+    @pytest.mark.parametrize("alpha_T", [1.5, -0.5, float("nan")])
+    def test_rejects_an_alpha_T_outside_the_unit_interval(self, alpha_T):
+        with pytest.raises(ValueError, match=rf"alpha_T must be in \[0,1\], got {alpha_T}"):
+            DistillConfig(alpha_T=alpha_T)
 
     @pytest.mark.parametrize("value", [2.0, True, "2", np.int64(2)])
     def test_rejects_a_grid_that_is_no_int(self, value):
@@ -398,3 +405,18 @@ class TestTotalLoss:
         sides = outputs(student, x)
         with pytest.raises(ShapeError, match="depth mismatch"):
             loss_terms(sides, sides[:1], y, DistillConfig(grid_g=2), 0.25)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: patch_counts(np.zeros((2, 4, 4)), 2),
+     r"patch_counts: expected \[1,H,W\], got \(2, 4, 4\)"),
+    (lambda: prob_vector(np.ones((4, 3)), 3.0),
+     r"prob_vector: expected \[n,2\] counts, got \(4, 3\)"),
+    (lambda: soften_label(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)), 0.5),
+     r"soften_label: shapes differ, \(1, 2, 2\) vs \(1, 2, 3\)"),
+    (lambda: psdl(np.full((1, 2, 2), 0.5), np.zeros((1, 2, 3))),
+     r"psdl: shapes differ, \(1, 2, 2\) vs \(1, 2, 3\)"),
+], ids=["patch_counts", "prob_vector", "soften_label", "psdl"])
+def test_a_malformed_shape_is_refused_by_name(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()

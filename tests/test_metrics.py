@@ -18,12 +18,6 @@ class TestConfusion:
         c = confusion(np.array([0.5]), np.array([1.0]))
         assert c.tp == 1
 
-    def test_custom_threshold(self):
-        pred = np.array([0.4, 0.6])
-        gt = np.array([1.0, 1.0])
-        assert confusion(pred, gt, threshold=0.3).tp == 2
-        assert confusion(pred, gt, threshold=0.7).tp == 0
-
     def test_accepts_tensors(self):
         c = confusion(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
         assert c.tp == 4 and c.total == 4
@@ -69,9 +63,9 @@ class TestComputeMetrics:
 
 class TestEvaluatePairs:
     @staticmethod
-    def set_oracle(pred, gt, threshold=0.5):
+    def set_oracle(pred, gt):
         """Independent reference via index-set arithmetic."""
-        p = {i for i, v in enumerate(np.asarray(pred).ravel()) if v >= threshold}
+        p = {i for i, v in enumerate(np.asarray(pred).ravel()) if v >= 0.5}
         y = {i for i, v in enumerate(np.asarray(gt).ravel()) if v >= 0.5}
         n = np.asarray(pred).size
         tp = len(p & y)

@@ -30,8 +30,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(depth=4, height=36, width=36)
 
-    @pytest.mark.parametrize("field", ["depth", "base_channels", "in_channels", "height",
-                                       "width"])
+    def test_rejects_fewer_than_four_base_channels(self):
+        with pytest.raises(ValueError, match="base_channels must be >= 4, got 3"):
+            NetworkConfig(base_channels=3)
+
+    def test_takes_one_input_channel_by_rule(self):
+        with pytest.raises(TypeError, match="in_channels"):
+            NetworkConfig(in_channels=1)
+        shapes = dict(network._param_shapes(NetworkConfig()))
+        assert shapes["enc1.conv1.w"] == (8, 1, 3, 3)
+        with pytest.raises(ShapeError, match=r"input shape \(3, 64, 64\) is not \[1,H,W\]"):
+            small_net().forward(np.zeros((3, 64, 64)))
+
+    @pytest.mark.parametrize("field", ["depth", "base_channels", "height", "width"])
     @pytest.mark.parametrize("value", [2.0, 4.5, True, "4", np.int64(4)])
     def test_rejects_a_field_that_is_no_int(self, field, value):
         # depth=2.0 used to be built and fail in the first conv with a TypeError

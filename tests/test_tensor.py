@@ -548,6 +548,37 @@ class TestMiscPrimitives:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: T.conv2d(np.zeros((4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(2)),
+         r"conv2d: expected input \[C,H,W\], got \(4, 4\)"),
+        (lambda: T.conv2d(np.zeros((1, 4, 4)), np.zeros((2, 1, 5, 5)), np.zeros(2)),
+         r"conv2d: expected kernel \[C_out,C_in,3,3\], got \(2, 1, 5, 5\)"),
+        (lambda: T.conv2d(np.zeros((1, 4, 4)), np.zeros((2, 1, 3, 3)), np.zeros(3)),
+         r"conv2d: bias shape \(3,\) != \(2,\)"),
+        (lambda: T.maxpool2x2(np.zeros((4, 4))),
+         r"maxpool2x2: expected \[C,H,W\], got \(4, 4\)"),
+        (lambda: T.bilinear_upsample(np.zeros((4, 4)), 2),
+         r"bilinear_upsample: expected \[C,h,w\], got \(4, 4\)"),
+        (lambda: T.softmax(np.zeros((2, 2))),
+         r"softmax: expected a 1-D vector, got \(2, 2\)"),
+    ], ids=["conv2d-input", "conv2d-kernel", "conv2d-bias", "maxpool2x2",
+            "bilinear_upsample", "softmax"])
+    def test_a_malformed_shape_is_refused_by_name(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
+    @pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+    @pytest.mark.parametrize("size_1_first", [True, False])
+    def test_gradient_of_a_size_1_operand_against_an_array(self, op, size_1_first):
+        """A tracked size-1 operand's gradient sums over the array it met."""
+        rng = np.random.default_rng(16)
+        one = rand_tensor(rng, (1,), lo=0.5, hi=1.5)
+        array = rand_tensor(rng, (2, 3), lo=0.5, hi=1.5)
+        operands = (one, array) if size_1_first else (array, one)
+        ok, _ = gradcheck(lambda a, b: T.tsum(T.sigmoid(op(a, b))), operands)
+        assert ok
+        assert one.grad.shape == (1,)
+
     def test_maxpool_values_and_odd_shape(self):
         x = Tensor(np.arange(16.0).reshape(1, 4, 4))
         out = T.maxpool2x2(x)

@@ -310,6 +310,56 @@ class TestResume:
         with pytest.raises(ValueError, match=r"checkpointed run in distill\.eps$"):
             train(cfg, tiny_dataset, resume_from=old_path)
 
+    @staticmethod
+    def older_layout(new_path, old_path, in_channels=1):
+        """Rewrite a checkpoint as files were written while NetworkConfig had
+        in_channels and meta listed the parameter order."""
+        with np.load(new_path) as z:
+            payload = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(payload["meta"]).decode())
+        meta["config"]["in_channels"] = in_channels
+        meta["param_order"] = list(load_checkpoint(new_path).params)
+        run_cfg = json.loads(bytes(payload["extra:train_config"]).decode())
+        run_cfg["network"]["in_channels"] = in_channels
+        for key, value in (("meta", meta), ("extra:train_config", run_cfg)):
+            payload[key] = np.frombuffer(json.dumps(value).encode(), np.uint8)
+        np.savez(old_path, **payload)
+
+    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path):
+        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
+        with np.load(new_path) as z:
+            assert "param_order" not in json.loads(bytes(z["meta"]).decode())
+        old_path = tmp_path / "old.npz"
+        self.older_layout(new_path, old_path)
+
+        image = tiny_dataset.test[0].image
+        new_mask = predict_to_file(new_path, image, tmp_path / "new.pgm")
+        old_mask = predict_to_file(old_path, image, tmp_path / "old.pgm")
+        np.testing.assert_array_equal(old_mask, new_mask)
+        assert (tmp_path / "old.pgm").read_bytes() == (tmp_path / "new.pgm").read_bytes()
+        new, old = (evaluate(load_checkpoint(p).to_network(trainable=False), tiny_dataset.test)
+                    for p in (new_path, old_path))
+        assert old == new
+
+    def test_resume_refuses_a_checkpoint_storing_in_channels(self, tiny_dataset, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", epochs=1)
+        new_path = train(cfg, tiny_dataset).final_path
+        old_path = tmp_path / "old.npz"
+        self.older_layout(new_path, old_path)
+        with pytest.raises(ValueError, match=r"checkpointed run in network\.in_channels$"):
+            train(cfg, tiny_dataset, resume_from=old_path)
+
+    def test_a_stored_in_channels_other_than_one_is_refused(self, tiny_dataset, tmp_path):
+        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
+        old_path = tmp_path / "three.npz"
+        self.older_layout(new_path, old_path, in_channels=3)
+        refusal = rf"{re.escape(str(old_path))}: its config stores in_channels 3"
+        for extras in (True, False):
+            with pytest.raises(ValueError, match=refusal):
+                load_checkpoint(old_path, extras=extras)
+        with pytest.raises(ValueError, match=refusal):
+            predict_to_file(old_path, tiny_dataset.test[0].image, tmp_path / "three.pgm")
+
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
         result = train(cfg, tiny_dataset)
@@ -432,6 +482,11 @@ class TestValidation:
     def test_rejects_negative_weight_decay(self, value):
         with pytest.raises(ValueError, match=f"weight_decay must be >= 0, got {value}"):
             tiny_cfg("unused", weight_decay=value)
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_rejects_epochs_or_batch_size_below_one(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
+            dataclasses.replace(tiny_cfg("unused"), **{field: 0})
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_rejects_lr_step_every_below_one(self, value):
@@ -742,6 +797,25 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="worker exited"):
             train(tiny_cfg(tmp_path / "k", epochs=3), tiny_dataset, epoch_start_hook=kill_workers)
         assert not multiprocessing.active_children()
+
+    def test_a_worker_that_dies_mid_batch_stops_training(self, tiny_dataset, tmp_path,
+                                                        monkeypatch):
+        """A worker that exits inside its share's step, after the request
+        reached it, is found when its reply is read; the epoch saves nothing."""
+        main, step = os.getpid(), train_module._sample_step
+
+        def dying_step(net, teacher_net, *args):
+            if teacher_net is not None and os.getpid() != main:  # a worker, in epoch 2
+                os._exit(1)
+            return step(net, teacher_net, *args)
+
+        monkeypatch.setattr(train_module, "_sample_step", dying_step)
+        with pytest.raises(RuntimeError, match="a training worker exited unexpectedly") as raised:
+            self.run(tiny_dataset, tmp_path / "d", monkeypatch, 2, epochs=3)
+        assert isinstance(raised.value.__cause__, EOFError)  # not a failed send
+        assert not multiprocessing.active_children()
+        for name in ("last.npz", "best.npz"):
+            assert load_checkpoint(tmp_path / "d" / name, extras=False).epoch == 1
 
     def test_sample_order_sum_matches_the_single_graph_batch_gradient(self, tiny_dataset):
         cfg = tiny_cfg("unused", epochs=3)
