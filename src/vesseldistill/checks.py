@@ -70,7 +70,7 @@ def toy_setup(seed):
     for net in (student, teacher):
         for name, p in net.named_parameters().items():
             if name.endswith(".b"):
-                p.data = rng.normal(0.0, 0.05, size=p.data.shape)
+                p.data[...] = rng.normal(0.0, 0.05, size=p.data.shape)
     x = Tensor(rng.uniform(0.0, 1.0, size=(1, 8, 8)))
     y = Tensor((rng.uniform(size=(1, 8, 8)) < 0.3).astype(np.float64))
     return student, teacher, x, y

@@ -117,8 +117,11 @@ def cmd_gradcheck(args):
 
 
 def cmd_sweep(args):
+    try:
+        values = [json.loads(v) for v in args.values.split(",")]
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--values item {exc.doc!r} is not a number") from None
     cfg = _load_train_config(args)
-    values = [json.loads(v) for v in args.values.split(",")]
     rows = sweep(args.axis, values, cfg, split(load_sample_dir(args.data), seed=cfg.seed))
     out = args.csv or str(Path(cfg.out_dir) / f"sweep_{args.axis}.csv")
     write_metrics_csv(rows, out)

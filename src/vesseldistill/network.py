@@ -92,40 +92,55 @@ def _check_input_shape(config, shape):
                          f"with H and W divisible by 2^(depth-1) = {stride}")
 
 
+def _views(flat, config):
+    """name -> view of `flat` in that parameter's shape, for the layout of every flat
+    weight, moment and gradient array: each parameter raveled in `_param_shapes` order."""
+    views, lo = {}, 0
+    for name, shape in _param_shapes(config):
+        views[name] = flat[lo:lo + math.prod(shape)].reshape(shape)
+        lo += math.prod(shape)
+    return views
+
+
+def _check_flat(flat, need, what, whose):
+    """`flat` as an array, unless it is not 1-D of `need` values: then ValueError
+    "<what> holds N values, but <whose> need M", with its shape if not 1-D."""
+    flat = np.asarray(flat)
+    if flat.shape != (need,):
+        dims = "" if flat.ndim == 1 else f" in shape {flat.shape}"
+        raise ValueError(f"{what} holds {flat.size} values{dims}, but {whose} need {need}")
+    return flat
+
+
 class SegNetwork:
-    """Segmentation network; parameters are autodiff tensors in a fixed order."""
+    """Segmentation network whose parameters are autodiff tensors over views of one
+    flat array, `weights`: what every copy, send, optimizer step and save reads or writes."""
 
     def __init__(self, config: NetworkConfig, seed=0, *, dtype, trainable=True):
         """A randomly initialised net: He-normal kernels, zero biases."""
+        self._adopt(config, dtype, trainable)
         rng = np.random.default_rng(seed)
-        arrays = {
-            name: rng.normal(0.0, np.sqrt(2.0 / (shape[1] * 9)), size=shape)
-            if name.endswith(".w") else np.zeros(shape)
-            for name, shape in _param_shapes(config)
-        }
-        self._adopt(config, arrays, dtype, trainable)
+        for name, p in self._params.items():
+            if name.endswith(".w"):
+                p.data[...] = rng.normal(0.0, np.sqrt(2.0 / (p.data.shape[1] * 9)),
+                                         size=p.data.shape)
 
     @classmethod
-    def from_arrays(cls, config, arrays, *, dtype, trainable=True):
-        """A net holding copies of `arrays` (name -> array); draws no initialisation."""
+    def from_arrays(cls, config, flat, *, dtype, trainable=True):
+        """A net holding a copy of the flat weight array `flat`; draws no initialisation."""
         net = cls.__new__(cls)
-        net._adopt(config, arrays, dtype, trainable)
+        net._adopt(config, dtype, trainable)
+        net.load_state_arrays(flat)
         return net
 
-    def _adopt(self, config, arrays, dtype, trainable):
+    def _adopt(self, config, dtype, trainable):
         self.config = config
         self.dtype = np.dtype(dtype)
         self.trainable = trainable
-        # name -> Tensor, insertion order is the declared order
-        self._params = {name: Tensor(self._checked_copy(name, arrays[name], shape),
-                                     requires_grad=trainable)
-                        for name, shape in _param_shapes(config)}
-
-    def _checked_copy(self, name, arr, shape):
-        if np.shape(arr) != shape:
-            raise ShapeError(
-                f"parameter {name}: stored shape {np.shape(arr)} != expected {shape}")
-        return np.array(arr, dtype=self.dtype)
+        self.weights = np.zeros(sum(math.prod(s) for _, s in _param_shapes(config)), self.dtype)
+        # name -> Tensor over a view of weights, insertion order is the declared order
+        self._params = {name: Tensor(view, requires_grad=trainable)
+                        for name, view in _views(self.weights, config).items()}
 
     # ---- parameter access ----
 
@@ -136,13 +151,15 @@ class SegNetwork:
         return dict(self._params)
 
     def state_arrays(self):
-        """Parameter values by name, copied out of the graph."""
-        return {name: p.data.copy() for name, p in self._params.items()}
+        """A copy of the flat weight array."""
+        return self.weights.copy()
 
-    def load_state_arrays(self, arrays):
-        """Overwrite every parameter with a copy of arrays[name]; clears gradients."""
-        for name, p in self._params.items():
-            p.data = self._checked_copy(name, arrays[name], p.data.shape)
+    def load_state_arrays(self, flat):
+        """Overwrite the weights with the flat array `flat`, cast to the net's dtype;
+        clears gradients. ValueError unless `flat` is 1-D and of the weights' length."""
+        self.weights[...] = _check_flat(flat, self.weights.size, "the weight array",
+                                        f"the config's {len(self._params)} parameters")
+        for p in self._params.values():
             p.grad = None
 
     # ---- forward ----
@@ -208,26 +225,7 @@ class SegNetwork:
     # ---- snapshots ----
 
     def snapshot(self, epoch=0):
-        return TeacherSnapshot(self.config, self.state_arrays(), epoch, dtype=str(self.dtype))
-
-
-class TeacherSnapshot:
-    """Immutable copy of all network parameters frozen at an epoch boundary."""
-
-    def __init__(self, config, arrays, epoch, *, dtype):
-        self.config = config
-        self._arrays = {k: np.array(v, copy=True) for k, v in arrays.items()}
-        self.epoch = int(epoch)
-        self.dtype = dtype
-
-    def restore(self, trainable=False):
-        """Rebuild a network with these exact parameter values.
-
-        The default is a frozen (gradient-free) teacher; pass
-        trainable=True to resume training from the stored weights.
-        """
-        return SegNetwork.from_arrays(self.config, self._arrays, dtype=self.dtype,
-                                      trainable=trainable)
+        return TeacherSnapshot(self.config, self.weights, epoch, dtype=str(self.dtype))
 
 
 # ---- checkpoint I/O ----
@@ -235,21 +233,17 @@ class TeacherSnapshot:
 def save_checkpoint(path, net, epoch, extras=None):
     """Write a lossless .npz checkpoint: config, parameters, epoch.
 
-    The file holds a JSON "meta" member (config, dtype, epoch) and one flat
-    "params" array, every parameter raveled in the order and shapes the
-    config gives. extras: optional dict of additional arrays (e.g. optimizer
-    moments), stored under an "extra:" prefix. The file is written under a
-    temporary name and renamed over `path`, so a crash mid-write leaves any
-    previous checkpoint at `path` intact.
+    The file holds a JSON "meta" member (config, dtype, epoch) and the net's
+    flat weight array as "params": every parameter raveled in the order and
+    shapes the config gives. extras: optional dict of additional arrays (e.g.
+    optimizer moments), stored under an "extra:" prefix. The file is written
+    under a temporary name and renamed over `path`, so a crash mid-write
+    leaves any previous checkpoint at `path` intact.
     """
     meta = {"config": asdict(net.config), "dtype": str(net.dtype), "epoch": int(epoch)}
-    payload = {
-        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-        "params": np.concatenate([p.data.ravel() for p in net.parameters()]),
-    }
-    if extras:
-        for k, v in extras.items():
-            payload[f"extra:{k}"] = np.asarray(v)
+    payload = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+               "params": net.weights}
+    payload.update({f"extra:{k}": np.asarray(v) for k, v in (extras or {}).items()})
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"  # the name np.savez writes
@@ -263,29 +257,31 @@ def save_checkpoint(path, net, epoch, extras=None):
 
 
 class Checkpoint:
-    def __init__(self, config, params, epoch, dtype, extras):
+    """A loaded checkpoint; params maps each parameter's name to a view of its flat weights."""
+
+    def __init__(self, config, weights, epoch, dtype, extras):
         self.config = config
-        self.params = params
+        self.weights = weights
+        self.params = _views(weights, config)
         self.epoch = epoch
         self.dtype = dtype
         self.extras = extras
 
     def to_network(self, trainable=True):
-        return SegNetwork.from_arrays(self.config, self.params, dtype=self.dtype,
+        return SegNetwork.from_arrays(self.config, self.weights, dtype=self.dtype,
                                       trainable=trainable)
 
 
-def _split_params(path, flat, config):
-    """Slice a flat "params" array into name -> array, in the config's order and shapes."""
-    shapes = _param_shapes(config)
-    sizes = [math.prod(shape) for _, shape in shapes]
-    if flat.size != sum(sizes):
-        raise ValueError(
-            f"{os.fspath(path)}: params holds {flat.size} values, but the config's "
-            f"{len(sizes)} parameters need {sum(sizes)}")
-    offsets = np.cumsum([0] + sizes)
-    return {name: flat[lo:hi].reshape(shape)
-            for (name, shape), lo, hi in zip(shapes, offsets[:-1], offsets[1:])}
+class TeacherSnapshot(Checkpoint):
+    """Immutable copy of a net's flat weight array frozen at an epoch boundary."""
+
+    def __init__(self, config, flat, epoch, *, dtype):
+        super().__init__(config, np.array(flat, copy=True), int(epoch), dtype, {})
+
+    def restore(self, trainable=False):
+        """Rebuild a network with these exact parameter values: a frozen
+        (gradient-free) teacher by default, a trainable net with trainable=True."""
+        return self.to_network(trainable)
 
 
 def load_checkpoint(path, extras=True):
@@ -306,7 +302,10 @@ def load_checkpoint(path, extras=True):
             raise ValueError(f"{os.fspath(path)}: its config stores in_channels "
                              f"{in_channels!r}, but the net takes one input channel")
         config = NetworkConfig(**meta["config"])
-        params = _split_params(path, z["params"], config)
+        shapes = _param_shapes(config)
+        weights = _check_flat(z["params"], sum(math.prod(s) for _, s in shapes),
+                              f"{os.fspath(path)}: params",
+                              f"the config's {len(shapes)} parameters")
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
-    return Checkpoint(config, params, meta["epoch"], meta["dtype"], stored)
+    return Checkpoint(config, weights, meta["epoch"], meta["dtype"], stored)

@@ -4,60 +4,50 @@ from __future__ import annotations
 
 import numpy as np
 
+from .network import _check_flat
+
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba 2015)
 
 
 class AdamW:
-    """AdamW with decoupled weight decay over a list of parameter tensors."""
+    """AdamW with decoupled weight decay over one flat weight array, stepped
+    in place, and one flat m and one flat v of its layout."""
 
-    def __init__(self, params, lr=1e-3, weight_decay=1e-5):
-        self.params = list(params)
+    def __init__(self, weights, lr=1e-3, weight_decay=1e-5):
+        self.weights = weights
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
 
-    def step(self, lr=None):
+    def step(self, grad, lr=None):
+        """One step with the flat gradient `grad` of weights[:len(grad)]; the weights
+        past it were outside the loss's graph: they decay only and keep their m and v."""
+        if grad.ndim != 1 or len(grad) > len(self.weights):
+            raise ValueError(f"gradient of shape {grad.shape} is no flat prefix "
+                             f"of {len(self.weights)} weights")
         if lr is not None:
             self.lr = lr
         self.t += 1
-        bc1 = 1.0 - _BETA1 ** self.t
-        bc2 = 1.0 - _BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            # decay is decoupled: applied even when the gradient is zero/absent
-            p.data = p.data - self.lr * self.weight_decay * p.data
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
-            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * (g * g)
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
-            p.grad = None  # consumed: a later graph without p must not reapply it
+        bc1, bc2 = 1.0 - _BETA1 ** self.t, 1.0 - _BETA2 ** self.t
+        w, m, v = self.weights, self.m[:len(grad)], self.v[:len(grad)]
+        w -= self.lr * self.weight_decay * w
+        m[...] = _BETA1 * m + (1.0 - _BETA1) * grad
+        v[...] = _BETA2 * v + (1.0 - _BETA2) * (grad * grad)
+        w[:len(grad)] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
     def state_arrays(self):
-        """t, and one flat m and one flat v: every parameter's moment
-        raveled in parameter order."""
-        return {"t": np.array(self.t, dtype=np.int64),
-                "m": np.concatenate([m.ravel() for m in self.m]),
-                "v": np.concatenate([v.ravel() for v in self.v])}
+        """t, and copies of the flat m and v."""
+        return {"t": np.array(self.t, dtype=np.int64), "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_arrays(self, state):
-        """Inverse of state_arrays; KeyError if `state` lacks t, m or v."""
+        """Inverse of state_arrays; KeyError if `state` lacks t, m or v, and
+        ValueError naming both lengths if m or v is not a flat array of the weights' length."""
         self.t = int(state["t"])
-        self.m = self._moments(state["m"], "m")
-        self.v = self._moments(state["v"], "v")
-
-    def _moments(self, flat, kind):
-        sizes = [p.data.size for p in self.params]
-        if flat.size != sum(sizes):
-            raise ValueError(f"optimizer state {kind!r} holds {flat.size} values, "
-                             f"but the {len(sizes)} parameters need {sum(sizes)}")
-        parts = np.split(flat, np.cumsum(sizes)[:-1])
-        return [np.asarray(a, dtype=p.data.dtype).reshape(p.data.shape).copy()
-                for a, p in zip(parts, self.params)]
+        for kind in ("m", "v"):
+            getattr(self, kind)[...] = _check_flat(state[kind], len(self.weights),
+                                                   f"optimizer state {kind!r}", "the weights")
 
 
 def lr_at(t, initial_lr, gamma, step_every):

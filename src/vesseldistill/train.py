@@ -10,13 +10,14 @@ and α (0.0 without a teacher) once, and logs that α.
 Training splits every batch across min(CPUs, batch size) processes: this one
 and workers forked when training starts (one process without fork). This
 process orders and splits the batches. A worker keeps no state between
-batches: a request carries student weights, teacher weights or None, sample
-indices, α and loss scale 1/len(batch). Each process runs forward, loss
-and backward one sample at a time. This process sums the samples' term
-values and gradients in sample order, in the net's dtype, then steps the
-optimizer, so the numbers are bitwise the same for any process count. Each
-process runs OpenBLAS on one thread while training, however many there are:
-a float32 GEMV's bits depend on each BLAS thread's share of it.
+batches: a request carries the student's and the teacher's (or None) flat
+weight arrays, sample indices, α and loss scale 1/len(batch). Each process
+runs forward, loss and backward one sample at a time, one flat gradient per
+sample. This process sums the samples' term values and gradients in sample
+order, in the net's dtype, then steps the optimizer, so the numbers are
+bitwise the same for any process count. Each process runs OpenBLAS on one
+thread while training, however many there are: a float32 GEMV's bits
+depend on each BLAS thread's share of it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from . import distill
 from .data import DatasetSplit, batches, save_pgm
 from .metrics import MetricReport, _foreground, evaluate_pairs
 from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
-                      load_checkpoint, save_checkpoint)
+                      _views, load_checkpoint, save_checkpoint)
 from .optim import AdamW, lr_at
-from .tensor import Tensor, no_grad
+from .tensor import GraphError, Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,9 @@ _TERMS = ("ddl", "psdl", "dice")
 def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     """Forward, loss and backward of one sample, its terms scaled by `scale`.
 
-    Returns the scaled ddl, psdl and dice values and the parameter
-    gradients (None for a parameter outside the graph). The deeper side
-    outputs are built only when there is a teacher for the DDL to read.
+    Returns the scaled ddl, psdl and dice values and the flat gradient of
+    the parameters in the graph (see _take_grad). The deeper side outputs
+    are built only when there is a teacher for the DDL to read.
     """
     y = Tensor(sample.mask.data.astype(net.dtype))
     pred, feats = net.forward(sample.image)
@@ -158,20 +159,32 @@ def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     terms = distill.loss_terms(sides, t_sides, y, cfg.distill, alpha)
     terms = [terms[k] * scale for k in _TERMS]
     (terms[0] + terms[1] + terms[2]).backward()
-    grads = []
-    for p in net.parameters():
-        grads.append(p.grad)
-        p.grad = None
-    return [v.data for v in terms], grads
+    return [v.data for v in terms], _take_grad(net)
+
+
+def _take_grad(net):
+    """Clear the gradients of the parameters in the graph and return them as one flat
+    array over net.weights[:len(array)]: those outside are the last ones, heads
+    2..depth in a step without a teacher, or GraphError if one precedes one inside."""
+    grad, n, outside = np.empty_like(net.weights), 0, []
+    for (name, p), view in zip(net.named_parameters().items(), _views(grad, net.config).values()):
+        if p.grad is None:
+            outside.append(name)
+        elif outside:
+            raise GraphError(f"parameter {name} is in the loss's graph, "
+                             f"but {outside[0]} before it is not")
+        else:
+            view[...] = p.grad
+            n, p.grad = n + view.size, None
+    return grad[:n]
 
 
 def _sum_in_order(results):
-    """Sum per-sample (values, grads) results in the order given."""
-    values, grads = results[0]
+    """Sum per-sample (values, grad) results in the order given."""
+    values, grad = results[0]
     for v, g in results[1:]:
-        values = [a + b for a, b in zip(values, v)]
-        grads = [None if a is None else a + b for a, b in zip(grads, g)]
-    return [float(v) for v in values], grads
+        values, grad = [a + b for a, b in zip(values, v)], grad + g
+    return [float(v) for v in values], grad
 
 
 def _process_count(batch_size):
@@ -211,8 +224,7 @@ def _answer(request, samples, cfg):
     try:
         net = SegNetwork.from_arrays(cfg.network, student, dtype=cfg.dtype)
         if teacher is not None:
-            teacher = SegNetwork.from_arrays(cfg.network, teacher, dtype=cfg.dtype,
-                                             trainable=False)
+            teacher = SegNetwork.from_arrays(cfg.network, teacher, dtype=cfg.dtype, trainable=False)
         return "ok", [_sample_step(net, teacher, samples[i], cfg, alpha, scale)
                       for i in indices]
     except Exception as exc:
@@ -266,14 +278,12 @@ class _Workers:
 
     def send(self, net, teacher, shares, alpha, scale):
         """Ask each worker for the step results of its share of sample indices:
-        a request is (student arrays, teacher arrays or None, share, alpha, scale)."""
-        # uncopied: each send pickles them at once
-        student = {k: p.data for k, p in net.named_parameters().items()}
-        if teacher is not None:
-            teacher = {k: p.data for k, p in teacher.named_parameters().items()}
+        a request is (student weights, teacher weights or None, share, alpha,
+        scale), each net's flat weight array sent uncopied, as a send pickles it at once."""
+        weights = None if teacher is None else teacher.weights
         try:
             for conn, share in zip(self.conns, shares):
-                conn.send((student, teacher, share, alpha, scale))
+                conn.send((net.weights, weights, share, alpha, scale))
         except OSError as exc:
             raise RuntimeError("a training worker exited unexpectedly") from exc
 
@@ -399,9 +409,9 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     epoch_end_hook(t, net, teacher_net, log) after it. teacher_net holds the
     previous epoch's frozen weights (epoch t's in the end hook; unused when
     dice_only), or None at the start of epoch 1. It is one object for the
-    whole run, refilled in place at the end of every epoch, so a hook that
-    keeps one epoch's teacher keeps a copy of teacher_net.state_arrays(),
-    not teacher_net itself.
+    whole run, its weights refilled in place at the end of every epoch as
+    net's are stepped at every batch, so a hook keeps an epoch's weights as
+    teacher_net.state_arrays() (or net's), not as the net or a parameter's data.
 
     Batches are split across min(CPUs, batch size) processes (see the
     module docstring); hooks, checkpoints and evaluation run in this one.
@@ -423,7 +433,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                 for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
         best_source = _best_so_far(resume_from, ckpt, logs, bool(dataset.val))
     out_dir.mkdir(parents=True, exist_ok=True)
-    opt = AdamW(net.parameters(), lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+    opt = AdamW(net.weights, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     if resume_from is not None:
         opt.load_state_arrays(ckpt.extras)
         best_dsc = float(ckpt.extras["best_dsc"])
@@ -432,8 +442,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             shutil.copyfile(best_source, best_path)
     # the one frozen teacher, refilled from net at the end of every epoch; on
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
-    teacher = SegNetwork.from_arrays(cfg.network, net.state_arrays(), dtype=dtype,
-                                     trainable=False)
+    teacher = SegNetwork.from_arrays(cfg.network, net.weights, dtype=dtype, trainable=False)
 
     with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
         for t in range(start_epoch, cfg.epochs + 1):
@@ -453,14 +462,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                 workers.send(net, step_teacher, theirs, alpha, scale)
                 results = [_sample_step(net, step_teacher, dataset.train[i], cfg, alpha, scale)
                            for i in ours]
-                values, grads = _sum_in_order(results + workers.gather())
+                values, grad = _sum_in_order(results + workers.gather())
                 for k, v in zip(_TERMS, values):
                     if not math.isfinite(v):
                         raise FloatingPointError(
                             f"epoch {t}, batch {n_batches}: {k} loss is {v}")
-                for p, g in zip(net.parameters(), grads):
-                    p.grad = g
-                opt.step(lr=lr)
+                opt.step(grad, lr=lr)
                 for k, v in zip(_TERMS, values):
                     term_sums[k] += v
                 n_batches += 1
@@ -477,7 +484,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             )
             logs.append(log)
 
-            teacher.load_state_arrays(net.state_arrays())
+            teacher.load_state_arrays(net.weights)
             _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
             # without validation samples every val.dsc is 0: the best is the last
             if val.dsc > best_dsc or not dataset.val:

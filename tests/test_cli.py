@@ -287,6 +287,17 @@ class TestSweep:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, item", [("1,x", "'x'"), ("1,,2", "''"), ("", "''")])
+    def test_a_values_item_that_is_no_number_is_named(self, data_dir, tmp_path, capsys,
+                                                      monkeypatch, values, item):
+        monkeypatch.setattr(cli, "load_sample_dir", None)  # reading the data would fail
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--axis", "tau", "--values", values,
+                     "--data", str(data_dir), "epochs=1", f"out_dir={out}", *TINY[:-2]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --values item {item} is not a number\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):

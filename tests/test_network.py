@@ -9,6 +9,7 @@ from vesseldistill import tensor as T
 from vesseldistill.network import (
     NetworkConfig, SegNetwork, TeacherSnapshot, load_checkpoint, save_checkpoint,
 )
+from vesseldistill.optim import AdamW
 from vesseldistill.tensor import ShapeError, Tensor
 
 
@@ -283,7 +284,7 @@ class TestSnapshots:
         snap = net.snapshot(epoch=1)
         frozen_before, _ = snap.restore().forward(x)
         for p in net.parameters():
-            p.data = p.data + 0.1
+            p.data += 0.1
         frozen_after, _ = snap.restore().forward(x)
         np.testing.assert_array_equal(frozen_before.data, frozen_after.data)
 
@@ -334,15 +335,48 @@ class TestSnapshots:
 class TestWeightsToNetwork:
     def test_from_arrays_copies_its_input_and_checks_shapes(self):
         net = small_net(seed=6)
-        arrays = net.state_arrays()
-        built = SegNetwork.from_arrays(net.config, arrays, dtype=np.float32, trainable=False)
+        flat = net.state_arrays()
+        built = SegNetwork.from_arrays(net.config, flat, dtype=np.float32, trainable=False)
         assert all(p.data.dtype == np.float32 and not p.requires_grad
                    for p in built.parameters())
-        arrays["head1.b"][:] = 7.0
-        assert not np.any(built.named_parameters()["head1.b"].data == 7.0)
-        arrays["head1.b"] = np.zeros(2)
-        with pytest.raises(ShapeError, match=r"head1\.b"):
-            SegNetwork.from_arrays(net.config, arrays, dtype=np.float32)
+        flat[-1] = 7.0  # head3.b, the last parameter
+        assert not np.any(built.named_parameters()["head3.b"].data == 7.0)
+        with pytest.raises(ValueError, match=f"holds {flat.size - 1} values"):
+            SegNetwork.from_arrays(net.config, flat[:-1], dtype=np.float32)
+
+    def test_state_arrays_is_a_copy_of_the_one_flat_weight_array(self):
+        net = small_net(seed=6)
+        flat = net.state_arrays()
+        assert flat.shape == net.weights.shape and not np.shares_memory(flat, net.weights)
+        assert flat.tobytes() == net.weights.tobytes()
+        lo = 0
+        for name, shape in network._param_shapes(net.config):
+            p = net.named_parameters()[name]
+            assert p.data.shape == shape and p.data.flags.c_contiguous
+            np.testing.assert_array_equal(p.data.ravel(), flat[lo:lo + p.data.size])
+            lo += p.data.size
+        assert lo == flat.size
+
+    def test_flat_entry_points_refuse_a_wrong_length_or_shape(self):
+        net = small_net(seed=6, depth=2, base=4)
+        n, k = net.weights.size, len(net.parameters())
+        opt = AdamW(net.weights)
+        state = opt.state_arrays()
+        for bad, held in ((np.zeros(n + 3), f"{n + 3} values"),
+                          (np.zeros(n - 1), f"{n - 1} values"),
+                          (np.zeros((1, n)), f"{n} values in shape (1, {n})"),
+                          (np.zeros((n, 1)), f"{n} values in shape ({n}, 1)"),
+                          (np.float64(1.0), "1 values in shape ()")):
+            held = re.escape(held)
+            need = f"the config's {k} parameters need {n}$"
+            with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
+                net.load_state_arrays(bad)
+            with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
+                SegNetwork.from_arrays(net.config, bad, dtype=np.float64)
+            for kind in ("m", "v"):
+                with pytest.raises(ValueError, match=f"^optimizer state '{kind}' holds {held}, "
+                                                     f"but the weights need {n}$"):
+                    opt.load_state_arrays({**state, kind: bad})
 
     def test_weights_to_net_draws_no_initialisation(self, tmp_path, monkeypatch):
         net = small_net(seed=5)

@@ -3,43 +3,76 @@ import math
 import numpy as np
 import pytest
 
-from vesseldistill.network import NetworkConfig, SegNetwork
-from vesseldistill.optim import AdamW, lr_at
-from vesseldistill.tensor import Tensor
+from vesseldistill.network import NetworkConfig, SegNetwork, _views
+from vesseldistill.optim import _BETA1, _BETA2, _EPS, AdamW, lr_at
+from vesseldistill.tensor import GraphError, Tensor
+from vesseldistill.train import _take_grad
 
 
-def param(values):
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+def flat(values):
+    return np.array(values, dtype=np.float64)
+
+
+NO_GRAD = np.empty(0)  # a step whose graph held none of the weights
+
+
+class ReferenceAdamW:
+    """The per-parameter AdamW step the flat one replaced, kept as its oracle:
+    one m and one v per parameter tensor, each parameter stepped on its own,
+    and a parameter without a gradient decayed only."""
+
+    def __init__(self, params, lr, weight_decay):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        bc1 = 1.0 - _BETA1 ** self.t
+        bc2 = 1.0 - _BETA2 ** self.t
+        for i, p in enumerate(self.params):
+            # decay is decoupled: applied even when the gradient is zero/absent
+            p.data = p.data - self.lr * self.weight_decay * p.data
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * (g * g)
+            m_hat = self.m[i] / bc1
+            v_hat = self.v[i] / bc2
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
+            p.grad = None  # consumed: a later graph without p must not reapply it
 
 
 class TestAdamW:
     def test_decay_only_when_grad_absent(self):
-        p = param([2.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.01)
-        opt.step()
-        np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.01), rtol=1e-15)
+        w = flat([2.0])
+        opt = AdamW(w, lr=0.1, weight_decay=0.01)
+        opt.step(NO_GRAD)
+        np.testing.assert_allclose(w, 2.0 * (1 - 0.1 * 0.01), rtol=1e-15)
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes |update| ~= lr regardless of grad magnitude
         for g in (1e-3, 1.0, 250.0):
-            p = param([0.0])
-            p.grad = np.array([g])
-            opt = AdamW([p], lr=0.05, weight_decay=0.0)
-            opt.step()
-            np.testing.assert_allclose(p.data, [-0.05], rtol=1e-4)
+            w = flat([0.0])
+            opt = AdamW(w, lr=0.05, weight_decay=0.0)
+            opt.step(flat([g]))
+            np.testing.assert_allclose(w, [-0.05], rtol=1e-4)
 
     def test_scalar_reference_trajectory(self):
         """Five steps on f(w) = w^2 against a straight-line recomputation."""
         lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
-        p = param([1.5])
-        opt = AdamW([p], lr=lr, weight_decay=wd)
+        weights = flat([1.5])
+        opt = AdamW(weights, lr=lr, weight_decay=wd)
 
         w = 1.5
         m = v = 0.0
         for t in range(1, 6):
-            p.grad = np.array([2.0 * p.data[0]])
             g = 2.0 * w
-            opt.step()
+            opt.step(2.0 * weights)
 
             w = w - lr * wd * w
             m = b1 * m + (1 - b1) * g
@@ -47,91 +80,133 @@ class TestAdamW:
             m_hat = m / (1 - b1 ** t)
             v_hat = v / (1 - b2 ** t)
             w = w - lr * m_hat / (math.sqrt(v_hat) + eps)
-            assert abs(p.data[0] - w) < 1e-12
+            assert abs(weights[0] - w) < 1e-12
 
     def test_decay_decoupled_from_gradient(self):
         # with zero grad the adaptive term is exactly zero; only decay acts
-        p = param([3.0])
-        p.grad = np.zeros(1)
-        opt = AdamW([p], lr=0.2, weight_decay=0.05)
-        opt.step()
-        np.testing.assert_allclose(p.data, 3.0 * (1 - 0.2 * 0.05), rtol=1e-15)
+        w = flat([3.0])
+        opt = AdamW(w, lr=0.2, weight_decay=0.05)
+        opt.step(np.zeros(1))
+        np.testing.assert_allclose(w, 3.0 * (1 - 0.2 * 0.05), rtol=1e-15)
 
     def test_state_roundtrip(self):
-        p = param([1.0, -2.0])
-        opt = AdamW([p], lr=0.01)
+        w = flat([1.0, -2.0])
+        opt = AdamW(w, lr=0.01)
         for _ in range(3):
-            p.grad = np.array([0.5, -0.25])
-            opt.step()
+            opt.step(flat([0.5, -0.25]))
         state = opt.state_arrays()
 
-        q = param([1.0, -2.0])
-        opt2 = AdamW([q], lr=0.01)
+        q = flat([1.0, -2.0])
+        opt2 = AdamW(q, lr=0.01)
         opt2.load_state_arrays(state)
         assert opt2.t == opt.t
-        np.testing.assert_array_equal(opt2.m[0], opt.m[0])
-        np.testing.assert_array_equal(opt2.v[0], opt.v[0])
+        np.testing.assert_array_equal(opt2.m, opt.m)
+        np.testing.assert_array_equal(opt2.v, opt.v)
 
-        p.grad = np.array([0.1, 0.1])
-        q.data = p.data.copy()
-        q.grad = p.grad.copy()
-        opt.step()
-        opt2.step()
-        np.testing.assert_array_equal(p.data, q.data)
+        q[...] = w
+        opt.step(flat([0.1, 0.1]))
+        opt2.step(flat([0.1, 0.1]))
+        np.testing.assert_array_equal(w, q)
 
     def test_state_packs_each_moment_kind_into_one_flat_array(self):
-        params = [param(np.arange(6.0).reshape(2, 3)), param([4.0]), param(np.ones((2, 2)))]
-        opt = AdamW(params, lr=0.01)
+        w = np.arange(11.0)
+        opt = AdamW(w, lr=0.01)
         for k in range(2):
-            for i, p in enumerate(params):
-                p.grad = np.full(p.data.shape, 0.5 + i - k)
-            opt.step()
+            opt.step(np.linspace(-1.0, 1.0, 11) - k)
         state = opt.state_arrays()
         assert sorted(state) == ["m", "t", "v"]
-        np.testing.assert_array_equal(state["m"], np.concatenate([m.ravel() for m in opt.m]))
-        np.testing.assert_array_equal(state["v"], np.concatenate([v.ravel() for v in opt.v]))
+        for kind in ("m", "v"):  # copies, which later steps leave alone
+            assert state[kind].tobytes() == getattr(opt, kind).tobytes()
+            assert not np.shares_memory(state[kind], getattr(opt, kind))
 
-        opt2 = AdamW([param(p.data) for p in params], lr=0.01)
+        opt2 = AdamW(w.copy(), lr=0.01)
         opt2.load_state_arrays(state)
         assert opt2.t == 2
-        for a, b in zip(opt2.m + opt2.v, opt.m + opt.v):
+        for a, b in ((opt2.m, opt.m), (opt2.v, opt.v)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
         # the older per-parameter layout is not read
         per_parameter = {"t": state["t"]}
-        for i in range(len(params)):
-            per_parameter[f"m{i}"] = opt.m[i]
-            per_parameter[f"v{i}"] = opt.v[i]
+        for i, (lo, hi) in enumerate([(0, 6), (6, 7), (7, 11)]):
+            per_parameter[f"m{i}"] = opt.m[lo:hi]
+            per_parameter[f"v{i}"] = opt.v[lo:hi]
         with pytest.raises(KeyError, match="'m'"):
-            AdamW([param(p.data) for p in params]).load_state_arrays(per_parameter)
+            AdamW(w.copy()).load_state_arrays(per_parameter)
 
         state["v"] = state["v"][:-1]
         with pytest.raises(ValueError, match="'v' holds 10 values.*need 11"):
-            AdamW([param(p.data) for p in params]).load_state_arrays(state)
+            AdamW(w.copy()).load_state_arrays(state)
 
     def test_gradient_is_not_reapplied_to_a_parameter_left_out_of_the_graph(self):
         net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8),
                          dtype=np.float64)
         x = Tensor(np.random.default_rng(0).uniform(size=(1, 8, 8)))
-        opt = AdamW(net.parameters(), lr=0.1, weight_decay=0.01)
+        opt = AdamW(net.weights, lr=0.1, weight_decay=0.01)
         head2 = net.named_parameters()["head2.w"]
 
         pred, feats = net.forward(x)
         (pred.sum() + net.side_output(feats[1], 2).sum()).backward()
-        opt.step()
+        opt.step(_take_grad(net))
         before = head2.data.copy()
         pred, _ = net.forward(x)
         pred.sum().backward()  # head2 takes no part in this loss
-        opt.step()
+        grad = _take_grad(net)
+        assert len(grad) == net.weights.size - head2.data.size - 1  # head2.w and .b
+        m, v = opt.m[len(grad):].copy(), opt.v[len(grad):].copy()
+        opt.step(grad)
         np.testing.assert_array_equal(head2.data, before - 0.1 * 0.01 * before)
+        assert opt.m[len(grad):].tobytes() == m.tobytes()
+        assert opt.v[len(grad):].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_is_bitwise_the_per_parameter_step(self, dtype):
+        """25 steps over a depth-3 net's parameter shapes, heads 2 and 3
+        outside the graph, as in a step without a teacher, for the first 9
+        (their m and v still zero) and for 4 later ones (m and v not zero)."""
+        net = SegNetwork(NetworkConfig(depth=3, base_channels=8), seed=1, dtype=dtype)
+        params = [Tensor(p.data.copy(), requires_grad=True) for p in net.parameters()]
+        reference = ReferenceAdamW(params, lr=1e-3, weight_decay=1e-5)
+        opt = AdamW(net.weights, lr=1e-3, weight_decay=1e-5)
+        names = list(net.named_parameters())
+        heads = sum(p.data.size for name, p in net.named_parameters().items()
+                    if name.startswith(("head2.", "head3.")))
+        rng = np.random.default_rng(2)
+        for step in range(25):
+            grad = rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), net.weights.size).astype(dtype)
+            absent = step < 9 or 17 <= step < 21
+            for name, p, g in zip(names, params, _views(grad, net.config).values()):
+                p.grad = None if absent and name.startswith(("head2.", "head3.")) else g
+            if absent:
+                grad = grad[:-heads]
+            reference.step()
+            opt.step(grad)
+            got = _views(net.weights, net.config).values()
+            assert all(p.data.tobytes() == w.tobytes() for p, w in zip(params, got)), step
+            for per_param, flat_moment in ((reference.m, opt.m), (reference.v, opt.v)):
+                got = _views(flat_moment, net.config).values()
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(per_param, got)), step
+
+    def test_a_gradient_that_is_no_prefix_is_refused(self):
+        net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8),
+                         dtype=np.float64)
+        _, feats = net.forward(np.zeros((1, 8, 8)))
+        net.side_output(feats[1], 2).sum().backward()  # the bottleneck's head: no decoder
+        with pytest.raises(GraphError, match="head2.w is in the loss's graph, "
+                                             "but dec1.conv1.w before it is not"):
+            _take_grad(net)
+
+        opt = AdamW(net.weights)
+        for bad in (np.zeros(net.weights.size + 1), np.zeros((1, 3))):
+            with pytest.raises(ValueError, match="no flat prefix of"):
+                opt.step(bad)
+        assert opt.t == 0 and not opt.m.any()
 
     def test_converges_on_quadratic(self):
-        p = param([4.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.0)
+        w = flat([4.0])
+        opt = AdamW(w, lr=0.1, weight_decay=0.0)
         for _ in range(300):
-            p.grad = 2.0 * p.data
-            opt.step()
-        assert abs(p.data[0]) < 1e-3
+            opt.step(2.0 * w)
+        assert abs(w[0]) < 1e-3
 
 
 class TestLRSchedule:

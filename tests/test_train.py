@@ -23,7 +23,9 @@ from vesseldistill import tensor as T
 from vesseldistill.data import batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
-from vesseldistill.network import NetworkConfig, SegNetwork, load_checkpoint, save_checkpoint
+from vesseldistill.optim import AdamW
+from vesseldistill.network import (NetworkConfig, SegNetwork, _views, load_checkpoint,
+                                   save_checkpoint)
 from vesseldistill.tensor import ShapeError, Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
 
@@ -429,6 +431,45 @@ class TestResume:
         assert stored["network"]["depth"] == 2
 
 
+def views_of_its_weights(net):
+    return all(np.shares_memory(p.data, net.weights) for p in net.named_parameters().values())
+
+
+class TestFlatWeights:
+    def test_parameters_stay_views_of_the_one_flat_weight_array(self, tiny_dataset, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", epochs=2)
+        net = SegNetwork(cfg.network, seed=1, dtype=np.float32)
+        initial = net.state_arrays()
+        AdamW(net.weights, lr=0.1).step(np.ones_like(net.weights))
+        assert views_of_its_weights(net) and not np.array_equal(net.weights, initial)
+        # a save after the step writes the stepped values
+        save_checkpoint(tmp_path / "stepped.npz", net, epoch=1)
+        ckpt = load_checkpoint(tmp_path / "stepped.npz")
+        assert ckpt.weights.tobytes() == net.weights.tobytes()
+        for name, p in net.named_parameters().items():
+            assert ckpt.params[name].tobytes() == p.data.tobytes()
+            assert np.shares_memory(ckpt.params[name], ckpt.weights)
+
+        net.load_state_arrays(initial)
+        assert views_of_its_weights(net) and np.array_equal(net.weights, initial)
+        assert views_of_its_weights(SegNetwork.from_arrays(cfg.network, initial,
+                                                           dtype=np.float32))
+        assert views_of_its_weights(ckpt.to_network())
+
+        train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "run"))
+        resumed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"))
+        seen = []
+
+        def on_end(t, net, teacher, log):
+            saved = load_checkpoint(tmp_path / "resumed" / "last.npz", extras=False)
+            seen.append((t, views_of_its_weights(net), views_of_its_weights(teacher),
+                         saved.weights.tobytes() == net.weights.tobytes()))
+
+        train(resumed, tiny_dataset, resume_from=tmp_path / "run" / "epoch_001.npz",
+              epoch_end_hook=on_end)
+        assert seen == [(2, True, True, True)]
+
+
 class TestValidation:
     @pytest.mark.parametrize("size, network, grid_g, message", [
         # the DDL's grid: epoch 1 has no teacher, so this used to fail in epoch 2
@@ -827,7 +868,8 @@ class TestWorkers:
         results = [train_module._sample_step(net, teacher, s, cfg, alpha, 1.0 / len(batch))
                    for s in batch]
         _, got = train_module._sum_in_order(results)
-        for g, w in zip(got, want):
+        assert got.shape == net.weights.shape  # a teacher's step: every parameter in the graph
+        for g, w in zip(_views(got, cfg.network).values(), want):
             assert g.dtype == np.float32
             np.testing.assert_allclose(g, w, rtol=1e-5, atol=1e-6 * np.abs(w).max())
 
