@@ -22,20 +22,20 @@ class AdamW:
         self.v = np.zeros_like(weights)
 
     def step(self, grad, lr=None):
-        """One step with the flat gradient `grad` of weights[:len(grad)]; the weights
-        past it were outside the loss's graph: they decay only and keep their m and v."""
-        if grad.ndim != 1 or len(grad) > len(self.weights):
-            raise ValueError(f"gradient of shape {grad.shape} is no flat prefix "
-                             f"of {len(self.weights)} weights")
+        """One step with the flat gradient `grad` of all the weights, zero outside the loss's
+        graph; ValueError naming both shapes, changing nothing, unless it has their shape."""
+        if grad.shape != self.weights.shape:
+            raise ValueError(f"gradient of shape {grad.shape} does not match "
+                             f"the weights' shape {self.weights.shape}")
         if lr is not None:
             self.lr = lr
         self.t += 1
         bc1, bc2 = 1.0 - _BETA1 ** self.t, 1.0 - _BETA2 ** self.t
-        w, m, v = self.weights, self.m[:len(grad)], self.v[:len(grad)]
+        w, m, v = self.weights, self.m, self.v
         w -= self.lr * self.weight_decay * w
         m[...] = _BETA1 * m + (1.0 - _BETA1) * grad
         v[...] = _BETA2 * v + (1.0 - _BETA2) * (grad * grad)
-        w[:len(grad)] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+        w -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
     def state_arrays(self):
         """t, and copies of the flat m and v."""

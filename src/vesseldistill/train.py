@@ -12,12 +12,12 @@ and workers forked when training starts (one process without fork). This
 process orders and splits the batches. A worker keeps no state between
 batches: a request carries the student's and the teacher's (or None) flat
 weight arrays, sample indices, α and loss scale 1/len(batch). Each process
-runs forward, loss and backward one sample at a time, one flat gradient per
-sample. This process sums the samples' term values and gradients in sample
-order, in the net's dtype, then steps the optimizer, so the numbers are
-bitwise the same for any process count. Each process runs OpenBLAS on one
-thread while training, however many there are: a float32 GEMV's bits
-depend on each BLAS thread's share of it.
+runs forward, loss and backward one sample at a time, one flat gradient of
+all the weights per sample. This process sums the samples' term values and
+gradients in sample order, in the net's dtype, then steps the optimizer, so
+the numbers are bitwise the same for any process count. Each process runs
+OpenBLAS on one thread while training, however many there are: a float32
+GEMV's bits depend on each BLAS thread's share of it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import numbers
 import os
 import shutil
 import signal
@@ -41,9 +42,9 @@ from . import distill
 from .data import DatasetSplit, batches, save_pgm
 from .metrics import MetricReport, _foreground, evaluate_pairs
 from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
-                      _views, load_checkpoint, save_checkpoint)
+                      load_checkpoint, save_checkpoint)
 from .optim import AdamW, lr_at
-from .tensor import GraphError, Tensor, no_grad
+from .tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     """Forward, loss and backward of one sample, its terms scaled by `scale`.
 
     Returns the scaled ddl, psdl and dice values and the flat gradient of
-    the parameters in the graph (see _take_grad). The deeper side outputs
-    are built only when there is a teacher for the DDL to read.
+    all the weights (see _take_grad). The deeper side outputs are built
+    only when there is a teacher for the DDL to read.
     """
     y = Tensor(sample.mask.data.astype(net.dtype))
     pred, feats = net.forward(sample.image)
@@ -163,20 +164,14 @@ def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
 
 
 def _take_grad(net):
-    """Clear the gradients of the parameters in the graph and return them as one flat
-    array over net.weights[:len(array)]: those outside are the last ones, heads
-    2..depth in a step without a teacher, or GraphError if one precedes one inside."""
-    grad, n, outside = np.empty_like(net.weights), 0, []
-    for (name, p), view in zip(net.named_parameters().items(), _views(grad, net.config).values()):
-        if p.grad is None:
-            outside.append(name)
-        elif outside:
-            raise GraphError(f"parameter {name} is in the loss's graph, "
-                             f"but {outside[0]} before it is not")
-        else:
-            view[...] = p.grad
-            n, p.grad = n + view.size, None
-    return grad[:n]
+    """Clear the parameters' gradients and return them as one flat array of net.weights'
+    layout, zero for a parameter outside the loss's graph (heads 2..depth without a teacher)."""
+    grad, lo = np.zeros_like(net.weights), 0
+    for p in net.parameters():
+        if p.grad is not None:
+            grad[lo:lo + p.data.size], p.grad = p.grad.ravel(), None
+        lo += p.data.size
+    return grad
 
 
 def _sum_in_order(results):
@@ -317,9 +312,8 @@ class _Workers:
             self.blas[1](self.blas_threads)
 
 
-def _save(path, net, opt, epoch, best_dsc, logs, cfg):
+def _save(path, net, opt, epoch, logs, cfg):
     extras = dict(opt.state_arrays())
-    extras["best_dsc"] = np.array(best_dsc)
     extras["logs"] = np.frombuffer(
         json.dumps([log.row() for log in logs]).encode(), dtype=np.uint8)
     extras["train_config"] = np.frombuffer(
@@ -340,7 +334,7 @@ def _flat_config(d, prefix=""):
 def _check_resumable(path, ckpt, cfg):
     """Refuse a resume from a file _save did not write, or whose config
     differs from the checkpointed run's, out_dir aside."""
-    missing = [k for k in ("t", "m", "v", "best_dsc", "logs", "train_config")
+    missing = [k for k in ("t", "m", "v", "logs", "train_config")
                if k not in ckpt.extras]
     if missing:
         raise ValueError(f"cannot resume from {os.fspath(path)}: "
@@ -355,21 +349,21 @@ def _check_resumable(path, ckpt, cfg):
 
 
 def _best_so_far(path, ckpt, logs, has_val):
-    """The file holding the best epoch of checkpoint `path`'s run up to its
-    own epoch: `path` itself or the best.npz beside it; ValueError naming
-    that best.npz when it holds another epoch."""
-    best_dsc = float(ckpt.extras["best_dsc"])
-    best = ckpt.epoch  # train() keeps the last epoch without validation samples
-    if has_val:  # and the first with the highest val DSC with them
-        best = next((log.epoch for log in logs if log.val_dsc == best_dsc), best)
-    if best == ckpt.epoch:
-        return Path(path)
+    """The logged best epoch of checkpoint `path`'s run up to its own epoch, and the
+    file holding it: `path` itself or the best.npz beside it, which must hold that
+    epoch and the run's rows up to it, or ValueError naming that best.npz."""
+    # as train() keeps it: the first top val DSC, or the last epoch without validation
+    best = max(logs, key=lambda log: log.val_dsc) if has_val else logs[-1]
+    if best.epoch == ckpt.epoch:
+        return best, Path(path)
     best_file = Path(path).with_name("best.npz")
-    stored = load_checkpoint(best_file) if best_file.exists() else None
-    if stored and stored.epoch == best and float(stored.extras["best_dsc"]) == best_dsc:
-        return best_file
+    if best_file.exists():
+        stored = load_checkpoint(best_file)
+        rows = json.loads(bytes(stored.extras["logs"]).decode())
+        if stored.epoch == best.epoch and rows == [log.row() for log in logs[:best.epoch]]:
+            return best, best_file
     raise ValueError(f"cannot resume from {os.fspath(path)}: its run's best epoch so far, "
-                     f"{best}, is not the one {os.fspath(best_file)} holds")
+                     f"{best.epoch}, is not the one {os.fspath(best_file)} holds")
 
 
 def _check_run(cfg, dataset):
@@ -395,8 +389,9 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     reproducing the uninterrupted run exactly, best.npz included. The
     config must match the checkpointed run's in every field but out_dir,
     the file must hold the flat optimizer moments, and unless its epoch is
-    its run's best so far, the best.npz beside it must hold that best
-    epoch; otherwise ValueError naming the file is raised.
+    its run's best so far by the logged rows, the best.npz beside it must
+    hold that best epoch and the rows up to it; otherwise ValueError naming
+    the file is raised.
 
     cfg is valid by construction. Before any epoch or file write,
     ValueError is raised for an empty training split or (naming the sample)
@@ -431,12 +426,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         net = ckpt.to_network(trainable=True)
         logs = [EpochLog(int(row[0]), *row[1:])
                 for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
-        best_source = _best_so_far(resume_from, ckpt, logs, bool(dataset.val))
+        best, best_source = _best_so_far(resume_from, ckpt, logs, bool(dataset.val))
     out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(net.weights, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     if resume_from is not None:
         opt.load_state_arrays(ckpt.extras)
-        best_dsc = float(ckpt.extras["best_dsc"])
+        best_dsc = best.val_dsc
         start_epoch = ckpt.epoch + 1
         if best_source.resolve() != best_path.resolve():  # best.npz as of that epoch
             shutil.copyfile(best_source, best_path)
@@ -485,11 +480,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
             logs.append(log)
 
             teacher.load_state_arrays(net.weights)
-            _save(final_path, net, opt, t, max(best_dsc, val.dsc), logs, cfg)
+            _save(final_path, net, opt, t, logs, cfg)
             # without validation samples every val.dsc is 0: the best is the last
             if val.dsc > best_dsc or not dataset.val:
                 best_dsc = val.dsc
-                _save(best_path, net, opt, t, best_dsc, logs, cfg)
+                _save(best_path, net, opt, t, logs, cfg)
             if epoch_end_hook is not None:
                 epoch_end_hook(t, net, teacher, log)
 
@@ -511,13 +506,16 @@ def predict_to_file(checkpoint_path, image, out_path):
 def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
     """Train once per value of tau / n / alpha; returns test-set metric rows.
 
-    Every run is checked as train() checks it before the first one trains.
+    Every run is checked as train() checks it before the first one trains,
+    and ValueError names a value that is a bool or no real number.
     """
     field = {"tau": "tau", "n": "grid_g", "alpha": "alpha_T"}.get(axis)
     if field is None:
         raise ValueError(f"unknown sweep axis {axis!r} (expected tau, n, or alpha)")
     cfgs = []
     for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{axis} value {value!r} is not a number")
         setting = float(value)
         if axis == "n":
             g = math.isqrt(int(setting)) if setting >= 1 and setting.is_integer() else 0

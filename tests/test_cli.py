@@ -298,6 +298,17 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: --values item {item} is not a number\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("item, named", [
+        ("true", "True"), ("null", "None"), ("[1]", "[1]"), ('"x"', "'x'")])
+    def test_a_values_item_that_is_json_but_no_number_is_named(self, data_dir, tmp_path,
+                                                               capsys, item, named):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--axis", "tau", "--values", f"1,{item}",
+                     "--data", str(data_dir), "epochs=1", f"out_dir={out}", *TINY[:-2]])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: tau value {named} is not a number\n"
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_no_subcommand_is_usage_error(self):

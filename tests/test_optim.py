@@ -1,19 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from vesseldistill.network import NetworkConfig, SegNetwork, _views
 from vesseldistill.optim import _BETA1, _BETA2, _EPS, AdamW, lr_at
-from vesseldistill.tensor import GraphError, Tensor
+from vesseldistill.tensor import Tensor
 from vesseldistill.train import _take_grad
 
 
 def flat(values):
     return np.array(values, dtype=np.float64)
-
-
-NO_GRAD = np.empty(0)  # a step whose graph held none of the weights
 
 
 class ReferenceAdamW:
@@ -49,10 +47,13 @@ class ReferenceAdamW:
 
 class TestAdamW:
     def test_decay_only_when_grad_absent(self):
-        w = flat([2.0])
+        # a weight outside the loss's graph gets a zero gradient; with zero
+        # moments it decays only and its moments stay zero, beside one that steps
+        w = flat([2.0, 1.0])
         opt = AdamW(w, lr=0.1, weight_decay=0.01)
-        opt.step(NO_GRAD)
-        np.testing.assert_allclose(w, 2.0 * (1 - 0.1 * 0.01), rtol=1e-15)
+        opt.step(flat([0.0, 0.5]))
+        assert w[0] == 2.0 - 0.1 * 0.01 * 2.0 and opt.m[0] == opt.v[0] == 0.0
+        assert w[1] < 1.0 - 0.1 * 0.01 * 1.0 and opt.m[1] and opt.v[1]
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes |update| ~= lr regardless of grad magnitude
@@ -147,37 +148,37 @@ class TestAdamW:
         pred, feats = net.forward(x)
         (pred.sum() + net.side_output(feats[1], 2).sum()).backward()
         opt.step(_take_grad(net))
-        before = head2.data.copy()
+        m, v = (_views(a, net.config)["head2.w"].copy() for a in (opt.m, opt.v))
+        assert m.any() and v.any()
         pred, _ = net.forward(x)
         pred.sum().backward()  # head2 takes no part in this loss
         grad = _take_grad(net)
-        assert len(grad) == net.weights.size - head2.data.size - 1  # head2.w and .b
-        m, v = opt.m[len(grad):].copy(), opt.v[len(grad):].copy()
+        assert grad.shape == net.weights.shape and head2.grad is None
+        assert not _views(grad, net.config)["head2.w"].any()  # zero, not the stale gradient
         opt.step(grad)
-        np.testing.assert_array_equal(head2.data, before - 0.1 * 0.01 * before)
-        assert opt.m[len(grad):].tobytes() == m.tobytes()
-        assert opt.v[len(grad):].tobytes() == v.tobytes()
+        # textbook Adam: the zero gradient decays head2's moments, which keep moving it
+        assert _views(opt.m, net.config)["head2.w"].tobytes() == (_BETA1 * m).tobytes()
+        assert _views(opt.v, net.config)["head2.w"].tobytes() == (_BETA2 * v).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flat_step_is_bitwise_the_per_parameter_step(self, dtype):
         """25 steps over a depth-3 net's parameter shapes, heads 2 and 3
-        outside the graph, as in a step without a teacher, for the first 9
-        (their m and v still zero) and for 4 later ones (m and v not zero)."""
+        outside the graph for the first 9, as in epoch 1, which has no
+        teacher: the per-parameter step decays them only, and the flat step
+        gets zeros for them, as _take_grad gives."""
         net = SegNetwork(NetworkConfig(depth=3, base_channels=8), seed=1, dtype=dtype)
         params = [Tensor(p.data.copy(), requires_grad=True) for p in net.parameters()]
         reference = ReferenceAdamW(params, lr=1e-3, weight_decay=1e-5)
         opt = AdamW(net.weights, lr=1e-3, weight_decay=1e-5)
         names = list(net.named_parameters())
-        heads = sum(p.data.size for name, p in net.named_parameters().items()
-                    if name.startswith(("head2.", "head3.")))
         rng = np.random.default_rng(2)
         for step in range(25):
             grad = rng.normal(0.0, 10.0 ** rng.uniform(-4, 1), net.weights.size).astype(dtype)
-            absent = step < 9 or 17 <= step < 21
             for name, p, g in zip(names, params, _views(grad, net.config).values()):
-                p.grad = None if absent and name.startswith(("head2.", "head3.")) else g
-            if absent:
-                grad = grad[:-heads]
+                if step < 9 and name.startswith(("head2.", "head3.")):
+                    g[...], p.grad = 0, None
+                else:
+                    p.grad = g
             reference.step()
             opt.step(grad)
             got = _views(net.weights, net.config).values()
@@ -186,20 +187,25 @@ class TestAdamW:
                 got = _views(flat_moment, net.config).values()
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(per_param, got)), step
 
-    def test_a_gradient_that_is_no_prefix_is_refused(self):
+    def test_take_grad_is_zero_for_every_parameter_outside_the_graph(self):
         net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8),
                          dtype=np.float64)
-        _, feats = net.forward(np.zeros((1, 8, 8)))
-        net.side_output(feats[1], 2).sum().backward()  # the bottleneck's head: no decoder
-        with pytest.raises(GraphError, match="head2.w is in the loss's graph, "
-                                             "but dec1.conv1.w before it is not"):
-            _take_grad(net)
+        _, feats = net.forward(np.random.default_rng(0).uniform(size=(1, 8, 8)))
+        net.side_output(Tensor(feats[1].data), 2).sum().backward()  # a graph of head2 alone
+        grad = _views(_take_grad(net), net.config)
+        assert grad["head2.w"].any() and grad["head2.b"].any()
+        assert not any(g.any() for name, g in grad.items() if not name.startswith("head2."))
+        assert all(p.grad is None for p in net.parameters())
 
-        opt = AdamW(net.weights)
-        for bad in (np.zeros(net.weights.size + 1), np.zeros((1, 3))):
-            with pytest.raises(ValueError, match="no flat prefix of"):
+    def test_a_gradient_of_another_shape_is_refused(self):
+        w = np.arange(6.0)
+        opt = AdamW(w, lr=0.1)
+        for bad in (np.zeros(5), np.zeros(7), np.zeros((1, 6)), np.zeros((6, 1))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"gradient of shape {bad.shape} does not match the weights' shape (6,)")):
                 opt.step(bad)
-        assert opt.t == 0 and not opt.m.any()
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        assert w.tobytes() == np.arange(6.0).tobytes()
 
     def test_converges_on_quadratic(self):
         w = flat([4.0])

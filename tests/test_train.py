@@ -23,11 +23,11 @@ from vesseldistill import tensor as T
 from vesseldistill.data import batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
-from vesseldistill.optim import AdamW
+from vesseldistill.optim import AdamW, lr_at
 from vesseldistill.network import (NetworkConfig, SegNetwork, _views, load_checkpoint,
                                    save_checkpoint)
 from vesseldistill.tensor import ShapeError, Tensor
-from vesseldistill.train import TrainConfig, evaluate, predict_to_file, train
+from vesseldistill.train import TrainConfig, evaluate, predict_to_file, sweep, train
 
 train_module = importlib.import_module("vesseldistill.train")
 
@@ -266,12 +266,13 @@ class TestResume:
         with pytest.raises(ValueError, match=refusal):
             train(cfg, tiny_dataset, resume_from=old_path)
 
-    def test_training_checkpoint_has_eight_members(self, tiny_dataset, tmp_path):
+    def test_training_checkpoint_has_seven_members(self, tiny_dataset, tmp_path):
+        # no best_dsc: the logged rows fix the best epoch and its DSC
         result = train(tiny_cfg(tmp_path / "members", epochs=1), tiny_dataset)
         with np.load(result.final_path) as z:
             assert sorted(z.files) == sorted([
                 "meta", "params", "extra:t", "extra:m", "extra:v",
-                "extra:best_dsc", "extra:logs", "extra:train_config"])
+                "extra:logs", "extra:train_config"])
 
     def test_resume_refuses_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
         """A file holding one extra:m<i> and extra:v<i> member per parameter,
@@ -381,10 +382,10 @@ class TestResume:
 
     @staticmethod
     def assert_same_best(a, b):
-        """Two runs' best.npz hold the same epoch, best_dsc and weights, bit for bit."""
+        """Two runs' best.npz hold the same epoch, logged rows and weights, bit for bit."""
         best_a, best_b = load_checkpoint(a.best_path), load_checkpoint(b.best_path)
         assert best_b.epoch == best_a.epoch
-        assert float(best_b.extras["best_dsc"]) == float(best_a.extras["best_dsc"])
+        assert best_b.extras["logs"].tobytes() == best_a.extras["logs"].tobytes()
         assert b.best_val_dsc == a.best_val_dsc
         for name, arr in best_a.params.items():
             assert best_b.params[name].tobytes() == arr.tobytes()
@@ -392,7 +393,7 @@ class TestResume:
     def test_resume_at_the_best_epoch_into_a_new_directory_keeps_it_best(self, tiny_dataset,
                                                                          tmp_path):
         # seed 1's best epoch is 2 (val DSC 0.211; epoch 4 scores 0.023), and
-        # best.npz used to get epoch 4's weights with epoch 2's best_dsc
+        # best.npz used to get epoch 4's weights with epoch 2's DSC
         cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=1)
         full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
         assert load_checkpoint(full.best_path).epoch == 2
@@ -405,21 +406,32 @@ class TestResume:
         cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=3)
         full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
         assert load_checkpoint(full.best_path).epoch == 1
-        resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed")),
-                        tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
-        self.assert_same_best(full, resumed)
+        # older checkpoints also stored a best_dsc member, which is not read
+        old_path = tmp_path / "full" / "old.npz"
+        with np.load(tmp_path / "full" / "epoch_002.npz") as z:
+            np.savez(old_path, **{k: z[k] for k in z.files}, **{"extra:best_dsc": np.array(0.99)})
+        for name, checkpoint in (("resumed", "epoch_002.npz"), ("resumed_old", "old.npz")):
+            resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
+                            tiny_dataset, resume_from=tmp_path / "full" / checkpoint)
+            self.assert_same_best(full, resumed)
+            assert (tmp_path / name / "epochs.csv").read_bytes() \
+                == (tmp_path / "full" / "epochs.csv").read_bytes()
 
-        # once best.npz holds another epoch, nothing holds epoch 1's weights
-        shutil.copyfile(full.final_path, full.best_path)
-        started = []
+        # once best.npz holds another epoch, or epoch 1 of another run,
+        # nothing holds epoch 1's weights
+        other = train(dataclasses.replace(cfg, epochs=1, seed=4, out_dir=str(tmp_path / "other")),
+                      tiny_dataset)
         refusal = (f"cannot resume from {re.escape(str(tmp_path / 'full' / 'epoch_002.npz'))}: "
                    f"its run's best epoch so far, 1, is not the one "
                    f"{re.escape(str(full.best_path))} holds")
-        with pytest.raises(ValueError, match=refusal):
-            train(dataclasses.replace(cfg, out_dir=str(tmp_path / "refused")), tiny_dataset,
-                  resume_from=tmp_path / "full" / "epoch_002.npz",
-                  epoch_start_hook=lambda t, teacher: started.append(t))
-        assert not started and not (tmp_path / "refused").exists()
+        for source in (full.final_path, other.best_path):
+            shutil.copyfile(source, full.best_path)
+            started = []
+            with pytest.raises(ValueError, match=refusal):
+                train(dataclasses.replace(cfg, out_dir=str(tmp_path / "refused")), tiny_dataset,
+                      resume_from=tmp_path / "full" / "epoch_002.npz",
+                      epoch_start_hook=lambda t, teacher: started.append(t))
+            assert not started and not (tmp_path / "refused").exists()
 
     def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
         import json
@@ -468,6 +480,56 @@ class TestFlatWeights:
         train(resumed, tiny_dataset, resume_from=tmp_path / "run" / "epoch_001.npz",
               epoch_end_hook=on_end)
         assert seen == [(2, True, True, True)]
+
+
+class TestDeeperHeads:
+    """Heads 2..depth join the loss at the first epoch with a teacher and
+    never leave it. Until then their moments are zero, so the zero gradient
+    _take_grad gives them leaves them as decay alone would."""
+
+    @staticmethod
+    def deeper_heads(flat, cfg):
+        return {name: view for name, view in _views(flat, cfg.network).items()
+                if name.startswith("head") and not name.startswith("head1.")}
+
+    def test_deeper_heads_only_decay_until_a_teacher_joins(self, tiny_dataset, tmp_path):
+        # a weight decay large enough to move float32 weights at every step
+        full = dataclasses.replace(
+            tiny_cfg(tmp_path / "full", epochs=2), weight_decay=0.1,
+            network=NetworkConfig(depth=3, base_channels=4, height=32, width=32))
+        dice = dataclasses.replace(full, epochs=3, dice_only=True, out_dir=str(tmp_path / "dice"))
+        for cfg in (full, dice):
+            train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(cfg.out_dir))
+
+        initial = self.deeper_heads(
+            SegNetwork(full.network, seed=full.seed, dtype=np.float32).weights, full)
+
+        def decayed(cfg, epochs):
+            """The deeper heads' initial weights after every step of `epochs`
+            epochs, by decay alone."""
+            heads = {name: w.copy() for name, w in initial.items()}
+            for t in range(1, epochs + 1):
+                lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
+                for _ in batches(range(len(tiny_dataset.train)), cfg.batch_size, cfg.seed, t):
+                    for w in heads.values():
+                        w -= lr * cfg.weight_decay * w
+            return heads
+
+        for cfg, epoch in [(full, 1), (dice, 1), (dice, 2), (dice, 3)]:
+            ckpt = load_checkpoint(pathlib.Path(cfg.out_dir) / f"epoch_{epoch:03d}.npz")
+            for kind in ("m", "v"):
+                moments = self.deeper_heads(ckpt.extras[kind], cfg).values()
+                assert not any(a.any() for a in moments), (cfg.dice_only, epoch, kind)
+            want = decayed(cfg, epoch)
+            for name, w in self.deeper_heads(ckpt.weights, cfg).items():
+                assert w.tobytes() == want[name].tobytes(), (cfg.dice_only, epoch, name)
+                if name.endswith(".w"):  # the biases start, and stay, at zero
+                    assert w.tobytes() != initial[name].tobytes(), (cfg.dice_only, epoch, name)
+
+        after_teacher = load_checkpoint(tmp_path / "full" / "epoch_002.npz")
+        for kind in ("m", "v"):
+            for name, a in self.deeper_heads(after_teacher.extras[kind], full).items():
+                assert a.any(), (kind, name)
 
 
 class TestValidation:
@@ -584,6 +646,15 @@ class TestValidation:
         # a float field takes an int, as JSON writes 1.0 as 1
         tiny_cfg("unused", learning_rate=1, weight_decay=0, lr_gamma=1,
                  dice_only=True)
+
+    def test_sweep_takes_numpy_scalars_and_refuses_a_bool_before_training(self, tiny_dataset,
+                                                                         tmp_path):
+        cfg = tiny_cfg(tmp_path / "sweep", epochs=1)
+        with pytest.raises(ValueError, match=r"^alpha value True is not a number$"):
+            sweep("alpha", [0.5, True], cfg, tiny_dataset)
+        assert not (tmp_path / "sweep").exists()
+        rows = sweep("tau", [np.float64(2.0), np.int64(3)], cfg, tiny_dataset)
+        assert [row["tau"] for row in rows] == [2.0, 3]
 
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
