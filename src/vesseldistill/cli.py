@@ -4,7 +4,9 @@ Subcommands: generate-data, train, evaluate, predict, gradcheck, sweep.
 Configuration comes from an optional JSON file plus positional key=value
 overrides (dotted keys reach nested sections, e.g. distill.tau=4).
 
-Exit codes: 0 success, 1 usage or validation error, 2 gradient-check failure.
+Exit codes: 0 success, 1 usage or validation error (a ValueError or
+FileNotFoundError, printed as one line), 2 gradient-check failure. Any other
+exception propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ def main(argv=None):
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, TypeError) as exc:
+    # what bad input raises; any other exception is a bug, shown with its traceback
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

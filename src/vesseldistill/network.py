@@ -288,19 +288,27 @@ def load_checkpoint(path, extras=True):
     """Read a checkpoint written by save_checkpoint.
 
     extras=False decodes only the "meta" and "params" members, which is
-    all inference needs, and leaves Checkpoint.extras empty. A file
-    without a flat "params" array raises ValueError, as does an older file's
-    stored in_channels other than 1; its stored parameter order is not read.
+    all inference needs, and leaves Checkpoint.extras empty. ValueError
+    naming the file is raised for a file without a "meta" member or a flat
+    "params" array, and for a stored config field NetworkConfig has no
+    field for, but an older file's in_channels of 1 is dropped; its stored
+    parameter order is not read.
     """
     with np.load(path) as z:
-        if "params" not in z.files:
-            raise ValueError(f"{os.fspath(path)}: no flat params array, "
-                             "so not a checkpoint save_checkpoint wrote")
+        for member, what in (("meta", "no meta member"), ("params", "no flat params array")):
+            if member not in z.files:
+                raise ValueError(f"{os.fspath(path)}: {what}, "
+                                 "so not a checkpoint save_checkpoint wrote")
         meta = json.loads(bytes(z["meta"]).decode())
-        in_channels = meta["config"].pop("in_channels", 1)
-        if in_channels != 1:
-            raise ValueError(f"{os.fspath(path)}: its config stores in_channels "
-                             f"{in_channels!r}, but the net takes one input channel")
+        if meta["config"].get("in_channels") == 1:  # the one input channel, as older files say
+            del meta["config"]["in_channels"]
+        names = {f.name for f in fields(NetworkConfig)}
+        for name, value in meta["config"].items():
+            if name not in names:
+                why = ("the net takes one input channel" if name == "in_channels"
+                       else "NetworkConfig has no such field")
+                raise ValueError(f"{os.fspath(path)}: its config stores {name} {value!r}, "
+                                 f"but {why}")
         config = NetworkConfig(**meta["config"])
         shapes = _param_shapes(config)
         weights = _check_flat(z["params"], sum(math.prod(s) for _, s in shapes),

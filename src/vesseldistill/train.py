@@ -7,6 +7,10 @@ full three-term objective with a linearly ramped soft-label weight α.
 `train` decides each epoch's teacher (None in epoch 1 and dice_only runs)
 and α (0.0 without a teacher) once, and logs that α.
 
+The epoch log is the run's one record: checkpoints store it, epochs.csv is
+rewritten from it after every epoch, and one rule, _best, reads the best
+epoch from it for best.npz, the result and a resume.
+
 Training splits every batch across min(CPUs, batch size) processes: this one
 and workers forked when training starts (one process without fork). This
 process orders and splits the batches. A worker keeps no state between
@@ -84,18 +88,29 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d):
-        """A TrainConfig from plain values; each nested section is a mapping of its fields."""
+        """A TrainConfig from plain values; each nested section is a mapping of its fields.
+        ValueError names an unknown field by its dotted path (`foo`, `network.foo`)."""
         d = dict(d)
+        _check_known(TrainConfig, d)
         for f in dataclasses.fields(TrainConfig):
             if isinstance(f.default_factory, type) and f.name in d:
                 if not isinstance(d[f.name], dict):
                     raise ValueError(f"{f.name} must be a mapping of "
                                      f"{f.default_factory.__name__} fields, got {d[f.name]!r}")
+                _check_known(f.default_factory, d[f.name], f"{f.name}.")
                 d[f.name] = f.default_factory(**d[f.name])
         return TrainConfig(**d)
 
     def to_dict(self):
         return dataclasses.asdict(self)
+
+
+def _check_known(cls, values, prefix=""):
+    """ValueError naming, after `prefix`, the first key of `values` that is no field of cls."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    for k in values:
+        if k not in names:
+            raise ValueError(f"unknown config field {prefix}{k}")
 
 
 @dataclass
@@ -116,12 +131,17 @@ class EpochLog:
         return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
 
-def write_epoch_csv(logs, path):
+def write_metrics_csv(rows, path):
+    if not rows:
+        raise ValueError("no metric rows to write")
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f.name for f in dataclasses.fields(EpochLog)])
-        for log in logs:
-            writer.writerow(log.row())
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def write_epoch_csv(logs, path):
+    write_metrics_csv([dataclasses.asdict(log) for log in logs], path)
 
 
 @dataclass
@@ -348,50 +368,63 @@ def _check_resumable(path, ckpt, cfg):
                          f"the checkpointed run in {', '.join(differing)}")
 
 
-def _best_so_far(path, ckpt, logs, has_val):
-    """The logged best epoch of checkpoint `path`'s run up to its own epoch, and the
-    file holding it: `path` itself or the best.npz beside it, which must hold that
-    epoch and the run's rows up to it, or ValueError naming that best.npz."""
-    # as train() keeps it: the first top val DSC, or the last epoch without validation
-    best = max(logs, key=lambda log: log.val_dsc) if has_val else logs[-1]
-    if best.epoch == ckpt.epoch:
-        return best, Path(path)
+def _best(logs, has_val):
+    """The best epoch's log: the first with the top val DSC, or without val samples the last."""
+    return max(logs, key=lambda log: log.val_dsc) if has_val else logs[-1]
+
+
+def _best_file(path, logs, has_val):
+    """The file holding the best of `path`'s logged epochs: `path` or the best.npz beside
+    it, which must hold that epoch and the rows up to it, or ValueError naming that file."""
+    best = _best(logs, has_val)
+    if best is logs[-1]:
+        return Path(path)
     best_file = Path(path).with_name("best.npz")
     if best_file.exists():
         stored = load_checkpoint(best_file)
-        rows = json.loads(bytes(stored.extras["logs"]).decode())
+        rows = json.loads(bytes(stored.extras.get("logs", b"[]")).decode())
         if stored.epoch == best.epoch and rows == [log.row() for log in logs[:best.epoch]]:
-            return best, best_file
+            return best_file
     raise ValueError(f"cannot resume from {os.fspath(path)}: its run's best epoch so far, "
                      f"{best.epoch}, is not the one {os.fspath(best_file)} holds")
+
+
+def _check_shapes(samples, check):
+    """Run check(shape) on each image shape of samples; its ValueError names the
+    shape's first sample."""
+    for shape, sample in {s.image.data.shape: s for s in reversed(samples)}.items():
+        try:
+            check(shape)
+        except ValueError as exc:
+            raise ValueError(f"sample {sample.id!r}: {exc}") from None
 
 
 def _check_run(cfg, dataset):
     """ValueError unless dataset has training samples of shapes cfg takes: see train()."""
     if not dataset.train:
         raise ValueError("dataset has no training samples")
-    # one sample per image shape, the first of each
-    shapes = {s.image.data.shape: s for s in reversed([*dataset.train, *dataset.val])}
-    for shape, sample in shapes.items():
-        try:
-            _check_input_shape(cfg.network, shape)
-            distill._patch_side(shape[1], shape[2], cfg.distill.grid_g)
-        except ValueError as exc:
-            raise ValueError(f"sample {sample.id!r}: {exc}") from None
+
+    def check(shape):
+        _check_input_shape(cfg.network, shape)
+        distill._patch_side(shape[1], shape[2], cfg.distill.grid_g)
+    _check_shapes([*dataset.train, *dataset.val], check)
 
 
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
           epoch_start_hook=None, epoch_end_hook=None):
     """Run the full training loop; returns checkpoint paths and the epoch log.
 
+    Each epoch saves last.npz, then best.npz if _best picks it, then rewrites
+    epochs.csv from the log, so a run stopped in epoch t leaves epochs 1..t-1.
+
     resume_from: path to a checkpoint written by this function; training
     continues from the next epoch with the optimizer state restored,
-    reproducing the uninterrupted run exactly, best.npz included. The
-    config must match the checkpointed run's in every field but out_dir,
-    the file must hold the flat optimizer moments, and unless its epoch is
-    its run's best so far by the logged rows, the best.npz beside it must
-    hold that best epoch and the rows up to it; otherwise ValueError naming
-    the file is raised.
+    reproducing the uninterrupted run exactly, best.npz and epochs.csv
+    included, both written before that epoch. The config must match the
+    checkpointed run's in every field but out_dir, the file must hold the
+    flat optimizer moments, and unless its epoch is its run's best so far by
+    the logged rows, the best.npz beside it must hold that best epoch and
+    the rows up to it; otherwise ValueError naming the file is raised.
 
     cfg is valid by construction. Before any epoch or file write,
     ValueError is raised for an empty training split or (naming the sample)
@@ -415,9 +448,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     out_dir = Path(cfg.out_dir)
     best_path = out_dir / "best.npz"
     final_path = out_dir / "last.npz"
+    csv_path = out_dir / "epochs.csv"
     dtype = np.dtype(cfg.dtype)
+    has_val = bool(dataset.val)
 
-    logs, best_dsc, start_epoch = [], -1.0, 1
+    logs = []
     if resume_from is None:
         net = SegNetwork(cfg.network, seed=cfg.seed, dtype=dtype)
     else:
@@ -426,21 +461,20 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         net = ckpt.to_network(trainable=True)
         logs = [EpochLog(int(row[0]), *row[1:])
                 for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
-        best, best_source = _best_so_far(resume_from, ckpt, logs, bool(dataset.val))
+        best_source = _best_file(resume_from, logs, has_val)
     out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(net.weights, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     if resume_from is not None:
         opt.load_state_arrays(ckpt.extras)
-        best_dsc = best.val_dsc
-        start_epoch = ckpt.epoch + 1
         if best_source.resolve() != best_path.resolve():  # best.npz as of that epoch
             shutil.copyfile(best_source, best_path)
+        write_epoch_csv(logs, csv_path)
     # the one frozen teacher, refilled from net at the end of every epoch; on
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
     teacher = SegNetwork.from_arrays(cfg.network, net.weights, dtype=dtype, trainable=False)
 
     with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
-        for t in range(start_epoch, cfg.epochs + 1):
+        for t in range(len(logs) + 1, cfg.epochs + 1):
             if epoch_start_hook is not None:
                 epoch_start_hook(t, None if t == 1 else teacher)
             lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
@@ -467,7 +501,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
                     term_sums[k] += v
                 n_batches += 1
 
-            val = evaluate(net, dataset.val) if dataset.val else MetricReport(0, 0, 0, 0)
+            val = evaluate(net, dataset.val) if has_val else MetricReport(0, 0, 0, 0)
             means = {k: v / n_batches for k, v in term_sums.items()}
             log = EpochLog(
                 epoch=t,
@@ -481,16 +515,14 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
 
             teacher.load_state_arrays(net.weights)
             _save(final_path, net, opt, t, logs, cfg)
-            # without validation samples every val.dsc is 0: the best is the last
-            if val.dsc > best_dsc or not dataset.val:
-                best_dsc = val.dsc
+            if _best(logs, has_val) is log:
                 _save(best_path, net, opt, t, logs, cfg)
+            write_epoch_csv(logs, csv_path)
             if epoch_end_hook is not None:
                 epoch_end_hook(t, net, teacher, log)
 
-    write_epoch_csv(logs, out_dir / "epochs.csv")
     return TrainResult(final_path=final_path, best_path=best_path, logs=logs,
-                       best_val_dsc=best_dsc)
+                       best_val_dsc=_best(logs, has_val).val_dsc)
 
 
 def predict_to_file(checkpoint_path, image, out_path):
@@ -506,12 +538,17 @@ def predict_to_file(checkpoint_path, image, out_path):
 def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
     """Train once per value of tau / n / alpha; returns test-set metric rows.
 
-    Every run is checked as train() checks it before the first one trains,
-    and ValueError names a value that is a bool or no real number.
+    Before the first run trains, every run is checked as train() checks it,
+    and ValueError names a value that is a bool or no real number, and is
+    raised for an empty test split or (naming the sample) a test image shape
+    the network cannot take.
     """
     field = {"tau": "tau", "n": "grid_g", "alpha": "alpha_T"}.get(axis)
     if field is None:
         raise ValueError(f"unknown sweep axis {axis!r} (expected tau, n, or alpha)")
+    if not dataset.test:
+        raise ValueError("dataset has no test samples to score the runs on")
+    _check_shapes(dataset.test, lambda shape: _check_input_shape(base_cfg.network, shape))
     cfgs = []
     for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -534,12 +571,3 @@ def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
         report = evaluate(net, dataset.test)
         rows.append({axis: value, **report.as_dict()})
     return rows
-
-
-def write_metrics_csv(rows, path):
-    if not rows:
-        raise ValueError("no metric rows to write")
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)

@@ -170,6 +170,24 @@ class TestTrain:
         assert main(["train", "--data", str(data_dir), "--config", str(cfg_file)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", ["foo=1", "network.foo=1", "distill.eps=1e-7"])
+    def test_an_unknown_field_is_named_by_its_dotted_path(self, data_dir, tmp_path, capsys,
+                                                          override):
+        out = tmp_path / "unknown"
+        assert main(["train", "--data", str(data_dir), f"out_dir={out}",
+                     *TINY, override]) == 1
+        field = override.split("=")[0]
+        assert capsys.readouterr().err == f"error: unknown config field {field}\n"
+        assert not out.exists()
+
+    def test_a_bug_inside_training_propagates(self, data_dir, tmp_path, monkeypatch):
+        def broken(cfg, dataset):
+            raise TypeError("a bug")
+
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(TypeError, match="^a bug$"):
+            main(["train", "--data", str(data_dir), f"out_dir={tmp_path / 'bug'}", *TINY])
+
     def test_missing_data_dir_is_usage_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"), *TINY]) == 1
 
@@ -239,6 +257,18 @@ class TestPredict:
         mask = load_pgm(out)
         assert mask.shape == (32, 32)
         assert set(np.unique(mask)) <= {0.0, 1.0}
+
+    def test_a_checkpoint_without_meta_exits_1_naming_it(self, data_dir, run_dir, tmp_path,
+                                                         capsys):
+        with np.load(run_dir / "best.npz") as z:
+            payload = {k: z[k] for k in z.files if k != "meta"}
+        bare = tmp_path / "bare.npz"
+        np.savez(bare, **payload)
+        image = sorted((data_dir / "images").glob("*.pgm"))[0]
+        code = main(["predict", "--checkpoint", str(bare), "--image", str(image),
+                     "--out", str(tmp_path / "pred.pgm")])
+        assert code == 1
+        assert f"error: {bare}: no meta member" in capsys.readouterr().err
 
     def test_non_numeric_pixel_exits_1_naming_file_and_token(self, run_dir, tmp_path, capsys):
         image = tmp_path / "word.pgm"

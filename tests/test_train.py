@@ -20,7 +20,7 @@ import pytest
 
 from vesseldistill import distill
 from vesseldistill import tensor as T
-from vesseldistill.data import batches, generate_synthetic, load_pgm, split
+from vesseldistill.data import DatasetSplit, batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.optim import AdamW, lr_at
@@ -363,6 +363,20 @@ class TestResume:
         with pytest.raises(ValueError, match=refusal):
             predict_to_file(old_path, tiny_dataset.test[0].image, tmp_path / "three.pgm")
 
+    def test_a_stored_network_field_the_config_lacks_is_refused(self, tiny_dataset, tmp_path):
+        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
+        with np.load(new_path) as z:
+            payload = {k: z[k] for k in z.files}
+        meta = json.loads(bytes(payload["meta"]).decode())
+        meta["config"]["kernel_size"] = 5
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        old_path = tmp_path / "kernel.npz"
+        np.savez(old_path, **payload)
+        refusal = rf"^{re.escape(str(old_path))}: its config stores kernel_size 5, but"
+        for extras in (True, False):
+            with pytest.raises(ValueError, match=refusal):
+                load_checkpoint(old_path, extras=extras)
+
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
         result = train(cfg, tiny_dataset)
@@ -417,14 +431,16 @@ class TestResume:
             assert (tmp_path / name / "epochs.csv").read_bytes() \
                 == (tmp_path / "full" / "epochs.csv").read_bytes()
 
-        # once best.npz holds another epoch, or epoch 1 of another run,
-        # nothing holds epoch 1's weights
+        # once best.npz holds another epoch, epoch 1 of another run, or epoch 1's
+        # weights without the logged rows, nothing holds epoch 1's weights
         other = train(dataclasses.replace(cfg, epochs=1, seed=4, out_dir=str(tmp_path / "other")),
                       tiny_dataset)
+        bare = tmp_path / "bare.npz"
+        save_checkpoint(bare, load_checkpoint(full.best_path).to_network(), epoch=1)
         refusal = (f"cannot resume from {re.escape(str(tmp_path / 'full' / 'epoch_002.npz'))}: "
                    f"its run's best epoch so far, 1, is not the one "
                    f"{re.escape(str(full.best_path))} holds")
-        for source in (full.final_path, other.best_path):
+        for source in (full.final_path, other.best_path, bare):
             shutil.copyfile(source, full.best_path)
             started = []
             with pytest.raises(ValueError, match=refusal):
@@ -432,6 +448,26 @@ class TestResume:
                       resume_from=tmp_path / "full" / "epoch_002.npz",
                       epoch_start_hook=lambda t, teacher: started.append(t))
             assert not started and not (tmp_path / "refused").exists()
+
+    def test_a_resume_writes_its_runs_log_before_its_first_epoch(self, tiny_dataset, tmp_path):
+        """A run stopped in epoch 3 leaves epochs 1 and 2 in epochs.csv, and a resume
+        from its last checkpoint into a new directory, stopped as early, leaves the same."""
+        class Stop(Exception):
+            pass
+
+        def stop_at_3(t, teacher):
+            if t == 3:
+                raise Stop
+
+        cfg = tiny_cfg(tmp_path / "stopped", epochs=3)
+        with pytest.raises(Stop):
+            train(cfg, tiny_dataset, epoch_start_hook=stop_at_3)
+        original = (tmp_path / "stopped" / "epochs.csv").read_bytes()
+        assert len(original.splitlines()) == 3  # the header and epochs 1 and 2
+        with pytest.raises(Stop):
+            train(dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed")), tiny_dataset,
+                  resume_from=tmp_path / "stopped" / "last.npz", epoch_start_hook=stop_at_3)
+        assert (tmp_path / "resumed" / "epochs.csv").read_bytes() == original
 
     def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
         import json
@@ -656,6 +692,20 @@ class TestValidation:
         rows = sweep("tau", [np.float64(2.0), np.int64(3)], cfg, tiny_dataset)
         assert [row["tau"] for row in rows] == [2.0, 3]
 
+    @pytest.mark.parametrize("test_size", [31, None], ids=["31x31", "empty"])
+    def test_sweep_checks_the_test_split_before_training(self, tiny_dataset, tmp_path,
+                                                         monkeypatch, test_size):
+        trained = []
+        monkeypatch.setattr(train_module, "train", lambda *args: trained.append(args))
+        test = [] if test_size is None else generate_synthetic(seed=2, count=2, size=test_size)
+        dataset = DatasetSplit(tiny_dataset.train, tiny_dataset.val, test)
+        message = ("^dataset has no test samples" if test_size is None else
+                   rf"^sample '{test[0].id}': input shape \(1, 31, 31\) is not \[1,H,W\]")
+        with pytest.raises(ValueError, match=message):
+            sweep("tau", [1.0, 2.0], tiny_cfg(tmp_path / "sweep", epochs=1), dataset)
+        assert not trained
+        assert not (tmp_path / "sweep").exists()
+
     def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
         result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
         net = load_checkpoint(result.final_path).to_network()
@@ -754,6 +804,23 @@ class TestNonFiniteLoss:
         with pytest.raises(FloatingPointError, match=r"epoch 1, batch \d+: dice loss is nan"):
             train(tiny_cfg(out, epochs=2), poisoned)
         assert not list(out.glob("*.npz"))
+
+    def test_a_run_stopped_in_epoch_2_leaves_epoch_1s_log(self, tiny_dataset, tmp_path,
+                                                          monkeypatch):
+        # one process, so the hook's poisoned pixel reaches the training step
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 1)
+        poisoned = copy.deepcopy(tiny_dataset)
+
+        def poison_in_epoch_2(t, teacher):
+            if t == 2:
+                poisoned.train[3].image.data[0, 5, 7] = np.nan
+
+        with pytest.raises(FloatingPointError, match=r"^epoch 2, batch \d+: \w+ loss is nan"):
+            train(tiny_cfg(tmp_path / "stopped", epochs=2), poisoned,
+                  epoch_start_hook=poison_in_epoch_2)
+        train(tiny_cfg(tmp_path / "one", epochs=1), tiny_dataset)
+        assert ((tmp_path / "stopped" / "epochs.csv").read_bytes()
+                == (tmp_path / "one" / "epochs.csv").read_bytes())
 
     def test_nan_in_a_workers_share_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
