@@ -77,14 +77,13 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    ckpt = load_checkpoint(args.checkpoint, extras=False)
     seed = args.seed
-    from_checkpoint = args.split != "all" and seed is None  # split as train did, with its seed
-    ckpt = load_checkpoint(args.checkpoint, extras=from_checkpoint)
-    if from_checkpoint:
-        if "train_config" not in ckpt.extras:
+    if args.split != "all" and seed is None:  # split as train did, with its seed
+        if ckpt.run is None or "seed" not in ckpt.run["train_config"]:
             raise ValueError(f"{args.checkpoint} stores no training config to take the "
                              "split seed from; pass --seed")
-        seed = json.loads(bytes(ckpt.extras["train_config"]).decode())["seed"]
+        seed = ckpt.run["train_config"]["seed"]
     net = ckpt.to_network(trainable=False)
     samples = load_sample_dir(args.data)
     if args.split != "all":

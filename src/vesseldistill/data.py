@@ -137,8 +137,14 @@ def _render_image(rng, mask, size):
     return np.clip(img, 0.0, 1.0)
 
 
+def _check_seed(seed):
+    if seed < 0:  # numpy seeds no generator with it
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def generate_synthetic(seed, count, size=64):
     """Deterministically generate `count` vessel samples of shape [1,size,size]."""
+    _check_seed(seed)
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if size < 1:
@@ -239,7 +245,8 @@ def save_pgm(image, path):
 
 
 def load_sample_dir(root):
-    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem."""
+    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem; ValueError
+    naming the mask file if its shape differs from its image's."""
     root = Path(root)
     samples = []
     for img_path in sorted((root / "images").glob("*.pgm")):
@@ -248,6 +255,9 @@ def load_sample_dir(root):
             raise FileNotFoundError(f"no mask for {img_path.name} under {root / 'masks'}")
         img = load_pgm(img_path)
         mask = _foreground(load_pgm(mask_path)).astype(np.float64)
+        if mask.shape != img.shape:
+            raise ValueError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
+                             f"but its image is {img.shape[1]}x{img.shape[0]}")
         samples.append(ImageSample(
             image=Tensor(img[None]), mask=Tensor(mask[None]), id=img_path.stem))
     if not samples:
@@ -275,6 +285,7 @@ class DatasetSplit:
 
 def split(samples, ratios=(7, 1, 2), seed=0):
     """Seeded shuffle then partition; remainder goes to train."""
+    _check_seed(seed)
     if not samples:
         raise ValueError("cannot split an empty sample list")
     if len(ratios) != 3 or any(r < 0 for r in ratios):

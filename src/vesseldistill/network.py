@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
@@ -112,6 +113,14 @@ def _check_flat(flat, need, what, whose):
     return flat
 
 
+def _check_float(flat, what):
+    """`flat` as an array, unless its dtype is not float32 or float64: then ValueError."""
+    flat = np.asarray(flat)
+    if flat.dtype not in (np.float32, np.float64):
+        raise ValueError(f"{what} has dtype {flat.dtype}, not float32 or float64")
+    return flat
+
+
 class SegNetwork:
     """Segmentation network whose parameters are autodiff tensors over views of one
     flat array, `weights`: what every copy, send, optimizer step and save reads or writes."""
@@ -126,10 +135,12 @@ class SegNetwork:
                                          size=p.data.shape)
 
     @classmethod
-    def from_arrays(cls, config, flat, *, dtype, trainable=True):
-        """A net holding a copy of the flat weight array `flat`; draws no initialisation."""
+    def from_arrays(cls, config, flat, *, trainable=True):
+        """A net holding a copy of the flat weight array `flat` in its dtype, float32 or
+        float64 (else ValueError); draws no initialisation."""
+        flat = _check_float(flat, "the weight array")
         net = cls.__new__(cls)
-        net._adopt(config, dtype, trainable)
+        net._adopt(config, flat.dtype, trainable)
         net.load_state_arrays(flat)
         return net
 
@@ -225,22 +236,23 @@ class SegNetwork:
     # ---- snapshots ----
 
     def snapshot(self, epoch=0):
-        return TeacherSnapshot(self.config, self.weights, epoch, dtype=str(self.dtype))
+        return TeacherSnapshot(self.config, self.weights, epoch)
 
 
 # ---- checkpoint I/O ----
 
-def save_checkpoint(path, net, epoch, extras=None):
-    """Write a lossless .npz checkpoint: config, parameters, epoch.
+def save_checkpoint(path, net, epoch, extras=None, run=None):
+    """Write a lossless .npz checkpoint: config, parameters, epoch, run record.
 
-    The file holds a JSON "meta" member (config, dtype, epoch) and the net's
-    flat weight array as "params": every parameter raveled in the order and
-    shapes the config gives. extras: optional dict of additional arrays (e.g.
-    optimizer moments), stored under an "extra:" prefix. The file is written
+    The file holds a JSON "meta" member (config, epoch, and `run`: None or
+    train()'s {"train_config": ..., "logs": [...]}) and the net's flat weight
+    array, in its dtype, as "params": every parameter raveled in the order and
+    shapes the config gives. extras: optional dict of additional arrays (the
+    optimizer's t, m and v), stored under an "extra:" prefix. The file is written
     under a temporary name and renamed over `path`, so a crash mid-write
     leaves any previous checkpoint at `path` intact.
     """
-    meta = {"config": asdict(net.config), "dtype": str(net.dtype), "epoch": int(epoch)}
+    meta = {"config": asdict(net.config), "epoch": int(epoch), "run": run}
     payload = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
                "params": net.weights}
     payload.update({f"extra:{k}": np.asarray(v) for k, v in (extras or {}).items()})
@@ -259,24 +271,23 @@ def save_checkpoint(path, net, epoch, extras=None):
 class Checkpoint:
     """A loaded checkpoint; params maps each parameter's name to a view of its flat weights."""
 
-    def __init__(self, config, weights, epoch, dtype, extras):
+    def __init__(self, config, weights, epoch, extras, run=None):
         self.config = config
         self.weights = weights
         self.params = _views(weights, config)
         self.epoch = epoch
-        self.dtype = dtype
         self.extras = extras
+        self.run = run
 
     def to_network(self, trainable=True):
-        return SegNetwork.from_arrays(self.config, self.weights, dtype=self.dtype,
-                                      trainable=trainable)
+        return SegNetwork.from_arrays(self.config, self.weights, trainable=trainable)
 
 
 class TeacherSnapshot(Checkpoint):
     """Immutable copy of a net's flat weight array frozen at an epoch boundary."""
 
-    def __init__(self, config, flat, epoch, *, dtype):
-        super().__init__(config, np.array(flat, copy=True), int(epoch), dtype, {})
+    def __init__(self, config, flat, epoch):
+        super().__init__(config, np.array(flat, copy=True), int(epoch), {})
 
     def restore(self, trainable=False):
         """Rebuild a network with these exact parameter values: a frozen
@@ -285,21 +296,52 @@ class TeacherSnapshot(Checkpoint):
 
 
 def load_checkpoint(path, extras=True):
-    """Read a checkpoint written by save_checkpoint.
+    """Read a checkpoint written by save_checkpoint; its run record is Checkpoint.run.
 
     extras=False decodes only the "meta" and "params" members, which is
-    all inference needs, and leaves Checkpoint.extras empty. ValueError
-    naming the file is raised for a file without a "meta" member or a flat
-    "params" array, and for a stored config field NetworkConfig has no
-    field for, but an older file's in_channels of 1 is dropped; its stored
-    parameter order is not read.
+    all inference needs, and leaves Checkpoint.extras empty. Any other file
+    is refused with ValueError naming it: one that is no .npz archive, has
+    no JSON object "meta" holding a config object and an int epoch, has a
+    run record that is neither null nor an object holding a train_config
+    object and a logs list, has no flat float32 or float64 "params" array of
+    the config's length, or stores a config NetworkConfig cannot take. Older
+    files load: their stored in_channels of 1, dtype, parameter order and
+    extra:train_config and extra:logs members are ignored, and a meta
+    without a run record gives run None.
     """
-    with np.load(path) as z:
+    try:
+        return _read_checkpoint(path, extras)
+    except ValueError as exc:  # what a file save_checkpoint did not write raises
+        raise ValueError(f"{os.fspath(path)}: {exc}") from None
+
+
+def _holds(value, types):
+    """Whether `value` is a dict whose value at each key k of `types` is a types[k]."""
+    return isinstance(value, dict) and all(isinstance(value.get(k), t) for k, t in types.items())
+
+
+def _read_checkpoint(path, extras):
+    """load_checkpoint without the file's name in its ValueErrors."""
+    try:
+        z = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile):  # what np.load raises for other bytes
+        z = None
+    if not isinstance(z, np.lib.npyio.NpzFile):  # e.g. an .npy array
+        raise ValueError("not an .npz archive, so not a checkpoint save_checkpoint wrote")
+    with z:
         for member, what in (("meta", "no meta member"), ("params", "no flat params array")):
             if member not in z.files:
-                raise ValueError(f"{os.fspath(path)}: {what}, "
-                                 "so not a checkpoint save_checkpoint wrote")
-        meta = json.loads(bytes(z["meta"]).decode())
+                raise ValueError(f"{what}, so not a checkpoint save_checkpoint wrote")
+        try:
+            meta = json.loads(z["meta"].tobytes())
+        except ValueError:  # an object array, or bytes that are no UTF-8 JSON
+            meta = None
+        if not _holds(meta, {"config": dict, "epoch": int}):
+            raise ValueError("meta is no JSON object holding a config object and an int epoch")
+        run = meta.get("run")  # None in files written before the record moved to meta
+        if run is not None and not _holds(run, {"train_config": dict, "logs": list}):
+            raise ValueError("its run record is neither null nor an object holding a "
+                             "train_config object and a logs list")
         if meta["config"].get("in_channels") == 1:  # the one input channel, as older files say
             del meta["config"]["in_channels"]
         names = {f.name for f in fields(NetworkConfig)}
@@ -307,13 +349,12 @@ def load_checkpoint(path, extras=True):
             if name not in names:
                 why = ("the net takes one input channel" if name == "in_channels"
                        else "NetworkConfig has no such field")
-                raise ValueError(f"{os.fspath(path)}: its config stores {name} {value!r}, "
-                                 f"but {why}")
+                raise ValueError(f"its config stores {name} {value!r}, but {why}")
         config = NetworkConfig(**meta["config"])
         shapes = _param_shapes(config)
-        weights = _check_flat(z["params"], sum(math.prod(s) for _, s in shapes),
-                              f"{os.fspath(path)}: params",
-                              f"the config's {len(shapes)} parameters")
+        weights = _check_flat(_check_float(z["params"], "params"),
+                              sum(math.prod(s) for _, s in shapes),
+                              "params", f"the config's {len(shapes)} parameters")
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
-    return Checkpoint(config, weights, meta["epoch"], meta["dtype"], stored)
+    return Checkpoint(config, weights, meta["epoch"], stored, run)

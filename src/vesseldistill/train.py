@@ -7,8 +7,8 @@ full three-term objective with a linearly ramped soft-label weight α.
 `train` decides each epoch's teacher (None in epoch 1 and dice_only runs)
 and α (0.0 without a teacher) once, and logs that α.
 
-The epoch log is the run's one record: checkpoints store it, epochs.csv is
-rewritten from it after every epoch, and one rule, _best, reads the best
+The epoch log is the run's one record: checkpoints store it in meta, epochs.csv
+is rewritten from it after every epoch, and one rule, _best, reads the best
 epoch from it for best.npz, the result and a resume.
 
 Training splits every batch across min(CPUs, batch size) processes: this one
@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
-import json
 import math
 import multiprocessing
 import numbers
@@ -43,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distill
-from .data import DatasetSplit, batches, save_pgm
+from .data import DatasetSplit, _check_seed, batches, save_pgm
 from .metrics import MetricReport, _foreground, evaluate_pairs
 from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
                       load_checkpoint, save_checkpoint)
@@ -84,6 +83,7 @@ class TrainConfig:
             raise ValueError(f"lr_step_every must be >= 1, got {self.lr_step_every}")
         if not 0 < self.lr_gamma <= 1:  # the step schedule decays
             raise ValueError(f"lr_gamma must be in (0, 1], got {self.lr_gamma}")
+        _check_seed(self.seed)
         distill._patch_side(self.network.height, self.network.width, self.distill.grid_g)
 
     @staticmethod
@@ -127,7 +127,7 @@ class EpochLog:
     alpha: float
     lr: float
 
-    def row(self):  # in field order, the CSV's column order
+    def row(self):  # in field order, for perfbench; dataclasses.asdict(log) is the stored form
         return [getattr(self, f.name) for f in dataclasses.fields(self)]
 
 
@@ -237,9 +237,9 @@ def _answer(request, samples, cfg):
     """A request's step results, or the exception that stopped them and its traceback."""
     student, teacher, indices, alpha, scale = request
     try:
-        net = SegNetwork.from_arrays(cfg.network, student, dtype=cfg.dtype)
+        net = SegNetwork.from_arrays(cfg.network, student)
         if teacher is not None:
-            teacher = SegNetwork.from_arrays(cfg.network, teacher, dtype=cfg.dtype, trainable=False)
+            teacher = SegNetwork.from_arrays(cfg.network, teacher, trainable=False)
         return "ok", [_sample_step(net, teacher, samples[i], cfg, alpha, scale)
                       for i in indices]
     except Exception as exc:
@@ -333,12 +333,8 @@ class _Workers:
 
 
 def _save(path, net, opt, epoch, logs, cfg):
-    extras = dict(opt.state_arrays())
-    extras["logs"] = np.frombuffer(
-        json.dumps([log.row() for log in logs]).encode(), dtype=np.uint8)
-    extras["train_config"] = np.frombuffer(
-        json.dumps(cfg.to_dict()).encode(), dtype=np.uint8)
-    save_checkpoint(path, net, epoch, extras=extras)
+    run = {"train_config": cfg.to_dict(), "logs": [dataclasses.asdict(log) for log in logs]}
+    save_checkpoint(path, net, epoch, extras=opt.state_arrays(), run=run)
 
 
 def _flat_config(d, prefix=""):
@@ -352,20 +348,31 @@ def _flat_config(d, prefix=""):
 
 
 def _check_resumable(path, ckpt, cfg):
-    """Refuse a resume from a file _save did not write, or whose config
-    differs from the checkpointed run's, out_dir aside."""
-    missing = [k for k in ("t", "m", "v", "logs", "train_config")
-               if k not in ckpt.extras]
+    """The checkpointed run's epoch logs; ValueError naming the file if _save did not
+    write it, a logged row is no EpochLog, or its config differs from cfg, out_dir aside."""
+    refuse = f"cannot resume from {os.fspath(path)}:"
+    missing = [k for k in ("t", "m", "v") if k not in ckpt.extras]
+    if ckpt.run is None:
+        missing.append("run record (train_config and logs)")
     if missing:
-        raise ValueError(f"cannot resume from {os.fspath(path)}: "
-                         f"it stores no {', '.join(missing)}")
-    stored = _flat_config(json.loads(bytes(ckpt.extras["train_config"]).decode()))
+        raise ValueError(f"{refuse} it stores no {', '.join(missing)}")
+    logs = []
+    for i, row in enumerate(ckpt.run["logs"], 1):
+        try:
+            logs.append(EpochLog(**row))
+            _check_field_types(logs[-1])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{refuse} its logged row {i} is no epoch log: {exc}") from None
+    if not logs or [log.epoch for log in logs] != list(range(1, ckpt.epoch + 1)):
+        raise ValueError(f"{refuse} its logged epochs are not 1 to its epoch, {ckpt.epoch}")
+    stored = _flat_config(ckpt.run["train_config"])
     current = _flat_config(cfg.to_dict())
     differing = sorted(k for k in stored.keys() | current.keys()
                        if k != "out_dir" and stored.get(k) != current.get(k))
     if differing:
-        raise ValueError(f"cannot resume from {os.fspath(path)}: config differs from "
+        raise ValueError(f"{refuse} config differs from "
                          f"the checkpointed run in {', '.join(differing)}")
+    return logs
 
 
 def _best(logs, has_val):
@@ -381,9 +388,9 @@ def _best_file(path, logs, has_val):
         return Path(path)
     best_file = Path(path).with_name("best.npz")
     if best_file.exists():
-        stored = load_checkpoint(best_file)
-        rows = json.loads(bytes(stored.extras.get("logs", b"[]")).decode())
-        if stored.epoch == best.epoch and rows == [log.row() for log in logs[:best.epoch]]:
+        stored = load_checkpoint(best_file, extras=False)
+        rows = stored.run["logs"] if stored.run else []
+        if stored.epoch == best.epoch and rows == list(map(dataclasses.asdict, logs[:best.epoch])):
             return best_file
     raise ValueError(f"cannot resume from {os.fspath(path)}: its run's best epoch so far, "
                      f"{best.epoch}, is not the one {os.fspath(best_file)} holds")
@@ -403,6 +410,10 @@ def _check_run(cfg, dataset):
     """ValueError unless dataset has training samples of shapes cfg takes: see train()."""
     if not dataset.train:
         raise ValueError("dataset has no training samples")
+    for s in [*dataset.train, *dataset.val]:
+        if s.mask.data.shape != s.image.data.shape:
+            raise ValueError(f"sample {s.id!r}: mask shape {s.mask.data.shape} "
+                             f"differs from its image's {s.image.data.shape}")
 
     def check(shape):
         _check_input_shape(cfg.network, shape)
@@ -420,15 +431,16 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     resume_from: path to a checkpoint written by this function; training
     continues from the next epoch with the optimizer state restored,
     reproducing the uninterrupted run exactly, best.npz and epochs.csv
-    included, both written before that epoch. The config must match the
-    checkpointed run's in every field but out_dir, the file must hold the
-    flat optimizer moments, and unless its epoch is its run's best so far by
-    the logged rows, the best.npz beside it must hold that best epoch and
-    the rows up to it; otherwise ValueError naming the file is raised.
+    included, both written before that epoch. The file must hold the flat
+    optimizer moments and a run record of epochs 1 to its own whose config
+    matches cfg in every field but out_dir, and unless its epoch is its run's
+    best so far by the logged rows, the best.npz beside it must hold that best
+    epoch and the rows up to it; otherwise ValueError naming the file is raised.
 
     cfg is valid by construction. Before any epoch or file write,
     ValueError is raised for an empty training split or (naming the sample)
-    an image shape that forward or the DDL's patch grid cannot take. A
+    a mask shape other than its image's or an image shape that forward or
+    the DDL's patch grid cannot take. A
     non-finite ddl, psdl or dice term raises FloatingPointError naming the
     epoch, the batch and the term, before that batch's optimizer step and
     before the epoch writes any checkpoint.
@@ -449,18 +461,15 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     best_path = out_dir / "best.npz"
     final_path = out_dir / "last.npz"
     csv_path = out_dir / "epochs.csv"
-    dtype = np.dtype(cfg.dtype)
     has_val = bool(dataset.val)
 
     logs = []
     if resume_from is None:
-        net = SegNetwork(cfg.network, seed=cfg.seed, dtype=dtype)
+        net = SegNetwork(cfg.network, seed=cfg.seed, dtype=cfg.dtype)
     else:
         ckpt = load_checkpoint(resume_from)
-        _check_resumable(resume_from, ckpt, cfg)
+        logs = _check_resumable(resume_from, ckpt, cfg)
         net = ckpt.to_network(trainable=True)
-        logs = [EpochLog(int(row[0]), *row[1:])
-                for row in json.loads(bytes(ckpt.extras["logs"]).decode())]
         best_source = _best_file(resume_from, logs, has_val)
     out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(net.weights, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
@@ -471,7 +480,7 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         write_epoch_csv(logs, csv_path)
     # the one frozen teacher, refilled from net at the end of every epoch; on
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
-    teacher = SegNetwork.from_arrays(cfg.network, net.weights, dtype=dtype, trainable=False)
+    teacher = SegNetwork.from_arrays(cfg.network, net.weights, trainable=False)
 
     with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
         for t in range(len(logs) + 1, cfg.epochs + 1):

@@ -1,13 +1,15 @@
 import json
+import re
+import shutil
 
 import numpy as np
 import pytest
 
 from vesseldistill import cli
 from vesseldistill.cli import main
-from vesseldistill.data import load_pgm, load_sample_dir, split
+from vesseldistill.data import load_pgm, load_sample_dir, save_pgm, split
 from vesseldistill.network import NetworkConfig, SegNetwork, save_checkpoint
-from vesseldistill.train import TrainConfig
+from vesseldistill.train import TrainConfig, train
 
 
 TINY = [
@@ -23,6 +25,31 @@ def data_dir(tmp_path_factory):
     assert main(["generate-data", "--out", str(d), "--count", "10",
                  "--size", "32", "--seed", "5"]) == 0
     return d
+
+
+def json_bytes(value):
+    return np.frombuffer(json.dumps(value).encode(), np.uint8)
+
+
+def rewrite(source, path, edit):
+    """Copy the checkpoint `source` to `path`, after edit(payload, meta) has changed
+    its members and its decoded meta in place."""
+    with np.load(source) as z:
+        payload = {k: z[k] for k in z.files}
+    meta = json.loads(payload.pop("meta").tobytes())
+    edit(payload, meta)
+    payload.setdefault("meta", json_bytes(meta))  # unless edit set the member itself
+    np.savez(path, **payload)
+
+
+def in_the_older_layout(payload, meta):
+    """As files were written before the run record moved into meta: meta names the
+    dtype and holds no run, and extra:train_config and extra:logs hold the record as
+    JSON bytes, each logged row a list of values in field order."""
+    run = meta.pop("run")
+    meta["dtype"] = str(payload["params"].dtype)
+    payload["extra:train_config"] = json_bytes(run["train_config"])
+    payload["extra:logs"] = json_bytes([list(row.values()) for row in run["logs"]])
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +75,13 @@ class TestGenerateData:
         b = load_sample_dir(tmp_path)
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image.data, t.image.data)
+
+    def test_negative_seed_is_usage_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "negative"
+        assert main(["generate-data", "--out", str(out), "--count", "2",
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_empty_size_is_usage_error_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -109,6 +143,18 @@ class TestTrain:
                      f"out_dir={out}", *TINY]) == 1
         assert (f"{cfg_file} must hold a JSON object of TrainConfig fields"
                 in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_a_mask_of_another_shape_is_usage_error_naming_it(self, data_dir, tmp_path,
+                                                             capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        mask = sorted((data / "masks").glob("*.pgm"))[3]
+        save_pgm(np.zeros((16, 16)), mask)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), f"out_dir={out}", *TINY]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {mask}: mask is 16x16, but its image is 32x32\n")
         assert not out.exists()
 
     def test_bad_dtype_is_usage_error_and_trains_nothing(self, data_dir, tmp_path, capsys):
@@ -269,6 +315,62 @@ class TestPredict:
                      "--out", str(tmp_path / "pred.pgm")])
         assert code == 1
         assert f"error: {bare}: no meta member" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, refusal", [
+        (lambda path, source: path.write_bytes(b"garbage"), "not an .npz archive"),
+        (lambda path, source: save_pgm(np.zeros((4, 4)), path), "not an .npz archive"),
+        (lambda path, source: np.save(open(path, "wb"), np.zeros(3)), "not an .npz archive"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
+            meta=json_bytes([meta]))), "meta is no JSON object holding a config object"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
+            meta=np.frombuffer(b"{", np.uint8))), "meta is no JSON object"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.pop("config")),
+         "meta is no JSON object holding a config object and an int epoch"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.pop("epoch")),
+         "meta is no JSON object holding a config object and an int epoch"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
+            params=payload["params"].astype(np.int32))),
+         "params has dtype int32, not float32 or float64"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.update(
+            run=[1])), "its run record is neither null nor an object holding"),
+        (lambda path, source: rewrite(source, path, lambda payload, meta: meta["run"].pop(
+            "logs")), "its run record is neither null nor an object holding"),
+    ], ids=["garbage", "pgm", "npy", "meta-list", "meta-not-json", "no-config", "no-epoch",
+            "int-params", "run-list", "run-without-logs"])
+    def test_a_file_save_checkpoint_did_not_write_exits_1_naming_it(
+            self, data_dir, run_dir, tmp_path, capsys, make, refusal):
+        path = tmp_path / "ckpt.npz"
+        make(path, run_dir / "best.npz")
+        image = sorted((data_dir / "images").glob("*.pgm"))[0]
+        code = main(["predict", "--checkpoint", str(path), "--image", str(image),
+                     "--out", str(tmp_path / "pred.pgm")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {refusal}")
+        assert not (tmp_path / "pred.pgm").exists()
+
+    def test_a_checkpoint_of_the_older_layout_predicts_and_evaluates_the_same(
+            self, data_dir, run_dir, tmp_path, capsys):
+        """A file written before the run record moved into meta is read as before
+        for inference; it has no record to split by or to resume from."""
+        old = tmp_path / "old.npz"
+        rewrite(run_dir / "last.npz", old, in_the_older_layout)
+        image = sorted((data_dir / "images").glob("*.pgm"))[0]
+        outputs = []
+        for name, checkpoint in (("new", run_dir / "last.npz"), ("old", old)):
+            assert main(["predict", "--checkpoint", str(checkpoint), "--image", str(image),
+                         "--out", str(tmp_path / f"{name}.pgm")]) == 0
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data_dir),
+                         "--seed", "0"]) == 0
+            outputs.append(((tmp_path / f"{name}.pgm").read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+        assert main(["evaluate", "--checkpoint", str(old), "--data", str(data_dir)]) == 1
+        assert capsys.readouterr().err.endswith("; pass --seed\n")
+        cfg = TrainConfig.from_dict(cli._apply_overrides({}, [f"out_dir={tmp_path}", *TINY]))
+        with pytest.raises(ValueError, match=f"^cannot resume from {re.escape(str(old))}: "
+                                             "it stores no run record"):
+            train(cfg, split(load_sample_dir(data_dir), seed=0), resume_from=old)
 
     def test_non_numeric_pixel_exits_1_naming_file_and_token(self, run_dir, tmp_path, capsys):
         image = tmp_path / "word.pgm"

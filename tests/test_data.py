@@ -124,6 +124,14 @@ class TestSampleDirs:
         with pytest.raises(FileNotFoundError):
             load_sample_dir(tmp_path)
 
+    def test_a_mask_of_another_shape_than_its_image_is_refused_by_name(self, tmp_path):
+        samples = generate_synthetic(seed=4, count=2, size=16)
+        save_sample_dir(samples, tmp_path)
+        mask = tmp_path / "masks" / f"{samples[1].id}.pgm"
+        save_pgm(np.zeros((8, 12)), mask)
+        with pytest.raises(ValueError, match=f"^{mask}: mask is 12x8, but its image is 16x16$"):
+            load_sample_dir(tmp_path)
+
     def test_empty_dir_raises(self, tmp_path):
         (tmp_path / "images").mkdir()
         (tmp_path / "masks").mkdir()
@@ -172,6 +180,10 @@ class TestGenerator:
         for size in (0, -3):
             with pytest.raises(ValueError, match="size must be positive"):
                 generate_synthetic(seed=0, count=1, size=size)
+
+    def test_negative_seed_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            generate_synthetic(seed=-1, count=1)
 
 
 # Reference generator for the rasterizer: every path step ORs its own disk
@@ -307,6 +319,10 @@ class TestSplit:
             split([1, 2, 3], ratios=(1, 1, 0.5))
         with pytest.raises(ValueError):
             split([], ratios=(7, 1, 2))
+
+    def test_negative_seed_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
+            split([1, 2, 3], seed=-3)
 
 
 class TestBatches:

@@ -308,13 +308,13 @@ class TestSnapshots:
         net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=16, width=16),
                          seed=3, dtype=np.float32)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, epoch=4,
-                        extras={"m0": np.ones(3), "logs": np.arange(5, dtype=np.uint8)})
+        run = {"train_config": {"seed": 2}, "logs": [{"epoch": 1}]}
+        save_checkpoint(path, net, epoch=4, extras={"m0": np.ones(3), "v": np.ones(3)}, run=run)
         full = load_checkpoint(path)
         lean = load_checkpoint(path, extras=False)
-        assert set(full.extras) == {"m0", "logs"}
+        assert set(full.extras) == {"m0", "v"}
         assert lean.extras == {}
-        assert (lean.config, lean.epoch, lean.dtype) == (full.config, full.epoch, full.dtype)
+        assert (lean.config, lean.epoch, lean.run) == (full.config, full.epoch, run)
         assert lean.params.keys() == full.params.keys()
         for name, arr in full.params.items():
             assert lean.params[name].dtype == arr.dtype
@@ -335,14 +335,22 @@ class TestSnapshots:
 class TestWeightsToNetwork:
     def test_from_arrays_copies_its_input_and_checks_shapes(self):
         net = small_net(seed=6)
-        flat = net.state_arrays()
-        built = SegNetwork.from_arrays(net.config, flat, dtype=np.float32, trainable=False)
+        flat = net.state_arrays().astype(np.float32)
+        built = SegNetwork.from_arrays(net.config, flat, trainable=False)
+        assert built.dtype == np.float32
         assert all(p.data.dtype == np.float32 and not p.requires_grad
                    for p in built.parameters())
         flat[-1] = 7.0  # head3.b, the last parameter
         assert not np.any(built.named_parameters()["head3.b"].data == 7.0)
         with pytest.raises(ValueError, match=f"holds {flat.size - 1} values"):
-            SegNetwork.from_arrays(net.config, flat[:-1], dtype=np.float32)
+            SegNetwork.from_arrays(net.config, flat[:-1])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.uint8])
+    def test_from_arrays_refuses_weights_that_are_no_float32_or_float64(self, dtype):
+        net = small_net(seed=6)
+        with pytest.raises(ValueError, match=f"^the weight array has dtype "
+                                             f"{np.dtype(dtype)}, not float32 or float64$"):
+            SegNetwork.from_arrays(net.config, net.weights.astype(dtype))
 
     def test_state_arrays_is_a_copy_of_the_one_flat_weight_array(self):
         net = small_net(seed=6)
@@ -372,7 +380,7 @@ class TestWeightsToNetwork:
             with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
                 net.load_state_arrays(bad)
             with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
-                SegNetwork.from_arrays(net.config, bad, dtype=np.float64)
+                SegNetwork.from_arrays(net.config, bad)
             for kind in ("m", "v"):
                 with pytest.raises(ValueError, match=f"^optimizer state '{kind}' holds {held}, "
                                                      f"but the weights need {n}$"):
@@ -395,15 +403,15 @@ class TestWeightsToNetwork:
 
 
     def test_a_net_has_no_default_dtype(self):
-        # TrainConfig.dtype holds the one default; these used to default to float64
+        # TrainConfig.dtype holds the one default; a random net used to default to
+        # float64, and a net built from weights takes theirs
         cfg = NetworkConfig(depth=2, base_channels=4, height=8, width=8)
         with pytest.raises(TypeError, match="dtype"):
             SegNetwork(cfg)
-        arrays = SegNetwork(cfg, dtype=np.float32).state_arrays()
-        with pytest.raises(TypeError, match="dtype"):
-            SegNetwork.from_arrays(cfg, arrays)
-        with pytest.raises(TypeError, match="dtype"):
-            TeacherSnapshot(cfg, arrays, 1)
+        for dtype in (np.float32, np.float64):
+            arrays = SegNetwork(cfg, dtype=dtype).state_arrays()
+            assert SegNetwork.from_arrays(cfg, arrays).dtype == dtype
+            assert TeacherSnapshot(cfg, arrays, 1).restore().dtype == dtype
 
 
 class TestCheckpointLayout:

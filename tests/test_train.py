@@ -266,13 +266,19 @@ class TestResume:
         with pytest.raises(ValueError, match=refusal):
             train(cfg, tiny_dataset, resume_from=old_path)
 
-    def test_training_checkpoint_has_seven_members(self, tiny_dataset, tmp_path):
-        # no best_dsc: the logged rows fix the best epoch and its DSC
-        result = train(tiny_cfg(tmp_path / "members", epochs=1), tiny_dataset)
-        with np.load(result.final_path) as z:
-            assert sorted(z.files) == sorted([
-                "meta", "params", "extra:t", "extra:m", "extra:v",
-                "extra:logs", "extra:train_config"])
+    def test_training_checkpoint_has_five_members(self, tiny_dataset, tmp_path):
+        # no best_dsc: the logged rows fix the best epoch and its DSC; the run
+        # record is part of meta, and params carry the dtype
+        cfg = tiny_cfg(tmp_path / "members", epochs=2)
+        result = train(cfg, tiny_dataset)
+        for path in (result.best_path, result.final_path):
+            with np.load(path) as z:
+                assert sorted(z.files) == sorted(["meta", "params", "extra:t", "extra:m",
+                                                  "extra:v"])
+                meta = json.loads(z["meta"].tobytes())
+        assert sorted(meta) == ["config", "epoch", "run"]  # last.npz's
+        assert meta["run"] == {"train_config": cfg.to_dict(),
+                               "logs": [dataclasses.asdict(log) for log in result.logs]}
 
     def test_resume_refuses_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
         """A file holding one extra:m<i> and extra:v<i> member per parameter,
@@ -301,12 +307,14 @@ class TestResume:
         load, but resuming one is refused, naming the field."""
         cfg = tiny_cfg(tmp_path / "full", epochs=2)
         new_path = train(dataclasses.replace(cfg, epochs=1), tiny_dataset).final_path
-        stored = cfg.to_dict()
-        stored["distill"]["eps"] = 1e-7
         old_path = tmp_path / "old.npz"
         with np.load(new_path) as z:
             payload = {k: z[k] for k in z.files}
-        payload["extra:train_config"] = np.frombuffer(json.dumps(stored).encode(), np.uint8)
+        stored = cfg.to_dict()
+        stored["distill"]["eps"] = 1e-7
+        meta = json.loads(payload["meta"].tobytes())
+        meta["run"]["train_config"] = stored
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
         np.savez(old_path, **payload)
 
         assert load_checkpoint(old_path, extras=False).epoch == 1
@@ -322,10 +330,8 @@ class TestResume:
         meta = json.loads(bytes(payload["meta"]).decode())
         meta["config"]["in_channels"] = in_channels
         meta["param_order"] = list(load_checkpoint(new_path).params)
-        run_cfg = json.loads(bytes(payload["extra:train_config"]).decode())
-        run_cfg["network"]["in_channels"] = in_channels
-        for key, value in (("meta", meta), ("extra:train_config", run_cfg)):
-            payload[key] = np.frombuffer(json.dumps(value).encode(), np.uint8)
+        meta["run"]["train_config"]["network"]["in_channels"] = in_channels
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
         np.savez(old_path, **payload)
 
     def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path):
@@ -377,6 +383,34 @@ class TestResume:
             with pytest.raises(ValueError, match=refusal):
                 load_checkpoint(old_path, extras=extras)
 
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda logs: logs[0].pop("val_dsc"), "its logged row 1 is no epoch log: .*'val_dsc'"),
+        (lambda logs: logs[0].update(momentum=0.9), "its logged row 1 is no epoch log: .*'momentum'"),
+        (lambda logs: logs[1].update(epoch="2"),
+         "its logged row 2 is no epoch log: epoch must be an int, got '2'$"),
+        (lambda logs: logs[1].update(val_dsc=None),
+         "its logged row 2 is no epoch log: val_dsc must be a number, got None$"),
+        (lambda logs: logs.__setitem__(0, [1, 0.5]), "its logged row 1 is no epoch log"),
+        (lambda logs: logs.pop(), "its logged epochs are not 1 to its epoch, 2$"),
+        (lambda logs: logs.reverse(), "its logged epochs are not 1 to its epoch, 2$"),
+    ], ids=["missing-field", "unknown-field", "str-epoch", "null-dsc", "list-row",
+            "one-row-short", "out-of-order"])
+    def test_resume_refuses_a_logged_row_that_is_no_epoch_log(self, tiny_dataset, tmp_path,
+                                                               edit, refusal):
+        cfg = tiny_cfg(tmp_path / "run", epochs=2)
+        with np.load(train(cfg, tiny_dataset).final_path) as z:
+            payload = {k: z[k] for k in z.files}
+        meta = json.loads(payload["meta"].tobytes())
+        edit(meta["run"]["logs"])
+        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **payload)
+        resumed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"))
+        with pytest.raises(ValueError, match=f"^cannot resume from {re.escape(str(bad))}: "
+                                             f"{refusal}"):
+            train(resumed, tiny_dataset, resume_from=bad)
+        assert not (tmp_path / "resumed").exists()
+
     def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "r1", epochs=1)
         result = train(cfg, tiny_dataset)
@@ -399,7 +433,7 @@ class TestResume:
         """Two runs' best.npz hold the same epoch, logged rows and weights, bit for bit."""
         best_a, best_b = load_checkpoint(a.best_path), load_checkpoint(b.best_path)
         assert best_b.epoch == best_a.epoch
-        assert best_b.extras["logs"].tobytes() == best_a.extras["logs"].tobytes()
+        assert best_b.run["logs"] == best_a.run["logs"]
         assert b.best_val_dsc == a.best_val_dsc
         for name, arr in best_a.params.items():
             assert best_b.params[name].tobytes() == arr.tobytes()
@@ -470,11 +504,10 @@ class TestResume:
         assert (tmp_path / "resumed" / "epochs.csv").read_bytes() == original
 
     def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
-        import json
         cfg = tiny_cfg(tmp_path / "cfgchk", epochs=1)
         result = train(cfg, tiny_dataset)
-        ckpt = load_checkpoint(result.final_path)
-        stored = json.loads(bytes(ckpt.extras["train_config"]).decode())
+        ckpt = load_checkpoint(result.final_path, extras=False)
+        stored = ckpt.run["train_config"]
         assert stored["epochs"] == 1
         assert stored["network"]["depth"] == 2
 
@@ -500,8 +533,7 @@ class TestFlatWeights:
 
         net.load_state_arrays(initial)
         assert views_of_its_weights(net) and np.array_equal(net.weights, initial)
-        assert views_of_its_weights(SegNetwork.from_arrays(cfg.network, initial,
-                                                           dtype=np.float32))
+        assert views_of_its_weights(SegNetwork.from_arrays(cfg.network, initial))
         assert views_of_its_weights(ckpt.to_network())
 
         train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "run"))
@@ -586,6 +618,25 @@ class TestValidation:
             train(cfg, dataset, epoch_start_hook=lambda t, teacher: started.append(t))
         assert not started
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("part", ["train", "val"])
+    def test_rejects_a_mask_of_another_shape_than_its_image_before_epoch_1(
+            self, tiny_dataset, tmp_path, part):
+        broken = copy.deepcopy(tiny_dataset)
+        sample = getattr(broken, part)[-1]
+        sample.mask = Tensor(np.zeros((1, 16, 16)))
+        started = []
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample {sample.id!r}: mask shape (1, 16, 16) differs from its image's "
+                "(1, 32, 32)")):
+            train(tiny_cfg(tmp_path / "run"), broken,
+                  epoch_start_hook=lambda t, teacher: started.append(t))
+        assert not started
+        assert not (tmp_path / "run").exists()
+
+    def test_rejects_a_negative_seed_when_built(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            dataclasses.replace(tiny_cfg("unused"), seed=-1)
 
     def test_rejects_empty_train_split(self, tmp_path):
         ds = split(generate_synthetic(seed=2, count=3, size=32), ratios=(0, 1, 2))
@@ -959,6 +1010,8 @@ class TestWorkers:
                                                    position):
         broken = copy.deepcopy(tiny_dataset)
         broken.train[worker_sample(broken, position)].mask = Tensor(np.zeros((1, 16, 16)))
+        # train() refuses this mask before any epoch; skipped, it fails inside a step
+        monkeypatch.setattr(train_module, "_check_run", lambda cfg, dataset: None)
         with pytest.raises(ShapeError) as raised:
             self.run(broken, tmp_path / "b", monkeypatch, 2, epochs=2)
         if position >= 2:
