@@ -4,9 +4,9 @@ Subcommands: generate-data, train, evaluate, predict, gradcheck, sweep.
 Configuration comes from an optional JSON file plus positional key=value
 overrides (dotted keys reach nested sections, e.g. distill.tau=4).
 
-Exit codes: 0 success, 1 usage or validation error (a ValueError or
-FileNotFoundError, printed as one line), 2 gradient-check failure. Any other
-exception propagates with its traceback.
+Exit codes: 0 success, 1 usage or validation error (a ValueError or OSError,
+printed as one line), 2 gradient-check failure. Any other exception
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -122,6 +122,9 @@ def cmd_sweep(args):
         values = [json.loads(v) for v in args.values.split(",")]
     except json.JSONDecodeError as exc:
         raise ValueError(f"--values item {exc.doc!r} is not a number") from None
+    # refused before the first run trains, not after the last
+    if args.csv and (Path(args.csv).is_dir() or not Path(args.csv).parent.is_dir()):
+        raise ValueError(f"--csv {args.csv} names no file in an existing directory")
     cfg = _load_train_config(args)
     rows = sweep(args.axis, values, cfg, split(load_sample_dir(args.data), seed=cfg.seed))
     out = args.csv or str(Path(cfg.out_dir) / f"sweep_{args.axis}.csv")
@@ -197,7 +200,7 @@ def main(argv=None):
     try:
         return args.func(args)
     # what bad input raises; any other exception is a bug, shown with its traceback
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -63,6 +63,15 @@ def _check_field_types(cfg):
             raise ValueError(f"{f.name} must be {must_be}, got {value!r}")
 
 
+def _check_known(cls, values, refusal="unknown config field {}"):
+    """ValueError refusal.format(key, value) for the first key of `values` that is no
+    field of the dataclass cls."""
+    names = {f.name for f in fields(cls)}
+    for key, value in values.items():
+        if key not in names:
+            raise ValueError(refusal.format(key, value))
+
+
 def _param_shapes(config):
     """(name, shape) of every parameter of a net with this config, in declared order."""
     shapes = []
@@ -113,12 +122,15 @@ def _check_flat(flat, need, what, whose):
     return flat
 
 
-def _check_float(flat, what):
-    """`flat` as an array, unless its dtype is not float32 or float64: then ValueError."""
-    flat = np.asarray(flat)
-    if flat.dtype not in (np.float32, np.float64):
-        raise ValueError(f"{what} has dtype {flat.dtype}, not float32 or float64")
-    return flat
+def _check_float(dtype, what=None, *, by_name=False):
+    """np.dtype(dtype), unless `dtype` is no name, numpy type or dtype of float32 or float64,
+    or with by_name (as a config stores it) no name: then ValueError naming `what`, the
+    array whose dtype it is, or else the argument dtype."""
+    if dtype not in ("float32", "float64", np.float32, np.float64) or (
+            by_name and not isinstance(dtype, str)):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}" if what is None
+                         else f"{what} has dtype {dtype}, not float32 or float64")
+    return np.dtype(dtype)
 
 
 class SegNetwork:
@@ -126,7 +138,7 @@ class SegNetwork:
     flat array, `weights`: what every copy, send, optimizer step and save reads or writes."""
 
     def __init__(self, config: NetworkConfig, seed=0, *, dtype, trainable=True):
-        """A randomly initialised net: He-normal kernels, zero biases."""
+        """A float32 or float64 net (else ValueError) of He-normal kernels and zero biases."""
         self._adopt(config, dtype, trainable)
         rng = np.random.default_rng(seed)
         for name, p in self._params.items():
@@ -138,15 +150,15 @@ class SegNetwork:
     def from_arrays(cls, config, flat, *, trainable=True):
         """A net holding a copy of the flat weight array `flat` in its dtype, float32 or
         float64 (else ValueError); draws no initialisation."""
-        flat = _check_float(flat, "the weight array")
+        flat = np.asarray(flat)
         net = cls.__new__(cls)
-        net._adopt(config, flat.dtype, trainable)
+        net._adopt(config, flat.dtype, trainable, "the weight array")
         net.load_state_arrays(flat)
         return net
 
-    def _adopt(self, config, dtype, trainable):
+    def _adopt(self, config, dtype, trainable, what=None):
         self.config = config
-        self.dtype = np.dtype(dtype)
+        self.dtype = _check_float(dtype, what)
         self.trainable = trainable
         self.weights = np.zeros(sum(math.prod(s) for _, s in _param_shapes(config)), self.dtype)
         # name -> Tensor over a view of weights, insertion order is the declared order
@@ -344,17 +356,13 @@ def _read_checkpoint(path, extras):
                              "train_config object and a logs list")
         if meta["config"].get("in_channels") == 1:  # the one input channel, as older files say
             del meta["config"]["in_channels"]
-        names = {f.name for f in fields(NetworkConfig)}
-        for name, value in meta["config"].items():
-            if name not in names:
-                why = ("the net takes one input channel" if name == "in_channels"
-                       else "NetworkConfig has no such field")
-                raise ValueError(f"its config stores {name} {value!r}, but {why}")
+        _check_known(NetworkConfig, meta["config"],
+                     "its config stores {} {!r}, but NetworkConfig has no such field")
         config = NetworkConfig(**meta["config"])
         shapes = _param_shapes(config)
-        weights = _check_flat(_check_float(z["params"], "params"),
-                              sum(math.prod(s) for _, s in shapes),
+        weights = _check_flat(z["params"], sum(math.prod(s) for _, s in shapes),
                               "params", f"the config's {len(shapes)} parameters")
+        _check_float(weights.dtype, "params")
         stored = {k[len("extra:"):]: z[k] for k in z.files
                   if extras and k.startswith("extra:")}
     return Checkpoint(config, weights, meta["epoch"], stored, run)

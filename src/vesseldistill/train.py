@@ -44,8 +44,8 @@ import numpy as np
 from . import distill
 from .data import DatasetSplit, _check_seed, batches, save_pgm
 from .metrics import MetricReport, _foreground, evaluate_pairs
-from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_input_shape,
-                      load_checkpoint, save_checkpoint)
+from .network import (NetworkConfig, SegNetwork, _check_field_types, _check_float,
+                      _check_input_shape, _check_known, load_checkpoint, save_checkpoint)
 from .optim import AdamW, lr_at
 from .tensor import Tensor, no_grad
 
@@ -67,8 +67,7 @@ class TrainConfig:
 
     def __post_init__(self):
         # checked first, so np.float32 gets this message too: checkpoints store the name
-        if not isinstance(self.dtype, str) or self.dtype not in ("float32", "float64"):
-            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        _check_float(self.dtype, by_name=True)
         _check_field_types(self)
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -97,20 +96,12 @@ class TrainConfig:
                 if not isinstance(d[f.name], dict):
                     raise ValueError(f"{f.name} must be a mapping of "
                                      f"{f.default_factory.__name__} fields, got {d[f.name]!r}")
-                _check_known(f.default_factory, d[f.name], f"{f.name}.")
+                _check_known(f.default_factory, d[f.name], f"unknown config field {f.name}.{{}}")
                 d[f.name] = f.default_factory(**d[f.name])
         return TrainConfig(**d)
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-
-def _check_known(cls, values, prefix=""):
-    """ValueError naming, after `prefix`, the first key of `values` that is no field of cls."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    for k in values:
-        if k not in names:
-            raise ValueError(f"unknown config field {prefix}{k}")
 
 
 @dataclass
@@ -153,7 +144,9 @@ class TrainResult:
 
 
 def evaluate(net, samples):
-    """Metrics over a sample list (see evaluate_pairs), averaged over the images."""
+    """Metrics over a sample list (see evaluate_pairs), averaged over the images.
+    ValueError names a sample the net cannot take (see _check_samples)."""
+    _check_samples(samples, net.config)
     with no_grad():
         pairs = [(net.forward(s.image)[0].data, s.mask.data) for s in samples]
     return evaluate_pairs(pairs)
@@ -396,29 +389,26 @@ def _best_file(path, logs, has_val):
                      f"{best.epoch}, is not the one {os.fspath(best_file)} holds")
 
 
-def _check_shapes(samples, check):
-    """Run check(shape) on each image shape of samples; its ValueError names the
-    shape's first sample."""
-    for shape, sample in {s.image.data.shape: s for s in reversed(samples)}.items():
+def _check_samples(samples, network, grid_g=None):
+    """ValueError naming the first sample whose mask shape is not its image's, or whose
+    image a net of config `network` cannot forward or, given grid_g, the DDL's grid tile."""
+    for s in samples:
+        shape = s.image.data.shape
         try:
-            check(shape)
+            if s.mask.data.shape != shape:
+                raise ValueError(f"mask shape {s.mask.data.shape} differs from its image's {shape}")
+            _check_input_shape(network, shape)
+            if grid_g is not None:
+                distill._patch_side(shape[1], shape[2], grid_g)
         except ValueError as exc:
-            raise ValueError(f"sample {sample.id!r}: {exc}") from None
+            raise ValueError(f"sample {s.id!r}: {exc}") from None
 
 
 def _check_run(cfg, dataset):
     """ValueError unless dataset has training samples of shapes cfg takes: see train()."""
     if not dataset.train:
         raise ValueError("dataset has no training samples")
-    for s in [*dataset.train, *dataset.val]:
-        if s.mask.data.shape != s.image.data.shape:
-            raise ValueError(f"sample {s.id!r}: mask shape {s.mask.data.shape} "
-                             f"differs from its image's {s.image.data.shape}")
-
-    def check(shape):
-        _check_input_shape(cfg.network, shape)
-        distill._patch_side(shape[1], shape[2], cfg.distill.grid_g)
-    _check_shapes([*dataset.train, *dataset.val], check)
+    _check_samples([*dataset.train, *dataset.val], cfg.network, cfg.distill.grid_g)
 
 
 def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
@@ -437,13 +427,11 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     best so far by the logged rows, the best.npz beside it must hold that best
     epoch and the rows up to it; otherwise ValueError naming the file is raised.
 
-    cfg is valid by construction. Before any epoch or file write,
-    ValueError is raised for an empty training split or (naming the sample)
-    a mask shape other than its image's or an image shape that forward or
-    the DDL's patch grid cannot take. A
-    non-finite ddl, psdl or dice term raises FloatingPointError naming the
-    epoch, the batch and the term, before that batch's optimizer step and
-    before the epoch writes any checkpoint.
+    cfg is valid by construction. Before any epoch or file write, ValueError
+    is raised for an empty training split or a sample _check_samples refuses
+    under cfg's network and patch grid. A non-finite ddl, psdl or dice term
+    raises FloatingPointError naming the epoch, the batch and the term, before
+    that batch's optimizer step and before the epoch writes any checkpoint.
 
     epoch_start_hook(t, teacher_net) runs before epoch t and
     epoch_end_hook(t, net, teacher_net, log) after it. teacher_net holds the
@@ -549,15 +537,15 @@ def sweep(axis, values, base_cfg: TrainConfig, dataset: DatasetSplit):
 
     Before the first run trains, every run is checked as train() checks it,
     and ValueError names a value that is a bool or no real number, and is
-    raised for an empty test split or (naming the sample) a test image shape
-    the network cannot take.
+    raised for an empty test split or (naming the sample) a test sample
+    evaluate would refuse.
     """
     field = {"tau": "tau", "n": "grid_g", "alpha": "alpha_T"}.get(axis)
     if field is None:
         raise ValueError(f"unknown sweep axis {axis!r} (expected tau, n, or alpha)")
     if not dataset.test:
         raise ValueError("dataset has no test samples to score the runs on")
-    _check_shapes(dataset.test, lambda shape: _check_input_shape(base_cfg.network, shape))
+    _check_samples(dataset.test, base_cfg.network)
     cfgs = []
     for value in values:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -234,9 +234,6 @@ class TestTrain:
         with pytest.raises(TypeError, match="^a bug$"):
             main(["train", "--data", str(data_dir), f"out_dir={tmp_path / 'bug'}", *TINY])
 
-    def test_missing_data_dir_is_usage_error(self, tmp_path):
-        assert main(["train", "--data", str(tmp_path / "nowhere"), *TINY]) == 1
-
 
 class TestEvaluate:
     def test_prints_all_metrics(self, data_dir, run_dir, capsys):
@@ -255,9 +252,15 @@ class TestEvaluate:
         header = csv_path.read_text().splitlines()[0]
         assert header == "DSC,ACC,SEN,IOU"
 
-    def test_bad_checkpoint_path(self, data_dir, tmp_path):
-        assert main(["evaluate", "--checkpoint", str(tmp_path / "no.npz"),
-                     "--data", str(data_dir)]) == 1
+    def test_an_image_the_net_cannot_take_is_usage_error_naming_the_sample(
+            self, run_dir, tmp_path, capsys):
+        for part in ("images", "masks"):
+            (tmp_path / part).mkdir()
+            save_pgm(np.zeros((7, 7)), tmp_path / part / "odd.pgm")
+        assert main(["evaluate", "--checkpoint", str(run_dir / "best.npz"),
+                     "--data", str(tmp_path), "--split", "all"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: sample 'odd': input shape (1, 7, 7) is not [1,H,W]")
 
     def test_split_seed_defaults_to_the_training_seed(self, data_dir, tmp_path, monkeypatch):
         out = tmp_path / "seed3"
@@ -419,6 +422,18 @@ class TestSweep:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("csv", ["missing/sweep.csv", "dir"])
+    def test_a_csv_path_it_cannot_write_trains_nothing(self, data_dir, tmp_path, capsys,
+                                                       csv):
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--axis", "tau", "--values", "1,2", "--csv", str(tmp_path / csv),
+                     "--data", str(data_dir), "epochs=1", f"out_dir={out}", *TINY[:-2]])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: --csv {tmp_path / csv} names no file "
+                                           "in an existing directory\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("values, item", [("1,x", "'x'"), ("1,,2", "''"), ("", "''")])
     def test_a_values_item_that_is_no_number_is_named(self, data_dir, tmp_path, capsys,
                                                       monkeypatch, values, item):
@@ -440,6 +455,48 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err == f"error: tau value {named} is not a number\n"
         assert not out.exists()
+
+
+def a_dir(tmp_path):
+    (tmp_path / "dir").mkdir()
+    return tmp_path / "dir"
+
+
+def a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file"
+
+
+class TestBadPaths:
+    # (argv for the path, the data dir and the trained run's dir; the path to make)
+    @pytest.mark.parametrize("argv, make", [
+        (lambda path, data, run: ["predict", "--checkpoint", str(run / "best.npz"), "--image",
+                                  str(path), "--out", str(path.parent / "mask.pgm")], a_dir),
+        (lambda path, data, run: ["predict", "--checkpoint", str(path), "--image",
+                                  str(next((data / "images").iterdir())),
+                                  "--out", str(path.parent / "mask.pgm")], a_dir),
+        (lambda path, data, run: ["predict", "--checkpoint", str(run / "best.npz"), "--image",
+                                  str(next((data / "images").iterdir())), "--out", str(path)],
+         a_dir),
+        (lambda path, data, run: ["train", "--data", str(data), f"out_dir={path}", *TINY],
+         a_file),
+        (lambda path, data, run: ["train", "--data", str(data), "--config", str(path)], a_dir),
+        (lambda path, data, run: ["train", "--data", str(path / "nowhere"), *TINY], a_dir),
+        (lambda path, data, run: ["generate-data", "--out", str(path), "--count", "1"], a_file),
+        (lambda path, data, run: ["evaluate", "--checkpoint", str(run / "best.npz"),
+                                  "--data", str(data), "--csv", str(path)], a_dir),
+        (lambda path, data, run: ["evaluate", "--checkpoint", str(path / "no.npz"),
+                                  "--data", str(data)], a_dir),
+    ], ids=["predict-image-dir", "predict-checkpoint-dir", "predict-out-dir",
+            "train-out-dir-file", "train-config-dir", "train-data-missing",
+            "generate-data-out-file", "evaluate-csv-dir", "evaluate-checkpoint-missing"])
+    def test_a_bad_path_exits_1_with_one_error_line_naming_it(self, data_dir, run_dir,
+                                                              tmp_path, capsys, argv, make):
+        path = make(tmp_path)
+        assert main(argv(path, data_dir, run_dir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
 
 
 class TestExitCodes:

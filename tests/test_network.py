@@ -352,6 +352,13 @@ class TestWeightsToNetwork:
                                              f"{np.dtype(dtype)}, not float32 or float64$"):
             SegNetwork.from_arrays(net.config, net.weights.astype(dtype))
 
+    @pytest.mark.parametrize("dtype", [np.int32, "float16", "f4", None])
+    def test_a_net_of_no_float32_or_float64_dtype_is_refused(self, dtype):
+        # an int32 net used to be built with its He-normal draws truncated to 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"dtype must be float32 or float64, got {dtype!r}")):
+            SegNetwork(small_net().config, 0, dtype=dtype)
+
     def test_state_arrays_is_a_copy_of_the_one_flat_weight_array(self):
         net = small_net(seed=6)
         flat = net.state_arrays()
