@@ -45,6 +45,13 @@ def _apply_overrides(config_dict, overrides):
     return config_dict
 
 
+def _check_out_path(option, path):
+    """Refuse a file to write that is a directory or in no existing directory,
+    before any work rather than after all of it."""
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ValueError(f"{option} {path} names no file in an existing directory")
+
+
 def _load_train_config(args):
     config_dict = {}
     if args.config:
@@ -77,6 +84,8 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    if args.csv:
+        _check_out_path("--csv", args.csv)
     ckpt = load_checkpoint(args.checkpoint, extras=False)
     seed = args.seed
     if args.split != "all" and seed is None:  # split as train did, with its seed
@@ -101,12 +110,15 @@ def cmd_evaluate(args):
 
 
 def cmd_predict(args):
+    _check_out_path("--out", args.out)
     predict_to_file(args.checkpoint, load_pgm(args.image), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_gradcheck(args):
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     results = checks.run_suite(seeds=range(args.seeds))
     failures = [r for r in results if not r["ok"]]
     for r in results:
@@ -122,9 +134,8 @@ def cmd_sweep(args):
         values = [json.loads(v) for v in args.values.split(",")]
     except json.JSONDecodeError as exc:
         raise ValueError(f"--values item {exc.doc!r} is not a number") from None
-    # refused before the first run trains, not after the last
-    if args.csv and (Path(args.csv).is_dir() or not Path(args.csv).parent.is_dir()):
-        raise ValueError(f"--csv {args.csv} names no file in an existing directory")
+    if args.csv:
+        _check_out_path("--csv", args.csv)
     cfg = _load_train_config(args)
     rows = sweep(args.axis, values, cfg, split(load_sample_dir(args.data), seed=cfg.seed))
     out = args.csv or str(Path(cfg.out_dir) / f"sweep_{args.axis}.csv")

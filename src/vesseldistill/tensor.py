@@ -39,9 +39,21 @@ and writes the output once (adding into a strided slice of it cost
 GEMM bits; its sgemv picks a kernel by length, so a one-output-channel
 conv on the view path, a GEMV per tap, stays one block.
 The input gradient is the same correlation of the output gradient with
-the flipped, transposed kernel, blocked the same way. The graph keeps the
-unpadded input, which backward pads again for the kernel gradient, and
-never a padded copy or a 9x column buffer.
+the flipped, transposed kernel, blocked the same way.
+
+Activations stay in that zero-padded layout between convs, so nothing is
+padded twice. conv2d writes its W+2-wide rows straight into a new padded
+buffer from offset W+3, where each row's two junk columns fall on border
+cells, adds the bias in place and zeroes the border; relu maps a padded
+buffer whole, and maxpool2x2 and a [C,H,W] concat along axis 0 write into
+one (concat copies a padded input's buffer whole). The tensor's data is
+the buffer's interior view, and the primitive marks the tensor with that
+very array (_pad_of), so a caller's array, whatever its strides, is
+padded afresh. conv2d reads a marked input's buffer as is, in forward and
+for the kernel gradient, which the graph thereby keeps at no extra cost;
+an unmarked input is kept unpadded and padded again in backward. No 9x
+column buffer is ever kept. Gradients stay contiguous [C,H,W] arrays, and
+the GEMMs see the same operands as with a fresh pad, so the bits do not move.
 
 Bilinear upsampling multiplies by the 1-D interpolation matrices, rows
 then columns, as GEMMs. Each matrix row has at most two non-zero taps, so
@@ -137,7 +149,7 @@ class _Node:
 class Tensor:
     """A dense real array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_node", "_padded")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data)
@@ -146,6 +158,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self._node = None
+        self._padded = None  # see _pad_of
 
     @property
     def shape(self):
@@ -395,13 +408,18 @@ def div(a, b):
 # ---- element-wise nonlinearities ----
 
 def relu(x):
+    """max(x, 0); a zero-bordered input gives a zero-bordered output (_pad_of)."""
     x = _as_tensor(x)
-    y = np.maximum(x.data, 0)  # NaN propagates; -0.0 maps to +0.0
+    flat = _pad_of(x)
+    if flat is None:
+        y = np.maximum(x.data, 0)  # NaN propagates; -0.0 maps to +0.0
+    else:  # the whole buffer at once: its zero border stays zero
+        y = _interior(np.maximum(flat, 0), *x.data.shape[1:])
 
     def backward(g, nx):
         _accumulate(nx, g * (y > 0))
 
-    return _make(y, (x,), backward)
+    return _make(y, (x,), backward) if flat is None else _make_padded(y, (x,), backward)
 
 
 def sigmoid(x):
@@ -472,6 +490,9 @@ def reshape(x, shape):
 
 
 def concat(tensors, axis=0):
+    """Join along `axis`. [C,H,W] maps joined along axis 0 come out as a
+    zero-bordered buffer's interior (_pad_of), a zero-bordered input's
+    buffer copied whole."""
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -481,13 +502,25 @@ def concat(tensors, axis=0):
         for node, piece in zip(nodes, pieces):
             _accumulate(node, piece)
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    arrays = [t.data for t in tensors]
+    if axis != 0 or len({a.shape[1:] for a in arrays}) != 1 or arrays[0].ndim != 3:
+        return _make(np.concatenate(arrays, axis=axis), tensors, backward)
+    h, w = arrays[0].shape[1:]
+    flat = _bordered(sum(sizes), h, w, np.result_type(*arrays))
+    for t, lo, hi in zip(tensors, [0, *splits], [*splits, len(flat)]):
+        src = _pad_of(t)
+        if src is None:
+            _interior(flat[lo:hi], h, w)[...] = t.data
+        else:
+            flat[lo:hi] = src
+    return _make_padded(_interior(flat, h, w), tensors, backward)
 
 
 # ---- structured primitives ----
 
 def maxpool2x2(x):
-    """2x2 max-pool, stride 2, over a [C,H,W] tensor with even H and W.
+    """2x2 max-pool, stride 2, over a [C,H,W] tensor with even H and W;
+    the output is a zero-bordered buffer's interior (_pad_of).
 
     The gradient goes to the first maximum of each window in the order
     (0,0), (0,1), (1,0), (1,1); ties are common, since relu zeros fill
@@ -503,7 +536,8 @@ def maxpool2x2(x):
     taps = [rows[:, :, i, j::2] for i in (0, 1) for j in (0, 1)]
     # np.maximum returns its second operand on a tie, so the earlier tap
     # goes second: the pooled value is the first maximum, sign of zero included
-    pooled = np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]))
+    pooled = _interior(_bordered(c, h // 2, w // 2, x.data.dtype), h // 2, w // 2)
+    np.maximum(np.maximum(taps[3], taps[2]), np.maximum(taps[1], taps[0]), out=pooled)
 
     def backward(g, nx):
         gx = np.zeros((c, h // 2, 2, w), dtype=pooled.dtype)
@@ -516,7 +550,7 @@ def maxpool2x2(x):
         np.copyto(gx[:, :, 1, 1::2], g, where=free)
         _accumulate(nx, gx.reshape(c, h, w))
 
-    return _make(pooled, (x,), backward)
+    return _make_padded(pooled, (x,), backward)
 
 
 # contraction width from which 9 GEMMs on shifted views of the padded input
@@ -547,19 +581,60 @@ def _pad_flat(arr):
     """
     c, h, w = arr.shape
     flat = np.zeros((c, (h + 2) * (w + 2) + 2), dtype=arr.dtype)
-    flat[:, :(h + 2) * (w + 2)].reshape(c, h + 2, w + 2)[:, 1:h + 1, 1:w + 1] = arr
+    _interior(flat, h, w)[...] = arr
     return flat
+
+
+def _interior(flat, h, w):
+    """The [C,H,W] view of a _pad_flat-shaped buffer's unpadded pixels."""
+    return flat[:, :(h + 2) * (w + 2)].reshape(-1, h + 2, w + 2)[:, 1:h + 1, 1:w + 1]
+
+
+def _zero_border(flat, h, w):
+    """Zero everything of a _pad_flat-shaped buffer but its interior."""
+    grid = flat[:, :(h + 2) * (w + 2)].reshape(-1, h + 2, w + 2)
+    grid[:, 0] = grid[:, -1] = 0
+    grid[:, 1:-1, 0] = grid[:, 1:-1, -1] = 0
+    flat[:, -2:] = 0
+
+
+def _bordered(c, h, w, dtype):
+    """A _pad_flat-shaped buffer with its border zeroed, its interior unset."""
+    flat = np.empty((c, (h + 2) * (w + 2) + 2), dtype)
+    _zero_border(flat, h, w)
+    return flat
+
+
+def _make_padded(data, operands, backward):
+    """_make for an output whose data is the _interior view of a zero-bordered
+    buffer this primitive allocated; marks the output for _pad_of."""
+    out = _make(data, operands, backward)
+    out._padded = out.data
+    return out
+
+
+def _pad_of(x):
+    """x's zero-bordered _pad_flat buffer if x.data is still the very array
+    _make_padded marked, else None.
+
+    The check is the array's identity, never its shape or strides, so a
+    caller's array, even a view into a buffer of the same layout, and a
+    marked tensor whose data has since been replaced are padded afresh.
+    """
+    return x.data.base if x._padded is x.data else None
 
 
 def _tap_offsets(w):
     return [di * (w + 2) + dj for di in range(3) for dj in range(3)]
 
 
-def _correlate3(flat, kernel, h, w):
+def _correlate3(flat, kernel, h, w, out):
     """3x3 correlation of a _pad_flat buffer with a [C_out,C,3,3] kernel.
 
-    Rows come out W+2 wide; the two junk columns per row are cropped, so
-    the result is a [C_out,H,W] view.
+    Rows come out W+2 wide, into `out`, a [C_out, H*(W+2)] array or view
+    whose rows are contiguous; the two junk columns per row are for the
+    caller to crop, or to land on a _pad_flat buffer's border when `out`
+    is that buffer's window from offset W+3.
     """
     c = flat.shape[0]
     c_out = kernel.shape[0]
@@ -576,13 +651,12 @@ def _correlate3(flat, kernel, h, w):
         units = max(min(_BLOCK_BUDGET // col_bytes, _SMALL_GEMM // madds) // 64, 1)
         blocks = -(-n // (64 * units))
         step = -(-n // (64 * blocks)) * 64
-    out = np.empty((c_out, n), np.result_type(kernel, flat))
     if view:
         # contiguous per-tap matrices: a kernel[:, :, di, dj] slice is not BLAS-able
         taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1)).reshape(9, c_out, c)
         offsets = _tap_offsets(w)
         # reused by every block, and contiguous for a ragged last one too
-        acc, tmp = np.empty((2, c_out * step), out.dtype)
+        acc, tmp = np.empty((2, c_out * step), np.result_type(kernel, flat))
         for lo in range(0, n, step):
             m = min(step, n - lo)
             block, prod = acc[:c_out * m].reshape(c_out, m), tmp[:c_out * m].reshape(c_out, m)
@@ -602,7 +676,6 @@ def _correlate3(flat, kernel, h, w):
             block = buf[:c * 9 * m].reshape(c, 3, 3, m)
             np.copyto(block, cols[..., lo:lo + m])
             np.matmul(kmat, block.reshape(c * 9, m), out=out[:, lo:lo + m])
-    return out.reshape(c_out, h, w + 2)[:, :, :w]
 
 
 def conv2d(x, kernel, bias):
@@ -625,27 +698,36 @@ def conv2d(x, kernel, bias):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
     xd, k = x.data, kernel.data
-    y = _correlate3(_pad_flat(xd), k, h, w) + bias.data[:, None, None]
+    x_flat = _pad_of(x)
+    n = h * (w + 2)
+    y_flat = np.empty((c_out, (h + 2) * (w + 2) + 2), np.result_type(xd, k, bias.data))
+    wide = y_flat[:, w + 3:w + 3 + n]
+    _correlate3(_pad_flat(xd) if x_flat is None else x_flat, k, h, w, wide)
+    wide += bias.data[:, None]
+    _zero_border(y_flat, h, w)  # the junk columns, bias added, included
 
     def backward(g, nx, nk, nb):
         g_flat = _pad_flat(g)
         if nk is not None:
             # g on the W+2-wide output grid: its two junk columns per row
             # fall on g_flat's zero padding
-            n = h * (w + 2)
             g_wide = g_flat[:, w + 3:w + 3 + n]
-            flat = _pad_flat(xd)  # re-padded here rather than kept from forward
+            flat = _pad_flat(xd) if x_flat is None else x_flat
             gk = np.stack([g_wide @ flat[:, off:off + n].T for off in _tap_offsets(w)])
-            del flat  # before the input gradient allocates its buffers
+            del flat  # a fresh pad is freed before the input gradient allocates its buffers
             _accumulate(nk, gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         if nb is not None:
+            # over g itself: numpy's pairwise sum follows the memory layout,
+            # so a strided view of g_flat would round differently
             _accumulate(nb, g.sum(axis=(1, 2)))
         if nx is not None:
             # adjoint of correlation: correlate g with the flipped, transposed kernel
             flipped = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            _accumulate(nx, _correlate3(g_flat, flipped, h, w))
+            gx = np.empty((c_in, n), np.result_type(flipped, g_flat))
+            _correlate3(g_flat, flipped, h, w, gx)
+            _accumulate(nx, gx.reshape(c_in, h, w + 2)[:, :, :w])
 
-    return _make(y, (x, kernel, bias), backward)
+    return _make_padded(_interior(y_flat, h, w), (x, kernel, bias), backward)
 
 
 # output rows (or columns) per GEMM of the banded interpolation product. In a

@@ -392,6 +392,14 @@ class TestGradcheck:
         assert out.count("[ok]") >= 2 * 17
         assert "checks passed" in out
 
+    # argparse takes --seed for an abbreviation of --seeds
+    @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"], ["--seed", "-3"]])
+    def test_a_count_below_1_is_refused_naming_seeds(self, capsys, argv):
+        assert main(["gradcheck", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seeds must be at least 1, got {argv[1]}\n"
+
 
 class TestSweep:
     def test_tau_axis_end_to_end(self, data_dir, tmp_path, capsys):
@@ -467,6 +475,10 @@ def a_file(tmp_path):
     return tmp_path / "file"
 
 
+def in_no_dir(tmp_path):
+    return tmp_path / "missing" / "out"
+
+
 class TestBadPaths:
     # (argv for the path, the data dir and the trained run's dir; the path to make)
     @pytest.mark.parametrize("argv, make", [
@@ -487,16 +499,43 @@ class TestBadPaths:
                                   "--data", str(data), "--csv", str(path)], a_dir),
         (lambda path, data, run: ["evaluate", "--checkpoint", str(path / "no.npz"),
                                   "--data", str(data)], a_dir),
+        (lambda path, data, run: ["predict", "--checkpoint", str(run / "best.npz"), "--image",
+                                  str(next((data / "images").iterdir())), "--out", str(path)],
+         in_no_dir),
+        (lambda path, data, run: ["evaluate", "--checkpoint", str(run / "best.npz"),
+                                  "--data", str(data), "--csv", str(path)], in_no_dir),
     ], ids=["predict-image-dir", "predict-checkpoint-dir", "predict-out-dir",
             "train-out-dir-file", "train-config-dir", "train-data-missing",
-            "generate-data-out-file", "evaluate-csv-dir", "evaluate-checkpoint-missing"])
+            "generate-data-out-file", "evaluate-csv-dir", "evaluate-checkpoint-missing",
+            "predict-out-in-no-dir", "evaluate-csv-in-no-dir"])
     def test_a_bad_path_exits_1_with_one_error_line_naming_it(self, data_dir, run_dir,
                                                               tmp_path, capsys, argv, make):
         path = make(tmp_path)
         assert main(argv(path, data_dir, run_dir)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert str(path) in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(path) in captured.err
+        assert captured.out == ""  # no metrics table before the refusal
+
+    @pytest.mark.parametrize("argv", [
+        lambda path, data, run: ["evaluate", "--checkpoint", str(run / "best.npz"),
+                                 "--data", str(data), "--csv", str(path)],
+        lambda path, data, run: ["predict", "--checkpoint", str(run / "best.npz"), "--image",
+                                 str(next((data / "images").iterdir())), "--out", str(path)],
+    ], ids=["evaluate-csv", "predict-out"])
+    @pytest.mark.parametrize("make", [a_dir, in_no_dir], ids=["dir", "in-no-dir"])
+    def test_an_output_path_is_refused_before_the_checkpoint_is_read(
+            self, data_dir, run_dir, tmp_path, capsys, monkeypatch, argv, make):
+        def work(*args, **kwargs):
+            raise AssertionError("the checkpoint was read before the output path was checked")
+
+        monkeypatch.setattr(cli, "load_checkpoint", work)
+        monkeypatch.setattr(cli, "predict_to_file", work)
+        path = make(tmp_path)
+        assert main(argv(path, data_dir, run_dir)) == 1
+        option = "--csv" if "--csv" in argv(path, data_dir, run_dir) else "--out"
+        assert capsys.readouterr().err == (f"error: {option} {path} names no file "
+                                           "in an existing directory\n")
 
 
 class TestExitCodes:

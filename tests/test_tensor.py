@@ -383,6 +383,143 @@ class TestMaxpool:
         assert xt.grad.tobytes() == ref_grad.tobytes()
 
 
+def conv_reference(x, k, b):
+    """conv2d's forward as a fresh pad, _correlate3 and the crop plus bias."""
+    c_out, (h, w) = k.shape[0], x.shape[1:]
+    wide = np.empty((c_out, h * (w + 2)), np.result_type(x, k))
+    T._correlate3(T._pad_flat(x), k, h, w, wide)
+    return wide.reshape(c_out, h, w + 2)[:, :, :w] + b[:, None, None]
+
+
+def conv_reference_grads(x, k, g):
+    """Input, kernel and bias gradients of conv_reference, from a fresh pad of
+    x and g, for the output gradient g."""
+    (c_out, c_in), (h, w) = k.shape[:2], x.shape[1:]
+    n = h * (w + 2)
+    flat, g_flat = T._pad_flat(x), T._pad_flat(g)
+    g_wide = g_flat[:, w + 3:w + 3 + n]
+    gk = np.stack([g_wide @ flat[:, off:off + n].T for off in T._tap_offsets(w)])
+    gx = np.empty((c_in, n), g.dtype)
+    T._correlate3(g_flat, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), h, w, gx)
+    return (gx.reshape(c_in, h, w + 2)[:, :, :w],
+            gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1), g.sum(axis=(1, 2)))
+
+
+def lookalike(rng, c, h, w, dtype):
+    """A caller's [C,H,W] view laid out as a padded buffer's interior, with
+    a nonzero border around it."""
+    buf = (rng.normal(size=(c, (h + 2) * (w + 2) + 2)) + 5.0).astype(dtype)
+    return buf[:, :(h + 2) * (w + 2)].reshape(c, h + 2, w + 2)[:, 1:h + 1, 1:w + 1]
+
+
+class TestPaddedLayout:
+    """conv2d, relu, maxpool2x2 and concat pass activations on in the zero-
+    bordered layout conv reads; every value and gradient stays that of a
+    fresh pad of each conv input."""
+
+    @pytest.mark.parametrize("side", [64, 256, 100, 300])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("join", ["maxpool", "concat"])
+    def test_chain_matches_fresh_padding_bit_for_bit(self, side, dtype, join):
+        # conv -> relu -> conv -> relu -> (maxpool | concat) -> conv: the
+        # second and third convs read bordered inputs, the first a caller's
+        # array; 8 input channels take the column path, 16 and 28 the view
+        # path; 100 and 300 end in a ragged block
+        rng = np.random.default_rng(side)
+        x = rng.uniform(size=(1, side, side)).astype(dtype)
+        extra = rng.normal(size=(4, side, side)).astype(dtype)
+        c_last = 16 if join == "maxpool" else 28
+        shapes = [(8, 1), (16, 8), (4, c_last)]
+        ks = [(rng.normal(size=(o, i, 3, 3)) / np.sqrt(9 * i)).astype(dtype) for o, i in shapes]
+        bs = [rng.normal(size=o).astype(dtype) for o, _ in shapes]
+        out_side = side // 2 if join == "maxpool" else side
+        weights = rng.normal(size=(4, out_side, out_side)).astype(dtype)
+
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x, extra, *ks, *bs)]
+        xt, extra_t, (ka, kb, kc), (ba, bb, bc) = leaves[0], leaves[1], leaves[2:5], leaves[5:]
+        r1 = T.relu(T.conv2d(xt, ka, ba))
+        r2 = T.relu(T.conv2d(r1, kb, bb))
+        joined = T.maxpool2x2(r2) if join == "maxpool" else T.concat([extra_t, r2, r1], axis=0)
+        out = T.conv2d(joined, kc, bc)
+        T.tsum(out * Tensor(weights)).backward()
+
+        r1_ref = np.maximum(conv_reference(x, ks[0], bs[0]), 0)
+        r2_ref = np.maximum(conv_reference(r1_ref, ks[1], bs[1]), 0)
+        if join == "maxpool":
+            joined_ref = maxpool_reference(r2_ref, np.zeros((16, out_side, out_side), dtype))[0]
+        else:
+            joined_ref = np.concatenate([extra, r2_ref, r1_ref])
+        assert out.data.tobytes() == conv_reference(joined_ref, ks[2], bs[2]).tobytes()
+
+        g_joined, gkc, gbc = conv_reference_grads(joined_ref, ks[2], weights)
+        if join == "maxpool":
+            g_r2, g_r1_joined, g_extra = maxpool_reference(r2_ref, g_joined)[1], 0, None
+        else:
+            g_extra, g_r2, g_r1_joined = g_joined[:4], g_joined[4:20], g_joined[20:]
+        g_r1, gkb, gbb = conv_reference_grads(r1_ref, ks[1], g_r2 * (r2_ref > 0))
+        gx, gka, gba = conv_reference_grads(x, ks[0], (g_r1 + g_r1_joined) * (r1_ref > 0))
+        expected = [gx, g_extra, gka, gkb, gkc, gba, gbb, gbc]
+        for leaf, ref in zip(leaves, expected):
+            if ref is None:
+                assert leaf.grad is None
+            else:
+                assert leaf.grad.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_output_is_marked_and_bordered_with_zeros(self, dtype):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.normal(size=(2, 6, 10)).astype(dtype))
+        k = Tensor(rng.normal(size=(3, 2, 3, 3)).astype(dtype))
+        b = Tensor(rng.normal(size=3).astype(dtype))
+        conv = T.conv2d(x, k, b)
+        relu = T.relu(conv)
+        outputs = [conv, relu, T.maxpool2x2(relu), T.maxpool2x2(x),
+                   T.concat([x, relu], axis=0), T.concat([relu, relu], axis=0)]
+        for y in outputs:
+            assert T._pad_of(y) is y.data.base
+            assert T._pad_of(y).tobytes() == T._pad_flat(y.data).tobytes()
+        # a caller's array, a relu of one, a concat along another axis and a
+        # detached view are not marked
+        for y in (x, T.relu(x), T.concat([relu, relu], axis=1), relu.detach()):
+            assert T._pad_of(y) is None
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_callers_lookalike_array_is_padded_afresh(self, dtype):
+        rng = np.random.default_rng(32)
+        view = lookalike(rng, 16, 8, 6, dtype)
+        k = rng.normal(size=(2, 16, 3, 3)).astype(dtype)
+        b = rng.normal(size=2).astype(dtype)
+        other = rng.normal(size=(3, 8, 6)).astype(dtype)
+
+        def run(data):
+            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (data, k, b))
+            outs = [T.conv2d(xt, kt, bt), T.relu(xt), T.maxpool2x2(xt),
+                    T.concat([xt, Tensor(other)], axis=0)]
+            loss = sum(T.tsum(T.sigmoid(o)) for o in outs[1:])
+            T.tsum(outs[0] * outs[0] + loss).backward()
+            return [o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in (xt, kt, bt)]
+
+        assert run(view) == run(view.copy())
+
+    def test_a_marked_tensor_whose_data_is_replaced_is_padded_afresh(self):
+        rng = np.random.default_rng(33)
+        k = Tensor(rng.normal(size=(16, 16, 3, 3)))
+        b = Tensor(rng.normal(size=16))
+        y = T.relu(T.conv2d(Tensor(rng.normal(size=(16, 8, 8))), k, b))
+        y.data = lookalike(rng, 16, 8, 8, np.float64)
+        assert T._pad_of(y) is None
+        fresh = T.conv2d(Tensor(y.data.copy()), k, b)
+        assert T.conv2d(y, k, b).data.tobytes() == fresh.data.tobytes()
+
+    def test_a_wider_bias_widens_the_output_as_numpy_would(self):
+        rng = np.random.default_rng(34)
+        x, k = (rng.normal(size=s).astype(np.float32) for s in ((3, 6, 6), (2, 3, 3, 3)))
+        b = rng.normal(size=2)
+        out = T.conv2d(Tensor(x), Tensor(k), Tensor(b))
+        assert out.data.dtype == np.float64
+        assert out.data.tobytes() == conv_reference(x, k, b).tobytes()
+
+
 class TestSoftmax:
     def test_uniform_on_equal_logits(self):
         for n in (2, 4, 8):

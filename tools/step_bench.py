@@ -1,0 +1,98 @@
+"""Print the median ms of the forward, evaluate and the training step per image size.
+
+For each side it builds a depth 3, base 8, float32 net (the smoke shape's, at
+that side) and one synthetic sample, then times, after one warm-up call each:
+
+- forward: a frozen net's forward of the sample image;
+- evaluate: `train.evaluate` of the trainable net on that one sample;
+- step: one `train._sample_step` with a teacher, forward, losses and backward.
+
+    PYTHONPATH=src python tools/step_bench.py --sides 64 256 512 --repeats 5
+
+One BLAS thread is pinned before numpy loads, as perfbench pins it, and the
+thread count the loaded OpenBLAS reports is printed first. Standard library
+and numpy only.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import ctypes  # noqa: E402
+import importlib  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from vesseldistill.data import generate_synthetic  # noqa: E402
+from vesseldistill.network import NetworkConfig, SegNetwork  # noqa: E402
+
+train = importlib.import_module("vesseldistill.train")  # the package exports train()
+
+
+def blas_threads():
+    """The thread count the loaded OpenBLAS reports, or None if it cannot be asked."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return int(fn())
+    return None
+
+
+def median_ms(fn, repeats):
+    fn()  # warm caches and the allocator
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(times)
+
+
+def bench(side, repeats):
+    """(forward, evaluate, step) median ms at one side."""
+    network = NetworkConfig(depth=3, base_channels=8, height=side, width=side)
+    cfg = train.TrainConfig(epochs=2, network=network)
+    net = SegNetwork(network, seed=0, dtype=np.float32)
+    frozen = SegNetwork(network, seed=0, dtype=np.float32, trainable=False)
+    teacher = net.snapshot(1).restore(trainable=False)
+    sample = generate_synthetic(seed=side, count=1, size=side)[0]
+    image = sample.image.data.astype(np.float32)
+    return (median_ms(lambda: frozen.forward(image), repeats),
+            median_ms(lambda: train.evaluate(net, [sample]), repeats),
+            median_ms(lambda: train._sample_step(net, teacher, sample, cfg, 0.25, 0.25),
+                      repeats))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sides", type=int, nargs="+", default=[64, 256, 512],
+                        help="image sides, each divisible by 4")
+    parser.add_argument("--repeats", type=int, default=5, help="timed calls per median")
+    args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    print(f"blas_threads {blas_threads()}")
+    print(f"{'side':>6}{'forward_ms':>12}{'evaluate_ms':>13}{'step_ms':>10}")
+    for side in args.sides:
+        forward, evaluate, step = bench(side, args.repeats)
+        print(f"{side:>6}{forward:>12.2f}{evaluate:>13.2f}{step:>10.2f}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
