@@ -34,6 +34,7 @@ def primitive_checks(seed):
     pool_in = _rand(rng, (1, 4, 4))
     # distinct values keep max-pool subgradients unambiguous under perturbation
     pool_in.data = rng.permutation(16).astype(np.float64).reshape(1, 4, 4) * 0.37
+    skip = _rand(rng, (3, 8, 8))
 
     return [
         ("add", lambda a, b: T.tsum(T.sigmoid(a + b)), (x, y)),
@@ -55,6 +56,7 @@ def primitive_checks(seed):
         ("softmax_tau", lambda z: T.tsum(T.softmax(z, tau=3.0) * Tensor(np.arange(8.0))),
          (logits,)),
         ("concat", lambda a, b: T.tsum(T.sigmoid(T.concat([a, b], axis=0))), (x, y)),
+        ("upsample_concat", lambda a, s: T.tsum(T.sigmoid(T.upsample_concat(a, s))), (x, skip)),
         ("reshape", lambda a: T.tsum(T.sigmoid(a.reshape((4, 8)))), (x,)),
     ]
 

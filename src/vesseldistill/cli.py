@@ -12,6 +12,7 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -150,12 +151,15 @@ def cmd_sweep(args):
 
 
 def build_parser():
+    # allow_abbrev=False on every parser: a prefix of an option is refused, not
+    # taken for the one option it begins (gradcheck --seed 3 for --seeds 3)
     parser = argparse.ArgumentParser(
-        prog="vesseldistill",
+        prog="vesseldistill", allow_abbrev=False,
         description="Hierarchical self-distillation training for vessel segmentation")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate-data", help="write a synthetic PGM dataset")
+    p = add_parser("generate-data", help="write a synthetic PGM dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=int, default=200)
     p.add_argument("--size", type=int, default=64)
@@ -167,12 +171,12 @@ def build_parser():
         p.add_argument("overrides", nargs="*", metavar="key=value",
                        help="config overrides, dotted keys for nested sections")
 
-    p = sub.add_parser("train", help="run the full training loop")
+    p = add_parser("train", help="run the full training loop")
     p.add_argument("--data", required=True, help="dataset dir (images/ + masks/)")
     add_config_args(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="report metrics for a checkpoint")
+    p = add_parser("evaluate", help="report metrics for a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=["train", "val", "test", "all"], default="test")
@@ -181,17 +185,17 @@ def build_parser():
     p.add_argument("--csv", help="also write a machine-readable CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="write a binarized P5 mask for one image")
+    p = add_parser("predict", help="write a binarized P5 mask for one image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("gradcheck", help="run the finite-difference gradient suite")
+    p = add_parser("gradcheck", help="run the finite-difference gradient suite")
     p.add_argument("--seeds", type=int, default=10)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("sweep", help="train once per hyperparameter value")
+    p = add_parser("sweep", help="train once per hyperparameter value")
     p.add_argument("--axis", choices=["tau", "n", "alpha"], required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--data", required=True)

@@ -39,7 +39,8 @@ def _foreground(values):
 
 
 def confusion(pred, gt):
-    """Binarize pred and gt (see _foreground) and tally cells."""
+    """Binarize pred and gt (see _foreground) and tally cells: tp and each
+    mask's foreground are counted, fp, fn and tn follow from them."""
     p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
     y = gt.data if isinstance(gt, Tensor) else np.asarray(gt)
     if p.shape != y.shape:
@@ -47,10 +48,9 @@ def confusion(pred, gt):
     pb = _foreground(p)
     yb = _foreground(y)
     tp = int(np.count_nonzero(pb & yb))
-    tn = int(np.count_nonzero(~pb & ~yb))
-    fp = int(np.count_nonzero(pb & ~yb))
-    fn = int(np.count_nonzero(~pb & yb))
-    return ConfusionCounts(tp=tp, tn=tn, fp=fp, fn=fn)
+    predicted, true = int(np.count_nonzero(pb)), int(np.count_nonzero(yb))
+    fp, fn = predicted - tp, true - tp
+    return ConfusionCounts(tp=tp, tn=p.size - tp - fp - fn, fp=fp, fn=fn)
 
 
 def compute_metrics(c: ConfusionCounts) -> MetricReport:

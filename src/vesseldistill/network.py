@@ -3,7 +3,10 @@
 A plain U-Net-style backbone: each encoder level is two 3x3 conv+relu
 blocks followed by a 2x2 max-pool (none at the bottleneck); each decoder
 level upsamples by 2, concatenates the same-resolution encoder skip, and
-applies two 3x3 conv+relu blocks. Every decoder depth i carries a head
+applies two 3x3 conv+relu blocks. The upsample and the concat are one
+primitive, `tensor.upsample_concat`, which upsamples straight into the
+padded buffer the level's first conv reads, so a frozen forward never holds
+the upsampled map on its own. Every decoder depth i carries a head
 convolution to one channel; projecting, upsampling by 2^(i-1), and
 applying a sigmoid yields the side output at full input resolution. The
 depth-1 head doubles as the final prediction head.
@@ -188,8 +191,11 @@ class SegNetwork:
     # ---- forward ----
 
     def _block(self, x, name):
-        x = T.relu(T.conv2d(x, self._params[f"{name}.conv1.w"], self._params[f"{name}.conv1.b"]))
-        x = T.relu(T.conv2d(x, self._params[f"{name}.conv2.w"], self._params[f"{name}.conv2.b"]))
+        for conv in ("conv1", "conv2"):
+            # x is rebound to the conv's output before relu allocates, so a
+            # block input nobody else holds is freed first
+            x = T.conv2d(x, self._params[f"{name}.{conv}.w"], self._params[f"{name}.{conv}.b"])
+            x = T.relu(x)
         return x
 
     def forward(self, x):
@@ -221,10 +227,9 @@ class SegNetwork:
         features = [None] * d
         h = features[d - 1] = skips.pop()  # bottleneck
         for k in range(d - 1, 0, -1):
-            # the upsampled map and the skip are held only by the concat's
-            # inputs, so both are freed before the decoder block runs
-            h = self._block(T.concat([T.bilinear_upsample(h, 2), skips.pop()], axis=0),
-                            f"dec{k}")
+            # the join upsamples h straight into the buffer it shares with the
+            # skip, and the skip is held by nothing else once joined
+            h = self._block(T.upsample_concat(h, skips.pop()), f"dec{k}")
             features[k - 1] = h
 
         prediction = self.side_output(features[0], 1)

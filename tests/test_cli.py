@@ -392,8 +392,7 @@ class TestGradcheck:
         assert out.count("[ok]") >= 2 * 17
         assert "checks passed" in out
 
-    # argparse takes --seed for an abbreviation of --seeds
-    @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"], ["--seed", "-3"]])
+    @pytest.mark.parametrize("argv", [["--seeds", "0"], ["--seeds", "-2"]])
     def test_a_count_below_1_is_refused_naming_seeds(self, capsys, argv):
         assert main(["gradcheck", *argv]) == 1
         captured = capsys.readouterr()
@@ -547,6 +546,21 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("option, command", [
+        ("--seed", ["gradcheck"]),  # once read as --seeds: seeds 0-2 ran
+        ("--cou", ["generate-data", "--out", "{out}"]),
+    ], ids=["gradcheck-seed", "generate-data-cou"])
+    def test_an_option_prefix_is_refused_and_runs_nothing(self, option, command, tmp_path,
+                                                          capsys, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli.checks, "run_suite", lambda *a, **k: pytest.fail("ran"))
+        argv = [a.format(out=out) for a in command] + [option, "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option} 3" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["evaluate", "--checkpoint", "c.npz", "--data", "d"],

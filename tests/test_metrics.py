@@ -26,6 +26,22 @@ class TestConfusion:
         with pytest.raises(ShapeError):
             confusion(np.ones((2, 2)), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("masks", ["random", "empty", "full", "empty-vs-full"])
+    def test_equals_the_four_count_formula(self, masks):
+        rng = np.random.default_rng(7)
+        shape = (1, 17, 23)
+        pred, gt = rng.uniform(size=shape), rng.uniform(size=shape)
+        pred[0, 0, 0], gt[0, 0, 0] = 0.5, np.nan  # the threshold itself, and no number
+        if masks != "random":
+            pred = np.full(shape, 0.0 if masks.startswith("empty") else 1.0)
+            gt = np.full(shape, 1.0 if masks.endswith("full") else 0.0)
+        pb, yb = pred >= 0.5, gt >= 0.5
+        expected = (np.count_nonzero(pb & yb), np.count_nonzero(~pb & ~yb),
+                    np.count_nonzero(pb & ~yb), np.count_nonzero(~pb & yb))
+        c = confusion(pred, gt)
+        assert (c.tp, c.tn, c.fp, c.fn) == expected
+        assert all(type(n) is int for n in (c.tp, c.tn, c.fp, c.fn))
+
 
 class TestComputeMetrics:
     def test_worked_example(self):

@@ -140,6 +140,23 @@ class TestForward:
             tracemalloc.stop()
         assert peak <= 20 * 2**20
 
+    def test_frozen_256_float32_forward_never_holds_an_upsampled_map(self):
+        """A frozen float32 256x256 forward peaks under 11 MiB (10.0 MiB): each
+        decoder level upsamples straight into its join's padded buffer, and a
+        block's input is freed before its first relu allocates (13.7 MiB when
+        the upsampled map and the join were held side by side)."""
+        cfg = NetworkConfig(depth=3, base_channels=8, height=256, width=256)
+        net = SegNetwork(cfg, seed=0, dtype=np.float32, trainable=False)
+        x = Tensor(np.random.default_rng(0).uniform(size=(1, 256, 256)).astype(np.float32))
+        net.forward(x)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2**20
+
     @pytest.mark.skipif(not T._HEAP_KEPT,
                         reason="glibc's mallopt is unavailable or tuned from the environment")
     def test_warm_256_forward_page_faults(self):

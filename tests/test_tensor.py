@@ -1,5 +1,6 @@
 import itertools
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -235,6 +236,20 @@ def dense_upsample_grad(g, factor):
     return wh.T @ g @ ww
 
 
+def two_pass_upsample(x, factor):
+    """The banded product as two passes, all rows then all columns: how
+    bilinear_upsample's forward ran before it wrote a band at a time."""
+    return T._interp_cols(T._interp_rows(T._interp_bands(x.shape[1], factor, x.dtype, False), x),
+                          T._interp_bands(x.shape[2], factor, x.dtype, False))
+
+
+def two_pass_upsample_grad(g, factor):
+    """... and the adjoint's two passes, which bilinear_upsample's backward runs."""
+    h, w = g.shape[1] // factor, g.shape[2] // factor
+    return T._interp_cols(T._interp_rows(T._interp_bands(h, factor, g.dtype, True), g),
+                          T._interp_bands(w, factor, g.dtype, True))
+
+
 def upsample_and_grad(x, g, factor):
     """bilinear_upsample's output for x and the gradient it passes back for g."""
     xt = Tensor(x, requires_grad=True)
@@ -268,12 +283,59 @@ class TestBandedUpsample:
         np.testing.assert_array_max_ulp(y, dense_upsample(x, factor), maxulp=4)
         np.testing.assert_array_max_ulp(gx, dense_upsample_grad(g, factor), maxulp=4)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("factor", [2, 4, 8])
+    def test_the_band_at_a_time_forward_equals_the_two_passes_bit_for_bit(self, factor, dtype):
+        for side, channels in itertools.product((1, 3, 16, 25, 75, 128), (1, 16)):
+            rng = np.random.default_rng(side * factor + channels)
+            x = rng.normal(size=(channels, side, side + 2)).astype(dtype)
+            y = T.bilinear_upsample(Tensor(x), factor).data
+            assert y.tobytes() == two_pass_upsample(x, factor).tobytes(), (side, channels)
+
     def test_non_square_and_non_contiguous_input(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 3, 70)).transpose(1, 0, 2)  # [3, 40, 70], strided
         y = T.bilinear_upsample(Tensor(x), 2).data
         np.testing.assert_allclose(y, dense_upsample(x, 2), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(y[1], upsample_oracle(x[1], 2), rtol=1e-12, atol=1e-12)
+
+
+class TestUpsampleConcat:
+    """upsample_concat(x, skip) is concat([bilinear_upsample(x, 2), skip]) in
+    the padded layout, values and gradients bit for bit."""
+
+    @pytest.mark.parametrize("skip", ["bordered", "callers"])
+    @pytest.mark.parametrize("side", [64, 256, 100, 300, 512])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_pair_bit_for_bit(self, dtype, side, skip):
+        # a bordered skip is a conv's output, its buffer copied whole; a
+        # caller's array is copied into the interior
+        rng = np.random.default_rng(side)
+        x = rng.normal(size=(16, side // 2, side // 2)).astype(dtype)
+        s = rng.normal(size=(1 if skip == "bordered" else 8, side, side)).astype(dtype)
+        k = rng.normal(size=(8, 1, 3, 3)).astype(dtype)
+        g = rng.normal(size=(24, side, side)).astype(dtype)
+
+        def run(join):
+            xt, st = Tensor(x.copy(), requires_grad=True), Tensor(s.copy(), requires_grad=True)
+            skip_t = T.conv2d(st, Tensor(k), Tensor(np.zeros(8, dtype))) if skip == "bordered" else st
+            y = join(xt, skip_t)
+            T.tsum(y * Tensor(g)).backward()
+            return y, [y.data.tobytes(), xt.grad.tobytes(), st.grad.tobytes()]
+
+        y, fused = run(T.upsample_concat)
+        _, pair = run(lambda a, b: T.concat([T.bilinear_upsample(a, 2), b], axis=0))
+        assert y.data.dtype == dtype
+        assert fused == pair
+        assert T._pad_of(y).tobytes() == T._pad_flat(y.data).tobytes()
+
+    @pytest.mark.parametrize("x_shape, skip_shape", [
+        ((4, 8, 8), (3, 16, 17)), ((4, 8, 8), (3, 8, 8)), ((4, 8, 8), (16, 16)),
+        ((8, 8), (3, 16, 16))])
+    def test_a_mismatched_skip_is_refused_naming_both_shapes(self, x_shape, skip_shape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"upsample_concat: input {x_shape} upsampled by 2 cannot join skip {skip_shape}")):
+            T.upsample_concat(Tensor(np.zeros(x_shape)), Tensor(np.zeros(skip_shape)))
 
 
 class TestSigmoid:
@@ -413,22 +475,23 @@ def lookalike(rng, c, h, w, dtype):
 
 
 class TestPaddedLayout:
-    """conv2d, relu, maxpool2x2 and concat pass activations on in the zero-
-    bordered layout conv reads; every value and gradient stays that of a
+    """conv2d, relu, maxpool2x2 and upsample_concat pass activations on in the
+    zero-bordered layout conv reads; every value and gradient stays that of a
     fresh pad of each conv input."""
 
     @pytest.mark.parametrize("side", [64, 256, 100, 300])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("join", ["maxpool", "concat"])
     def test_chain_matches_fresh_padding_bit_for_bit(self, side, dtype, join):
-        # conv -> relu -> conv -> relu -> (maxpool | concat) -> conv: the
-        # second and third convs read bordered inputs, the first a caller's
-        # array; 8 input channels take the column path, 16 and 28 the view
-        # path; 100 and 300 end in a ragged block
+        # conv -> relu -> conv -> relu -> (maxpool | a decoder's join) -> conv:
+        # the second and third convs read bordered inputs, the first a
+        # caller's array; the join upsamples a caller's array in front of the
+        # bordered r2 (upsample_concat); 8 input channels take the column
+        # path, 16 and 20 the view path; 100 and 300 end in a ragged block
         rng = np.random.default_rng(side)
         x = rng.uniform(size=(1, side, side)).astype(dtype)
-        extra = rng.normal(size=(4, side, side)).astype(dtype)
-        c_last = 16 if join == "maxpool" else 28
+        extra = rng.normal(size=(4, side // 2, side // 2)).astype(dtype)
+        c_last = 16 if join == "maxpool" else 20
         shapes = [(8, 1), (16, 8), (4, c_last)]
         ks = [(rng.normal(size=(o, i, 3, 3)) / np.sqrt(9 * i)).astype(dtype) for o, i in shapes]
         bs = [rng.normal(size=o).astype(dtype) for o, _ in shapes]
@@ -439,7 +502,7 @@ class TestPaddedLayout:
         xt, extra_t, (ka, kb, kc), (ba, bb, bc) = leaves[0], leaves[1], leaves[2:5], leaves[5:]
         r1 = T.relu(T.conv2d(xt, ka, ba))
         r2 = T.relu(T.conv2d(r1, kb, bb))
-        joined = T.maxpool2x2(r2) if join == "maxpool" else T.concat([extra_t, r2, r1], axis=0)
+        joined = T.maxpool2x2(r2) if join == "maxpool" else T.upsample_concat(extra_t, r2)
         out = T.conv2d(joined, kc, bc)
         T.tsum(out * Tensor(weights)).backward()
 
@@ -448,16 +511,16 @@ class TestPaddedLayout:
         if join == "maxpool":
             joined_ref = maxpool_reference(r2_ref, np.zeros((16, out_side, out_side), dtype))[0]
         else:
-            joined_ref = np.concatenate([extra, r2_ref, r1_ref])
+            joined_ref = np.concatenate([two_pass_upsample(extra, 2), r2_ref])
         assert out.data.tobytes() == conv_reference(joined_ref, ks[2], bs[2]).tobytes()
 
         g_joined, gkc, gbc = conv_reference_grads(joined_ref, ks[2], weights)
         if join == "maxpool":
-            g_r2, g_r1_joined, g_extra = maxpool_reference(r2_ref, g_joined)[1], 0, None
+            g_r2, g_extra = maxpool_reference(r2_ref, g_joined)[1], None
         else:
-            g_extra, g_r2, g_r1_joined = g_joined[:4], g_joined[4:20], g_joined[20:]
+            g_extra, g_r2 = two_pass_upsample_grad(g_joined[:4], 2), g_joined[4:]
         g_r1, gkb, gbb = conv_reference_grads(r1_ref, ks[1], g_r2 * (r2_ref > 0))
-        gx, gka, gba = conv_reference_grads(x, ks[0], (g_r1 + g_r1_joined) * (r1_ref > 0))
+        gx, gka, gba = conv_reference_grads(x, ks[0], g_r1 * (r1_ref > 0))
         expected = [gx, g_extra, gka, gkb, gkc, gba, gbb, gbc]
         for leaf, ref in zip(leaves, expected):
             if ref is None:
@@ -474,13 +537,12 @@ class TestPaddedLayout:
         conv = T.conv2d(x, k, b)
         relu = T.relu(conv)
         outputs = [conv, relu, T.maxpool2x2(relu), T.maxpool2x2(x),
-                   T.concat([x, relu], axis=0), T.concat([relu, relu], axis=0)]
+                   T.upsample_concat(T.maxpool2x2(x), x), T.upsample_concat(Tensor(x.data[:, :3, :5]), relu)]
         for y in outputs:
             assert T._pad_of(y) is y.data.base
             assert T._pad_of(y).tobytes() == T._pad_flat(y.data).tobytes()
-        # a caller's array, a relu of one, a concat along another axis and a
-        # detached view are not marked
-        for y in (x, T.relu(x), T.concat([relu, relu], axis=1), relu.detach()):
+        # a caller's array, a relu of one, a concat and a detached view are not marked
+        for y in (x, T.relu(x), T.concat([relu, relu], axis=0), relu.detach()):
             assert T._pad_of(y) is None
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -489,12 +551,12 @@ class TestPaddedLayout:
         view = lookalike(rng, 16, 8, 6, dtype)
         k = rng.normal(size=(2, 16, 3, 3)).astype(dtype)
         b = rng.normal(size=2).astype(dtype)
-        other = rng.normal(size=(3, 8, 6)).astype(dtype)
+        other = rng.normal(size=(3, 4, 3)).astype(dtype)
 
         def run(data):
             xt, kt, bt = (Tensor(a, requires_grad=True) for a in (data, k, b))
             outs = [T.conv2d(xt, kt, bt), T.relu(xt), T.maxpool2x2(xt),
-                    T.concat([xt, Tensor(other)], axis=0)]
+                    T.upsample_concat(Tensor(other), xt)]
             loss = sum(T.tsum(T.sigmoid(o)) for o in outs[1:])
             T.tsum(outs[0] * outs[0] + loss).backward()
             return [o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in (xt, kt, bt)]

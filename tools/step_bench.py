@@ -7,6 +7,9 @@ that side) and one synthetic sample, then times, after one warm-up call each:
 - evaluate: `train.evaluate` of the trainable net on that one sample;
 - step: one `train._sample_step` with a teacher, forward, losses and backward.
 
+forward_peak_mib is the tracemalloc peak of one more frozen forward, made
+apart from the timed calls, as tracing slows every allocation.
+
     PYTHONPATH=src python tools/step_bench.py --sides 64 256 512 --repeats 5
 
 One BLAS thread is pinned before numpy loads, as perfbench pins it, and the
@@ -24,6 +27,7 @@ import ctypes  # noqa: E402
 import importlib  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -64,19 +68,30 @@ def median_ms(fn, repeats):
     return 1e3 * statistics.median(times)
 
 
+def peak_mib(fn):
+    """The tracemalloc peak of one call of fn, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def bench(side, repeats):
-    """(forward, evaluate, step) median ms at one side."""
+    """(forward, evaluate, step) median ms and the forward's peak MiB at one side."""
     network = NetworkConfig(depth=3, base_channels=8, height=side, width=side)
     cfg = train.TrainConfig(epochs=2, network=network)
     net = SegNetwork(network, seed=0, dtype=np.float32)
     frozen = SegNetwork(network, seed=0, dtype=np.float32, trainable=False)
-    teacher = net.snapshot(1).restore(trainable=False)
+    teacher = SegNetwork.from_arrays(network, net.weights, trainable=False)  # as train() builds it
     sample = generate_synthetic(seed=side, count=1, size=side)[0]
     image = sample.image.data.astype(np.float32)
     return (median_ms(lambda: frozen.forward(image), repeats),
             median_ms(lambda: train.evaluate(net, [sample]), repeats),
             median_ms(lambda: train._sample_step(net, teacher, sample, cfg, 0.25, 0.25),
-                      repeats))
+                      repeats),
+            peak_mib(lambda: frozen.forward(image)))
 
 
 def main(argv=None):
@@ -88,10 +103,12 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     print(f"blas_threads {blas_threads()}")
-    print(f"{'side':>6}{'forward_ms':>12}{'evaluate_ms':>13}{'step_ms':>10}")
+    print(f"{'side':>6}{'forward_ms':>12}{'evaluate_ms':>13}{'step_ms':>10}"
+          f"{'forward_peak_mib':>18}")
     for side in args.sides:
-        forward, evaluate, step = bench(side, args.repeats)
-        print(f"{side:>6}{forward:>12.2f}{evaluate:>13.2f}{step:>10.2f}", flush=True)
+        forward, evaluate, step, peak = bench(side, args.repeats)
+        print(f"{side:>6}{forward:>12.2f}{evaluate:>13.2f}{step:>10.2f}{peak:>18.2f}",
+              flush=True)
 
 
 if __name__ == "__main__":
