@@ -47,13 +47,13 @@ padded twice. conv2d writes its W+2-wide rows straight into a new padded
 buffer from offset W+3, where each row's two junk columns fall on border
 cells, adds the bias in place and zeroes the border; relu maps a padded
 buffer whole, and maxpool2x2 and upsample_concat write into one
-(upsample_concat upsamples into its first channels and copies a padded
-skip's buffer whole behind them). The tensor's data is
+(upsample_concat upsamples into its first channels and copies the skip's
+padded buffer whole behind them). The tensor's data is
 the buffer's interior view, and the primitive marks the tensor with that
 very array (_pad_of), so a caller's array, whatever its strides, is
-padded afresh. conv2d reads a marked input's buffer as is, in forward and
-for the kernel gradient, which the graph thereby keeps at no extra cost;
-an unmarked input is kept unpadded and padded again in backward. No 9x
+padded afresh. One rule, _padded, gives every padded input: a marked
+input's buffer as is, any other input padded once. conv2d keeps that one
+buffer for the kernel gradient, so no input is padded twice. No 9x
 column buffer is ever kept. Gradients stay contiguous [C,H,W] arrays, and
 the GEMMs see the same operands as with a fresh pad, so the bits do not move.
 
@@ -620,6 +620,12 @@ def _pad_of(x):
     return x.data.base if x._padded is x.data else None
 
 
+def _padded(x):
+    """x's zero-bordered _pad_flat buffer: _pad_of(x), else a fresh _pad_flat."""
+    flat = _pad_of(x)
+    return _pad_flat(x.data) if flat is None else flat
+
+
 def _tap_offsets(w):
     return [di * (w + 2) + dj for di in range(3) for dj in range(3)]
 
@@ -693,12 +699,12 @@ def conv2d(x, kernel, bias):
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape} != ({c_out},)")
 
-    xd, k = x.data, kernel.data
-    x_flat = _pad_of(x)
+    k = kernel.data
     n = h * (w + 2)
-    y_flat = np.empty((c_out, (h + 2) * (w + 2) + 2), np.result_type(xd, k, bias.data))
+    y_flat = np.empty((c_out, (h + 2) * (w + 2) + 2), np.result_type(x.data, k, bias.data))
     wide = y_flat[:, w + 3:w + 3 + n]
-    _correlate3(_pad_flat(xd) if x_flat is None else x_flat, k, h, w, wide)
+    x_flat = _padded(x)
+    _correlate3(x_flat, k, h, w, wide)
     wide += bias.data[:, None]
     _zero_border(y_flat, h, w)  # the junk columns, bias added, included
 
@@ -708,9 +714,7 @@ def conv2d(x, kernel, bias):
             # g on the W+2-wide output grid: its two junk columns per row
             # fall on g_flat's zero padding
             g_wide = g_flat[:, w + 3:w + 3 + n]
-            flat = _pad_flat(xd) if x_flat is None else x_flat
-            gk = np.stack([g_wide @ flat[:, off:off + n].T for off in _tap_offsets(w)])
-            del flat  # a fresh pad is freed before the input gradient allocates its buffers
+            gk = np.stack([g_wide @ x_flat[:, off:off + n].T for off in _tap_offsets(w)])
             _accumulate(nk, gk.reshape(3, 3, c_out, c_in).transpose(2, 3, 0, 1))
         if nb is not None:
             # over g itself: numpy's pairwise sum follows the memory layout,
@@ -861,7 +865,7 @@ def upsample_concat(x, skip):
 
     x is upsampled straight into the buffer's first C channels
     (_upsample_into), so the upsampled map is never held on its own, and the
-    skip is copied behind it, its buffer whole if it is bordered. For operands
+    skip's padded buffer (_padded) is copied whole behind it. For operands
     of one dtype the values and gradients are the pair's, bit for bit.
     """
     x, skip = _as_tensor(x), _as_tensor(skip)
@@ -873,11 +877,7 @@ def upsample_concat(x, skip):
     dtype = x.data.dtype
     flat = _bordered(c + skip.data.shape[0], 2 * h, 2 * w, np.result_type(x.data, skip.data))
     _upsample_into(x.data, 2, _interior(flat[:c], 2 * h, 2 * w))
-    src = _pad_of(skip)
-    if src is None:
-        _interior(flat[c:], 2 * h, 2 * w)[...] = skip.data
-    else:
-        flat[c:] = src
+    flat[c:] = _padded(skip)
 
     def backward(g, nx, ns):
         if nx is not None:

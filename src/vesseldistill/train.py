@@ -204,8 +204,9 @@ def _process_count(batch_size):
     return min(len(os.sched_getaffinity(0)), batch_size)
 
 
-def _openblas_threads():
-    """The loaded OpenBLAS's thread-count (getter, setter), or None if none is found."""
+def _openblas(name, restype, argtypes):
+    """The loaded OpenBLAS's function openblas_<name>, under any of its builds'
+    spellings (scipy_ prefix, 64_ suffix), or None if none is found."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
@@ -216,13 +217,12 @@ def _openblas_threads():
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
-            get = getattr(lib, name.format("_get_num_threads"), None)
-            put = getattr(lib, name.format("_set_num_threads"), None)
-            if get is not None and put is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                put.restype, put.argtypes = None, [ctypes.c_int]
-                return get, put
+        for spelling in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_",
+                         "openblas_{}"):
+            fn = getattr(lib, spelling.format(name), None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
     return None
 
 
@@ -260,10 +260,10 @@ class _Workers:
         self.conns, self.procs = [], []
         # one BLAS thread per process, for any process count (see the module
         # docstring); the workers inherit it, this process gets its own back on close
-        self.blas = _openblas_threads()
-        if self.blas is not None:
-            self.blas_threads = self.blas[0]()
-            self.blas[1](1)
+        self.set_blas = _openblas("set_num_threads", None, [ctypes.c_int])
+        if self.set_blas is not None:
+            self.blas_threads = _openblas("get_num_threads", ctypes.c_int, [])()
+            self.set_blas(1)
         try:
             ctx = multiprocessing.get_context("fork") if size > 1 else None
             for _ in range(size - 1):
@@ -321,8 +321,8 @@ class _Workers:
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
-        if self.blas is not None:
-            self.blas[1](self.blas_threads)
+        if self.set_blas is not None:
+            self.set_blas(self.blas_threads)
 
 
 def _save(path, net, opt, epoch, logs, cfg):

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import dataclasses
 import gc
 import importlib
@@ -980,12 +981,12 @@ class TestWorkers:
         assert not multiprocessing.active_children()
 
     def test_blas_threads_are_restored(self, tiny_dataset, tmp_path, monkeypatch):
-        blas = train_module._openblas_threads()
-        if blas is None:
+        threads = train_module._openblas("get_num_threads", ctypes.c_int, [])
+        if threads is None:
             pytest.skip("no OpenBLAS found in this process")
-        before = blas[0]()
+        before = threads()
         self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=1)
-        assert blas[0]() == before
+        assert threads() == before
 
     def test_one_process_trains_on_one_blas_thread(self, tmp_path, monkeypatch):
         """At 344x344 a float32 one-channel head's GEMV is long enough for

@@ -15,6 +15,12 @@ apart from the timed calls, as tracing slows every allocation.
 One BLAS thread is pinned before numpy loads, as perfbench pins it, and the
 thread count the loaded OpenBLAS reports is printed first. Standard library
 and numpy only.
+
+Medians from separate invocations drift by 30-50% on a 2-vCPU virtual
+machine (one tree's 64x64 forward read 2.1-3.4 ms across back-to-back
+processes), so do not compare two trees by running this tool once on each.
+Compare them inside one process instead, importing both and alternating
+their calls round by round, and count the rounds each side wins.
 """
 
 import os
@@ -35,27 +41,6 @@ from vesseldistill.data import generate_synthetic  # noqa: E402
 from vesseldistill.network import NetworkConfig, SegNetwork  # noqa: E402
 
 train = importlib.import_module("vesseldistill.train")  # the package exports train()
-
-
-def blas_threads():
-    """The thread count the loaded OpenBLAS reports, or None if it cannot be asked."""
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = ctypes.c_int, []
-                return int(fn())
-    return None
 
 
 def median_ms(fn, repeats):
@@ -102,7 +87,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    print(f"blas_threads {blas_threads()}")
+    threads = train._openblas("get_num_threads", ctypes.c_int, [])  # None: cannot be asked
+    print(f"blas_threads {None if threads is None else threads()}")
     print(f"{'side':>6}{'forward_ms':>12}{'evaluate_ms':>13}{'step_ms':>10}"
           f"{'forward_peak_mib':>18}")
     for side in args.sides:
