@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import checks
 from .data import generate_synthetic, load_pgm, load_sample_dir, save_sample_dir, split
-from .network import load_checkpoint
+from .network import ShapeError, load_checkpoint
 from .train import TrainConfig, evaluate, predict_to_file, sweep, train, write_metrics_csv
 
 USAGE_ERROR = 1
@@ -94,11 +94,12 @@ def cmd_evaluate(args):
             raise ValueError(f"{args.checkpoint} stores no training config to take the "
                              "split seed from; pass --seed")
         seed = ckpt.run["train_config"]["seed"]
-    net = ckpt.to_network(trainable=False)
     samples = load_sample_dir(args.data)
     if args.split != "all":
         samples = getattr(split(samples, seed=seed), args.split)
-    report = evaluate(net, samples)
+    if not samples:
+        raise ValueError(f"--data {args.data} holds no {args.split} samples")
+    report = evaluate(ckpt.to_network(trainable=False), samples)
     print(f"{'metric':<8}{'value':>10}")
     for name, value in report.as_dict().items():
         print(f"{name:<8}{value:>10.4f}")
@@ -112,7 +113,10 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     _check_out_path("--out", args.out)
-    predict_to_file(args.checkpoint, load_pgm(args.image), args.out)
+    try:
+        predict_to_file(args.checkpoint, load_pgm(args.image), args.out)
+    except ShapeError as exc:  # an image the checkpoint's net cannot take
+        raise ValueError(f"--image {args.image}: {exc}") from None
     print(f"wrote {args.out}")
     return 0
 
@@ -138,7 +142,10 @@ def cmd_sweep(args):
     if args.csv:
         _check_out_path("--csv", args.csv)
     cfg = _load_train_config(args)
-    rows = sweep(args.axis, values, cfg, split(load_sample_dir(args.data), seed=cfg.seed))
+    dataset = split(load_sample_dir(args.data), seed=cfg.seed)
+    if not dataset.test:
+        raise ValueError(f"--data {args.data} holds no test samples to score the runs on")
+    rows = sweep(args.axis, values, cfg, dataset)
     out = args.csv or str(Path(cfg.out_dir) / f"sweep_{args.axis}.csv")
     write_metrics_csv(rows, out)
     header = [args.axis, "DSC", "ACC", "SEN", "IOU"]

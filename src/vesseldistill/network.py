@@ -39,7 +39,9 @@ class NetworkConfig:
             raise ValueError(f"depth must be >= 2, got {self.depth}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
-        _check_input_shape(self, (1, self.height, self.width))
+        for name, side in (("height", self.height), ("width", self.width)):  # a size it takes
+            if side < 1 or side % 2 ** (self.depth - 1):
+                raise ValueError(f"{name} must be a positive multiple of 2^(depth-1), got {side}")
 
     def channels(self, level):
         """Feature channels at encoder/decoder level (1 = shallowest)."""
@@ -288,10 +290,11 @@ def save_checkpoint(path, net, epoch, extras=None, run=None):
 class Checkpoint:
     """A loaded checkpoint; params maps each parameter's name to a view of its flat weights."""
 
+    params = property(lambda self: _views(self.weights, self.config))  # built when read
+
     def __init__(self, config, weights, epoch, extras, run=None):
         self.config = config
         self.weights = weights
-        self.params = _views(weights, config)
         self.epoch = epoch
         self.extras = extras
         self.run = run

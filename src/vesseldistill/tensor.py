@@ -81,9 +81,9 @@ On glibc, importing this module makes the allocator keep freed heap
 pages mapped, so repeated forwards reuse their pages instead of
 page-faulting them in afresh: arrays under 8 MiB (all of a float32 256x256
 forward's) come from the heap, and up to 64 MiB of freed heap stays
-resident. A larger array that freed heap has no room for is mapped on its
-own, leaving no hole that later arrays fit or miss by chance (with 32 MiB,
-identical float64 256x256 forwards after float32 ones peaked at 124-138 MB).
+resident. A larger array is mapped on its own (at 32 MiB, float64 256x256
+forwards after float32 ones peaked at 124-138 MB). The kept heap still has
+holes: by unrelated objects' sizes, infer_256 peaks at 115 or 123 MB per PYTHONHASHSEED.
 Setting any of glibc's MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or
 MALLOC_TOP_PAD_ leaves the allocator as the environment configures it.
 
@@ -110,7 +110,7 @@ def _keep_freed_heap():
 
     Both are needed: a trim threshold alone also freezes glibc's dynamic
     mmap threshold where it stands (128 KiB at start), and page faults per
-    forward more than triple.
+    forward more than triple. It keeps pages mapped, not the heap free of holes.
     """
     tuned = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")
     if any(name in os.environ for name in tuned):

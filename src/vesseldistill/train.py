@@ -88,7 +88,7 @@ class TrainConfig:
     @staticmethod
     def from_dict(d):
         """A TrainConfig from plain values; each nested section is a mapping of its fields.
-        ValueError names an unknown field by its dotted path (`foo`, `network.foo`)."""
+        ValueError names an unknown or refused field by its dotted path (`network.foo`)."""
         d = dict(d)
         _check_known(TrainConfig, d)
         for f in dataclasses.fields(TrainConfig):
@@ -97,7 +97,10 @@ class TrainConfig:
                     raise ValueError(f"{f.name} must be a mapping of "
                                      f"{f.default_factory.__name__} fields, got {d[f.name]!r}")
                 _check_known(f.default_factory, d[f.name], f"unknown config field {f.name}.{{}}")
-                d[f.name] = f.default_factory(**d[f.name])
+                try:
+                    d[f.name] = f.default_factory(**d[f.name])
+                except ValueError as exc:  # named by its dotted path, as an unknown field is
+                    raise ValueError(f"{f.name}.{exc}") from None
         return TrainConfig(**d)
 
     def to_dict(self):

@@ -23,14 +23,6 @@ def rand_input(seed, size=32, channels=1):
 
 
 class TestConfig:
-    def test_rejects_shallow_depth(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(depth=1, height=32, width=32)
-
-    def test_rejects_indivisible_size(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(depth=4, height=36, width=36)
-
     def test_rejects_fewer_than_four_base_channels(self):
         with pytest.raises(ValueError, match="base_channels must be >= 4, got 3"):
             NetworkConfig(base_channels=3)
