@@ -94,6 +94,9 @@ def cmd_evaluate(args):
             raise ValueError(f"{args.checkpoint} stores no training config to take the "
                              "split seed from; pass --seed")
         seed = ckpt.run["train_config"]["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"{args.checkpoint} stores split seed {seed!r}, which is no int "
+                             ">= 0; pass --seed")
     samples = load_sample_dir(args.data)
     if args.split != "all":
         samples = getattr(split(samples, seed=seed), args.split)

@@ -83,7 +83,12 @@ class TrainConfig:
         if not 0 < self.lr_gamma <= 1:  # the step schedule decays
             raise ValueError(f"lr_gamma must be in (0, 1], got {self.lr_gamma}")
         _check_seed(self.seed)
-        distill._patch_side(self.network.height, self.network.width, self.distill.grid_g)
+        if not self.out_dir:  # Path("") would be the current directory
+            raise ValueError(f"out_dir must name a directory, got {self.out_dir!r}")
+        try:
+            distill._patch_side(self.network.height, self.network.width, self.distill.grid_g)
+        except ValueError as exc:  # named by its fields, as _check_samples names a sample
+            raise ValueError(f"distill.grid_g, network.height and network.width: {exc}") from None
 
     @staticmethod
     def from_dict(d):

@@ -1,5 +1,4 @@
 import json
-import re
 import shutil
 
 import numpy as np
@@ -9,7 +8,7 @@ from vesseldistill import cli
 from vesseldistill.cli import main
 from vesseldistill.data import load_pgm, load_sample_dir, save_pgm, split
 from vesseldistill.network import NetworkConfig, SegNetwork, save_checkpoint
-from vesseldistill.train import TrainConfig, train
+from vesseldistill.train import TrainConfig
 
 
 TINY = [
@@ -27,29 +26,10 @@ def data_dir(tmp_path_factory):
     return d
 
 
-def json_bytes(value):
-    return np.frombuffer(json.dumps(value).encode(), np.uint8)
-
-
-def rewrite(source, path, edit):
-    """Copy the checkpoint `source` to `path`, after edit(payload, meta) has changed
-    its members and its decoded meta in place."""
-    with np.load(source) as z:
-        payload = {k: z[k] for k in z.files}
-    meta = json.loads(payload.pop("meta").tobytes())
-    edit(payload, meta)
-    payload.setdefault("meta", json_bytes(meta))  # unless edit set the member itself
-    np.savez(path, **payload)
-
-
-def in_the_older_layout(payload, meta):
-    """As files were written before the run record moved into meta: meta names the
-    dtype and holds no run, and extra:train_config and extra:logs hold the record as
-    JSON bytes, each logged row a list of values in field order."""
-    run = meta.pop("run")
-    meta["dtype"] = str(payload["params"].dtype)
-    payload["extra:train_config"] = json_bytes(run["train_config"])
-    payload["extra:logs"] = json_bytes([list(row.values()) for row in run["logs"]])
+def edited(change):
+    """A maker of the checkpoint `source` at `path` after change(payload, meta), by the
+    checkpoint_edit fixture's rewrite."""
+    return lambda path, source, edit: edit.rewrite(source, path, change)
 
 
 @pytest.fixture(scope="module")
@@ -309,30 +289,31 @@ class TestPredict:
         assert f"error: {bare}: no meta member" in capsys.readouterr().err
 
     @pytest.mark.parametrize("make, refusal", [
-        (lambda path, source: path.write_bytes(b"garbage"), "not an .npz archive"),
-        (lambda path, source: save_pgm(np.zeros((4, 4)), path), "not an .npz archive"),
-        (lambda path, source: np.save(open(path, "wb"), np.zeros(3)), "not an .npz archive"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
-            meta=json_bytes([meta]))), "meta is no JSON object holding a config object"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
-            meta=np.frombuffer(b"{", np.uint8))), "meta is no JSON object"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.pop("config")),
+        (lambda path, source, edit: path.write_bytes(b"garbage"), "not an .npz archive"),
+        (lambda path, source, edit: save_pgm(np.zeros((4, 4)), path), "not an .npz archive"),
+        (lambda path, source, edit: np.save(open(path, "wb"), np.zeros(3)),
+         "not an .npz archive"),
+        (edited(lambda payload, meta: payload.update(meta=np.frombuffer(
+            json.dumps([meta]).encode(), np.uint8))),
+         "meta is no JSON object holding a config object"),
+        (edited(lambda payload, meta: payload.update(meta=np.frombuffer(b"{", np.uint8))),
+         "meta is no JSON object"),
+        (edited(lambda payload, meta: meta.pop("config")),
          "meta is no JSON object holding a config object and an int epoch"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.pop("epoch")),
+        (edited(lambda payload, meta: meta.pop("epoch")),
          "meta is no JSON object holding a config object and an int epoch"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: payload.update(
-            params=payload["params"].astype(np.int32))),
+        (edited(lambda payload, meta: payload.update(params=payload["params"].astype(np.int32))),
          "params has dtype int32, not float32 or float64"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: meta.update(
-            run=[1])), "its run record is neither null nor an object holding"),
-        (lambda path, source: rewrite(source, path, lambda payload, meta: meta["run"].pop(
-            "logs")), "its run record is neither null nor an object holding"),
+        (edited(lambda payload, meta: meta.update(run=[1])),
+         "its run record is neither null nor an object holding"),
+        (edited(lambda payload, meta: meta["run"].pop("logs")),
+         "its run record is neither null nor an object holding"),
     ], ids=["garbage", "pgm", "npy", "meta-list", "meta-not-json", "no-config", "no-epoch",
             "int-params", "run-list", "run-without-logs"])
     def test_a_file_save_checkpoint_did_not_write_exits_1_naming_it(
-            self, data_dir, run_dir, tmp_path, capsys, make, refusal):
+            self, data_dir, run_dir, tmp_path, capsys, checkpoint_edit, make, refusal):
         path = tmp_path / "ckpt.npz"
-        make(path, run_dir / "best.npz")
+        make(path, run_dir / "best.npz", checkpoint_edit)
         image = sorted((data_dir / "images").glob("*.pgm"))[0]
         code = main(["predict", "--checkpoint", str(path), "--image", str(image),
                      "--out", str(tmp_path / "pred.pgm")])
@@ -341,11 +322,12 @@ class TestPredict:
         assert not (tmp_path / "pred.pgm").exists()
 
     def test_a_checkpoint_of_the_older_layout_predicts_and_evaluates_the_same(
-            self, data_dir, run_dir, tmp_path, capsys):
+            self, data_dir, run_dir, tmp_path, capsys, checkpoint_edit):
         """A file written before the run record moved into meta is read as before
-        for inference; it has no record to split by or to resume from."""
+        for inference (test_misuse's no-run-record row refuses to split by it or to
+        resume from it)."""
         old = tmp_path / "old.npz"
-        rewrite(run_dir / "last.npz", old, in_the_older_layout)
+        checkpoint_edit.rewrite(run_dir / "last.npz", old, checkpoint_edit.older_layout)
         image = sorted((data_dir / "images").glob("*.pgm"))[0]
         outputs = []
         for name, checkpoint in (("new", run_dir / "last.npz"), ("old", old)):
@@ -356,13 +338,6 @@ class TestPredict:
                          "--seed", "0"]) == 0
             outputs.append(((tmp_path / f"{name}.pgm").read_bytes(), capsys.readouterr().out))
         assert outputs[0] == outputs[1]
-
-        assert main(["evaluate", "--checkpoint", str(old), "--data", str(data_dir)]) == 1
-        assert capsys.readouterr().err.endswith("; pass --seed\n")
-        cfg = TrainConfig.from_dict(cli._apply_overrides({}, [f"out_dir={tmp_path}", *TINY]))
-        with pytest.raises(ValueError, match=f"^cannot resume from {re.escape(str(old))}: "
-                                             "it stores no run record"):
-            train(cfg, split(load_sample_dir(data_dir), seed=0), resume_from=old)
 
     def test_non_numeric_pixel_exits_1_naming_file_and_token(self, run_dir, tmp_path, capsys):
         image = tmp_path / "word.pgm"

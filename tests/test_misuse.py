@@ -2,16 +2,20 @@
 
 Rows are classes of bad input. Columns are the CLI's six subcommands, each
 with the argument the input is given to, plus a config built directly (the
-dataclass) and through `TrainConfig.from_dict`. A CLI cell runs `cli.main` and
-asserts exit 1, exactly one stderr line `error: ...` matching the cell's
-expected text, which names the offending path, option, dotted config field or
-sample, nothing on stdout, and nothing created in the cell's directory. A
-config cell asserts the ValueError's message. argparse's own refusals print
-a usage line as well; they are in test_cli.py's TestExitCodes.
+dataclass) and through `TrainConfig.from_dict`, and for checkpoint files
+`load_checkpoint` with and without extras and `train(resume_from=)`. A CLI cell
+runs `cli.main` and asserts exit 1, exactly one stderr line `error: ...`
+matching the cell's expected text, which names the offending path, option,
+dotted config field or sample, nothing on stdout, and nothing created in the
+cell's directory. A config or checkpoint cell asserts the ValueError's
+message; a resume cell also asserts that no epoch started and no out_dir was
+made. argparse's own refusals print a usage line as well; they are in
+test_cli.py's TestExitCodes.
 """
 
 import dataclasses
 import json
+import pathlib
 import re
 import shutil
 from types import SimpleNamespace
@@ -20,30 +24,33 @@ import numpy as np
 import pytest
 
 from vesseldistill.cli import main
-from vesseldistill.data import generate_synthetic, save_pgm, save_sample_dir
+from vesseldistill.data import (generate_synthetic, load_sample_dir, save_pgm, save_sample_dir,
+                                split)
 from vesseldistill.distill import DistillConfig
-from vesseldistill.network import _FIELD_TYPES, NetworkConfig, SegNetwork, save_checkpoint
-from vesseldistill.train import TrainConfig
+from vesseldistill.network import (_FIELD_TYPES, NetworkConfig, _param_shapes, _views,
+                                   load_checkpoint)
+from vesseldistill.train import TrainConfig, train
 
 # a depth-3 net takes sides divisible by 4; every command line trains (if it
 # got that far) one epoch of it on 32x32 images
-BASE = ["network.depth=3", "network.base_channels=4", "network.height=32",
-        "network.width=32", "distill.grid_g=4", "epochs=1"]
+NET = {"depth": 3, "base_channels": 4, "height": 32, "width": 32}
+BASE = [*(f"network.{k}={v}" for k, v in NET.items()), "distill.grid_g=4", "epochs=1"]
 SHAPE = "is not [1,H,W] with H and W divisible by 2^(depth-1) = 4"
 
 
 @pytest.fixture(scope="module")
-def ctx(tmp_path_factory):
+def ctx(tmp_path_factory, checkpoint_edit):
     """The good inputs every cell starts from: a 10-sample 32x32 dataset, one of its
-    images, and a depth-3 checkpoint whose run record holds its split seed."""
+    images, and the last checkpoint of a 2-epoch run of BASE's net on it, with that
+    run's config and split to resume it."""
     root = tmp_path_factory.mktemp("good")
     save_sample_dir(generate_synthetic(seed=5, count=10, size=32), root / "data")
-    cfg = TrainConfig.from_dict({"network": {"depth": 3, "base_channels": 4,
-                                             "height": 32, "width": 32}})
-    save_checkpoint(root / "ckpt.npz", SegNetwork(cfg.network, dtype=np.float32), 1,
-                    run={"train_config": cfg.to_dict(), "logs": []})
-    return SimpleNamespace(data=root / "data", ckpt=root / "ckpt.npz",
-                           image=next((root / "data" / "images").iterdir()))
+    cfg = TrainConfig.from_dict({"epochs": 2, "network": NET, "distill": {"grid_g": 4},
+                                 "out_dir": str(root / "run")})
+    dataset = split(load_sample_dir(root / "data"), seed=cfg.seed)
+    return SimpleNamespace(data=root / "data", ckpt=train(cfg, dataset).final_path, cfg=cfg,
+                           dataset=dataset, image=next((root / "data" / "images").iterdir()),
+                           edit=checkpoint_edit)
 
 
 GOOD = {  # a command line of each subcommand that runs, as option -> value
@@ -142,19 +149,6 @@ def two_samples(ctx, tmp):
     return tmp / "data", re.escape(f"--data {tmp / 'data'} holds no test samples")
 
 
-def no_checkpoint(ctx, tmp):
-    (tmp / "ckpt.npz").write_bytes(b"garbage")
-    return tmp / "ckpt.npz", re.escape(f"{tmp / 'ckpt.npz'}: not an .npz archive")
-
-
-def no_run_record(ctx, tmp):
-    net = SegNetwork(NetworkConfig(depth=3, base_channels=4, height=32, width=32),
-                     dtype=np.float32)
-    save_checkpoint(tmp / "ckpt.npz", net, epoch=0)
-    return tmp / "ckpt.npz", re.escape(f"{tmp / 'ckpt.npz'} stores no training config to take "
-                                       "the split seed from; pass --seed")
-
-
 NOT_PGM = image_file(b"garbage", "unsupported magic b'ga' (expected P2 or P5)")
 TRUNCATED = image_file(b"P5\n32 32\n255\n" + bytes(10), "payload holds 10 bytes, expected 1024")
 BAD_PIXEL = image_file(b"P2 2 1 255\n0 x\n", "pixel value 'x' is not a decimal integer")
@@ -181,8 +175,6 @@ PATH_ROWS = {  # row -> (its maker, the (subcommand, argument) columns it applie
     "size-the-net-cannot-take": (odd_size_data, DATA_COLUMNS),
     "image-the-net-cannot-take": (odd_size_image, [("predict", "image")]),
     "no-test-samples": (two_samples, [("evaluate", "data"), ("sweep", "data")]),
-    "no-checkpoint": (no_checkpoint, [("evaluate", "checkpoint"), ("predict", "checkpoint")]),
-    "no-run-record": (no_run_record, [("evaluate", "checkpoint")]),
 }
 
 
@@ -219,23 +211,176 @@ VALUE_CELLS = {  # cell id -> cell
     "values-x-sweep": values_cell("sweep", "--values item 'x' is not a number", values="1,x"),
     "values-empty-item-sweep": values_cell("sweep", "--values item '' is not a number",
                                            values="1,,2"),
+    "values-empty-sweep": values_cell("sweep", "--values item '' is not a number", values=""),
     "values-bool-sweep": values_cell("sweep", "tau value True is not a number", values="1,true"),
-    "axis-n-5-sweep": values_cell("sweep", "patch count 5 is not a positive whole perfect square",
-                                  axis="n", values=5),
+    **{f"values-{item}-sweep": values_cell("sweep", f"tau value {named} is not a number",
+                                          values=f"1,{item}")
+       for item, named in (("null", "None"), ("[1]", "[1]"), ('"x"', "'x'"))},
+    **{f"axis-n-{n}-sweep": values_cell(
+        "sweep", f"patch count {n} is not a positive whole perfect square", axis="n", values=n)
+       for n in (5, 16.5, -4, 0)},
     **{f"{row}-{name}": cell for name in ("train", "sweep") for row, cell in {
         "override-no-key-value": values_cell(name, "override 'epochs' is not key=value", "epochs"),
         "override-into-no-mapping": values_cell(
             name, "network must be a mapping to set network.depth, got 5",
             "network=5", "network.depth=3"),
+        "override-into-a-list": values_cell(
+            name, "distill must be a mapping to set distill.tau, got [1]",
+            "distill=[1]", "distill.tau=2"),
         "config-file-list": config_file(name, "[1]"),
+        "config-file-string": config_file(name, '"x"'),
         "config-file-not-json": config_file(name, '{"epochs": 1,\n'),
     }.items()},
 }
+
+
+# ---- checkpoint rows: each maker writes a bad checkpoint file at `path`, most by
+# editing ctx's; its refusal is a template of the file's name, "…" standing for any text
+
+def edited(edit):
+    """A maker of ctx's checkpoint after edit(payload, meta); see conftest.rewrite."""
+    return lambda ctx, path: ctx.edit.rewrite(ctx.ckpt, path, edit)
+
+
+def written(save):
+    """A maker of a file that save(its open handle) wrote."""
+    def make(ctx, path):
+        with open(path, "wb") as f:
+            save(f)
+    return make
+
+
+def without_meta(ctx, path):
+    with np.load(ctx.ckpt) as z:
+        np.savez(path, **{k: z[k] for k in z.files if k != "meta"})
+
+
+def param_members(payload, meta):
+    """As files stored the weights before the flat layout: a param:<name> member each."""
+    views = _views(payload.pop("params"), NetworkConfig(**meta["config"]))
+    payload.update({f"param:{name}": a for name, a in views.items()})
+
+
+def moment_members(payload, meta):
+    """As files stored the optimizer moments before they were packed: an extra:m<i>
+    and extra:v<i> member per parameter."""
+    for kind in ("extra:m", "extra:v"):
+        views = _views(payload.pop(kind), NetworkConfig(**meta["config"]))
+        payload.update({f"{kind}{i}": a for i, a in enumerate(views.values())})
+
+
+def stored(section=None, **values):
+    """An edit of the run record's train_config, or of its `section`, by update(values)."""
+    def edit(payload, meta):
+        config = meta["run"]["train_config"]
+        (config[section] if section else config).update(values)
+    return edit
+
+
+def of_logs(change):
+    return lambda payload, meta: change(meta["run"]["logs"])
+
+
+CHECKPOINT_COLUMNS = ("load_checkpoint", "load_checkpoint-no-extras", "predict--checkpoint",
+                      "evaluate--checkpoint", "resume_from")
+SHAPES = _param_shapes(NetworkConfig(**NET))
+PARAMS = sum(int(np.prod(shape)) for _, shape in SHAPES)
+RESUME = "cannot resume from {}: "
+
+
+def everywhere(refusal):
+    """A file every entry point refuses as load_checkpoint does, naming it."""
+    return dict.fromkeys(CHECKPOINT_COLUMNS, "{}: " + refusal)
+
+
+def not_saved(what):
+    return everywhere(f"{what}, so not a checkpoint save_checkpoint wrote")
+
+
+META = "meta is no JSON object holding a config object and an int epoch"
+RUN = "its run record is neither null nor an object holding a train_config object and a logs list"
+CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
+    "no-checkpoint": (written(lambda f: f.write(b"garbage")), not_saved("not an .npz archive")),
+    "pgm-checkpoint": (written(lambda f: f.write(b"P5 2 2 255\n" + bytes(4))),
+                       not_saved("not an .npz archive")),
+    "npy-checkpoint": (written(lambda f: np.save(f, np.zeros(3))),
+                       not_saved("not an .npz archive")),
+    "no-meta": (without_meta, not_saved("no meta member")),
+    "meta-list": (edited(lambda payload, meta: payload.update(
+        meta=np.frombuffer(json.dumps([meta]).encode(), np.uint8))), everywhere(META)),
+    "meta-not-json": (edited(lambda payload, meta: payload.update(
+        meta=np.frombuffer(b"{", np.uint8))), everywhere(META)),
+    "meta-without-config": (edited(lambda payload, meta: meta.pop("config")), everywhere(META)),
+    "meta-without-epoch": (edited(lambda payload, meta: meta.pop("epoch")), everywhere(META)),
+    "int-params": (edited(lambda payload, meta: payload.update(
+        params=payload["params"].astype(np.int32))),
+        everywhere("params has dtype int32, not float32 or float64")),
+    "short-params": (edited(lambda payload, meta: payload.update(params=payload["params"][:-5])),
+                     everywhere(f"params holds {PARAMS - 5} values, but the config's "
+                                f"{len(SHAPES)} parameters need {PARAMS}")),
+    "param-members": (edited(param_members), not_saved("no flat params array")),
+    "run-list": (edited(lambda payload, meta: meta.update(run=[1])), everywhere(RUN)),
+    "run-without-logs": (edited(lambda payload, meta: meta["run"].pop("logs")), everywhere(RUN)),
+    "in-channels-3": (edited(lambda payload, meta: meta["config"].update(in_channels=3)),
+                      everywhere("its config stores in_channels 3, but NetworkConfig has no "
+                                 "such field")),
+    "unknown-network-field": (edited(lambda payload, meta: meta["config"].update(kernel_size=5)),
+                              everywhere("its config stores kernel_size 5, but NetworkConfig "
+                                         "has no such field")),
+    # what follows loads; only evaluate's split seed or a resume reads the run record
+    "no-run-record": (lambda ctx, path: ctx.edit.rewrite(ctx.ckpt, path, ctx.edit.older_layout),
+                      {"evaluate--checkpoint": "{} stores no training config to take the "
+                                               "split seed from; pass --seed",
+                       "resume_from": RESUME + "it stores no run record (train_config and logs)"}),
+    **{f"stored-seed-{name}": (edited(stored(seed=seed)), {
+        "evaluate--checkpoint": f"{{}} stores split seed {seed!r}, which is no int >= 0; "
+                                "pass --seed"})
+       for name, seed in {"x": "x", "2.5": 2.5, "null": None, "-1": -1, "true": True}.items()},
+    **{row: (edited(edit), {"resume_from": RESUME + refusal}) for row, edit, refusal in [
+        ("moment-members", moment_members, "it stores no m, v"),
+        ("stored-distill.eps", stored("distill", eps=1e-7),
+         "config differs from the checkpointed run in distill.eps"),
+        ("stored-network.in_channels", stored("network", in_channels=1),
+         "config differs from the checkpointed run in network.in_channels"),
+        ("other-config", stored(learning_rate=2e-3),
+         "config differs from the checkpointed run in learning_rate"),
+        ("logged-row-missing-field", of_logs(lambda logs: logs[0].pop("val_dsc")),
+         "its logged row 1 is no epoch log: …'val_dsc'"),
+        ("logged-row-unknown-field", of_logs(lambda logs: logs[0].update(momentum=0.9)),
+         "its logged row 1 is no epoch log: …'momentum'"),
+        ("logged-row-str-epoch", of_logs(lambda logs: logs[1].update(epoch="2")),
+         "its logged row 2 is no epoch log: epoch must be an int, got '2'"),
+        ("logged-row-null-dsc", of_logs(lambda logs: logs[1].update(val_dsc=None)),
+         "its logged row 2 is no epoch log: val_dsc must be a number, got None"),
+        ("logged-row-list", of_logs(lambda logs: logs.__setitem__(0, [1, 0.5])),
+         "its logged row 1 is no epoch log: …"),
+        ("logged-row-missing", of_logs(lambda logs: logs.pop()),
+         "its logged epochs are not 1 to its epoch, 2"),
+        ("logged-rows-out-of-order", of_logs(lambda logs: logs.reverse()),
+         "its logged epochs are not 1 to its epoch, 2"),
+    ]},
+}
+
+
+def regex(refusal, path):
+    return ".*".join(re.escape(part.format(path)) for part in refusal.split("…"))
+
+
+def checkpoint_cell(make, name, refusal):
+    def cell(ctx, tmp):
+        make(ctx, tmp / "ckpt.npz")
+        argv = command(name, ctx, tmp, checkpoint=tmp / "ckpt.npz")
+        return argv, f"^error: {regex(refusal, tmp / 'ckpt.npz')}\n$"
+    return cell
+
 
 CLI_CELLS = {
     **{f"{row}-{name}--{option}": path_cell(make, name, option)
        for row, (make, columns) in PATH_ROWS.items() for name, option in columns},
     **VALUE_CELLS,
+    **{f"{row}-{column}": checkpoint_cell(make, column.partition("--")[0], refusal)
+       for row, (make, refusals) in CHECKPOINT_ROWS.items()
+       for column, refusal in refusals.items() if "--" in column},
 }
 
 
@@ -253,8 +398,30 @@ def refused(argv, pattern, tmp, capsys):
 
 @pytest.mark.parametrize("cell", CLI_CELLS.values(), ids=CLI_CELLS.keys())
 def test_a_bad_input_is_refused_naming_it(ctx, tmp_path, capsys, cell):
-    argv, pattern = cell(ctx, tmp_path)
-    refused(argv, pattern, tmp_path, capsys)
+    argv, text = cell(ctx, tmp_path)
+    refused(argv, text, tmp_path, capsys)
+
+
+LIBRARY_CELLS = {f"{row}-{column}": (column, make, refusal)
+                 for row, (make, refusals) in CHECKPOINT_ROWS.items()
+                 for column, refusal in refusals.items() if "--" not in column}
+
+
+@pytest.mark.parametrize("column, make, refusal", LIBRARY_CELLS.values(),
+                         ids=LIBRARY_CELLS.keys())
+def test_a_bad_checkpoint_is_refused_naming_it(ctx, tmp_path, column, make, refusal):
+    path, started = tmp_path / "ckpt.npz", []
+    make(ctx, path)
+    with pytest.raises(ValueError) as raised:
+        if column == "resume_from":
+            train(dataclasses.replace(ctx.cfg, out_dir=str(tmp_path / "run")), ctx.dataset,
+                  resume_from=path, epoch_start_hook=lambda t, teacher: started.append(t))
+        else:
+            load_checkpoint(path, extras=column == "load_checkpoint")
+    assert re.fullmatch(regex(refusal, path), str(raised.value)), raised.value
+    assert not started and not (tmp_path / "run").exists()
+    if refusal.startswith(RESUME):  # a file that loads, whose run a resume refuses
+        assert load_checkpoint(path, extras=False).epoch == ctx.cfg.epochs
 
 
 # ---- config rows: every leaf of TrainConfig, by its dotted path
@@ -268,42 +435,54 @@ def _leaves(cls=TrainConfig, prefix=""):
 
 
 LEAVES = dict(_leaves())
-# a value of another type than each annotation (see network._check_field_types),
-# and the type it must be; dtype is refused by its own rule first
-WRONG_TYPE = {"int": 2.5, "float": "x", "bool": "False", "str": 3}
+# values of another type than each annotation (see network._check_field_types),
+# and the type each must be; dtype is refused by its own rule first, numpy's float
+# types too, as a config stores the name
+WRONG_TYPES = {"int": [2.5, 2.0, True, "2", np.int64(2)], "float": ["x", True, None],
+               "bool": ["False", 0, 1, None], "str": [3, None, pathlib.Path("runs/x")],
+               "dtype": [np.float32, np.dtype("float32"), np.float64]}
 MUST_BE = {"dtype": "float32 or float64"}
-OUT_OF_RANGE = {  # leaf -> (a value its type takes and its range does not, the rule)
-    "epochs": (0, "must be >= 1"),
-    "batch_size": (0, "must be >= 1"),
-    "learning_rate": (0.0, "must be > 0"),
-    "weight_decay": (-1.0, "must be >= 0"),
-    "lr_step_every": (0, "must be >= 1"),
-    "lr_gamma": (1.5, "must be in (0, 1]"),
-    "seed": (-1, "must be >= 0"),
-    "dtype": ("float16", "must be float32 or float64"),
-    "distill.tau": (0.0, "must be positive"),
-    "distill.grid_g": (0, "must be >= 1"),
-    "distill.alpha_T": (1.5, "must be in [0,1]"),
-    "network.depth": (1, "must be >= 2"),
-    "network.base_channels": (3, "must be >= 4"),
-    "network.height": (31, "must be a positive multiple of 2^(depth-1)"),
-    "network.width": (0, "must be a positive multiple of 2^(depth-1)"),
+NAN = float("nan")  # fails every comparison, so each float range is written to refuse it
+OUT_OF_RANGE = {  # leaf -> (values its type takes and its range does not, the rule)
+    "epochs": ([0], "must be >= 1"),
+    "batch_size": ([0], "must be >= 1"),
+    "learning_rate": ([0.0, -1.0, NAN], "must be > 0"),
+    "weight_decay": ([-1.0, -1e-9, NAN], "must be >= 0"),
+    "lr_step_every": ([0, -3], "must be >= 1"),
+    "lr_gamma": ([1.5, 0.0, -0.5, NAN], "must be in (0, 1]"),
+    "seed": ([-1], "must be >= 0"),
+    "dtype": (["float16", "int32", "complex64", "bogus"], "must be float32 or float64"),
+    "out_dir": ([""], "must name a directory"),
+    "distill.tau": ([0.0, -1.0, NAN], "must be positive"),
+    "distill.grid_g": ([0, -4], "must be >= 1"),
+    "distill.alpha_T": ([1.5, -0.5, NAN], "must be in [0,1]"),
+    "network.depth": ([1], "must be >= 2"),
+    "network.base_channels": ([3], "must be >= 4"),
+    "network.height": ([31], "must be a positive multiple of 2^(depth-1)"),
+    "network.width": ([0], "must be a positive multiple of 2^(depth-1)"),
 }
-NO_RANGE = {"out_dir", "dice_only"}  # any string names a directory, either bool is a setting
+NO_RANGE = {"dice_only"}  # either bool is a setting
 SECTIONS = {"network": (NetworkConfig, 5), "distill": (DistillConfig, [1])}
 
 
 def test_the_range_table_covers_every_leaf():
     assert len(LEAVES) == 17
     assert set(OUT_OF_RANGE) | NO_RANGE == set(LEAVES)
-    assert set(LEAVES.values()) <= set(WRONG_TYPE)
+    assert set(LEAVES.values()) <= set(WRONG_TYPES)
+
+
+def _named(kind, leaf, values):
+    """(row id, value) for each value; the first value's row is named by the leaf alone."""
+    return [(f"{kind}-{leaf}" + (f"-{getattr(v, '__name__', repr(v))}" if i else ""), v)
+            for i, v in enumerate(values)]
 
 
 CONFIG_ROWS = {  # row id -> (dotted path, value, its refusal by dotted path or None)
-    **{f"mistyped-{leaf}": (leaf, WRONG_TYPE[t],
-                            f"must be {MUST_BE.get(leaf, _FIELD_TYPES[t][1])}")
-       for leaf, t in LEAVES.items()},
-    **{f"out-of-range-{leaf}": (leaf, value, rule) for leaf, (value, rule) in OUT_OF_RANGE.items()},
+    **{row: (leaf, value, f"must be {MUST_BE.get(leaf, _FIELD_TYPES[t][1])}")
+       for leaf, t in LEAVES.items()
+       for row, value in _named("mistyped", leaf, WRONG_TYPES[t] + WRONG_TYPES.get(leaf, []))},
+    **{row: (leaf, value, rule) for leaf, (values, rule) in OUT_OF_RANGE.items()
+       for row, value in _named("out-of-range", leaf, values)},
     **{f"unknown-{leaf}": (leaf, 1, None) for leaf in ("foo", "network.foo", "distill.eps")},
     **{f"section-{name}": (name, value, f"must be a mapping of {cls.__name__} fields")
        for name, (cls, value) in SECTIONS.items()},
@@ -327,10 +506,19 @@ def build_directly(leaf, value):
     cls(**{name: value})
 
 
+def _json(value):
+    try:
+        return json.dumps(value)
+    except TypeError:
+        return None
+
+
 CONFIG_CELLS = {f"{row}-{column}": (column, *spec) for row, spec in CONFIG_ROWS.items()
                 for column in ("dataclass", "from_dict", "train", "sweep")
                 # an unknown keyword is the constructor's TypeError
-                if not (column == "dataclass" and spec[2] is None)}
+                if not (column == "dataclass" and spec[2] is None)
+                # JSON holds no numpy scalar, type or dtype and no Path
+                and not (column in ("train", "sweep") and _json(spec[1]) is None)}
 
 
 @pytest.mark.parametrize("column, leaf, value, rule", CONFIG_CELLS.values(),
@@ -349,5 +537,23 @@ def test_a_bad_config_value_is_refused_naming_its_field(ctx, tmp_path, capsys, c
             TrainConfig.from_dict(_nested(leaf, value))
         assert str(refusal.value) == _refusal(leaf, value, rule)
     else:
-        argv = command(column, ctx, tmp_path, f"{leaf}={json.dumps(value)}")
+        argv = command(column, ctx, tmp_path, f"{leaf}={_json(value)}")
         refused(argv, f"^error: {re.escape(_refusal(leaf, value, rule))}\n$", tmp_path, capsys)
+
+
+UNTILED = ("distill.grid_g, network.height and network.width: grid 5x5 does not evenly tile "
+           "32x32 into square patches")
+
+
+@pytest.mark.parametrize("column", ["dataclass", "from_dict", "train", "sweep"])
+def test_a_patch_grid_that_does_not_tile_the_size_is_refused_naming_its_fields(
+        ctx, tmp_path, capsys, column):
+    if column in ("train", "sweep"):
+        argv = command(column, ctx, tmp_path, "distill.grid_g=5")
+        return refused(argv, f"^error: {re.escape(UNTILED)}\n$", tmp_path, capsys)
+    with pytest.raises(ValueError) as refusal:
+        if column == "dataclass":
+            TrainConfig(network=NetworkConfig(**NET), distill=DistillConfig(grid_g=5))
+        else:
+            TrainConfig.from_dict({"network": NET, "distill": {"grid_g": 5}})
+    assert str(refusal.value) == UNTILED

@@ -249,24 +249,6 @@ class TestResume:
         for name in w_full:
             np.testing.assert_array_equal(w_full[name].data, w_res[name].data)
 
-    def test_resume_refuses_the_older_checkpoint_layout(self, tiny_dataset, tmp_path):
-        """A file with one param:<name> member per parameter, and no flat
-        params array, is refused by name, for inference and for a resume."""
-        cfg = tiny_cfg(tmp_path / "full", epochs=1)
-        new_path = train(cfg, tiny_dataset).final_path
-        old_path = tmp_path / "old.npz"
-        with np.load(new_path) as z:
-            payload = {k: z[k] for k in z.files if k != "params"}
-        params = load_checkpoint(new_path).params
-        np.savez(old_path, **payload, **{f"param:{k}": v for k, v in params.items()})
-
-        refusal = f"{re.escape(str(old_path))}: no flat params array"
-        for extras in (True, False):
-            with pytest.raises(ValueError, match=refusal):
-                load_checkpoint(old_path, extras=extras)
-        with pytest.raises(ValueError, match=refusal):
-            train(cfg, tiny_dataset, resume_from=old_path)
-
     def test_training_checkpoint_has_five_members(self, tiny_dataset, tmp_path):
         # no best_dsc: the logged rows fix the best epoch and its DSC; the run
         # record is part of meta, and params carry the dtype
@@ -281,66 +263,13 @@ class TestResume:
         assert meta["run"] == {"train_config": cfg.to_dict(),
                                "logs": [dataclasses.asdict(log) for log in result.logs]}
 
-    def test_resume_refuses_per_parameter_optimizer_moments(self, tiny_dataset, tmp_path):
-        """A file holding one extra:m<i> and extra:v<i> member per parameter,
-        as checkpoints did before the moments were packed, is refused by name."""
-        cfg = tiny_cfg(tmp_path / "full", epochs=1)
-        new_path = train(cfg, tiny_dataset).final_path
-        shapes = [a.shape for a in load_checkpoint(new_path).params.values()]
-        old_path = tmp_path / "old.npz"
-        with np.load(new_path) as z:
-            payload = {k: z[k] for k in z.files if k not in ("extra:m", "extra:v")}
-            ends = np.cumsum([int(np.prod(shape)) for shape in shapes])[:-1]
-            for kind in ("m", "v"):
-                for i, (a, shape) in enumerate(zip(np.split(z[f"extra:{kind}"], ends), shapes)):
-                    payload[f"extra:{kind}{i}"] = a.reshape(shape)
-        np.savez(old_path, **payload)
-
-        started = []
-        refusal = f"cannot resume from {re.escape(str(old_path))}: it stores no m, v$"
-        with pytest.raises(ValueError, match=refusal):
-            train(cfg, tiny_dataset, resume_from=old_path,
-                  epoch_start_hook=lambda t, teacher: started.append(t))
-        assert not started
-
-    def test_resume_refuses_a_config_with_the_removed_epsilon(self, tiny_dataset, tmp_path):
-        """Checkpoints written while DistillConfig had an eps field still
-        load, but resuming one is refused, naming the field."""
-        cfg = tiny_cfg(tmp_path / "full", epochs=2)
-        new_path = train(dataclasses.replace(cfg, epochs=1), tiny_dataset).final_path
-        old_path = tmp_path / "old.npz"
-        with np.load(new_path) as z:
-            payload = {k: z[k] for k in z.files}
-        stored = cfg.to_dict()
-        stored["distill"]["eps"] = 1e-7
-        meta = json.loads(payload["meta"].tobytes())
-        meta["run"]["train_config"] = stored
-        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        np.savez(old_path, **payload)
-
-        assert load_checkpoint(old_path, extras=False).epoch == 1
-        with pytest.raises(ValueError, match=r"checkpointed run in distill\.eps$"):
-            train(cfg, tiny_dataset, resume_from=old_path)
-
-    @staticmethod
-    def older_layout(new_path, old_path, in_channels=1):
-        """Rewrite a checkpoint as files were written while NetworkConfig had
-        in_channels and meta listed the parameter order."""
-        with np.load(new_path) as z:
-            payload = {k: z[k] for k in z.files}
-        meta = json.loads(bytes(payload["meta"]).decode())
-        meta["config"]["in_channels"] = in_channels
-        meta["param_order"] = list(load_checkpoint(new_path).params)
-        meta["run"]["train_config"]["network"]["in_channels"] = in_channels
-        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        np.savez(old_path, **payload)
-
-    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path):
+    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path,
+                                                                 checkpoint_edit):
         new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
         with np.load(new_path) as z:
             assert "param_order" not in json.loads(bytes(z["meta"]).decode())
         old_path = tmp_path / "old.npz"
-        self.older_layout(new_path, old_path)
+        checkpoint_edit.rewrite(new_path, old_path, checkpoint_edit.older_layout)
 
         image = tiny_dataset.test[0].image
         new_mask = predict_to_file(new_path, image, tmp_path / "new.pgm")
@@ -351,38 +280,15 @@ class TestResume:
                     for p in (new_path, old_path))
         assert old == new
 
-    def test_resume_refuses_a_checkpoint_storing_in_channels(self, tiny_dataset, tmp_path):
+    def test_resume_refuses_a_checkpoint_storing_in_channels(self, tiny_dataset, tmp_path,
+                                                              checkpoint_edit):
         cfg = tiny_cfg(tmp_path / "run", epochs=1)
         new_path = train(cfg, tiny_dataset).final_path
         old_path = tmp_path / "old.npz"
-        self.older_layout(new_path, old_path)
+        checkpoint_edit.rewrite(new_path, old_path, lambda payload, meta: meta["run"][
+            "train_config"]["network"].update(in_channels=1))
         with pytest.raises(ValueError, match=r"checkpointed run in network\.in_channels$"):
             train(cfg, tiny_dataset, resume_from=old_path)
-
-    def test_a_stored_in_channels_other_than_one_is_refused(self, tiny_dataset, tmp_path):
-        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
-        old_path = tmp_path / "three.npz"
-        self.older_layout(new_path, old_path, in_channels=3)
-        refusal = rf"{re.escape(str(old_path))}: its config stores in_channels 3"
-        for extras in (True, False):
-            with pytest.raises(ValueError, match=refusal):
-                load_checkpoint(old_path, extras=extras)
-        with pytest.raises(ValueError, match=refusal):
-            predict_to_file(old_path, tiny_dataset.test[0].image, tmp_path / "three.pgm")
-
-    def test_a_stored_network_field_the_config_lacks_is_refused(self, tiny_dataset, tmp_path):
-        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
-        with np.load(new_path) as z:
-            payload = {k: z[k] for k in z.files}
-        meta = json.loads(bytes(payload["meta"]).decode())
-        meta["config"]["kernel_size"] = 5
-        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
-        old_path = tmp_path / "kernel.npz"
-        np.savez(old_path, **payload)
-        refusal = rf"^{re.escape(str(old_path))}: its config stores kernel_size 5, but"
-        for extras in (True, False):
-            with pytest.raises(ValueError, match=refusal):
-                load_checkpoint(old_path, extras=extras)
 
     @pytest.mark.parametrize("edit, refusal", [
         (lambda logs: logs[0].pop("val_dsc"), "its logged row 1 is no epoch log: .*'val_dsc'"),
@@ -397,15 +303,11 @@ class TestResume:
     ], ids=["missing-field", "unknown-field", "str-epoch", "null-dsc", "list-row",
             "one-row-short", "out-of-order"])
     def test_resume_refuses_a_logged_row_that_is_no_epoch_log(self, tiny_dataset, tmp_path,
-                                                               edit, refusal):
+                                                               checkpoint_edit, edit, refusal):
         cfg = tiny_cfg(tmp_path / "run", epochs=2)
-        with np.load(train(cfg, tiny_dataset).final_path) as z:
-            payload = {k: z[k] for k in z.files}
-        meta = json.loads(payload["meta"].tobytes())
-        edit(meta["run"]["logs"])
-        payload["meta"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
         bad = tmp_path / "bad.npz"
-        np.savez(bad, **payload)
+        checkpoint_edit.rewrite(train(cfg, tiny_dataset).final_path, bad,
+                                lambda payload, meta: edit(meta["run"]["logs"]))
         resumed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"))
         with pytest.raises(ValueError, match=f"^cannot resume from {re.escape(str(bad))}: "
                                              f"{refusal}"):
@@ -450,15 +352,15 @@ class TestResume:
                         tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
         self.assert_same_best(full, resumed)
 
-    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path):
+    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path,
+                                                             checkpoint_edit):
         # seed 3's best epoch is 1, before the checkpoint
         cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=3)
         full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
         assert load_checkpoint(full.best_path).epoch == 1
         # older checkpoints also stored a best_dsc member, which is not read
-        old_path = tmp_path / "full" / "old.npz"
-        with np.load(tmp_path / "full" / "epoch_002.npz") as z:
-            np.savez(old_path, **{k: z[k] for k in z.files}, **{"extra:best_dsc": np.array(0.99)})
+        checkpoint_edit.rewrite(tmp_path / "full" / "epoch_002.npz", tmp_path / "full" / "old.npz",
+                                lambda payload, meta: payload.update({"extra:best_dsc": 0.99}))
         for name, checkpoint in (("resumed", "epoch_002.npz"), ("resumed_old", "old.npz")):
             resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
                             tiny_dataset, resume_from=tmp_path / "full" / checkpoint)
