@@ -1,14 +1,7 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
-prints them as a dedicated section at the end of the pytest run, and edits
-checkpoint files into the layouts of older or broken ones."""
+prints them as a dedicated section at the end of the pytest run."""
 
-import json
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
-
-from vesseldistill.network import NetworkConfig, _param_shapes
 
 acceptance_lines = []
 
@@ -23,37 +16,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(acceptance_lines):
             terminalreporter.write_line(line)
-
-
-def json_bytes(value):
-    return np.frombuffer(json.dumps(value).encode(), np.uint8)
-
-
-def rewrite(source, path, edit):
-    """Copy the checkpoint `source` to `path`, after edit(payload, meta) has changed
-    its members and its decoded meta in place."""
-    with np.load(source) as z:
-        payload = {k: z[k] for k in z.files}
-    meta = json.loads(payload.pop("meta").tobytes())
-    edit(payload, meta)
-    payload.setdefault("meta", json_bytes(meta))  # unless edit set the member itself
-    np.savez(path, **payload)
-
-
-def older_layout(payload, meta):
-    """As files were written before the run record moved into meta and while
-    NetworkConfig had in_channels: meta names the dtype, the parameter order and an
-    in_channels of 1 and holds no run, and extra:train_config and extra:logs hold the
-    record as JSON bytes, each logged row a list of values in field order."""
-    run = meta.pop("run")
-    meta["param_order"] = [name for name, _ in _param_shapes(NetworkConfig(**meta["config"]))]
-    meta["config"]["in_channels"] = run["train_config"]["network"]["in_channels"] = 1
-    meta["dtype"] = str(payload["params"].dtype)
-    payload["extra:train_config"] = json_bytes(run["train_config"])
-    payload["extra:logs"] = json_bytes([list(row.values()) for row in run["logs"]])
-
-
-@pytest.fixture(scope="session")
-def checkpoint_edit():
-    """rewrite and older_layout above, for the test modules."""
-    return SimpleNamespace(rewrite=rewrite, older_layout=older_layout)

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -233,33 +232,6 @@ class TestAlphaSchedule:
 
 
 class TestDistillConfig:
-    @pytest.mark.parametrize("grid_g", [0, -4])
-    def test_rejects_a_grid_below_one(self, grid_g):
-        with pytest.raises(ValueError, match=f"grid_g must be >= 1, got {grid_g}"):
-            DistillConfig(grid_g=grid_g)
-
-    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
-    def test_rejects_a_non_positive_or_nan_tau(self, tau):
-        with pytest.raises(ValueError, match=f"tau must be positive, got {tau}"):
-            DistillConfig(tau=tau)
-
-    @pytest.mark.parametrize("alpha_T", [1.5, -0.5, float("nan")])
-    def test_rejects_an_alpha_T_outside_the_unit_interval(self, alpha_T):
-        with pytest.raises(ValueError, match=rf"alpha_T must be in \[0,1\], got {alpha_T}"):
-            DistillConfig(alpha_T=alpha_T)
-
-    @pytest.mark.parametrize("value", [2.0, True, "2", np.int64(2)])
-    def test_rejects_a_grid_that_is_no_int(self, value):
-        # grid_g=2.0 used to train all of epoch 1 and fail in epoch 2's DDL
-        with pytest.raises(ValueError, match=re.escape(f"grid_g must be an int, got {value!r}")):
-            DistillConfig(grid_g=value)
-
-    @pytest.mark.parametrize("field", ["tau", "alpha_T"])
-    @pytest.mark.parametrize("value", [True, "0.5", None])
-    def test_rejects_a_float_field_that_is_no_number(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
-            DistillConfig(**{field: value})
-
     def test_a_float_field_takes_an_int(self):
         assert DistillConfig(tau=3, alpha_T=1).tau == 3
 

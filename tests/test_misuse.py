@@ -31,6 +31,8 @@ from vesseldistill.network import (_FIELD_TYPES, NetworkConfig, _param_shapes, _
                                    load_checkpoint)
 from vesseldistill.train import TrainConfig, train
 
+from _checkpoints import older_layout, rewrite
+
 # a depth-3 net takes sides divisible by 4; every command line trains (if it
 # got that far) one epoch of it on 32x32 images
 NET = {"depth": 3, "base_channels": 4, "height": 32, "width": 32}
@@ -39,7 +41,7 @@ SHAPE = "is not [1,H,W] with H and W divisible by 2^(depth-1) = 4"
 
 
 @pytest.fixture(scope="module")
-def ctx(tmp_path_factory, checkpoint_edit):
+def ctx(tmp_path_factory):
     """The good inputs every cell starts from: a 10-sample 32x32 dataset, one of its
     images, and the last checkpoint of a 2-epoch run of BASE's net on it, with that
     run's config and split to resume it."""
@@ -49,8 +51,7 @@ def ctx(tmp_path_factory, checkpoint_edit):
                                  "out_dir": str(root / "run")})
     dataset = split(load_sample_dir(root / "data"), seed=cfg.seed)
     return SimpleNamespace(data=root / "data", ckpt=train(cfg, dataset).final_path, cfg=cfg,
-                           dataset=dataset, image=next((root / "data" / "images").iterdir()),
-                           edit=checkpoint_edit)
+                           dataset=dataset, image=next((root / "data" / "images").iterdir()))
 
 
 GOOD = {  # a command line of each subcommand that runs, as option -> value
@@ -92,8 +93,7 @@ def a_file(ctx, tmp):
 
 
 def in_no_dir(ctx, tmp):
-    path = tmp / "missing" / "out"
-    return path, re.escape(f"{path} names no file in an existing directory")
+    return tmp / "missing" / "out", None  # see OUT_FILES
 
 
 def empty_data(ctx, tmp):
@@ -178,9 +178,17 @@ PATH_ROWS = {  # row -> (its maker, the (subcommand, argument) columns it applie
 }
 
 
+# the files a command writes: each is refused in one message, whether it names a
+# directory or a file in none
+OUT_FILES = {("evaluate", "csv"), ("predict", "out"), ("sweep", "csv")}
+
+
 def path_cell(make, name, option):
     def cell(ctx, tmp):
         path, text = make(ctx, tmp)
+        if (name, option) in OUT_FILES:
+            text = re.escape(f"--{option} {path} names no file in an existing directory")
+            text = f"^error: {text}\n$"
         if option == "out_dir":
             return command(name, ctx, tmp, f"out_dir={path}"), text
         return command(name, ctx, tmp, **{option: path}), text
@@ -191,12 +199,13 @@ def config_file(name, content):
     def cell(ctx, tmp):
         (tmp / "cfg.json").write_text(content)
         must = f"{tmp / 'cfg.json'} must hold a JSON object of TrainConfig fields"
-        return command(name, ctx, tmp, config=tmp / "cfg.json"), re.escape(must)
+        return command(name, ctx, tmp, config=tmp / "cfg.json"), f"^error: {re.escape(must)}[,;]"
     return cell
 
 
 def values_cell(name, text, *overrides, **options):
-    return lambda ctx, tmp: (command(name, ctx, tmp, *overrides, **options), re.escape(text))
+    return lambda ctx, tmp: (command(name, ctx, tmp, *overrides, **options),
+                             f"^error: {re.escape(text)}\n$")
 
 
 VALUE_CELLS = {  # cell id -> cell
@@ -238,8 +247,8 @@ VALUE_CELLS = {  # cell id -> cell
 # editing ctx's; its refusal is a template of the file's name, "…" standing for any text
 
 def edited(edit):
-    """A maker of ctx's checkpoint after edit(payload, meta); see conftest.rewrite."""
-    return lambda ctx, path: ctx.edit.rewrite(ctx.ckpt, path, edit)
+    """A maker of ctx's checkpoint after edit(payload, meta); see _checkpoints.rewrite."""
+    return lambda ctx, path: rewrite(ctx.ckpt, path, edit)
 
 
 def written(save):
@@ -267,6 +276,13 @@ def moment_members(payload, meta):
     for kind in ("extra:m", "extra:v"):
         views = _views(payload.pop(kind), NetworkConfig(**meta["config"]))
         payload.update({f"{kind}{i}": a for i, a in enumerate(views.values())})
+
+
+def net_only(payload, meta):
+    """As save_checkpoint writes a net without a run: meta and params alone."""
+    meta.pop("run")
+    for kind in ("t", "m", "v"):
+        payload.pop(f"extra:{kind}")
 
 
 def stored(section=None, **values):
@@ -297,6 +313,8 @@ def not_saved(what):
     return everywhere(f"{what}, so not a checkpoint save_checkpoint wrote")
 
 
+NO_SEED = "{} stores no training config to take the split seed from; pass --seed"
+NO_RUN = "run record (train_config and logs)"
 META = "meta is no JSON object holding a config object and an int epoch"
 RUN = "its run record is neither null nor an object holding a train_config object and a logs list"
 CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
@@ -328,10 +346,10 @@ CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
                               everywhere("its config stores kernel_size 5, but NetworkConfig "
                                          "has no such field")),
     # what follows loads; only evaluate's split seed or a resume reads the run record
-    "no-run-record": (lambda ctx, path: ctx.edit.rewrite(ctx.ckpt, path, ctx.edit.older_layout),
-                      {"evaluate--checkpoint": "{} stores no training config to take the "
-                                               "split seed from; pass --seed",
-                       "resume_from": RESUME + "it stores no run record (train_config and logs)"}),
+    "no-run-record": (edited(older_layout), {"evaluate--checkpoint": NO_SEED,
+                                             "resume_from": RESUME + "it stores no " + NO_RUN}),
+    "net-only": (edited(net_only), {"evaluate--checkpoint": NO_SEED,
+                                    "resume_from": RESUME + "it stores no t, m, v, " + NO_RUN}),
     **{f"stored-seed-{name}": (edited(stored(seed=seed)), {
         "evaluate--checkpoint": f"{{}} stores split seed {seed!r}, which is no int >= 0; "
                                 "pass --seed"})
@@ -438,8 +456,8 @@ LEAVES = dict(_leaves())
 # values of another type than each annotation (see network._check_field_types),
 # and the type each must be; dtype is refused by its own rule first, numpy's float
 # types too, as a config stores the name
-WRONG_TYPES = {"int": [2.5, 2.0, True, "2", np.int64(2)], "float": ["x", True, None],
-               "bool": ["False", 0, 1, None], "str": [3, None, pathlib.Path("runs/x")],
+WRONG_TYPES = {"int": [2.5, 2.0, True, "2", np.int64(2)], "float": ["0.5", True, None],
+               "bool": ["False", "no", 0, 1, None], "str": [3, None, pathlib.Path("runs/x")],
                "dtype": [np.float32, np.dtype("float32"), np.float64]}
 MUST_BE = {"dtype": "float32 or float64"}
 NAN = float("nan")  # fails every comparison, so each float range is written to refuse it
@@ -541,19 +559,24 @@ def test_a_bad_config_value_is_refused_naming_its_field(ctx, tmp_path, capsys, c
         refused(argv, f"^error: {re.escape(_refusal(leaf, value, rule))}\n$", tmp_path, capsys)
 
 
-UNTILED = ("distill.grid_g, network.height and network.width: grid 5x5 does not evenly tile "
-           "32x32 into square patches")
+UNTILED = ("distill.grid_g, network.height and network.width: grid {g}x{g} does not evenly "
+           "tile {h}x{w} into square patches")
 
 
 @pytest.mark.parametrize("column", ["dataclass", "from_dict", "train", "sweep"])
+@pytest.mark.parametrize("h, w, g", [(32, 32, 5), (16, 32, 4)],
+                         ids=["indivisible", "non-square"])  # 4x8 patches
 def test_a_patch_grid_that_does_not_tile_the_size_is_refused_naming_its_fields(
-        ctx, tmp_path, capsys, column):
+        ctx, tmp_path, capsys, column, h, w, g):
+    untiled = UNTILED.format(h=h, w=w, g=g)
     if column in ("train", "sweep"):
-        argv = command(column, ctx, tmp_path, "distill.grid_g=5")
-        return refused(argv, f"^error: {re.escape(UNTILED)}\n$", tmp_path, capsys)
+        argv = command(column, ctx, tmp_path, f"network.height={h}", f"network.width={w}",
+                       f"distill.grid_g={g}")
+        return refused(argv, f"^error: {re.escape(untiled)}\n$", tmp_path, capsys)
+    net = {**NET, "height": h, "width": w}
     with pytest.raises(ValueError) as refusal:
         if column == "dataclass":
-            TrainConfig(network=NetworkConfig(**NET), distill=DistillConfig(grid_g=5))
+            TrainConfig(network=NetworkConfig(**net), distill=DistillConfig(grid_g=g))
         else:
-            TrainConfig.from_dict({"network": NET, "distill": {"grid_g": 5}})
-    assert str(refusal.value) == UNTILED
+            TrainConfig.from_dict({"network": net, "distill": {"grid_g": g}})
+    assert str(refusal.value) == untiled

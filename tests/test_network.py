@@ -23,10 +23,6 @@ def rand_input(seed, size=32, channels=1):
 
 
 class TestConfig:
-    def test_rejects_fewer_than_four_base_channels(self):
-        with pytest.raises(ValueError, match="base_channels must be >= 4, got 3"):
-            NetworkConfig(base_channels=3)
-
     def test_takes_one_input_channel_by_rule(self):
         with pytest.raises(TypeError, match="in_channels"):
             NetworkConfig(in_channels=1)
@@ -34,14 +30,6 @@ class TestConfig:
         assert shapes["enc1.conv1.w"] == (8, 1, 3, 3)
         with pytest.raises(ShapeError, match=r"input shape \(3, 64, 64\) is not \[1,H,W\]"):
             small_net().forward(np.zeros((3, 64, 64)))
-
-    @pytest.mark.parametrize("field", ["depth", "base_channels", "height", "width"])
-    @pytest.mark.parametrize("value", [2.0, 4.5, True, "4", np.int64(4)])
-    def test_rejects_a_field_that_is_no_int(self, field, value):
-        # depth=2.0 used to be built and fail in the first conv with a TypeError
-        # naming no field
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
-            NetworkConfig(**{field: value})
 
     def test_parameter_count_is_config_function(self):
         a = small_net(seed=1)
@@ -448,15 +436,3 @@ class TestCheckpointLayout:
         assert sorted(decoded) == ["meta", "params"]
         for name, p in net.named_parameters().items():
             np.testing.assert_array_equal(ckpt.params[name], p.data)
-
-    def test_a_params_array_of_the_wrong_length_is_refused(self, tmp_path, checkpoint_edit):
-        net = small_net(seed=3)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, net, epoch=1)
-        checkpoint_edit.rewrite(path, path, lambda payload, meta: payload.update(
-            params=payload["params"][:-5]))
-        need = sum(p.data.size for p in net.parameters())
-        message = (f"{re.escape(str(path))}: params holds {need - 5} values, "
-                   f"but the config's {len(net.parameters())} parameters need {need}")
-        with pytest.raises(ValueError, match=message):
-            load_checkpoint(path, extras=False)

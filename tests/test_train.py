@@ -30,6 +30,8 @@ from vesseldistill.network import (NetworkConfig, SegNetwork, _views, load_check
 from vesseldistill.tensor import ShapeError, Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, sweep, train
 
+from _checkpoints import older_layout, rewrite
+
 train_module = importlib.import_module("vesseldistill.train")
 
 
@@ -263,13 +265,12 @@ class TestResume:
         assert meta["run"] == {"train_config": cfg.to_dict(),
                                "logs": [dataclasses.asdict(log) for log in result.logs]}
 
-    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path,
-                                                                 checkpoint_edit):
+    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path):
         new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
         with np.load(new_path) as z:
             assert "param_order" not in json.loads(bytes(z["meta"]).decode())
         old_path = tmp_path / "old.npz"
-        checkpoint_edit.rewrite(new_path, old_path, checkpoint_edit.older_layout)
+        rewrite(new_path, old_path, older_layout)
 
         image = tiny_dataset.test[0].image
         new_mask = predict_to_file(new_path, image, tmp_path / "new.pgm")
@@ -279,57 +280,6 @@ class TestResume:
         new, old = (evaluate(load_checkpoint(p).to_network(trainable=False), tiny_dataset.test)
                     for p in (new_path, old_path))
         assert old == new
-
-    def test_resume_refuses_a_checkpoint_storing_in_channels(self, tiny_dataset, tmp_path,
-                                                              checkpoint_edit):
-        cfg = tiny_cfg(tmp_path / "run", epochs=1)
-        new_path = train(cfg, tiny_dataset).final_path
-        old_path = tmp_path / "old.npz"
-        checkpoint_edit.rewrite(new_path, old_path, lambda payload, meta: meta["run"][
-            "train_config"]["network"].update(in_channels=1))
-        with pytest.raises(ValueError, match=r"checkpointed run in network\.in_channels$"):
-            train(cfg, tiny_dataset, resume_from=old_path)
-
-    @pytest.mark.parametrize("edit, refusal", [
-        (lambda logs: logs[0].pop("val_dsc"), "its logged row 1 is no epoch log: .*'val_dsc'"),
-        (lambda logs: logs[0].update(momentum=0.9), "its logged row 1 is no epoch log: .*'momentum'"),
-        (lambda logs: logs[1].update(epoch="2"),
-         "its logged row 2 is no epoch log: epoch must be an int, got '2'$"),
-        (lambda logs: logs[1].update(val_dsc=None),
-         "its logged row 2 is no epoch log: val_dsc must be a number, got None$"),
-        (lambda logs: logs.__setitem__(0, [1, 0.5]), "its logged row 1 is no epoch log"),
-        (lambda logs: logs.pop(), "its logged epochs are not 1 to its epoch, 2$"),
-        (lambda logs: logs.reverse(), "its logged epochs are not 1 to its epoch, 2$"),
-    ], ids=["missing-field", "unknown-field", "str-epoch", "null-dsc", "list-row",
-            "one-row-short", "out-of-order"])
-    def test_resume_refuses_a_logged_row_that_is_no_epoch_log(self, tiny_dataset, tmp_path,
-                                                               checkpoint_edit, edit, refusal):
-        cfg = tiny_cfg(tmp_path / "run", epochs=2)
-        bad = tmp_path / "bad.npz"
-        checkpoint_edit.rewrite(train(cfg, tiny_dataset).final_path, bad,
-                                lambda payload, meta: edit(meta["run"]["logs"]))
-        resumed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"))
-        with pytest.raises(ValueError, match=f"^cannot resume from {re.escape(str(bad))}: "
-                                             f"{refusal}"):
-            train(resumed, tiny_dataset, resume_from=bad)
-        assert not (tmp_path / "resumed").exists()
-
-    def test_resume_refuses_a_different_config(self, tiny_dataset, tmp_path):
-        cfg = tiny_cfg(tmp_path / "r1", epochs=1)
-        result = train(cfg, tiny_dataset)
-        started = []
-        changed = dataclasses.replace(cfg, learning_rate=2e-3, out_dir=str(tmp_path / "r2"))
-        with pytest.raises(ValueError, match="learning_rate"):
-            train(changed, tiny_dataset, resume_from=result.final_path,
-                  epoch_start_hook=lambda t, teacher: started.append(t))
-        assert not started
-
-    def test_resume_refuses_a_checkpoint_without_config(self, tiny_dataset, tmp_path):
-        cfg = tiny_cfg(tmp_path / "r3", epochs=2)
-        path = tmp_path / "bare.npz"
-        save_checkpoint(path, SegNetwork(cfg.network, dtype=np.float32), epoch=1)
-        with pytest.raises(ValueError, match="train_config"):
-            train(cfg, tiny_dataset, resume_from=path)
 
     @staticmethod
     def assert_same_best(a, b):
@@ -352,15 +302,14 @@ class TestResume:
                         tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
         self.assert_same_best(full, resumed)
 
-    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path,
-                                                             checkpoint_edit):
+    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path):
         # seed 3's best epoch is 1, before the checkpoint
         cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=3)
         full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
         assert load_checkpoint(full.best_path).epoch == 1
         # older checkpoints also stored a best_dsc member, which is not read
-        checkpoint_edit.rewrite(tmp_path / "full" / "epoch_002.npz", tmp_path / "full" / "old.npz",
-                                lambda payload, meta: payload.update({"extra:best_dsc": 0.99}))
+        rewrite(tmp_path / "full" / "epoch_002.npz", tmp_path / "full" / "old.npz",
+                lambda payload, meta: payload.update({"extra:best_dsc": 0.99}))
         for name, checkpoint in (("resumed", "epoch_002.npz"), ("resumed_old", "old.npz")):
             resumed = train(dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
                             tiny_dataset, resume_from=tmp_path / "full" / checkpoint)
@@ -537,86 +486,10 @@ class TestValidation:
         assert not started
         assert not (tmp_path / "run").exists()
 
-    def test_rejects_a_negative_seed_when_built(self):
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-            dataclasses.replace(tiny_cfg("unused"), seed=-1)
-
     def test_rejects_empty_train_split(self, tmp_path):
         ds = split(generate_synthetic(seed=2, count=3, size=32), ratios=(0, 1, 2))
         with pytest.raises(ValueError):
             train(tiny_cfg(tmp_path / "v"), ds)
-
-    def test_rejects_indivisible_patch_grid(self, tmp_path):
-        cfg = tiny_cfg(tmp_path / "w")
-        with pytest.raises(ValueError):
-            dataclasses.replace(cfg, distill=DistillConfig(grid_g=5))
-
-    def test_rejects_non_square_patches(self, tmp_path):
-        # 16x32 is divisible by grid 4 but its patches would be 4x8
-        with pytest.raises(ValueError, match="square patches"):
-            dataclasses.replace(
-                tiny_cfg(tmp_path / "w2"),
-                network=NetworkConfig(depth=2, base_channels=4, height=16, width=32))
-
-    # np.float32 used to train epoch 1 and then fail to write its checkpoint
-    @pytest.mark.parametrize("value", ["int32", "complex64", "float16", "bogus",
-                                       np.float32, np.dtype("float32"), np.float64])
-    def test_rejects_dtype_other_than_float32_or_float64(self, value):
-        with pytest.raises(ValueError,
-                           match=re.escape(f"dtype must be float32 or float64, got {value!r}")):
-            tiny_cfg("unused", dtype=value)
-
-    @pytest.mark.parametrize("value", [-1.0, 0.0, float("nan")])
-    def test_rejects_non_positive_learning_rate(self, value):
-        with pytest.raises(ValueError, match=f"learning_rate must be > 0, got {value}"):
-            tiny_cfg("unused", learning_rate=value)
-
-    @pytest.mark.parametrize("value", [-1.0, -1e-9])
-    def test_rejects_negative_weight_decay(self, value):
-        with pytest.raises(ValueError, match=f"weight_decay must be >= 0, got {value}"):
-            tiny_cfg("unused", weight_decay=value)
-
-    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
-    def test_rejects_epochs_or_batch_size_below_one(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be >= 1, got 0"):
-            dataclasses.replace(tiny_cfg("unused"), **{field: 0})
-
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_lr_step_every_below_one(self, value):
-        with pytest.raises(ValueError, match=f"lr_step_every must be >= 1, got {value}"):
-            tiny_cfg("unused", lr_step_every=value)
-
-    @pytest.mark.parametrize("value", [0.0, -0.5, 1.5])
-    def test_rejects_lr_gamma_outside_unit_interval(self, value):
-        with pytest.raises(ValueError, match=rf"lr_gamma must be in \(0, 1\], got {value}"):
-            tiny_cfg("unused", lr_gamma=value)
-
-    @pytest.mark.parametrize("field", ["epochs", "batch_size", "lr_step_every", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", np.int64(2)])
-    def test_rejects_an_int_field_of_another_type(self, field, value):
-        # epochs=2.5 used to pass and fail inside train() after out_dir existed;
-        # lr_step_every=1.5 trained on a floor-divided schedule
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be an int, got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), **{field: value})
-
-    @pytest.mark.parametrize("field", ["learning_rate", "weight_decay", "lr_gamma"])
-    @pytest.mark.parametrize("value", [True, "0.5", None])
-    def test_rejects_a_float_field_that_is_no_number(self, field, value):
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), **{field: value})
-
-    @pytest.mark.parametrize("value", ["False", "no", 0, 1, None])
-    def test_rejects_dice_only_that_is_no_bool(self, value):
-        # the string "False" is truthy, so it used to train the dice-only control
-        with pytest.raises(ValueError, match=f"dice_only must be true or false, got {value!r}"):
-            tiny_cfg("unused", dice_only=value)
-
-    @pytest.mark.parametrize("value", [pathlib.Path("runs/x"), None, 3])
-    def test_rejects_an_out_dir_that_is_no_string(self, value):
-        # a Path used to train epoch 1 and then fail to write its checkpoint,
-        # whose JSON config cannot hold it
-        with pytest.raises(ValueError, match=re.escape(f"out_dir must be a string, got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), out_dir=value)
 
     @pytest.mark.parametrize("field, value, must_be", [
         ("network", {"depth": 3}, "NetworkConfig"),
