@@ -321,8 +321,8 @@ def load_checkpoint(path, extras=True):
     extras=False decodes only the "meta" and "params" members, which is
     all inference needs, and leaves Checkpoint.extras empty. Any other file
     is refused with ValueError naming it: one that is no .npz archive, has
-    no JSON object "meta" holding a config object and an int epoch, has a
-    run record that is neither null nor an object holding a train_config
+    no JSON object "meta" holding a config object and an int epoch >= 0, has
+    a run record that is neither null nor an object holding a train_config
     object and a logs list, has no flat float32 or float64 "params" array of
     the config's length, or stores a config NetworkConfig cannot take. Older
     files load: their stored in_channels of 1, dtype, parameter order and
@@ -358,6 +358,8 @@ def _read_checkpoint(path, extras):
             meta = None
         if not _holds(meta, {"config": dict, "epoch": int}):
             raise ValueError("meta is no JSON object holding a config object and an int epoch")
+        if isinstance(meta["epoch"], bool) or meta["epoch"] < 0:
+            raise ValueError(f"meta stores epoch {meta['epoch']!r}, which is no int >= 0")
         run = meta.get("run")  # None in files written before the record moved to meta
         if run is not None and not _holds(run, {"train_config": dict, "logs": list}):
             raise ValueError("its run record is neither null nor an object holding a "

@@ -42,12 +42,20 @@ class AdamW:
         return {"t": np.array(self.t, dtype=np.int64), "m": self.m.copy(), "v": self.v.copy()}
 
     def load_state_arrays(self, state):
-        """Inverse of state_arrays; KeyError if `state` lacks t, m or v, and
-        ValueError naming both lengths if m or v is not a flat array of the weights' length."""
-        self.t = int(state["t"])
+        """Inverse of state_arrays; KeyError if `state` lacks t, m or v, and ValueError
+        unless t is a 0-d integer array >= 0 and m and v are flat arrays of the weights'
+        length (else naming both lengths) and dtype."""
+        t = np.asarray(state["t"])
+        if t.shape != () or t.dtype.kind not in "iu" or t < 0:
+            raise ValueError(f"optimizer state 't' is {t!r}, not a 0-d integer array >= 0")
+        self.t = int(t)
         for kind in ("m", "v"):
-            getattr(self, kind)[...] = _check_flat(state[kind], len(self.weights),
-                                                   f"optimizer state {kind!r}", "the weights")
+            moment = _check_flat(state[kind], len(self.weights), f"optimizer state {kind!r}",
+                                 "the weights")
+            if moment.dtype != self.weights.dtype:
+                raise ValueError(f"optimizer state {kind!r} has dtype {moment.dtype}, "
+                                 f"but the weights {self.weights.dtype}")
+            getattr(self, kind)[...] = moment
 
 
 def lr_at(t, initial_lr, gamma, step_every):

@@ -348,9 +348,10 @@ def _flat_config(d, prefix=""):
     return flat
 
 
-def _check_resumable(path, ckpt, cfg):
-    """The checkpointed run's epoch logs; ValueError naming the file if _save did not
-    write it, a logged row is no EpochLog, or its config differs from cfg, out_dir aside."""
+def _check_resumable(path, ckpt, cfg, opt):
+    """The checkpointed run's epoch logs, its optimizer state loaded into opt; ValueError
+    naming the file if _save did not write it, a logged row is no EpochLog, its config
+    differs from cfg, out_dir aside, or opt refuses its optimizer state."""
     refuse = f"cannot resume from {os.fspath(path)}:"
     missing = [k for k in ("t", "m", "v") if k not in ckpt.extras]
     if ckpt.run is None:
@@ -373,6 +374,10 @@ def _check_resumable(path, ckpt, cfg):
     if differing:
         raise ValueError(f"{refuse} config differs from "
                          f"the checkpointed run in {', '.join(differing)}")
+    try:
+        opt.load_state_arrays(ckpt.extras)
+    except ValueError as exc:
+        raise ValueError(f"{refuse} {exc}") from None
     return logs
 
 
@@ -429,11 +434,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     resume_from: path to a checkpoint written by this function; training
     continues from the next epoch with the optimizer state restored,
     reproducing the uninterrupted run exactly, best.npz and epochs.csv
-    included, both written before that epoch. The file must hold the flat
-    optimizer moments and a run record of epochs 1 to its own whose config
-    matches cfg in every field but out_dir, and unless its epoch is its run's
-    best so far by the logged rows, the best.npz beside it must hold that best
-    epoch and the rows up to it; otherwise ValueError naming the file is raised.
+    included, both written before that epoch. The file must hold optimizer
+    state AdamW.load_state_arrays takes and a run record of epochs 1 to its
+    own whose config matches cfg in every field but out_dir, and unless its
+    epoch is its run's best so far by the logged rows, the best.npz beside it
+    must hold that best epoch and the rows up to it; otherwise ValueError
+    naming the file is raised.
 
     cfg is valid by construction. Before any epoch or file write, ValueError
     is raised for an empty training split or a sample _check_samples refuses
@@ -464,13 +470,13 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
         net = SegNetwork(cfg.network, seed=cfg.seed, dtype=cfg.dtype)
     else:
         ckpt = load_checkpoint(resume_from)
-        logs = _check_resumable(resume_from, ckpt, cfg)
         net = ckpt.to_network(trainable=True)
-        best_source = _best_file(resume_from, logs, has_val)
-    out_dir.mkdir(parents=True, exist_ok=True)
     opt = AdamW(net.weights, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
     if resume_from is not None:
-        opt.load_state_arrays(ckpt.extras)
+        logs = _check_resumable(resume_from, ckpt, cfg, opt)
+        best_source = _best_file(resume_from, logs, has_val)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if resume_from is not None:
         if best_source.resolve() != best_path.resolve():  # best.npz as of that epoch
             shutil.copyfile(best_source, best_path)
         write_epoch_csv(logs, csv_path)

@@ -240,7 +240,7 @@ def test_criterion_9_determinism_and_persistence(acceptance_record, tmp_path):
 
     a = train(cfg("a"), dataset, epoch_end_hook=keep_epoch)
     b = train(cfg("b"), dataset)
-    logs_ok = all(x.row() == y.row() for x, y in zip(a.logs, b.logs))
+    logs_ok = all(dataclasses.asdict(x) == dataclasses.asdict(y) for x, y in zip(a.logs, b.logs))
 
     ckpt = load_checkpoint(a.final_path)
     restored = ckpt.to_network()
@@ -250,7 +250,8 @@ def test_criterion_9_determinism_and_persistence(acceptance_record, tmp_path):
         for name, p in restored.named_parameters().items())
 
     resumed = train(cfg("c"), dataset, resume_from=tmp_path / "a" / "epoch_002.npz")
-    resume_ok = all(x.row() == y.row() for x, y in zip(a.logs, resumed.logs))
+    resume_ok = all(dataclasses.asdict(x) == dataclasses.asdict(y)
+                    for x, y in zip(a.logs, resumed.logs))
     w_a = load_checkpoint(a.final_path).to_network().named_parameters()
     w_c = load_checkpoint(resumed.final_path).to_network().named_parameters()
     resume_ok &= all(np.array_equal(w_a[n].data, w_c[n].data) for n in w_a)

@@ -162,22 +162,31 @@ class TestPredict:
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
     def test_a_checkpoint_of_the_older_layout_predicts_and_evaluates_the_same(
-            self, data_dir, run_dir, tmp_path, capsys):
-        """A file written before the run record moved into meta is read as before
-        for inference (test_misuse's no-run-record row refuses to split by it or to
-        resume from it)."""
+            self, data_dir, run_dir, tmp_path, monkeypatch):
+        """A file written before the run record moved into meta and while NetworkConfig
+        had in_channels gives the same mask file and the same MetricReport
+        (test_misuse's no-run-record row refuses to split by it or to resume from it)."""
+        new = run_dir / "last.npz"
+        with np.load(new) as z:
+            assert "param_order" not in json.loads(z["meta"].tobytes())
         old = tmp_path / "old.npz"
-        rewrite(run_dir / "last.npz", old, older_layout)
+        rewrite(new, old, older_layout)
+        reports = []
+
+        def capture(net, samples):
+            reports.append(evaluate(net, samples))
+            return reports[-1]
+
+        evaluate = cli.evaluate
+        monkeypatch.setattr(cli, "evaluate", capture)
         image = sorted((data_dir / "images").glob("*.pgm"))[0]
-        outputs = []
-        for name, checkpoint in (("new", run_dir / "last.npz"), ("old", old)):
+        for name, checkpoint in (("new", new), ("old", old)):
             assert main(["predict", "--checkpoint", str(checkpoint), "--image", str(image),
                          "--out", str(tmp_path / f"{name}.pgm")]) == 0
-            capsys.readouterr()
             assert main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data_dir),
                          "--seed", "0"]) == 0
-            outputs.append(((tmp_path / f"{name}.pgm").read_bytes(), capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
+        assert (tmp_path / "old.pgm").read_bytes() == (tmp_path / "new.pgm").read_bytes()
+        assert len(reports) == 2 and reports[0] == reports[1]
 
 
 class TestGradcheck:

@@ -5,18 +5,13 @@ import pytest
 
 from vesseldistill import data
 from vesseldistill.data import (
-    PGMError, PGMMagicError, PGMMaxvalError, PGMTruncatedError, batches,
+    PGMError, PGMMaxvalError, PGMTruncatedError, batches,
     generate_synthetic, load_pgm, load_sample_dir, save_pgm, save_sample_dir,
     split,
 )
 
 
 class TestPGMLoad:
-    def test_binary_two_pixel(self, tmp_path):
-        p = tmp_path / "two.pgm"
-        p.write_bytes(b"P5 2 1 255\n" + bytes([0, 255]))
-        np.testing.assert_array_equal(load_pgm(p), [[0.0, 1.0]])
-
     def test_ascii_variant(self, tmp_path):
         p = tmp_path / "ascii.pgm"
         p.write_text("P2\n# a comment\n2 2\n255\n0 255\n128 64\n")
@@ -32,18 +27,6 @@ class TestPGMLoad:
         p = tmp_path / "m.pgm"
         p.write_bytes(b"P5 1 1 100\n" + bytes([50]))
         np.testing.assert_allclose(load_pgm(p), [[0.5]])
-
-    def test_wrong_magic(self, tmp_path):
-        p = tmp_path / "rgb.ppm"
-        p.write_bytes(b"P6 1 1 255\nabc")
-        with pytest.raises(PGMMagicError):
-            load_pgm(p)
-
-    def test_maxval_too_large(self, tmp_path):
-        p = tmp_path / "wide.pgm"
-        p.write_bytes(b"P5 1 1 65535\n\x00\x00")
-        with pytest.raises(PGMMaxvalError):
-            load_pgm(p)
 
     def test_binary_pixel_above_maxval(self, tmp_path):
         p = tmp_path / "over.pgm"
@@ -61,12 +44,6 @@ class TestPGMLoad:
         p = tmp_path / "word.pgm"
         p.write_text("P2 3 1 255\n-1 x 7\n")
         with pytest.raises(PGMError, match=r"word\.pgm: pixel value 'x' is not a decimal integer"):
-            load_pgm(p)
-
-    def test_truncated_payload(self, tmp_path):
-        p = tmp_path / "short.pgm"
-        p.write_bytes(b"P5 4 4 255\n\x00\x01")
-        with pytest.raises(PGMTruncatedError):
             load_pgm(p)
 
     def test_truncated_header(self, tmp_path):

@@ -297,6 +297,12 @@ def of_logs(change):
     return lambda payload, meta: change(meta["run"]["logs"])
 
 
+def of_extra(kind, change):
+    """An edit of the optimizer state's member `kind` to change(it)."""
+    member = f"extra:{kind}"
+    return lambda payload, meta: payload.update({member: change(payload[member])})
+
+
 CHECKPOINT_COLUMNS = ("load_checkpoint", "load_checkpoint-no-extras", "predict--checkpoint",
                       "evaluate--checkpoint", "resume_from")
 SHAPES = _param_shapes(NetworkConfig(**NET))
@@ -330,6 +336,9 @@ CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
         meta=np.frombuffer(b"{", np.uint8))), everywhere(META)),
     "meta-without-config": (edited(lambda payload, meta: meta.pop("config")), everywhere(META)),
     "meta-without-epoch": (edited(lambda payload, meta: meta.pop("epoch")), everywhere(META)),
+    **{f"meta-epoch-{name}": (edited(lambda payload, meta, epoch=epoch: meta.update(epoch=epoch)),
+                              everywhere(f"meta stores epoch {epoch!r}, which is no int >= 0"))
+       for name, epoch in {"true": True, "-1": -1}.items()},
     "int-params": (edited(lambda payload, meta: payload.update(
         params=payload["params"].astype(np.int32))),
         everywhere("params has dtype int32, not float32 or float64")),
@@ -356,6 +365,14 @@ CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
        for name, seed in {"x": "x", "2.5": 2.5, "null": None, "-1": -1, "true": True}.items()},
     **{row: (edited(edit), {"resume_from": RESUME + refusal}) for row, edit, refusal in [
         ("moment-members", moment_members, "it stores no m, v"),
+        ("short-m", of_extra("m", lambda m: m[:-5]),
+         f"optimizer state 'm' holds {PARAMS - 5} values, but the weights need {PARAMS}"),
+        ("int32-m", of_extra("m", lambda m: m.astype(np.int32)),
+         "optimizer state 'm' has dtype int32, but the weights float32"),
+        ("t-of-shape-3", of_extra("t", lambda t: np.array([1, 2, 3])),
+         "optimizer state 't' is array([1, 2, 3]), not a 0-d integer array >= 0"),
+        ("str-t", of_extra("t", lambda t: np.array("x")),
+         "optimizer state 't' is array('x', dtype='<U1'), not a 0-d integer array >= 0"),
         ("stored-distill.eps", stored("distill", eps=1e-7),
          "config differs from the checkpointed run in distill.eps"),
         ("stored-network.in_channels", stored("network", in_channels=1),

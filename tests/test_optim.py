@@ -216,12 +216,6 @@ class TestAdamW:
 
 
 class TestLRSchedule:
-    def test_thirty_epoch_table(self):
-        expected = {range(1, 11): 1e-3, range(11, 21): 3e-4, range(21, 31): 9e-5}
-        for window, lr in expected.items():
-            for t in window:
-                assert abs(lr_at(t, 1e-3, 0.3, 10) - lr) < 1e-18, f"epoch {t}"
-
     def test_boundaries(self):
         assert lr_at(10, 1e-3, 0.3, 10) == 1e-3
         assert abs(lr_at(11, 1e-3, 0.3, 10) - 3e-4) < 1e-18

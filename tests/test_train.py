@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from vesseldistill.network import (NetworkConfig, SegNetwork, _views, load_check
 from vesseldistill.tensor import ShapeError, Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, sweep, train
 
-from _checkpoints import older_layout, rewrite
+from _checkpoints import rewrite
 
 train_module = importlib.import_module("vesseldistill.train")
 
@@ -67,25 +68,62 @@ def worker_sample(dataset, position=2):
     return first[position]
 
 
-class TestLoop:
-    def test_epoch1_distillation_terms_are_zero(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "a", epochs=2), tiny_dataset)
-        first = result.logs[0]
-        assert first.ddl == 0.0 and first.psdl == 0.0
-        assert first.train_loss == first.dice
-        assert first.alpha == 0.0
+def views_of_its_weights(net):
+    return all(np.shares_memory(p.data, net.weights) for p in net.named_parameters().values())
 
-    def test_distillation_active_from_epoch2(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "b", epochs=2), tiny_dataset)
-        second = result.logs[1]
+
+def recorded(cfg, dataset, resume_from=None):
+    """train(cfg) with what its hooks saw: `start[t]` holds epoch t's teacher, its
+    weights and the epochs.csv bytes as epoch t starts; `end[t]` the teacher, whether
+    no teacher parameter holds a gradient, whether net and teacher are views of their
+    flat weights, and both weights. Each epoch's last.npz is kept as epoch_NNN.npz."""
+    out = pathlib.Path(cfg.out_dir)
+    start, end = {}, {}
+
+    def on_start(t, teacher):
+        csv = out / "epochs.csv"
+        start[t] = SimpleNamespace(teacher=teacher,
+                                   weights=None if teacher is None else teacher.weights.copy(),
+                                   csv=csv.read_bytes() if csv.exists() else None)
+
+    def on_end(t, net, teacher, log):
+        shutil.copyfile(out / "last.npz", out / f"epoch_{t:03d}.npz")
+        end[t] = SimpleNamespace(
+            teacher=teacher, grad_free=all(p.grad is None for p in teacher.parameters()),
+            views=views_of_its_weights(net) and views_of_its_weights(teacher),
+            weights=net.weights.copy(), teacher_weights=teacher.weights.copy())
+
+    result = train(cfg, dataset, resume_from=resume_from, epoch_start_hook=on_start,
+                   epoch_end_hook=on_end)
+    return SimpleNamespace(cfg=cfg, out=out, resume_from=resume_from, result=result,
+                           logs=result.logs, start=start, end=end)
+
+
+@pytest.fixture(scope="module")
+def full(tiny_dataset, tmp_path_factory):
+    """tiny_cfg's 4 epochs, recorded."""
+    return recorded(tiny_cfg(tmp_path_factory.mktemp("full"), epochs=4), tiny_dataset)
+
+
+@pytest.fixture(scope="module")
+def dice(tiny_dataset, tmp_path_factory):
+    """The dice-only control of `full`, recorded."""
+    return recorded(tiny_cfg(tmp_path_factory.mktemp("dice"), epochs=4, dice_only=True),
+                    tiny_dataset)
+
+
+@pytest.fixture(scope="module")
+def resumed(full, tiny_dataset, tmp_path_factory):
+    """`full` resumed from its epoch-2 checkpoint into a new directory, recorded."""
+    cfg = dataclasses.replace(full.cfg, out_dir=str(tmp_path_factory.mktemp("resumed")))
+    return recorded(cfg, tiny_dataset, resume_from=full.out / "epoch_002.npz")
+
+
+class TestLoop:
+    def test_distillation_active_from_epoch2(self, full):
+        second = full.logs[1]
         assert second.ddl > 0.0 and second.psdl > 0.0
         assert second.alpha > 0.0
-
-    def test_total_is_sum_of_terms(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "c", epochs=3), tiny_dataset)
-        for log in result.logs:
-            parts = log.ddl + log.psdl + log.dice
-            assert abs(log.train_loss - parts) < 1e-9
 
     def test_logged_total_is_exact_sum_of_logged_terms(self, tiny_dataset, tmp_path):
         # per-batch sums of the three terms drift from the sum of the
@@ -95,65 +133,35 @@ class TestLoop:
         for log in result.logs:
             assert log.train_loss == log.ddl + log.psdl + log.dice
 
-    def test_deterministic_reruns(self, tiny_dataset, tmp_path):
-        r1 = train(tiny_cfg(tmp_path / "d1", epochs=2), tiny_dataset)
-        r2 = train(tiny_cfg(tmp_path / "d2", epochs=2), tiny_dataset)
-        for a, b in zip(r1.logs, r2.logs):
-            assert a.row() == b.row()
-        w1 = load_checkpoint(r1.final_path).to_network().named_parameters()
-        w2 = load_checkpoint(r2.final_path).to_network().named_parameters()
-        for name in w1:
-            np.testing.assert_array_equal(w1[name].data, w2[name].data)
+    @pytest.mark.parametrize("run", ["full", "dice", "resumed"])
+    def test_teacher_is_previous_epoch_checkpoint(self, request, run):
+        """The teacher seen at the start of epoch t holds the end-of-epoch t-1
+        checkpoint's weights, bitwise, on a resume too."""
+        run = request.getfixturevalue(run)
+        for t, seen in run.start.items():
+            if t > 1:
+                saved = (run.out / f"epoch_{t - 1:03d}.npz" if t - 1 in run.end
+                         else run.resume_from)
+                assert seen.weights.tobytes() == load_checkpoint(saved).weights.tobytes(), t
 
-    def test_teacher_is_previous_epoch_checkpoint(self, tiny_dataset, tmp_path):
-        """The teacher seen at the start of epoch t equals the end-of-epoch
-        t-1 checkpoint, bitwise."""
-        teachers = {}
+    @pytest.mark.parametrize("run", ["full", "dice", "resumed"])
+    def test_teacher_is_one_object_refilled_each_epoch(self, request, run):
+        run = request.getfixturevalue(run)
+        assert all((seen.teacher is None) == (t == 1) for t, seen in run.start.items())
+        teachers = [seen.teacher for seen in [*run.start.values(), *run.end.values()]
+                    if seen.teacher is not None]
+        assert len({id(teacher) for teacher in teachers}) == 1
+        for t, seen in run.end.items():
+            assert seen.teacher_weights.tobytes() == seen.weights.tobytes(), t
+            assert seen.grad_free, t
 
-        def on_start(t, teacher):
-            if teacher is not None:
-                teachers[t] = {k: p.data.copy()
-                               for k, p in teacher.named_parameters().items()}
-
-        out = tmp_path / "e"
-        train(tiny_cfg(out, epochs=3), tiny_dataset,
-              epoch_start_hook=on_start, epoch_end_hook=keep_epochs(out))
-        for t in (2, 3):
-            saved = load_checkpoint(out / f"epoch_{t - 1:03d}.npz")
-            params = saved.to_network().named_parameters()
-            for name, arr in teachers[t].items():
-                np.testing.assert_array_equal(arr, params[name].data)
-
-    def test_teacher_is_one_object_refilled_each_epoch(self, tiny_dataset, tmp_path):
-        starts, ends = {}, {}
-        train(tiny_cfg(tmp_path / "one", epochs=3), tiny_dataset,
-              epoch_start_hook=lambda t, teacher: starts.setdefault(t, teacher),
-              epoch_end_hook=lambda t, net, teacher, log: ends.setdefault(t, teacher))
-        assert starts[1] is None
-        assert len({id(teacher) for teacher in [starts[2], starts[3], *ends.values()]}) == 1
-
-    def test_teacher_never_accumulates_gradients(self, tiny_dataset, tmp_path):
-        seen = []
-
-        def on_end(t, net, teacher, log):
-            seen.append(all(p.grad is None for p in teacher.parameters()))
-
-        train(tiny_cfg(tmp_path / "f", epochs=3), tiny_dataset,
-              epoch_end_hook=on_end)
-        assert seen and all(seen)
-
-    def test_dice_only_mode_never_distills(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "g", epochs=3, dice_only=True),
-                       tiny_dataset)
-        for log in result.logs:
+    def test_dice_only_mode_never_distills(self, dice):
+        for log in dice.logs:
             assert log.ddl == 0.0 and log.psdl == 0.0
 
-    def test_logged_alpha_is_zero_in_every_epoch_without_a_teacher(self, tiny_dataset,
-                                                                   tmp_path):
-        full = train(tiny_cfg(tmp_path / "full", epochs=4), tiny_dataset)
+    def test_logged_alpha_is_zero_in_every_epoch_without_a_teacher(self, full, dice):
         assert [log.alpha for log in full.logs] == [0.0, 0.25, 0.375, 0.5]
-        control = train(tiny_cfg(tmp_path / "control", epochs=4, dice_only=True), tiny_dataset)
-        assert [log.alpha for log in control.logs] == [0.0] * 4
+        assert [log.alpha for log in dice.logs] == [0.0] * 4
 
     @pytest.mark.parametrize("dice_only", [False, True])
     def test_logged_alpha_is_the_alpha_every_step_received(self, tiny_dataset, tmp_path,
@@ -179,19 +187,17 @@ class TestLoop:
         assert received == {log.epoch: [log.alpha] * n for log in result.logs}
         assert received[1] == [0.0] * n
 
-    def test_best_is_the_epoch_with_the_highest_validation_dsc(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "v", epochs=4), tiny_dataset)
-        dscs = [log.val_dsc for log in result.logs]
-        assert load_checkpoint(result.best_path).epoch == 1 + dscs.index(max(dscs))
-        assert result.best_val_dsc == max(dscs)
+    def test_best_is_the_epoch_with_the_highest_validation_dsc(self, full):
+        dscs = [log.val_dsc for log in full.logs]
+        assert load_checkpoint(full.result.best_path).epoch == 1 + dscs.index(max(dscs))
+        assert full.result.best_val_dsc == max(dscs)
 
     def test_best_is_the_last_epoch_without_validation_samples(self, tiny_dataset, tmp_path):
         no_val = dataclasses.replace(tiny_dataset, val=[])
         result = train(tiny_cfg(tmp_path / "nv", epochs=3), no_val)
         best, last = load_checkpoint(result.best_path), load_checkpoint(result.final_path)
         assert best.epoch == last.epoch == 3
-        for name in last.params:
-            np.testing.assert_array_equal(best.params[name], last.params[name])
+        assert best.weights.tobytes() == last.weights.tobytes()
 
     def test_logged_lr_follows_schedule(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "h", epochs=4)
@@ -223,63 +229,33 @@ class TestLoop:
         for name in w1:
             np.testing.assert_array_equal(w1[name].data, w2[name].data)
 
-    def test_artifacts_written(self, tiny_dataset, tmp_path):
-        out = tmp_path / "i"
-        result = train(tiny_cfg(out, epochs=2), tiny_dataset)
-        assert result.final_path.exists()
-        assert result.best_path.exists()
-        assert (out / "epochs.csv").exists()
-        header = (out / "epochs.csv").read_text().splitlines()[0]
+    def test_artifacts_written(self, full):
+        assert full.result.final_path.exists()
+        assert full.result.best_path.exists()
+        header = (full.out / "epochs.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,train_loss,ddl,psdl,dice")
 
 
 class TestResume:
-    def test_resume_matches_uninterrupted(self, tiny_dataset, tmp_path):
-        full_cfg = tiny_cfg(tmp_path / "full", epochs=4)
-        full = train(full_cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
-
-        # restart from the interrupted run's epoch-2 checkpoint
-        resumed_cfg = dataclasses.replace(full_cfg, out_dir=str(tmp_path / "resumed"))
-        resumed = train(resumed_cfg, tiny_dataset,
-                        resume_from=tmp_path / "full" / "epoch_002.npz")
-
+    def test_resume_matches_uninterrupted(self, full, resumed):
         assert len(resumed.logs) == len(full.logs) == 4
-        for a, b in zip(full.logs, resumed.logs):
-            np.testing.assert_allclose(a.row(), b.row(), rtol=0, atol=0)
-        w_full = load_checkpoint(full.final_path).to_network().named_parameters()
-        w_res = load_checkpoint(resumed.final_path).to_network().named_parameters()
-        for name in w_full:
-            np.testing.assert_array_equal(w_full[name].data, w_res[name].data)
+        assert list(map(dataclasses.asdict, resumed.logs)) == list(map(dataclasses.asdict,
+                                                                       full.logs))
+        assert (load_checkpoint(resumed.result.final_path).weights.tobytes()
+                == load_checkpoint(full.result.final_path).weights.tobytes())
 
-    def test_training_checkpoint_has_five_members(self, tiny_dataset, tmp_path):
+    def test_training_checkpoint_has_five_members(self, full):
         # no best_dsc: the logged rows fix the best epoch and its DSC; the run
         # record is part of meta, and params carry the dtype
-        cfg = tiny_cfg(tmp_path / "members", epochs=2)
-        result = train(cfg, tiny_dataset)
-        for path in (result.best_path, result.final_path):
+        for path in (full.result.best_path, full.result.final_path):
             with np.load(path) as z:
                 assert sorted(z.files) == sorted(["meta", "params", "extra:t", "extra:m",
                                                   "extra:v"])
                 meta = json.loads(z["meta"].tobytes())
         assert sorted(meta) == ["config", "epoch", "run"]  # last.npz's
-        assert meta["run"] == {"train_config": cfg.to_dict(),
-                               "logs": [dataclasses.asdict(log) for log in result.logs]}
-
-    def test_a_checkpoint_of_the_older_layout_predicts_the_same(self, tiny_dataset, tmp_path):
-        new_path = train(tiny_cfg(tmp_path / "run", epochs=1), tiny_dataset).final_path
-        with np.load(new_path) as z:
-            assert "param_order" not in json.loads(bytes(z["meta"]).decode())
-        old_path = tmp_path / "old.npz"
-        rewrite(new_path, old_path, older_layout)
-
-        image = tiny_dataset.test[0].image
-        new_mask = predict_to_file(new_path, image, tmp_path / "new.pgm")
-        old_mask = predict_to_file(old_path, image, tmp_path / "old.pgm")
-        np.testing.assert_array_equal(old_mask, new_mask)
-        assert (tmp_path / "old.pgm").read_bytes() == (tmp_path / "new.pgm").read_bytes()
-        new, old = (evaluate(load_checkpoint(p).to_network(trainable=False), tiny_dataset.test)
-                    for p in (new_path, old_path))
-        assert old == new
+        assert meta["run"] == {"train_config": full.cfg.to_dict(),
+                               "logs": [dataclasses.asdict(log) for log in full.logs]}
+        assert load_checkpoint(full.result.final_path, extras=False).run == meta["run"]
 
     @staticmethod
     def assert_same_best(a, b):
@@ -288,8 +264,7 @@ class TestResume:
         assert best_b.epoch == best_a.epoch
         assert best_b.run["logs"] == best_a.run["logs"]
         assert b.best_val_dsc == a.best_val_dsc
-        for name, arr in best_a.params.items():
-            assert best_b.params[name].tobytes() == arr.tobytes()
+        assert best_b.weights.tobytes() == best_a.weights.tobytes()
 
     def test_resume_at_the_best_epoch_into_a_new_directory_keeps_it_best(self, tiny_dataset,
                                                                          tmp_path):
@@ -335,42 +310,17 @@ class TestResume:
                       epoch_start_hook=lambda t, teacher: started.append(t))
             assert not started and not (tmp_path / "refused").exists()
 
-    def test_a_resume_writes_its_runs_log_before_its_first_epoch(self, tiny_dataset, tmp_path):
+    def test_a_resume_writes_its_runs_log_before_its_first_epoch(self, full, resumed):
         """A run stopped in epoch 3 leaves epochs 1 and 2 in epochs.csv, and a resume
-        from its last checkpoint into a new directory, stopped as early, leaves the same."""
-        class Stop(Exception):
-            pass
-
-        def stop_at_3(t, teacher):
-            if t == 3:
-                raise Stop
-
-        cfg = tiny_cfg(tmp_path / "stopped", epochs=3)
-        with pytest.raises(Stop):
-            train(cfg, tiny_dataset, epoch_start_hook=stop_at_3)
-        original = (tmp_path / "stopped" / "epochs.csv").read_bytes()
-        assert len(original.splitlines()) == 3  # the header and epochs 1 and 2
-        with pytest.raises(Stop):
-            train(dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed")), tiny_dataset,
-                  resume_from=tmp_path / "stopped" / "last.npz", epoch_start_hook=stop_at_3)
-        assert (tmp_path / "resumed" / "epochs.csv").read_bytes() == original
-
-    def test_checkpoint_carries_config(self, tiny_dataset, tmp_path):
-        cfg = tiny_cfg(tmp_path / "cfgchk", epochs=1)
-        result = train(cfg, tiny_dataset)
-        ckpt = load_checkpoint(result.final_path, extras=False)
-        stored = ckpt.run["train_config"]
-        assert stored["epochs"] == 1
-        assert stored["network"]["depth"] == 2
-
-
-def views_of_its_weights(net):
-    return all(np.shares_memory(p.data, net.weights) for p in net.named_parameters().values())
+        from its epoch-2 checkpoint into a new directory holds the same before epoch 3."""
+        assert len(full.start[3].csv.splitlines()) == 3  # the header and epochs 1 and 2
+        assert resumed.start[3].csv == full.start[3].csv
 
 
 class TestFlatWeights:
-    def test_parameters_stay_views_of_the_one_flat_weight_array(self, tiny_dataset, tmp_path):
-        cfg = tiny_cfg(tmp_path / "run", epochs=2)
+    def test_parameters_stay_views_of_the_one_flat_weight_array(self, full, dice, resumed,
+                                                                 tmp_path):
+        cfg = full.cfg
         net = SegNetwork(cfg.network, seed=1, dtype=np.float32)
         initial = net.state_arrays()
         AdamW(net.weights, lr=0.1).step(np.ones_like(net.weights))
@@ -388,18 +338,12 @@ class TestFlatWeights:
         assert views_of_its_weights(SegNetwork.from_arrays(cfg.network, initial))
         assert views_of_its_weights(ckpt.to_network())
 
-        train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "run"))
-        resumed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"))
-        seen = []
-
-        def on_end(t, net, teacher, log):
-            saved = load_checkpoint(tmp_path / "resumed" / "last.npz", extras=False)
-            seen.append((t, views_of_its_weights(net), views_of_its_weights(teacher),
-                         saved.weights.tobytes() == net.weights.tobytes()))
-
-        train(resumed, tiny_dataset, resume_from=tmp_path / "run" / "epoch_001.npz",
-              epoch_end_hook=on_end)
-        assert seen == [(2, True, True, True)]
+        # in training, a resumed one too, and each epoch's last.npz holds the net's weights
+        for run in (full, dice, resumed):
+            for t, seen in run.end.items():
+                saved = load_checkpoint(run.out / f"epoch_{t:03d}.npz", extras=False)
+                assert seen.views and saved.weights.tobytes() == seen.weights.tobytes(), t
+        assert list(resumed.end) == [3, 4]
 
 
 class TestDeeperHeads:
@@ -533,17 +477,16 @@ class TestValidation:
         assert not trained
         assert not (tmp_path / "sweep").exists()
 
-    def test_evaluate_returns_report(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "x", epochs=1), tiny_dataset)
-        net = load_checkpoint(result.final_path).to_network()
+    def test_evaluate_returns_report(self, tiny_dataset, full):
+        net = load_checkpoint(full.result.final_path).to_network()
         report = evaluate(net, tiny_dataset.test)
         assert 0.0 <= report.dsc <= 1.0
         assert set(report.as_dict()) == {"DSC", "ACC", "SEN", "IOU"}
 
-    def test_evaluate_matches_predict_on_float32_net(self, tiny_dataset, tmp_path, monkeypatch):
+    def test_evaluate_matches_predict_on_float32_net(self, tiny_dataset, full, tmp_path,
+                                                     monkeypatch):
         """evaluate computes at the net's precision, as predict_to_file does."""
-        result = train(tiny_cfg(tmp_path / "y", epochs=1), tiny_dataset)
-        net = load_checkpoint(result.final_path).to_network()
+        net = load_checkpoint(full.result.final_path).to_network()
         assert net.dtype == np.float32
         seen = []
 
@@ -556,7 +499,7 @@ class TestValidation:
         assert len(seen) == len(tiny_dataset.test)
         for i, ((pred, _), sample) in enumerate(zip(seen, tiny_dataset.test)):
             assert pred.dtype == np.float32
-            mask = predict_to_file(result.final_path, sample.image, tmp_path / f"m{i}.pgm")
+            mask = predict_to_file(full.result.final_path, sample.image, tmp_path / f"m{i}.pgm")
             np.testing.assert_array_equal(pred[0] >= 0.5, mask.astype(bool))
 
     def test_float64_image_through_a_float32_net(self, tiny_dataset, monkeypatch):
@@ -579,13 +522,12 @@ class TestValidation:
             assert all(f.dtype == np.float32 for f in feats)
             np.testing.assert_array_equal(pred.data, seen[0][0])
 
-    def test_predict_writes_the_full_load_mask(self, tiny_dataset, tmp_path):
-        result = train(tiny_cfg(tmp_path / "p", epochs=2), tiny_dataset)
+    def test_predict_writes_the_full_load_mask(self, tiny_dataset, full, tmp_path):
         image = tiny_dataset.test[0].image
-        full = load_checkpoint(result.final_path).to_network(trainable=False)
-        pred, _ = full.forward(Tensor(image.data.astype(full.dtype)))
+        net = load_checkpoint(full.result.final_path).to_network(trainable=False)
+        pred, _ = net.forward(Tensor(image.data.astype(net.dtype)))
         expected = (pred.data[0] >= 0.5).astype(np.float64)
-        mask = predict_to_file(result.final_path, image, tmp_path / "mask.pgm")
+        mask = predict_to_file(full.result.final_path, image, tmp_path / "mask.pgm")
         np.testing.assert_array_equal(mask, expected)
         np.testing.assert_array_equal(load_pgm(tmp_path / "mask.pgm"), expected)
 
@@ -632,7 +574,7 @@ class TestNonFiniteLoss:
             train(tiny_cfg(out, epochs=2), poisoned)
         assert not list(out.glob("*.npz"))
 
-    def test_a_run_stopped_in_epoch_2_leaves_epoch_1s_log(self, tiny_dataset, tmp_path,
+    def test_a_run_stopped_in_epoch_2_leaves_epoch_1s_log(self, tiny_dataset, full, tmp_path,
                                                           monkeypatch):
         # one process, so the hook's poisoned pixel reaches the training step
         monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 1)
@@ -645,9 +587,7 @@ class TestNonFiniteLoss:
         with pytest.raises(FloatingPointError, match=r"^epoch 2, batch \d+: \w+ loss is nan"):
             train(tiny_cfg(tmp_path / "stopped", epochs=2), poisoned,
                   epoch_start_hook=poison_in_epoch_2)
-        train(tiny_cfg(tmp_path / "one", epochs=1), tiny_dataset)
-        assert ((tmp_path / "stopped" / "epochs.csv").read_bytes()
-                == (tmp_path / "one" / "epochs.csv").read_bytes())
+        assert (tmp_path / "stopped" / "epochs.csv").read_bytes() == full.start[2].csv
 
     def test_nan_in_a_workers_share_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
         monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
@@ -746,10 +686,8 @@ class TestWorkers:
         many = self.run(tiny_dataset, tmp_path / "many", monkeypatch, processes, epochs=3)
         assert ((tmp_path / "one" / "epochs.csv").read_bytes()
                 == (tmp_path / "many" / "epochs.csv").read_bytes())
-        w1 = load_checkpoint(one.final_path).params
-        w2 = load_checkpoint(many.final_path).params
-        for name in w1:
-            np.testing.assert_array_equal(w1[name], w2[name])
+        assert (load_checkpoint(one.final_path).weights.tobytes()
+                == load_checkpoint(many.final_path).weights.tobytes())
 
     def test_no_worker_outlives_train(self, tiny_dataset, tmp_path, monkeypatch):
         self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=2)
@@ -777,9 +715,8 @@ class TestWorkers:
             monkeypatch.setattr(train_module, "_process_count", lambda batch_size: processes)
             out = str(tmp_path / str(processes))
             result = train(dataclasses.replace(cfg, out_dir=out), dataset)
-            weights.append(load_checkpoint(result.final_path).params)
-        for name in weights[0]:
-            np.testing.assert_array_equal(weights[0][name], weights[1][name], err_msg=name)
+            weights.append(load_checkpoint(result.final_path).weights.tobytes())
+        assert weights[0] == weights[1]
 
     @pytest.mark.parametrize("position", [0, 2])  # the main process's share, a worker's
     def test_a_failing_sample_raises_its_exception(self, tiny_dataset, tmp_path, monkeypatch,
@@ -875,7 +812,7 @@ class TestWorkers:
         monkeypatch.setattr(train_module, "batches", main_only)
         one = self.run(tiny_dataset, tmp_path / "one", monkeypatch, 1, epochs=2)
         two = self.run(tiny_dataset, tmp_path / "two", monkeypatch, 2, epochs=2)
-        assert [log.row() for log in one.logs] == [log.row() for log in two.logs]
+        assert list(map(dataclasses.asdict, one.logs)) == list(map(dataclasses.asdict, two.logs))
 
     def test_workers_exit_when_the_main_process_is_killed(self, tmp_path):
         """SIGKILL gives the main process no chance to send the workers
