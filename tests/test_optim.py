@@ -138,6 +138,19 @@ class TestAdamW:
         with pytest.raises(ValueError, match="'v' holds 10 values.*need 11"):
             AdamW(w.copy()).load_state_arrays(state)
 
+    @pytest.mark.parametrize("dtype,t", [(np.float64, np.int64(0)), (np.float32, np.uint8(7))])
+    def test_state_at_the_edges_of_the_rule_is_loaded(self, dtype, t):
+        # t == 0 (an optimizer that never stepped), an unsigned t and float32
+        # moments of float32 weights load; the misuse matrix's resume rows hold
+        # the refused side of the same rule
+        state = {"t": np.asarray(t), "m": np.full(4, 0.5, dtype), "v": np.full(4, 0.25, dtype)}
+        opt = AdamW(np.arange(4, dtype=dtype))
+        opt.load_state_arrays(state)
+        assert type(opt.t) is int and opt.t == int(t)
+        for kind in ("m", "v"):
+            moment = getattr(opt, kind)
+            assert moment.dtype == dtype and moment.tobytes() == state[kind].tobytes()
+
     def test_gradient_is_not_reapplied_to_a_parameter_left_out_of_the_graph(self):
         net = SegNetwork(NetworkConfig(depth=2, base_channels=4, height=8, width=8),
                          dtype=np.float64)
