@@ -165,12 +165,11 @@ def generate_synthetic(seed, count, size=64):
 # ---- PGM I/O ----
 
 def _read_tokens(data, n):
-    """Read n whitespace-separated header tokens, skipping # comments."""
+    """Read n whitespace-separated header tokens, skipping # comments; fewer
+    if the data ends first."""
     tokens = []
     i = 0
-    while len(tokens) < n:
-        if i >= len(data):
-            raise PGMTruncatedError("unexpected end of file in header")
+    while len(tokens) < n and i < len(data):
         c = data[i:i + 1]
         if c == b"#":
             j = data.find(b"\n", i)
@@ -189,8 +188,9 @@ def _read_tokens(data, n):
 def load_pgm(path):
     """Load a P2/P5 PGM as a float array in [0,1] of shape [H,W].
 
-    A pixel value outside 0..maxval raises PGMMaxvalError, and a P2 pixel
-    value that is not a decimal integer raises PGMError.
+    A pixel value outside 0..maxval raises PGMMaxvalError, and a width or
+    height below 1 or a P2 pixel value that is not a decimal integer raises
+    PGMError.
     """
     data = Path(path).read_bytes()
     if len(data) < 2:
@@ -199,10 +199,14 @@ def load_pgm(path):
     if magic not in (b"P2", b"P5"):
         raise PGMMagicError(f"{path}: unsupported magic {magic!r} (expected P2 or P5)")
     tokens, offset = _read_tokens(data[2:], 3)
+    if len(tokens) < 3:
+        raise PGMTruncatedError(f"{path}: unexpected end of file in header")
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise PGMTruncatedError(f"{path}: non-numeric header fields {tokens}") from None
+    if width < 1 or height < 1:
+        raise PGMError(f"{path}: width {width} and height {height} are not both >= 1")
     if not 1 <= maxval <= 255:
         raise PGMMaxvalError(f"{path}: maxval {maxval} outside supported range 1..255")
     n_pixels = width * height

@@ -80,7 +80,7 @@ def prob_vector(counts, tau):
     z = T._as_tensor(counts)
     if z.data.ndim != 2 or z.data.shape[1] != 2:
         raise ShapeError(f"prob_vector: expected [n,2] counts, got {z.data.shape}")
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"prob_vector: tau must be positive, got {tau}")
     z = z / float(z.data[0].sum())
     return T.softmax(z.reshape((z.data.shape[0] * 2,)), tau=tau)

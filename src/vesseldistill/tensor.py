@@ -892,7 +892,7 @@ def softmax(logits, tau=1.0):
     logits = _as_tensor(logits)
     if logits.data.ndim != 1:
         raise ShapeError(f"softmax: expected a 1-D vector, got {logits.data.shape}")
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError(f"softmax: temperature must be positive, got {tau}")
     z = logits.data / tau
     z = z - z.max()

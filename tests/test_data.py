@@ -5,9 +5,7 @@ import pytest
 
 from vesseldistill import data
 from vesseldistill.data import (
-    PGMError, PGMMaxvalError, PGMTruncatedError, batches,
-    generate_synthetic, load_pgm, load_sample_dir, save_pgm, save_sample_dir,
-    split,
+    batches, generate_synthetic, load_pgm, load_sample_dir, save_pgm, save_sample_dir, split,
 )
 
 
@@ -28,43 +26,8 @@ class TestPGMLoad:
         p.write_bytes(b"P5 1 1 100\n" + bytes([50]))
         np.testing.assert_allclose(load_pgm(p), [[0.5]])
 
-    def test_binary_pixel_above_maxval(self, tmp_path):
-        p = tmp_path / "over.pgm"
-        p.write_bytes(b"P5 2 1 100\n" + bytes([50, 200]))
-        with pytest.raises(PGMMaxvalError, match="pixel value 200 outside 0..maxval 100"):
-            load_pgm(p)
-
-    def test_ascii_negative_pixel(self, tmp_path):
-        p = tmp_path / "neg.pgm"
-        p.write_text("P2\n2 1\n100\n-5 50\n")
-        with pytest.raises(PGMMaxvalError, match="pixel value -5 outside 0..maxval 100"):
-            load_pgm(p)
-
-    def test_ascii_non_numeric_pixel_names_file_and_token(self, tmp_path):
-        p = tmp_path / "word.pgm"
-        p.write_text("P2 3 1 255\n-1 x 7\n")
-        with pytest.raises(PGMError, match=r"word\.pgm: pixel value 'x' is not a decimal integer"):
-            load_pgm(p)
-
-    def test_truncated_header(self, tmp_path):
-        p = tmp_path / "hdr.pgm"
-        p.write_bytes(b"P5 4")
-        with pytest.raises(PGMTruncatedError):
-            load_pgm(p)
-
-    @pytest.mark.parametrize("content, message", [
-        (b"P", "file too short for a magic number"),
-        (b"P5 4 x 255\n\x00", r"non-numeric header fields \[b'4', b'x', b'255'\]"),
-        (b"P2 2 2 255\n0 1 2\n", "payload holds 3 values, expected 4"),
-    ], ids=["one-byte", "non-numeric-header", "short-ascii-payload"])
-    def test_truncated_or_garbled_file_names_itself(self, tmp_path, content, message):
-        p = tmp_path / "bad.pgm"
-        p.write_bytes(content)
-        with pytest.raises(PGMTruncatedError, match=rf"bad\.pgm: {message}"):
-            load_pgm(p)
-
-    def test_save_refuses_more_than_one_channel(self, tmp_path):
-        with pytest.raises(ValueError, match=r"expected \[H,W\] or \[1,H,W\], got \(2, 3, 3\)"):
+    def test_a_refused_save_writes_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
             save_pgm(np.zeros((2, 3, 3)), tmp_path / "two.pgm")
         assert not (tmp_path / "two.pgm").exists()
 
@@ -94,26 +57,6 @@ class TestSampleDirs:
         for s in back:
             np.testing.assert_array_equal(s.mask.data, by_id[s.id].mask.data)
             assert np.max(np.abs(s.image.data - by_id[s.id].image.data)) <= 0.5 / 255 + 1e-12
-
-    def test_missing_mask_raises(self, tmp_path):
-        save_sample_dir(generate_synthetic(seed=4, count=1, size=32), tmp_path)
-        next((tmp_path / "masks").iterdir()).unlink()
-        with pytest.raises(FileNotFoundError):
-            load_sample_dir(tmp_path)
-
-    def test_a_mask_of_another_shape_than_its_image_is_refused_by_name(self, tmp_path):
-        samples = generate_synthetic(seed=4, count=2, size=16)
-        save_sample_dir(samples, tmp_path)
-        mask = tmp_path / "masks" / f"{samples[1].id}.pgm"
-        save_pgm(np.zeros((8, 12)), mask)
-        with pytest.raises(ValueError, match=f"^{mask}: mask is 12x8, but its image is 16x16$"):
-            load_sample_dir(tmp_path)
-
-    def test_empty_dir_raises(self, tmp_path):
-        (tmp_path / "images").mkdir()
-        (tmp_path / "masks").mkdir()
-        with pytest.raises(FileNotFoundError):
-            load_sample_dir(tmp_path)
 
 
 class TestGenerator:
@@ -148,19 +91,6 @@ class TestGenerator:
             fg = s.image.data[s.mask.data > 0.5].mean()
             bg = s.image.data[s.mask.data < 0.5].mean()
             assert fg < bg
-
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            generate_synthetic(seed=0, count=0)
-
-    def test_bad_size(self):
-        for size in (0, -3):
-            with pytest.raises(ValueError, match="size must be positive"):
-                generate_synthetic(seed=0, count=1, size=size)
-
-    def test_negative_seed_is_refused_naming_it(self):
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-            generate_synthetic(seed=-1, count=1)
 
 
 # Reference generator for the rasterizer: every path step ORs its own disk
@@ -287,20 +217,6 @@ class TestSplit:
         assert a.train != c.train
         assert a.train != items[:len(a.train)]  # actually shuffled
 
-    def test_bad_ratios(self):
-        with pytest.raises(ValueError):
-            split([1, 2, 3], ratios=(1, 2))
-        with pytest.raises(ValueError):
-            split([1, 2, 3], ratios=(-1, 1, 1))
-        with pytest.raises(ValueError, match="sum to a positive whole number"):
-            split([1, 2, 3], ratios=(1, 1, 0.5))
-        with pytest.raises(ValueError):
-            split([], ratios=(7, 1, 2))
-
-    def test_negative_seed_is_refused_naming_it(self):
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -3$"):
-            split([1, 2, 3], seed=-3)
-
 
 class TestBatches:
     def test_sizes_with_remainder(self):
@@ -326,7 +242,3 @@ class TestBatches:
         orders = {(seed, epoch): [x for b in batches(items, 4, seed, epoch) for x in b]
                   for seed in range(4) for epoch in range(1, 5)}
         assert len({tuple(o) for o in orders.values()}) == len(orders)
-
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            list(batches([1], 0, seed=0, epoch=1))

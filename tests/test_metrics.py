@@ -4,7 +4,7 @@ import pytest
 from vesseldistill.metrics import (
     ConfusionCounts, compute_metrics, confusion, evaluate_pairs,
 )
-from vesseldistill.tensor import ShapeError, Tensor
+from vesseldistill.tensor import Tensor
 
 
 class TestConfusion:
@@ -21,10 +21,6 @@ class TestConfusion:
     def test_accepts_tensors(self):
         c = confusion(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))))
         assert c.tp == 4 and c.total == 4
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            confusion(np.ones((2, 2)), np.ones((2, 3)))
 
     @pytest.mark.parametrize("masks", ["random", "empty", "full", "empty-vs-full"])
     def test_equals_the_four_count_formula(self, masks):
@@ -112,7 +108,3 @@ class TestEvaluatePairs:
     def test_as_dict_keys(self):
         r = evaluate_pairs([(np.ones(4), np.ones(4))])
         assert list(r.as_dict().keys()) == ["DSC", "ACC", "SEN", "IOU"]
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            evaluate_pairs([])

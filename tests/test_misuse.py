@@ -11,9 +11,15 @@ cell's directory. A config or checkpoint cell asserts the ValueError's
 message; a resume cell also asserts that no epoch started and no out_dir was
 made. argparse's own refusals print a usage line as well; they are in
 test_cli.py's TestExitCodes.
+
+The library's own refusals are rows of calls (LIBRARY_ROWS), each asserting
+its exception's type and whole message; a `raise` in the engine, losses, data,
+metrics or optimizer that no row reaches fails test_every_library_raise_has_a_row.
 """
 
+import ast
 import dataclasses
+import functools
 import json
 import pathlib
 import re
@@ -23,12 +29,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import vesseldistill
+from vesseldistill import tensor as T
 from vesseldistill.cli import main
-from vesseldistill.data import (generate_synthetic, load_sample_dir, save_pgm, save_sample_dir,
-                                split)
-from vesseldistill.distill import DistillConfig
-from vesseldistill.network import (_FIELD_TYPES, NetworkConfig, _param_shapes, _views,
+from vesseldistill.data import (PGMError, PGMMagicError, PGMMaxvalError, PGMTruncatedError,
+                                batches, generate_synthetic, load_pgm, load_sample_dir, save_pgm,
+                                save_sample_dir, split)
+from vesseldistill.distill import (DistillConfig, alpha_at, ddl, dice_loss, kl_div, loss_terms,
+                                   patch_counts, prob_vector, psdl, soften_label)
+from vesseldistill.metrics import confusion, evaluate_pairs
+from vesseldistill.network import (_FIELD_TYPES, NetworkConfig, SegNetwork, _param_shapes, _views,
                                    load_checkpoint)
+from vesseldistill.optim import AdamW, lr_at
+from vesseldistill.tensor import GraphError, ShapeError, Tensor
 from vesseldistill.train import TrainConfig, train
 
 from _checkpoints import older_layout, rewrite
@@ -152,6 +165,7 @@ def two_samples(ctx, tmp):
 NOT_PGM = image_file(b"garbage", "unsupported magic b'ga' (expected P2 or P5)")
 TRUNCATED = image_file(b"P5\n32 32\n255\n" + bytes(10), "payload holds 10 bytes, expected 1024")
 BAD_PIXEL = image_file(b"P2 2 1 255\n0 x\n", "pixel value 'x' is not a decimal integer")
+SHORT_HEADER = image_file(b"P5 2 1", "unexpected end of file in header")
 DATA_COLUMNS = [("train", "data"), ("evaluate", "data"), ("sweep", "data")]
 
 PATH_ROWS = {  # row -> (its maker, the (subcommand, argument) columns it applies to)
@@ -168,9 +182,11 @@ PATH_ROWS = {  # row -> (its maker, the (subcommand, argument) columns it applie
     "not-pgm": (NOT_PGM[1], DATA_COLUMNS),
     "truncated-pgm": (TRUNCATED[1], DATA_COLUMNS),
     "bad-pixel": (BAD_PIXEL[1], DATA_COLUMNS),
+    "short-header": (SHORT_HEADER[1], DATA_COLUMNS),
     "not-pgm-image": (NOT_PGM[0], [("predict", "image")]),
     "truncated-image": (TRUNCATED[0], [("predict", "image")]),
     "bad-pixel-image": (BAD_PIXEL[0], [("predict", "image")]),
+    "short-header-image": (SHORT_HEADER[0], [("predict", "image")]),
     "other-mask-shape": (data_with(other_mask), DATA_COLUMNS),
     "size-the-net-cannot-take": (odd_size_data, DATA_COLUMNS),
     "image-the-net-cannot-take": (odd_size_image, [("predict", "image")]),
@@ -597,3 +613,257 @@ def test_a_patch_grid_that_does_not_tile_the_size_is_refused_naming_its_fields(
         else:
             TrainConfig.from_dict({"network": net, "distill": {"grid_g": g}})
     assert str(refusal.value) == untiled
+
+
+# ---- library rows: a library function given a bad argument, and the exception it
+# must raise, its type and whole message. Every refusing `raise` in the engine,
+# losses, data, metrics and optimizer, and in the net's input, flat-array, dtype
+# and side-output checks, is reached by a row (test_every_library_raise_has_a_row).
+# A row runs in an empty directory of its own
+
+def loading(load, path, files):
+    """A load(path) after writing `files`, path -> bytes."""
+    def call():
+        for name, content in files.items():
+            pathlib.Path(name).parent.mkdir(parents=True, exist_ok=True)
+            pathlib.Path(name).write_bytes(content)
+        load(path)
+    return call
+
+
+def optimizer_state(**bad):
+    """An AdamW of NET's weights loading a state of theirs, with `bad` replacing members."""
+    state = {"t": np.array(2), "m": np.zeros(PARAMS), "v": np.zeros(PARAMS), **bad}
+    return lambda: AdamW(np.zeros(PARAMS)).load_state_arrays(state)
+
+
+def zeros(*shapes):
+    return [np.zeros(shape) for shape in shapes]
+
+
+net = functools.partial(SegNetwork, NetworkConfig(**NET), dtype=np.float64)
+HALF, GRID_2 = Tensor(np.full((1, 4, 4), 0.5)), DistillConfig(grid_g=2)
+PGM_4x4, PGM_3x2 = b"P5 4 4 255\n" + bytes(16), b"P5 3 2 255\n" + bytes(6)
+FLAT = {  # a flat array of NET's weights' length, or not -> what it holds, as refused
+    "long": (np.zeros(PARAMS + 3), f"{PARAMS + 3} values"),
+    "short": (np.zeros(PARAMS - 1), f"{PARAMS - 1} values"),
+    "row": (np.zeros((1, PARAMS)), f"{PARAMS} values in shape (1, {PARAMS})"),
+    "column": (np.zeros((PARAMS, 1)), f"{PARAMS} values in shape ({PARAMS}, 1)"),
+    "scalar": (np.float64(1.0), "1 values in shape ()"),
+}
+FLAT_LOADS = {  # entry point -> (its load of a flat array, what it refuses, whose need)
+    "load_state_arrays": (lambda bad: net().load_state_arrays(bad), "the weight array",
+                          f"the config's {len(SHAPES)} parameters"),
+    "from_arrays": (lambda bad: SegNetwork.from_arrays(NetworkConfig(**NET), bad),
+                    "the weight array", f"the config's {len(SHAPES)} parameters"),
+    **{f"optimizer-{kind}": (lambda bad, kind=kind: optimizer_state(**{kind: bad})(),
+                             f"optimizer state {kind!r}", "the weights") for kind in "mv"},
+}
+LIBRARY_ROWS = {  # row -> (a call taking no arguments, its exception's type, its message)
+    # tensor
+    "backward-non-scalar": (lambda: (Tensor(np.ones(4), requires_grad=True) * 2.0).backward(),
+                            GraphError, "backward requires a scalar loss, got shape (4,)"),
+    "backward-leaf": (lambda: Tensor(np.ones(1), requires_grad=True).backward(), GraphError,
+                      "backward called on a tensor with no recorded forward pass"),
+    "add-shapes": (lambda: T.add(*zeros(3, 4)), ShapeError,
+                   "add: operand shapes (3,) and (4,) do not match"),
+    "log-zero": (lambda: T.log(np.array([1.0, 0.0])), ValueError,
+                 "log: input must be strictly positive (clamp first)"),
+    "maxpool2x2-odd": (lambda: T.maxpool2x2(np.zeros((1, 3, 4))), ShapeError,
+                       "maxpool2x2: spatial dims must be even, got 3x4"),
+    **{f"{name}-{shape}": (call, ShapeError, f"{name}: expected {what}, got {shape}")
+       for name, call, what, shape in [
+           ("maxpool2x2", lambda: T.maxpool2x2(np.zeros((4, 4))), "[C,H,W]", (4, 4)),
+           ("conv2d", lambda: T.conv2d(*zeros((4, 4), (2, 1, 3, 3), 2)), "input [C,H,W]", (4, 4)),
+           ("conv2d", lambda: T.conv2d(*zeros((1, 4, 4), (2, 1, 5, 5), 2)),
+            "kernel [C_out,C_in,3,3]", (2, 1, 5, 5)),
+           ("bilinear_upsample", lambda: T.bilinear_upsample(np.zeros((4, 4)), 2), "[C,h,w]",
+            (4, 4)),
+           ("softmax", lambda: T.softmax(np.zeros((2, 2))), "a 1-D vector", (2, 2)),
+           ("patch_counts", lambda: patch_counts(np.zeros((2, 4, 4)), 2), "[1,H,W]", (2, 4, 4)),
+           ("prob_vector", lambda: prob_vector(np.ones((4, 3)), 3.0), "[n,2] counts", (4, 3))]},
+    "conv2d-channels": (lambda: T.conv2d(*zeros((3, 4, 4), (2, 2, 3, 3), 2)), ShapeError,
+                        "conv2d: kernel expects 2 input channels, input has 3"),
+    "conv2d-bias": (lambda: T.conv2d(*zeros((1, 4, 4), (2, 1, 3, 3), 3)), ShapeError,
+                    "conv2d: bias shape (3,) != (2,)"),
+    **{f"bilinear_upsample-factor-{f}": (lambda f=f: T.bilinear_upsample(np.zeros((1, 2, 2)), f),
+                                         ValueError, "bilinear_upsample: factor must be a "
+                                         f"positive integer, got {f}") for f in (0, 2.0)},
+    **{f"upsample_concat-{x}-{skip}": (
+        lambda x=x, skip=skip: T.upsample_concat(*zeros(x, skip)), ShapeError,
+        f"upsample_concat: input {x} upsampled by 2 cannot join skip {skip}")
+       for x, skip in [((4, 8, 8), (3, 16, 17)), ((4, 8, 8), (3, 8, 8)),
+                       ((4, 8, 8), (16, 16)), ((8, 8), (3, 16, 16))]},
+    **{f"{name}-tau-{tau}": (lambda call=call, tau=tau: call(tau), ValueError,
+                             f"{name}: {what} must be positive, got {tau}")
+       for name, call, what in [
+           ("softmax", lambda tau: T.softmax(np.ones(2), tau), "temperature"),
+           ("prob_vector", lambda tau: prob_vector(np.ones((2, 2)), tau), "tau")]
+       for tau in (0.0, -1.0, NAN)},
+    # distill
+    **{f"patch_counts-untiled-{h}x{w}": (
+        lambda h=h, w=w, g=g: patch_counts(np.full((1, h, w), 0.5), g), ValueError,
+        f"grid {g}x{g} does not evenly tile {h}x{w} into square patches")
+       for h, w, g in [(6, 6, 4), (8, 16, 2)]},  # 8x16 into 4x8 patches
+    "patch_counts-above-1": (lambda: patch_counts(np.full((1, 4, 4), 1.5), 2), ValueError,
+                             "patch_counts: values must lie in [0,1]"),
+    "kl_div-lengths": (lambda: kl_div(np.ones(2) / 2, np.ones(3) / 3), ShapeError,
+                       "kl_div: lengths differ, (2,) vs (3,)"),
+    "ddl-depths": (lambda: ddl([HALF], [HALF] * 2, GRID_2), ShapeError,
+                   "ddl: depth mismatch, student 1 vs teacher 2"),
+    "loss_terms-depths": (lambda: loss_terms([HALF] * 2, [HALF], HALF, GRID_2, 0.25), ShapeError,
+                          "ddl: depth mismatch, student 2 vs teacher 1"),
+    "ddl-sides": (lambda: ddl([Tensor(np.full((1, 8, 8), 0.5))], [HALF], GRID_2), ShapeError,
+                  "ddl: side outputs differ, (1, 8, 8) vs (1, 4, 4)"),
+    **{f"alpha_at-{t}-of-{total}": (lambda t=t, total=total: alpha_at(t, total, 0.5), ValueError,
+                                    refusal)
+       for t, total, refusal in [(0, 10, "epoch 0 outside 1..10"),
+                                 (11, 10, "epoch 11 outside 1..10"),
+                                 (1, 0, "total_epochs must be >= 1, got 0")]},
+    "soften_label-alpha": (lambda: soften_label(*zeros((1, 1, 1), (1, 1, 1)), 1.5), ValueError,
+                           "alpha must be in [0,1], got 1.5"),
+    **{f"{name}-shapes": (lambda call=call: call(*zeros((1, 2, 2), (1, 2, 3))), ShapeError,
+                          f"{name}: shapes differ, (1, 2, 2) vs (1, 2, 3)")
+       for name, call in [("soften_label", lambda *pair: soften_label(*pair, 0.5)),
+                          ("psdl", psdl), ("dice_loss", dice_loss), ("confusion", confusion)]},
+    # data
+    "generate_synthetic-count-0": (lambda: generate_synthetic(seed=0, count=0), ValueError,
+                                   "count must be positive, got 0"),
+    **{f"generate_synthetic-size-{size}": (
+        lambda size=size: generate_synthetic(seed=0, count=1, size=size), ValueError,
+        f"size must be positive, got {size}") for size in (0, -3)},
+    "generate_synthetic-seed--1": (lambda: generate_synthetic(seed=-1, count=1), ValueError,
+                                   "seed must be >= 0, got -1"),
+    **{f"load_pgm-{row}": (loading(load_pgm, "image.pgm", {"image.pgm": content}), kind,
+                           f"image.pgm: {refusal}") for row, content, kind, refusal in [
+        ("one-byte", b"P", PGMTruncatedError, "file too short for a magic number"),
+        ("magic", b"P6 1 1 255\n\0", PGMMagicError, "unsupported magic b'P6' (expected P2 or P5)"),
+        ("header-P5-4", b"P5 4", PGMTruncatedError, "unexpected end of file in header"),
+        ("header-P5-2-1", b"P5 2 1", PGMTruncatedError, "unexpected end of file in header"),
+        ("header-x", b"P5 4 x 255\n\0", PGMTruncatedError,
+         "non-numeric header fields [b'4', b'x', b'255']"),
+        ("width--2", b"P5 -2 1 255\n", PGMError, "width -2 and height 1 are not both >= 1"),
+        ("width-0", b"P5 0 5 255\n", PGMError, "width 0 and height 5 are not both >= 1"),
+        ("sizes--1--2", b"P2 -1 -2 255\n", PGMError, "width -1 and height -2 are not both >= 1"),
+        ("maxval-256", b"P5 1 1 256\n\0", PGMMaxvalError,
+         "maxval 256 outside supported range 1..255"),
+        ("short-P5", b"P5 2 2 255\n\0", PGMTruncatedError, "payload holds 1 bytes, expected 4"),
+        ("short-P2", b"P2 2 2 255\n0 1 2\n", PGMTruncatedError,
+         "payload holds 3 values, expected 4"),
+        ("word-pixel", b"P2 3 1 255\n-1 x 7\n", PGMError,
+         "pixel value 'x' is not a decimal integer"),
+        ("P5-pixel-over", b"P5 2 1 100\n" + bytes([50, 200]), PGMMaxvalError,
+         "pixel value 200 outside 0..maxval 100"),
+        ("P2-pixel-under", b"P2\n2 1\n100\n-5 50\n", PGMMaxvalError,
+         "pixel value -5 outside 0..maxval 100")]},
+    "save_pgm-channels": (lambda: save_pgm(np.zeros((2, 3, 3)), "image.pgm"), ValueError,
+                          "save_pgm: expected [H,W] or [1,H,W], got (2, 3, 3)"),
+    **{f"load_sample_dir-{row}": (loading(load_sample_dir, "data", files), kind, refusal)
+       for row, files, kind, refusal in [
+        ("no-mask", {"data/images/0.pgm": PGM_4x4}, FileNotFoundError,
+         "no mask for 0.pgm under data/masks"),
+        ("mask-shape", {"data/images/0.pgm": PGM_4x4, "data/masks/0.pgm": PGM_3x2}, ValueError,
+         "data/masks/0.pgm: mask is 3x2, but its image is 4x4"),
+        ("empty", {}, FileNotFoundError, "no .pgm images under data/images")]},
+    "split-empty": (lambda: split([]), ValueError, "cannot split an empty sample list"),
+    **{f"split-ratios-{ratios}": (lambda ratios=ratios: split([1, 2, 3], ratios), ValueError,
+                                  f"ratios must {rule}, got {ratios}")
+       for ratios, rule in [((1, 2), "be three non-negative numbers"),
+                            ((-1, 1, 1), "be three non-negative numbers"),
+                            ((1, 1, 0.5), "sum to a positive whole number"),
+                            ((0, 0, 0), "sum to a positive whole number")]},
+    "split-seed--3": (lambda: split([1, 2, 3], seed=-3), ValueError, "seed must be >= 0, got -3"),
+    "batches-size-0": (lambda: next(batches([1], 0, seed=0, epoch=1)), ValueError,
+                       "batch_size must be >= 1, got 0"),
+    # metrics
+    "evaluate_pairs-none": (lambda: evaluate_pairs([]), ValueError,
+                            "no prediction/ground-truth pairs to evaluate"),
+    # optim
+    **{f"step-gradient-{shape}": (lambda shape=shape: AdamW(np.zeros(6)).step(np.zeros(shape)),
+                                  ValueError, f"gradient of shape {shape} does not match the "
+                                  "weights' shape (6,)")
+       for shape in [(5,), (7,), (1, 6), (6, 1)]},
+    **{f"load_state_arrays-t-{t!r}": (optimizer_state(t=t), ValueError,
+                                      f"optimizer state 't' is {t!r}, not a 0-d integer array "
+                                      ">= 0")
+       for t in [np.array([1, 2, 3]), np.array(-1), np.array(True), np.array(2.0)]},
+    "load_state_arrays-float32-m": (optimizer_state(m=np.zeros(PARAMS, np.float32)), ValueError,
+                                    "optimizer state 'm' has dtype float32, but the weights "
+                                    "float64"),
+    "lr_at-epoch-0": (lambda: lr_at(0, 1e-3, 0.3, 10), ValueError, "epoch must be >= 1, got 0"),
+    # network
+    **{f"forward-{shape}": (lambda shape=shape: net().forward(np.zeros(shape)), ShapeError,
+                            f"input shape {shape} {SHAPE}")
+       for shape in [(1, 18, 18), (2, 32, 32), (3, 64, 64), (32, 32)]},
+    **{f"{entry}-{row}": (lambda load=load, bad=bad: load(bad), ValueError,
+                          f"{what} holds {held}, but {whose} need {PARAMS}")
+       for row, (bad, held) in FLAT.items() for entry, (load, what, whose) in FLAT_LOADS.items()},
+    **{f"net-dtype-{dtype!r}": (lambda dtype=dtype: net(dtype=dtype), ValueError,
+                                f"dtype must be float32 or float64, got {dtype!r}")
+       for dtype in [np.int32, "float16", "f4", None]},
+    **{f"from_arrays-dtype-{np.dtype(dtype)}": (
+        lambda dtype=dtype: SegNetwork.from_arrays(NetworkConfig(**NET), np.zeros(PARAMS, dtype)),
+        ValueError, f"the weight array has dtype {np.dtype(dtype)}, not float32 or float64")
+       for dtype in [np.int64, np.float16, np.uint8]},
+    **{f"side_output-depth-{depth}": (lambda depth=depth: net().side_output(None, depth),
+                                      ValueError, f"side_output: depth {depth} outside 1..3")
+       for depth in (0, 4)},
+}
+
+
+@pytest.mark.parametrize("call, kind, message", LIBRARY_ROWS.values(), ids=LIBRARY_ROWS.keys())
+def test_a_bad_library_argument_is_refused_naming_it(tmp_path, monkeypatch, call, kind, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(kind) as raised:
+        call()
+    assert type(raised.value) is kind and str(raised.value) == message, raised.value
+
+
+LIBRARY = pathlib.Path(vesseldistill.__file__).parent
+# module -> the functions whose raises the rows must reach, or None for all of them
+SCANNED = {**dict.fromkeys(["tensor.py", "distill.py", "data.py", "metrics.py", "optim.py"]),
+           "network.py": {"_check_input_shape", "_check_flat", "_check_float", "side_output"}}
+
+
+def library_raises(scanned=SCANNED):
+    """module:line -> the (file, line) pairs it spans, of each `raise` statement of
+    `scanned` that raises an exception rather than re-raising one."""
+    found = {}
+    for name, functions in scanned.items():
+        tree = ast.parse((LIBRARY / name).read_text())
+        scopes = [tree] if functions is None else [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in functions]
+        for node in (node for scope in scopes for node in ast.walk(scope)):
+            if isinstance(node, ast.Raise) and node.exc:
+                lines = range(node.lineno, node.end_lineno + 1)
+                found[f"{name}:{node.lineno}"] = {(LIBRARY / name, line) for line in lines}
+    return found
+
+
+def test_every_library_raise_has_a_row(tmp_path, monkeypatch):
+    # a DistillConfig refusal counts as reached by the config rows' dataclass column
+    calls = {**{row: call for row, (call, _, _) in LIBRARY_ROWS.items()},
+             **{cell: functools.partial(build_directly, *spec[1:3])
+                for cell, spec in CONFIG_CELLS.items() if spec[0] == "dataclass"}}
+    raise_lines = set().union(*library_raises(
+        dict.fromkeys(path.name for path in LIBRARY.glob("*.py"))).values())
+    reached, foreign = set(), []
+    for i, (row, call) in enumerate(calls.items()):
+        (tmp_path / str(i)).mkdir()
+        monkeypatch.chdir(tmp_path / str(i))
+        with pytest.raises(Exception) as raised:
+            call()
+        exc, sites = raised.value, []
+        while exc:  # where it was raised, then each exception in its cause/context chain
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            sites.append((pathlib.Path(tb.tb_frame.f_code.co_filename), tb.tb_lineno))
+            exc = exc.__cause__ or exc.__context__
+        if sites[0] not in raise_lines:
+            foreign.append(f"{row}: %s:%d" % sites[0])
+        reached.update(sites)
+    assert not foreign, f"raised by no library `raise`: {foreign}"
+    unreached = [at for at, lines in library_raises().items() if not lines & reached]
+    assert not unreached, f"reached by no row: {unreached}"

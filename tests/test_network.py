@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -9,8 +8,7 @@ from vesseldistill import tensor as T
 from vesseldistill.network import (
     NetworkConfig, SegNetwork, TeacherSnapshot, load_checkpoint, save_checkpoint,
 )
-from vesseldistill.optim import AdamW
-from vesseldistill.tensor import ShapeError, Tensor
+from vesseldistill.tensor import Tensor
 
 
 def small_net(seed=0, depth=3, size=32, base=8):
@@ -18,8 +16,8 @@ def small_net(seed=0, depth=3, size=32, base=8):
     return SegNetwork(cfg, seed=seed, dtype=np.float64)
 
 
-def rand_input(seed, size=32, channels=1):
-    return Tensor(np.random.default_rng(seed).uniform(size=(channels, size, size)))
+def rand_input(seed, size=32):
+    return Tensor(np.random.default_rng(seed).uniform(size=(1, size, size)))
 
 
 class TestConfig:
@@ -28,8 +26,6 @@ class TestConfig:
             NetworkConfig(in_channels=1)
         shapes = dict(network._param_shapes(NetworkConfig()))
         assert shapes["enc1.conv1.w"] == (8, 1, 3, 3)
-        with pytest.raises(ShapeError, match=r"input shape \(3, 64, 64\) is not \[1,H,W\]"):
-            small_net().forward(np.zeros((3, 64, 64)))
 
     def test_parameter_count_is_config_function(self):
         a = small_net(seed=1)
@@ -55,21 +51,6 @@ class TestForward:
         p1, _ = small_net(seed=5).forward(x)
         p2, _ = small_net(seed=5).forward(x)
         np.testing.assert_array_equal(p1.data, p2.data)
-
-    def test_forward_graph_retains_no_column_buffers(self):
-        """A trainable forward graph keeps activations and padded inputs
-        only, not 9x-sized conv column buffers (13.4 MB when it did)."""
-        cfg = NetworkConfig(depth=3, base_channels=8, height=64, width=64)
-        net = SegNetwork(cfg, seed=0, dtype=np.float32)
-        x = Tensor(np.random.default_rng(0).uniform(size=(1, 64, 64)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            graph = net.forward(x)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert graph[0].requires_grad
-        assert retained <= 6 * 2**20
 
     def test_forward_graph_keeps_only_what_backward_reads(self):
         """A trainable 64x64 forward retains the arrays its backward reads:
@@ -102,23 +83,6 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak <= 56 * 2**20
-
-    def test_frozen_256_float32_forward_peak_memory(self):
-        """A frozen float32 256x256 forward peaks under 20 MiB (15.8 MiB):
-        each decoder block's upsampled input and skip are freed once
-        concatenated, and view-path convs sum their tap products a block at
-        a time (24.6 MiB when forward held them and whole-image products)."""
-        cfg = NetworkConfig(depth=3, base_channels=8, height=256, width=256)
-        net = SegNetwork(cfg, seed=0, dtype=np.float32, trainable=False)
-        x = Tensor(np.random.default_rng(0).uniform(size=(1, 256, 256)).astype(np.float32))
-        net.forward(x)  # warm caches outside the measurement
-        tracemalloc.start()
-        try:
-            net.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20 * 2**20
 
     def test_frozen_256_float32_forward_never_holds_an_upsampled_map(self):
         """A frozen float32 256x256 forward peaks under 11 MiB (10.0 MiB): each
@@ -184,13 +148,6 @@ class TestForward:
         net.forward(x)
         assert first_inputs[0] is x
 
-    def test_shape_mismatch_raises(self):
-        net = small_net(depth=3, size=32)
-        with pytest.raises(ShapeError, match=r"2\^\(depth-1\) = 4"):
-            net.forward(rand_input(0, size=18))
-        with pytest.raises(ShapeError, match=r"\[1,H,W\]"):
-            net.forward(rand_input(0, size=32, channels=2))
-
 
 class TestSideOutputs:
     def test_depth1_is_identity_upsample(self):
@@ -231,12 +188,6 @@ class TestSideOutputs:
         assert reused[0] is pred
         for depth, (a, f) in enumerate(zip(reused, feats), 1):
             np.testing.assert_array_equal(a.data, net.side_output(f, depth).data)
-
-    def test_depth_out_of_range(self):
-        net = small_net()
-        _, feats = net.forward(rand_input(7))
-        with pytest.raises(ValueError):
-            net.side_output(feats[0], 4)
 
 
 class TestGradientFlow:
@@ -328,7 +279,7 @@ class TestSnapshots:
 
 
 class TestWeightsToNetwork:
-    def test_from_arrays_copies_its_input_and_checks_shapes(self):
+    def test_from_arrays_copies_its_input(self):
         net = small_net(seed=6)
         flat = net.state_arrays().astype(np.float32)
         built = SegNetwork.from_arrays(net.config, flat, trainable=False)
@@ -337,22 +288,6 @@ class TestWeightsToNetwork:
                    for p in built.parameters())
         flat[-1] = 7.0  # head3.b, the last parameter
         assert not np.any(built.named_parameters()["head3.b"].data == 7.0)
-        with pytest.raises(ValueError, match=f"holds {flat.size - 1} values"):
-            SegNetwork.from_arrays(net.config, flat[:-1])
-
-    @pytest.mark.parametrize("dtype", [np.int64, np.float16, np.uint8])
-    def test_from_arrays_refuses_weights_that_are_no_float32_or_float64(self, dtype):
-        net = small_net(seed=6)
-        with pytest.raises(ValueError, match=f"^the weight array has dtype "
-                                             f"{np.dtype(dtype)}, not float32 or float64$"):
-            SegNetwork.from_arrays(net.config, net.weights.astype(dtype))
-
-    @pytest.mark.parametrize("dtype", [np.int32, "float16", "f4", None])
-    def test_a_net_of_no_float32_or_float64_dtype_is_refused(self, dtype):
-        # an int32 net used to be built with its He-normal draws truncated to 0
-        with pytest.raises(ValueError, match=re.escape(
-                f"dtype must be float32 or float64, got {dtype!r}")):
-            SegNetwork(small_net().config, 0, dtype=dtype)
 
     def test_state_arrays_is_a_copy_of_the_one_flat_weight_array(self):
         net = small_net(seed=6)
@@ -366,27 +301,6 @@ class TestWeightsToNetwork:
             np.testing.assert_array_equal(p.data.ravel(), flat[lo:lo + p.data.size])
             lo += p.data.size
         assert lo == flat.size
-
-    def test_flat_entry_points_refuse_a_wrong_length_or_shape(self):
-        net = small_net(seed=6, depth=2, base=4)
-        n, k = net.weights.size, len(net.parameters())
-        opt = AdamW(net.weights)
-        state = opt.state_arrays()
-        for bad, held in ((np.zeros(n + 3), f"{n + 3} values"),
-                          (np.zeros(n - 1), f"{n - 1} values"),
-                          (np.zeros((1, n)), f"{n} values in shape (1, {n})"),
-                          (np.zeros((n, 1)), f"{n} values in shape ({n}, 1)"),
-                          (np.float64(1.0), "1 values in shape ()")):
-            held = re.escape(held)
-            need = f"the config's {k} parameters need {n}$"
-            with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
-                net.load_state_arrays(bad)
-            with pytest.raises(ValueError, match=f"^the weight array holds {held}, but {need}"):
-                SegNetwork.from_arrays(net.config, bad)
-            for kind in ("m", "v"):
-                with pytest.raises(ValueError, match=f"^optimizer state '{kind}' holds {held}, "
-                                                     f"but the weights need {n}$"):
-                    opt.load_state_arrays({**state, kind: bad})
 
     def test_weights_to_net_draws_no_initialisation(self, tmp_path, monkeypatch):
         net = small_net(seed=5)

@@ -672,21 +672,28 @@ def single_graph_batch_grads(net, teacher, batch, cfg, alpha):
     return grads
 
 
+@pytest.fixture(scope="module")
+def one_process(tiny_dataset, tmp_path_factory):
+    """A 3-epoch tiny run in one process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train_module, "_process_count", lambda batch_size: 1)
+        return train(tiny_cfg(tmp_path_factory.mktemp("one"), epochs=3), tiny_dataset)
+
+
 class TestWorkers:
     def run(self, tiny_dataset, out, monkeypatch, processes, **kw):
         monkeypatch.setattr(train_module, "_process_count", lambda batch_size: processes)
         return train(tiny_cfg(out, **kw), tiny_dataset)
 
     @pytest.mark.parametrize("processes", [2, 3])
-    def test_results_do_not_depend_on_the_process_count(self, tiny_dataset, tmp_path,
-                                                        monkeypatch, processes):
+    def test_results_do_not_depend_on_the_process_count(self, tiny_dataset, one_process,
+                                                        tmp_path, monkeypatch, processes):
         # 14 training samples: batches of 4, 4, 4 and 2, so 3 processes
         # also get uneven and empty shares
-        one = self.run(tiny_dataset, tmp_path / "one", monkeypatch, 1, epochs=3)
-        many = self.run(tiny_dataset, tmp_path / "many", monkeypatch, processes, epochs=3)
-        assert ((tmp_path / "one" / "epochs.csv").read_bytes()
-                == (tmp_path / "many" / "epochs.csv").read_bytes())
-        assert (load_checkpoint(one.final_path).weights.tobytes()
+        many = self.run(tiny_dataset, tmp_path, monkeypatch, processes, epochs=3)
+        assert ((one_process.final_path.parent / "epochs.csv").read_bytes()
+                == (tmp_path / "epochs.csv").read_bytes())
+        assert (load_checkpoint(one_process.final_path).weights.tobytes()
                 == load_checkpoint(many.final_path).weights.tobytes())
 
     def test_no_worker_outlives_train(self, tiny_dataset, tmp_path, monkeypatch):
