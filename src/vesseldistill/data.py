@@ -138,6 +138,8 @@ def _render_image(rng, mask, size):
 
 
 def _check_seed(seed):
+    if isinstance(seed, bool):  # an int to Python, but no seed; the configs refuse it too
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if seed < 0:  # numpy seeds no generator with it
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -292,10 +294,11 @@ def split(samples, ratios=(7, 1, 2), seed=0):
     _check_seed(seed)
     if not samples:
         raise ValueError("cannot split an empty sample list")
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    # written as negations so that NaN fails them too
+    if len(ratios) != 3 or any(not r >= 0 for r in ratios):
         raise ValueError(f"ratios must be three non-negative numbers, got {ratios}")
     total = sum(ratios)
-    if total <= 0 or abs(total - round(total)) > 1e-9:
+    if not 0 < total < math.inf or abs(total - round(total)) > 1e-9:
         raise ValueError(f"ratios must sum to a positive whole number, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(samples))
     shuffled = [samples[i] for i in order]

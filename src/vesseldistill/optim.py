@@ -62,4 +62,6 @@ def lr_at(t, initial_lr, gamma, step_every):
     """Learning rate for epoch t (1-based): times gamma every step_every epochs."""
     if t < 1:
         raise ValueError(f"epoch must be >= 1, got {t}")
+    if not step_every >= 1:  # 0 divides by zero, below it the rate grows, NaN fails it too
+        raise ValueError(f"step_every must be >= 1, got {step_every}")
     return initial_lr * gamma ** ((t - 1) // step_every)

@@ -841,7 +841,7 @@ def bilinear_upsample(x, factor):
     docstring).
     """
     x = _as_tensor(x)
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not isinstance(factor, (int, np.integer)) or isinstance(factor, bool) or factor < 1:
         raise ValueError(f"bilinear_upsample: factor must be a positive integer, got {factor}")
     if x.data.ndim != 3:
         raise ShapeError(f"bilinear_upsample: expected [C,h,w], got {x.data.shape}")

@@ -1,30 +1,34 @@
-"""The misuse matrix: every bad input, at every entry point, from one table.
+"""The misuse matrix: every refusal, at every entry point, from one table.
 
-Rows are classes of bad input. Columns are the CLI's six subcommands, each
-with the argument the input is given to, plus a config built directly (the
-dataclass) and through `TrainConfig.from_dict`, and for checkpoint files
-`load_checkpoint` with and without extras and `train(resume_from=)`. A CLI cell
-runs `cli.main` and asserts exit 1, exactly one stderr line `error: ...`
-matching the cell's expected text, which names the offending path, option,
-dotted config field or sample, nothing on stdout, and nothing created in the
-cell's directory. A config or checkpoint cell asserts the ValueError's
-message; a resume cell also asserts that no epoch started and no out_dir was
-made. argparse's own refusals print a usage line as well; they are in
-test_cli.py's TestExitCodes.
+A CLI cell runs `cli.main` on a command line of one of the six subcommands
+given one bad path, file, option value, config field or checkpoint. It asserts
+exit 1, exactly one stderr line `error: ...` matching the cell's expected
+text, which names the offending path, option, dotted config field or sample,
+nothing on stdout, and nothing created in the cell's directory. argparse's own
+refusals print a usage line as well; they are in test_cli.py's TestExitCodes.
 
-The library's own refusals are rows of calls (LIBRARY_ROWS), each asserting
-its exception's type and whole message; a `raise` in the engine, losses, data,
-metrics or optimizer that no row reaches fails test_every_library_raise_has_a_row.
+A row (ROWS) is a Python call given one bad input, with its exception's type
+and whole message: a library function, a config, a checkpoint file loaded or
+resumed from, `train` and `sweep` refusing before they train, and `train`
+stopped inside an epoch. A call runs in an empty directory of its own, may read
+`ctx`, the module's trained run, and asserts what its refusal leaves behind. A
+`raise` outside cli.py that no row reaches fails test_every_library_raise_has_a_row;
+`main` catches cli.py's, and the CLI cells assert them there.
 """
 
 import ast
 import dataclasses
 import functools
+import importlib
 import json
+import multiprocessing
+import os
 import pathlib
 import re
 import shutil
+import signal
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +36,9 @@ import pytest
 import vesseldistill
 from vesseldistill import tensor as T
 from vesseldistill.cli import main
-from vesseldistill.data import (PGMError, PGMMagicError, PGMMaxvalError, PGMTruncatedError,
-                                batches, generate_synthetic, load_pgm, load_sample_dir, save_pgm,
-                                save_sample_dir, split)
+from vesseldistill.data import (ImageSample, PGMError, PGMMagicError, PGMMaxvalError,
+                                PGMTruncatedError, batches, generate_synthetic, load_pgm,
+                                load_sample_dir, save_pgm, save_sample_dir, split)
 from vesseldistill.distill import (DistillConfig, alpha_at, ddl, dice_loss, kl_div, loss_terms,
                                    patch_counts, prob_vector, psdl, soften_label)
 from vesseldistill.metrics import confusion, evaluate_pairs
@@ -42,9 +46,11 @@ from vesseldistill.network import (_FIELD_TYPES, NetworkConfig, SegNetwork, _par
                                    load_checkpoint)
 from vesseldistill.optim import AdamW, lr_at
 from vesseldistill.tensor import GraphError, ShapeError, Tensor
-from vesseldistill.train import TrainConfig, train
+from vesseldistill.train import EpochLog, TrainConfig, sweep, train, write_metrics_csv
 
 from _checkpoints import older_layout, rewrite
+
+train_module = importlib.import_module("vesseldistill.train")
 
 # a depth-3 net takes sides divisible by 4; every command line trains (if it
 # got that far) one epoch of it on 32x32 images
@@ -260,7 +266,7 @@ VALUE_CELLS = {  # cell id -> cell
 
 
 # ---- checkpoint rows: each maker writes a bad checkpoint file at `path`, most by
-# editing ctx's; its refusal is a template of the file's name, "…" standing for any text
+# editing ctx's; its refusal is a template of the file's name
 
 def edited(edit):
     """A maker of ctx's checkpoint after edit(payload, meta); see _checkpoints.rewrite."""
@@ -319,6 +325,16 @@ def of_extra(kind, change):
     return lambda payload, meta: payload.update({member: change(payload[member])})
 
 
+def best_is_epoch_1(best=None):
+    """A maker of ctx's checkpoint with epoch 1 logged as its run's best, beside a best.npz
+    that the maker `best` writes, if given."""
+    def make(ctx, path):
+        rewrite(ctx.ckpt, path, of_logs(lambda logs: logs[0].update(val_dsc=1.0)))
+        if best is not None:
+            best(ctx, pathlib.Path(path).with_name("best.npz"))
+    return make
+
+
 CHECKPOINT_COLUMNS = ("load_checkpoint", "load_checkpoint-no-extras", "predict--checkpoint",
                       "evaluate--checkpoint", "resume_from")
 SHAPES = _param_shapes(NetworkConfig(**NET))
@@ -335,6 +351,14 @@ def not_saved(what):
     return everywhere(f"{what}, so not a checkpoint save_checkpoint wrote")
 
 
+def python_refusal(call):
+    """The text of call()'s TypeError: Python's own wording, which its versions may change."""
+    with pytest.raises(TypeError) as raised:
+        call()
+    return str(raised.value)
+
+
+LOG_FIELDS = [field.name for field in dataclasses.fields(EpochLog)]
 NO_SEED = "{} stores no training config to take the split seed from; pass --seed"
 NO_RUN = "run record (train_config and logs)"
 META = "meta is no JSON object holding a config object and an int epoch"
@@ -396,83 +420,56 @@ CHECKPOINT_ROWS = {  # row -> (its maker, {column: refusal})
         ("other-config", stored(learning_rate=2e-3),
          "config differs from the checkpointed run in learning_rate"),
         ("logged-row-missing-field", of_logs(lambda logs: logs[0].pop("val_dsc")),
-         "its logged row 1 is no epoch log: …'val_dsc'"),
+         "its logged row 1 is no epoch log: " + python_refusal(
+             lambda: EpochLog(**{f: 0 for f in LOG_FIELDS if f != "val_dsc"}))),
         ("logged-row-unknown-field", of_logs(lambda logs: logs[0].update(momentum=0.9)),
-         "its logged row 1 is no epoch log: …'momentum'"),
+         "its logged row 1 is no epoch log: " + python_refusal(
+             lambda: EpochLog(**dict.fromkeys(LOG_FIELDS, 0), momentum=0.9))),
         ("logged-row-str-epoch", of_logs(lambda logs: logs[1].update(epoch="2")),
          "its logged row 2 is no epoch log: epoch must be an int, got '2'"),
         ("logged-row-null-dsc", of_logs(lambda logs: logs[1].update(val_dsc=None)),
          "its logged row 2 is no epoch log: val_dsc must be a number, got None"),
         ("logged-row-list", of_logs(lambda logs: logs.__setitem__(0, [1, 0.5])),
-         "its logged row 1 is no epoch log: …"),
+         "its logged row 1 is no epoch log: " + python_refusal(lambda: EpochLog(**[1, 0.5]))),
         ("logged-row-missing", of_logs(lambda logs: logs.pop()),
          "its logged epochs are not 1 to its epoch, 2"),
         ("logged-rows-out-of-order", of_logs(lambda logs: logs.reverse()),
          "its logged epochs are not 1 to its epoch, 2"),
     ]},
+    # a resume past its run's best epoch needs the best.npz beside it to hold that epoch
+    **{f"best-npz-{name}": (best_is_epoch_1(best), {
+        "resume_from": RESUME + "its run's best epoch so far, 1, is not the one best.npz holds"})
+       for name, best in {
+           "missing": None,
+           "of-epoch-2": edited(lambda payload, meta: None),
+           "of-other-rows": edited(lambda payload, meta: (meta.update(epoch=1),
+                                                          meta["run"]["logs"].pop())),
+           "without-run-record": edited(lambda payload, meta: meta.update(epoch=1, run=None)),
+       }.items()},
 }
-
-
-def regex(refusal, path):
-    return ".*".join(re.escape(part.format(path)) for part in refusal.split("…"))
 
 
 def checkpoint_cell(make, name, refusal):
     def cell(ctx, tmp):
         make(ctx, tmp / "ckpt.npz")
         argv = command(name, ctx, tmp, checkpoint=tmp / "ckpt.npz")
-        return argv, f"^error: {regex(refusal, tmp / 'ckpt.npz')}\n$"
+        return argv, f"^error: {re.escape(refusal.format(tmp / 'ckpt.npz'))}\n$"
     return cell
 
 
-CLI_CELLS = {
-    **{f"{row}-{name}--{option}": path_cell(make, name, option)
-       for row, (make, columns) in PATH_ROWS.items() for name, option in columns},
-    **VALUE_CELLS,
-    **{f"{row}-{column}": checkpoint_cell(make, column.partition("--")[0], refusal)
-       for row, (make, refusals) in CHECKPOINT_ROWS.items()
-       for column, refusal in refusals.items() if "--" in column},
-}
-
-
-def refused(argv, pattern, tmp, capsys):
-    """Assert that `argv` exits 1 with one error line matching `pattern`, no stdout,
-    and nothing created under `tmp`."""
-    before = sorted(tmp.rglob("*"))
-    assert main([str(a) for a in argv]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
-    assert re.search(pattern, err), (pattern, err)
-    assert sorted(tmp.rglob("*")) == before
-
-
-@pytest.mark.parametrize("cell", CLI_CELLS.values(), ids=CLI_CELLS.keys())
-def test_a_bad_input_is_refused_naming_it(ctx, tmp_path, capsys, cell):
-    argv, text = cell(ctx, tmp_path)
-    refused(argv, text, tmp_path, capsys)
-
-
-LIBRARY_CELLS = {f"{row}-{column}": (column, make, refusal)
-                 for row, (make, refusals) in CHECKPOINT_ROWS.items()
-                 for column, refusal in refusals.items() if "--" not in column}
-
-
-@pytest.mark.parametrize("column, make, refusal", LIBRARY_CELLS.values(),
-                         ids=LIBRARY_CELLS.keys())
-def test_a_bad_checkpoint_is_refused_naming_it(ctx, tmp_path, column, make, refusal):
-    path, started = tmp_path / "ckpt.npz", []
-    make(ctx, path)
-    with pytest.raises(ValueError) as raised:
-        if column == "resume_from":
-            train(dataclasses.replace(ctx.cfg, out_dir=str(tmp_path / "run")), ctx.dataset,
-                  resume_from=path, epoch_start_hook=lambda t, teacher: started.append(t))
-        else:
-            load_checkpoint(path, extras=column == "load_checkpoint")
-    assert re.fullmatch(regex(refusal, path), str(raised.value)), raised.value
-    assert not started and not (tmp_path / "run").exists()
-    if refusal.startswith(RESUME):  # a file that loads, whose run a resume refuses
-        assert load_checkpoint(path, extras=False).epoch == ctx.cfg.epochs
+def checkpoint_call(column, make, refusal):
+    """A row's call of `column`, a library column, on the file make() writes as ckpt.npz.
+    A file that only a resume refuses still loads."""
+    def call(ctx):
+        make(ctx, "ckpt.npz")
+        if column != "resume_from":
+            return load_checkpoint("ckpt.npz", extras=column == "load_checkpoint")
+        try:
+            training(ctx, resume_from="ckpt.npz")
+        finally:
+            if refusal.startswith(RESUME):
+                assert load_checkpoint("ckpt.npz", extras=False).epoch == ctx.cfg.epochs
+    return call
 
 
 # ---- config rows: every leaf of TrainConfig, by its dotted path
@@ -541,9 +538,7 @@ CONFIG_ROWS = {  # row id -> (dotted path, value, its refusal by dotted path or 
 
 
 def _refusal(leaf, value, rule):
-    if rule is None:
-        return f"unknown config field {leaf}"
-    return f"{leaf} {rule}, got {value!r}"
+    return f"unknown config field {leaf}" if rule is None else f"{leaf} {rule}, got {value!r}"
 
 
 def _nested(leaf, value):
@@ -553,8 +548,15 @@ def _nested(leaf, value):
 
 def build_directly(leaf, value):
     section, _, name = leaf.rpartition(".")
-    cls = SECTIONS[section][0] if section else TrainConfig
-    cls(**{name: value})
+    (SECTIONS[section][0] if section else TrainConfig)(**{name: value})
+
+
+def _directly(leaf, value, rule):
+    """build_directly's refusal: it names the field alone, and a section must be its class."""
+    name = leaf.rpartition(".")[2]
+    if name in SECTIONS:
+        rule = f"must be a {SECTIONS[name][0].__name__}"
+    return _refusal(name, value, rule)
 
 
 def _json(value):
@@ -564,66 +566,55 @@ def _json(value):
         return None
 
 
-CONFIG_CELLS = {f"{row}-{column}": (column, *spec) for row, spec in CONFIG_ROWS.items()
-                for column in ("dataclass", "from_dict", "train", "sweep")
-                # an unknown keyword is the constructor's TypeError
-                if not (column == "dataclass" and spec[2] is None)
-                # JSON holds no numpy scalar, type or dtype and no Path
-                and not (column in ("train", "sweep") and _json(spec[1]) is None)}
+UNTILED = {"indivisible": (32, 32, 5), "non-square": (16, 32, 4)}  # 4x8 patches
 
 
-@pytest.mark.parametrize("column, leaf, value, rule", CONFIG_CELLS.values(),
-                         ids=CONFIG_CELLS.keys())
-def test_a_bad_config_value_is_refused_naming_its_field(ctx, tmp_path, capsys, column,
-                                                        leaf, value, rule):
-    if column == "dataclass":
-        name = leaf.rpartition(".")[2]
-        if name in SECTIONS:  # a section built directly must be its config class
-            rule = f"must be a {SECTIONS[name][0].__name__}"
-        with pytest.raises(ValueError) as refusal:
-            build_directly(leaf, value)
-        assert str(refusal.value) == _refusal(name, value, rule)
-    elif column == "from_dict":
-        with pytest.raises(ValueError) as refusal:
-            TrainConfig.from_dict(_nested(leaf, value))
-        assert str(refusal.value) == _refusal(leaf, value, rule)
-    else:
-        argv = command(column, ctx, tmp_path, f"{leaf}={_json(value)}")
-        refused(argv, f"^error: {re.escape(_refusal(leaf, value, rule))}\n$", tmp_path, capsys)
+def untiled(h, w, g):
+    return (f"distill.grid_g, network.height and network.width: grid {g}x{g} does not evenly "
+            f"tile {h}x{w} into square patches")
 
 
-UNTILED = ("distill.grid_g, network.height and network.width: grid {g}x{g} does not evenly "
-           "tile {h}x{w} into square patches")
+CLI_CELLS = {
+    **{f"{row}-{name}--{option}": path_cell(make, name, option)
+       for row, (make, columns) in PATH_ROWS.items() for name, option in columns},
+    **VALUE_CELLS,
+    **{f"{row}-{column}": checkpoint_cell(make, column.partition("--")[0], refusal)
+       for row, (make, refusals) in CHECKPOINT_ROWS.items()
+       for column, refusal in refusals.items() if "--" in column},
+    **{f"{row}-{name}": values_cell(name, _refusal(leaf, value, rule), f"{leaf}={_json(value)}")
+       for row, (leaf, value, rule) in CONFIG_ROWS.items() for name in ("train", "sweep")
+       if _json(value) is not None},  # JSON holds no numpy scalar, type or dtype and no Path
+    **{f"{row}-{name}": values_cell(name, untiled(h, w, g), f"network.height={h}",
+                                    f"network.width={w}", f"distill.grid_g={g}")
+       for row, (h, w, g) in UNTILED.items() for name in ("train", "sweep")},
+}
 
 
-@pytest.mark.parametrize("column", ["dataclass", "from_dict", "train", "sweep"])
-@pytest.mark.parametrize("h, w, g", [(32, 32, 5), (16, 32, 4)],
-                         ids=["indivisible", "non-square"])  # 4x8 patches
-def test_a_patch_grid_that_does_not_tile_the_size_is_refused_naming_its_fields(
-        ctx, tmp_path, capsys, column, h, w, g):
-    untiled = UNTILED.format(h=h, w=w, g=g)
-    if column in ("train", "sweep"):
-        argv = command(column, ctx, tmp_path, f"network.height={h}", f"network.width={w}",
-                       f"distill.grid_g={g}")
-        return refused(argv, f"^error: {re.escape(untiled)}\n$", tmp_path, capsys)
-    net = {**NET, "height": h, "width": w}
-    with pytest.raises(ValueError) as refusal:
-        if column == "dataclass":
-            TrainConfig(network=NetworkConfig(**net), distill=DistillConfig(grid_g=g))
-        else:
-            TrainConfig.from_dict({"network": net, "distill": {"grid_g": g}})
-    assert str(refusal.value) == untiled
+def refused(argv, pattern, tmp, capsys):
+    """Assert that `argv` exits 1 with one error line matching `pattern`, no stdout,
+    and nothing created under `tmp`."""
+    before = sorted(tmp.rglob("*"))
+    assert main([str(a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert re.search(pattern, err), (pattern, err)
+    assert sorted(tmp.rglob("*")) == before
 
 
-# ---- library rows: a library function given a bad argument, and the exception it
-# must raise, its type and whole message. Every refusing `raise` in the engine,
-# losses, data, metrics and optimizer, and in the net's input, flat-array, dtype
-# and side-output checks, is reached by a row (test_every_library_raise_has_a_row).
-# A row runs in an empty directory of its own
+@pytest.mark.parametrize("cell", CLI_CELLS.values(), ids=CLI_CELLS.keys())
+def test_a_bad_input_is_refused_naming_it(ctx, tmp_path, capsys, cell):
+    argv, text = cell(ctx, tmp_path)
+    refused(argv, text, tmp_path, capsys)
+
+
+# ---- rows: a Python call given a bad input, and the exception it must raise, its
+# type and whole message. Every refusing `raise` outside cli.py is reached by a row
+# (test_every_library_raise_has_a_row). A row runs in an empty directory of its own
 
 def loading(load, path, files):
     """A load(path) after writing `files`, path -> bytes."""
-    def call():
+    def call(ctx):
         for name, content in files.items():
             pathlib.Path(name).parent.mkdir(parents=True, exist_ok=True)
             pathlib.Path(name).write_bytes(content)
@@ -632,13 +623,103 @@ def loading(load, path, files):
 
 
 def optimizer_state(**bad):
-    """An AdamW of NET's weights loading a state of theirs, with `bad` replacing members."""
+    """Load into an AdamW of NET's weights a state of theirs, `bad` replacing members."""
     state = {"t": np.array(2), "m": np.zeros(PARAMS), "v": np.zeros(PARAMS), **bad}
-    return lambda: AdamW(np.zeros(PARAMS)).load_state_arrays(state)
+    AdamW(np.zeros(PARAMS)).load_state_arrays(state)
 
 
 def zeros(*shapes):
     return [np.zeros(shape) for shape in shapes]
+
+
+def sample(h, w, mask=None):
+    """A sample 'odd' of a blank h x w image and a blank mask of its shape, or of `mask`."""
+    return ImageSample(Tensor(np.zeros((1, h, w))), Tensor(np.zeros(mask or (1, h, w))), "odd")
+
+
+def adding(ctx, part, s):
+    """ctx's split with the sample s appended to its `part`."""
+    return dataclasses.replace(ctx.dataset, **{part: [*getattr(ctx.dataset, part), s]})
+
+
+def in_first_batch(ctx, position, **change):
+    """ctx's split with `change` made to the training sample at `position` of epoch 1's first
+    batch; in two processes, positions 0 and 1 fall to this one's share, 2 and 3 to the other's."""
+    train = list(ctx.dataset.train)
+    i = next(batches(range(len(train)), ctx.cfg.batch_size, ctx.cfg.seed, epoch=1))[position]
+    train[i] = dataclasses.replace(train[i], **change)
+    return dataclasses.replace(ctx.dataset, train=train)
+
+
+def training(ctx, dataset=None, t=0, hook=None, resume_from=None, **patches):
+    """train() of ctx's config into ./run in two processes on ctx's split or `dataset`, with
+    train.py's `patches`, hook() run as epoch t starts. It must stop in epoch t (0: before
+    epoch 1), leaving no child process and no checkpoint of epoch t: for t 0, no out_dir."""
+    def on_start(epoch, teacher):
+        assert epoch <= t, f"epoch {epoch} started"
+        if epoch == t and hook is not None:
+            hook()
+
+    with mock.patch.multiple(train_module, _process_count=lambda batch_size: 2, **patches):
+        try:
+            train(dataclasses.replace(ctx.cfg, out_dir="run"), dataset or ctx.dataset,
+                  resume_from=resume_from, epoch_start_hook=on_start)
+        finally:
+            assert not multiprocessing.active_children()
+            run = pathlib.Path("run")
+            assert t or not run.exists()
+            assert all(load_checkpoint(path, extras=False).epoch < t for path in run.glob("*.npz"))
+            assert t < 2 or (load_checkpoint(run / "last.npz", extras=False).epoch == t - 1
+                             and (run / "best.npz").exists())
+
+
+def kill_workers():
+    for child in multiprocessing.active_children():
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=10)
+
+
+def worker_dies_mid_batch(ctx):
+    """A worker that exits inside its share's step in epoch 2, after the request reached
+    it, is found when its reply is read: an EOFError, not a failed send."""
+    main_pid, step = os.getpid(), train_module._sample_step
+
+    def dying_step(net, teacher_net, *args):
+        if teacher_net is not None and os.getpid() != main_pid:
+            os._exit(1)
+        return step(net, teacher_net, *args)
+
+    try:
+        training(ctx, t=2, _sample_step=dying_step)
+    except RuntimeError as exc:
+        assert isinstance(exc.__cause__, EOFError), exc.__cause__
+        raise
+
+
+def failing_sample(position):
+    """A call training on a mask of another shape than its image past train()'s check of it;
+    a worker's exception carries the worker's traceback as its cause."""
+    def call(ctx):
+        try:
+            training(ctx, in_first_batch(ctx, position, mask=Tensor(np.zeros((1, 16, 16)))), 1,
+                     _check_run=lambda cfg, dataset: None)
+        except ShapeError as exc:
+            assert position < 2 or "in dice_loss" in str(exc.__cause__), exc.__cause__
+            raise
+    return call
+
+
+def sweeping(axis, values, dataset=None):
+    """A call of sweep() over ctx's config and split, or dataset(ctx), which must raise
+    before a run trains or its out_dir is made."""
+    def call(ctx):
+        with mock.patch.object(train_module, "train", side_effect=AssertionError("a run trained")):
+            try:
+                sweep(axis, values, dataclasses.replace(ctx.cfg, out_dir="sweep"),
+                      ctx.dataset if dataset is None else dataset(ctx))
+            finally:
+                assert not pathlib.Path("sweep").exists()
+    return call
 
 
 net = functools.partial(SegNetwork, NetworkConfig(**NET), dtype=np.float64)
@@ -656,45 +737,49 @@ FLAT_LOADS = {  # entry point -> (its load of a flat array, what it refuses, who
                           f"the config's {len(SHAPES)} parameters"),
     "from_arrays": (lambda bad: SegNetwork.from_arrays(NetworkConfig(**NET), bad),
                     "the weight array", f"the config's {len(SHAPES)} parameters"),
-    **{f"optimizer-{kind}": (lambda bad, kind=kind: optimizer_state(**{kind: bad})(),
+    **{f"optimizer-{kind}": (lambda bad, kind=kind: optimizer_state(**{kind: bad}),
                              f"optimizer state {kind!r}", "the weights") for kind in "mv"},
 }
-LIBRARY_ROWS = {  # row -> (a call taking no arguments, its exception's type, its message)
+ODD = "sample 'odd': "
+ROWS = {  # row -> (a call of ctx, its exception's type, its message)
     # tensor
-    "backward-non-scalar": (lambda: (Tensor(np.ones(4), requires_grad=True) * 2.0).backward(),
+    "backward-non-scalar": (lambda ctx: (Tensor(np.ones(4), requires_grad=True) * 2.0).backward(),
                             GraphError, "backward requires a scalar loss, got shape (4,)"),
-    "backward-leaf": (lambda: Tensor(np.ones(1), requires_grad=True).backward(), GraphError,
+    "backward-leaf": (lambda ctx: Tensor(np.ones(1), requires_grad=True).backward(), GraphError,
                       "backward called on a tensor with no recorded forward pass"),
-    "add-shapes": (lambda: T.add(*zeros(3, 4)), ShapeError,
+    "add-shapes": (lambda ctx: T.add(*zeros(3, 4)), ShapeError,
                    "add: operand shapes (3,) and (4,) do not match"),
-    "log-zero": (lambda: T.log(np.array([1.0, 0.0])), ValueError,
+    "log-zero": (lambda ctx: T.log(np.array([1.0, 0.0])), ValueError,
                  "log: input must be strictly positive (clamp first)"),
-    "maxpool2x2-odd": (lambda: T.maxpool2x2(np.zeros((1, 3, 4))), ShapeError,
+    "maxpool2x2-odd": (lambda ctx: T.maxpool2x2(np.zeros((1, 3, 4))), ShapeError,
                        "maxpool2x2: spatial dims must be even, got 3x4"),
     **{f"{name}-{shape}": (call, ShapeError, f"{name}: expected {what}, got {shape}")
        for name, call, what, shape in [
-           ("maxpool2x2", lambda: T.maxpool2x2(np.zeros((4, 4))), "[C,H,W]", (4, 4)),
-           ("conv2d", lambda: T.conv2d(*zeros((4, 4), (2, 1, 3, 3), 2)), "input [C,H,W]", (4, 4)),
-           ("conv2d", lambda: T.conv2d(*zeros((1, 4, 4), (2, 1, 5, 5), 2)),
-            "kernel [C_out,C_in,3,3]", (2, 1, 5, 5)),
-           ("bilinear_upsample", lambda: T.bilinear_upsample(np.zeros((4, 4)), 2), "[C,h,w]",
+           ("maxpool2x2", lambda ctx: T.maxpool2x2(np.zeros((4, 4))), "[C,H,W]", (4, 4)),
+           ("conv2d", lambda ctx: T.conv2d(*zeros((4, 4), (2, 1, 3, 3), 2)), "input [C,H,W]",
             (4, 4)),
-           ("softmax", lambda: T.softmax(np.zeros((2, 2))), "a 1-D vector", (2, 2)),
-           ("patch_counts", lambda: patch_counts(np.zeros((2, 4, 4)), 2), "[1,H,W]", (2, 4, 4)),
-           ("prob_vector", lambda: prob_vector(np.ones((4, 3)), 3.0), "[n,2] counts", (4, 3))]},
-    "conv2d-channels": (lambda: T.conv2d(*zeros((3, 4, 4), (2, 2, 3, 3), 2)), ShapeError,
+           ("conv2d", lambda ctx: T.conv2d(*zeros((1, 4, 4), (2, 1, 5, 5), 2)),
+            "kernel [C_out,C_in,3,3]", (2, 1, 5, 5)),
+           ("bilinear_upsample", lambda ctx: T.bilinear_upsample(np.zeros((4, 4)), 2), "[C,h,w]",
+            (4, 4)),
+           ("softmax", lambda ctx: T.softmax(np.zeros((2, 2))), "a 1-D vector", (2, 2)),
+           ("patch_counts", lambda ctx: patch_counts(np.zeros((2, 4, 4)), 2), "[1,H,W]",
+            (2, 4, 4)),
+           ("prob_vector", lambda ctx: prob_vector(np.ones((4, 3)), 3.0), "[n,2] counts",
+            (4, 3))]},
+    "conv2d-channels": (lambda ctx: T.conv2d(*zeros((3, 4, 4), (2, 2, 3, 3), 2)), ShapeError,
                         "conv2d: kernel expects 2 input channels, input has 3"),
-    "conv2d-bias": (lambda: T.conv2d(*zeros((1, 4, 4), (2, 1, 3, 3), 3)), ShapeError,
+    "conv2d-bias": (lambda ctx: T.conv2d(*zeros((1, 4, 4), (2, 1, 3, 3), 3)), ShapeError,
                     "conv2d: bias shape (3,) != (2,)"),
-    **{f"bilinear_upsample-factor-{f}": (lambda f=f: T.bilinear_upsample(np.zeros((1, 2, 2)), f),
-                                         ValueError, "bilinear_upsample: factor must be a "
-                                         f"positive integer, got {f}") for f in (0, 2.0)},
+    **{f"bilinear_upsample-factor-{f}": (
+        lambda ctx, f=f: T.bilinear_upsample(np.zeros((1, 2, 2)), f), ValueError,
+        f"bilinear_upsample: factor must be a positive integer, got {f}") for f in (0, 2.0, True)},
     **{f"upsample_concat-{x}-{skip}": (
-        lambda x=x, skip=skip: T.upsample_concat(*zeros(x, skip)), ShapeError,
+        lambda ctx, x=x, skip=skip: T.upsample_concat(*zeros(x, skip)), ShapeError,
         f"upsample_concat: input {x} upsampled by 2 cannot join skip {skip}")
        for x, skip in [((4, 8, 8), (3, 16, 17)), ((4, 8, 8), (3, 8, 8)),
                        ((4, 8, 8), (16, 16)), ((8, 8), (3, 16, 16))]},
-    **{f"{name}-tau-{tau}": (lambda call=call, tau=tau: call(tau), ValueError,
+    **{f"{name}-tau-{tau}": (lambda ctx, call=call, tau=tau: call(tau), ValueError,
                              f"{name}: {what} must be positive, got {tau}")
        for name, call, what in [
            ("softmax", lambda tau: T.softmax(np.ones(2), tau), "temperature"),
@@ -702,38 +787,42 @@ LIBRARY_ROWS = {  # row -> (a call taking no arguments, its exception's type, it
        for tau in (0.0, -1.0, NAN)},
     # distill
     **{f"patch_counts-untiled-{h}x{w}": (
-        lambda h=h, w=w, g=g: patch_counts(np.full((1, h, w), 0.5), g), ValueError,
+        lambda ctx, h=h, w=w, g=g: patch_counts(np.full((1, h, w), 0.5), g), ValueError,
         f"grid {g}x{g} does not evenly tile {h}x{w} into square patches")
        for h, w, g in [(6, 6, 4), (8, 16, 2)]},  # 8x16 into 4x8 patches
-    "patch_counts-above-1": (lambda: patch_counts(np.full((1, 4, 4), 1.5), 2), ValueError,
+    "patch_counts-above-1": (lambda ctx: patch_counts(np.full((1, 4, 4), 1.5), 2), ValueError,
                              "patch_counts: values must lie in [0,1]"),
-    "kl_div-lengths": (lambda: kl_div(np.ones(2) / 2, np.ones(3) / 3), ShapeError,
+    "kl_div-lengths": (lambda ctx: kl_div(np.ones(2) / 2, np.ones(3) / 3), ShapeError,
                        "kl_div: lengths differ, (2,) vs (3,)"),
-    "ddl-depths": (lambda: ddl([HALF], [HALF] * 2, GRID_2), ShapeError,
+    "ddl-depths": (lambda ctx: ddl([HALF], [HALF] * 2, GRID_2), ShapeError,
                    "ddl: depth mismatch, student 1 vs teacher 2"),
-    "loss_terms-depths": (lambda: loss_terms([HALF] * 2, [HALF], HALF, GRID_2, 0.25), ShapeError,
-                          "ddl: depth mismatch, student 2 vs teacher 1"),
-    "ddl-sides": (lambda: ddl([Tensor(np.full((1, 8, 8), 0.5))], [HALF], GRID_2), ShapeError,
+    "loss_terms-depths": (lambda ctx: loss_terms([HALF] * 2, [HALF], HALF, GRID_2, 0.25),
+                          ShapeError, "ddl: depth mismatch, student 2 vs teacher 1"),
+    "ddl-sides": (lambda ctx: ddl([Tensor(np.full((1, 8, 8), 0.5))], [HALF], GRID_2), ShapeError,
                   "ddl: side outputs differ, (1, 8, 8) vs (1, 4, 4)"),
-    **{f"alpha_at-{t}-of-{total}": (lambda t=t, total=total: alpha_at(t, total, 0.5), ValueError,
-                                    refusal)
+    **{f"alpha_at-{t}-of-{total}": (lambda ctx, t=t, total=total: alpha_at(t, total, 0.5),
+                                    ValueError, refusal)
        for t, total, refusal in [(0, 10, "epoch 0 outside 1..10"),
                                  (11, 10, "epoch 11 outside 1..10"),
                                  (1, 0, "total_epochs must be >= 1, got 0")]},
-    "soften_label-alpha": (lambda: soften_label(*zeros((1, 1, 1), (1, 1, 1)), 1.5), ValueError,
-                           "alpha must be in [0,1], got 1.5"),
-    **{f"{name}-shapes": (lambda call=call: call(*zeros((1, 2, 2), (1, 2, 3))), ShapeError,
+    "soften_label-alpha": (lambda ctx: soften_label(*zeros((1, 1, 1), (1, 1, 1)), 1.5),
+                           ValueError, "alpha must be in [0,1], got 1.5"),
+    **{f"{name}-shapes": (lambda ctx, call=call: call(*zeros((1, 2, 2), (1, 2, 3))), ShapeError,
                           f"{name}: shapes differ, (1, 2, 2) vs (1, 2, 3)")
        for name, call in [("soften_label", lambda *pair: soften_label(*pair, 0.5)),
                           ("psdl", psdl), ("dice_loss", dice_loss), ("confusion", confusion)]},
     # data
-    "generate_synthetic-count-0": (lambda: generate_synthetic(seed=0, count=0), ValueError,
+    "generate_synthetic-count-0": (lambda ctx: generate_synthetic(seed=0, count=0), ValueError,
                                    "count must be positive, got 0"),
     **{f"generate_synthetic-size-{size}": (
-        lambda size=size: generate_synthetic(seed=0, count=1, size=size), ValueError,
+        lambda ctx, size=size: generate_synthetic(seed=0, count=1, size=size), ValueError,
         f"size must be positive, got {size}") for size in (0, -3)},
-    "generate_synthetic-seed--1": (lambda: generate_synthetic(seed=-1, count=1), ValueError,
-                                   "seed must be >= 0, got -1"),
+    **{f"{name}-seed-{seed}": (lambda ctx, call=call, seed=seed: call(seed), ValueError, refusal)
+       for name, call, negative in [
+           ("generate_synthetic", lambda seed: generate_synthetic(seed, count=1), -1),
+           ("split", lambda seed: split([1, 2, 3], seed=seed), -3)]
+       for seed, refusal in [(negative, f"seed must be >= 0, got {negative}"),
+                             (True, "seed must be an int, got True")]},
     **{f"load_pgm-{row}": (loading(load_pgm, "image.pgm", {"image.pgm": content}), kind,
                            f"image.pgm: {refusal}") for row, content, kind, refusal in [
         ("one-byte", b"P", PGMTruncatedError, "file too short for a magic number"),
@@ -756,7 +845,7 @@ LIBRARY_ROWS = {  # row -> (a call taking no arguments, its exception's type, it
          "pixel value 200 outside 0..maxval 100"),
         ("P2-pixel-under", b"P2\n2 1\n100\n-5 50\n", PGMMaxvalError,
          "pixel value -5 outside 0..maxval 100")]},
-    "save_pgm-channels": (lambda: save_pgm(np.zeros((2, 3, 3)), "image.pgm"), ValueError,
+    "save_pgm-channels": (lambda ctx: save_pgm(np.zeros((2, 3, 3)), "image.pgm"), ValueError,
                           "save_pgm: expected [H,W] or [1,H,W], got (2, 3, 3)"),
     **{f"load_sample_dir-{row}": (loading(load_sample_dir, "data", files), kind, refusal)
        for row, files, kind, refusal in [
@@ -765,97 +854,163 @@ LIBRARY_ROWS = {  # row -> (a call taking no arguments, its exception's type, it
         ("mask-shape", {"data/images/0.pgm": PGM_4x4, "data/masks/0.pgm": PGM_3x2}, ValueError,
          "data/masks/0.pgm: mask is 3x2, but its image is 4x4"),
         ("empty", {}, FileNotFoundError, "no .pgm images under data/images")]},
-    "split-empty": (lambda: split([]), ValueError, "cannot split an empty sample list"),
-    **{f"split-ratios-{ratios}": (lambda ratios=ratios: split([1, 2, 3], ratios), ValueError,
-                                  f"ratios must {rule}, got {ratios}")
+    "split-empty": (lambda ctx: split([]), ValueError, "cannot split an empty sample list"),
+    **{f"split-ratios-{ratios}": (lambda ctx, ratios=ratios: split([1, 2, 3], ratios),
+                                  ValueError, f"ratios must {rule}, got {ratios}")
        for ratios, rule in [((1, 2), "be three non-negative numbers"),
                             ((-1, 1, 1), "be three non-negative numbers"),
+                            ((NAN, 1, 1), "be three non-negative numbers"),
+                            ((7, 1, NAN), "be three non-negative numbers"),
                             ((1, 1, 0.5), "sum to a positive whole number"),
-                            ((0, 0, 0), "sum to a positive whole number")]},
-    "split-seed--3": (lambda: split([1, 2, 3], seed=-3), ValueError, "seed must be >= 0, got -3"),
-    "batches-size-0": (lambda: next(batches([1], 0, seed=0, epoch=1)), ValueError,
+                            ((0, 0, 0), "sum to a positive whole number"),
+                            ((float("inf"), 1, 1), "sum to a positive whole number")]},
+    "batches-size-0": (lambda ctx: next(batches([1], 0, seed=0, epoch=1)), ValueError,
                        "batch_size must be >= 1, got 0"),
     # metrics
-    "evaluate_pairs-none": (lambda: evaluate_pairs([]), ValueError,
+    "evaluate_pairs-none": (lambda ctx: evaluate_pairs([]), ValueError,
                             "no prediction/ground-truth pairs to evaluate"),
     # optim
-    **{f"step-gradient-{shape}": (lambda shape=shape: AdamW(np.zeros(6)).step(np.zeros(shape)),
-                                  ValueError, f"gradient of shape {shape} does not match the "
-                                  "weights' shape (6,)")
+    **{f"step-gradient-{shape}": (
+        lambda ctx, shape=shape: AdamW(np.zeros(6)).step(np.zeros(shape)), ValueError,
+        f"gradient of shape {shape} does not match the weights' shape (6,)")
        for shape in [(5,), (7,), (1, 6), (6, 1)]},
-    **{f"load_state_arrays-t-{t!r}": (optimizer_state(t=t), ValueError,
+    **{f"load_state_arrays-t-{t!r}": (lambda ctx, t=t: optimizer_state(t=t), ValueError,
                                       f"optimizer state 't' is {t!r}, not a 0-d integer array "
                                       ">= 0")
        for t in [np.array([1, 2, 3]), np.array(-1), np.array(True), np.array(2.0)]},
-    "load_state_arrays-float32-m": (optimizer_state(m=np.zeros(PARAMS, np.float32)), ValueError,
-                                    "optimizer state 'm' has dtype float32, but the weights "
-                                    "float64"),
-    "lr_at-epoch-0": (lambda: lr_at(0, 1e-3, 0.3, 10), ValueError, "epoch must be >= 1, got 0"),
+    "load_state_arrays-float32-m": (lambda ctx: optimizer_state(m=np.zeros(PARAMS, np.float32)),
+                                    ValueError, "optimizer state 'm' has dtype float32, but the "
+                                    "weights float64"),
+    "lr_at-epoch-0": (lambda ctx: lr_at(0, 1e-3, 0.3, 10), ValueError,
+                      "epoch must be >= 1, got 0"),
+    **{f"lr_at-step_every-{n}": (lambda ctx, n=n: lr_at(3, 1e-3, 0.5, n), ValueError,
+                                 f"step_every must be >= 1, got {n}") for n in (0, -3, NAN)},
     # network
-    **{f"forward-{shape}": (lambda shape=shape: net().forward(np.zeros(shape)), ShapeError,
+    **{f"forward-{shape}": (lambda ctx, shape=shape: net().forward(np.zeros(shape)), ShapeError,
                             f"input shape {shape} {SHAPE}")
        for shape in [(1, 18, 18), (2, 32, 32), (3, 64, 64), (32, 32)]},
-    **{f"{entry}-{row}": (lambda load=load, bad=bad: load(bad), ValueError,
+    **{f"{entry}-{row}": (lambda ctx, load=load, bad=bad: load(bad), ValueError,
                           f"{what} holds {held}, but {whose} need {PARAMS}")
        for row, (bad, held) in FLAT.items() for entry, (load, what, whose) in FLAT_LOADS.items()},
-    **{f"net-dtype-{dtype!r}": (lambda dtype=dtype: net(dtype=dtype), ValueError,
+    **{f"net-dtype-{dtype!r}": (lambda ctx, dtype=dtype: net(dtype=dtype), ValueError,
                                 f"dtype must be float32 or float64, got {dtype!r}")
        for dtype in [np.int32, "float16", "f4", None]},
     **{f"from_arrays-dtype-{np.dtype(dtype)}": (
-        lambda dtype=dtype: SegNetwork.from_arrays(NetworkConfig(**NET), np.zeros(PARAMS, dtype)),
+        lambda ctx, dtype=dtype: SegNetwork.from_arrays(NetworkConfig(**NET),
+                                                        np.zeros(PARAMS, dtype)),
         ValueError, f"the weight array has dtype {np.dtype(dtype)}, not float32 or float64")
        for dtype in [np.int64, np.float16, np.uint8]},
-    **{f"side_output-depth-{depth}": (lambda depth=depth: net().side_output(None, depth),
+    **{f"side_output-depth-{depth}": (lambda ctx, depth=depth: net().side_output(None, depth),
                                       ValueError, f"side_output: depth {depth} outside 1..3")
        for depth in (0, 4)},
+    # configs, built directly (an unknown keyword is the constructor's TypeError) and
+    # through from_dict
+    **{f"{row}-dataclass": (lambda ctx, leaf=leaf, value=value: build_directly(leaf, value),
+                            ValueError, _directly(leaf, value, rule))
+       for row, (leaf, value, rule) in CONFIG_ROWS.items() if rule is not None},
+    # a section built directly must be its config class, not a mapping or the other class
+    **{f"section-{name}-{type(value).__name__}-dataclass": (
+        lambda ctx, name=name, value=value: TrainConfig(**{name: value}), ValueError,
+        f"{name} must be a {SECTIONS[name][0].__name__}, got {value!r}")
+       for name, value in [("network", {"depth": 3}), ("network", DistillConfig()),
+                           ("distill", {"tau": 3.0}), ("distill", None)]},
+    **{f"{row}-from_dict": (lambda ctx, leaf=leaf, value=value: TrainConfig.from_dict(
+        _nested(leaf, value)), ValueError, _refusal(leaf, value, rule))
+       for row, (leaf, value, rule) in CONFIG_ROWS.items()},
+    **{f"{row}-dataclass": (lambda ctx, h=h, w=w, g=g: TrainConfig(
+        network=NetworkConfig(**{**NET, "height": h, "width": w}), distill=DistillConfig(grid_g=g)),
+        ValueError, untiled(h, w, g)) for row, (h, w, g) in UNTILED.items()},
+    **{f"{row}-from_dict": (lambda ctx, h=h, w=w, g=g: TrainConfig.from_dict(
+        {"network": {**NET, "height": h, "width": w}, "distill": {"grid_g": g}}),
+        ValueError, untiled(h, w, g)) for row, (h, w, g) in UNTILED.items()},
+    # checkpoint files, loaded and resumed from
+    **{f"{row}-{column}": (checkpoint_call(column, make, refusal), ValueError,
+                           refusal.format("ckpt.npz"))
+       for row, (make, refusals) in CHECKPOINT_ROWS.items()
+       for column, refusal in refusals.items() if "--" not in column},
+    # train, refusing a split before epoch 1 and stopped inside an epoch
+    "train-no-training-samples": (
+        lambda ctx: training(ctx, dataclasses.replace(ctx.dataset, train=[])), ValueError,
+        "dataset has no training samples"),
+    **{f"train-{part}-mask-16x16": (
+        lambda ctx, part=part: training(ctx, adding(ctx, part, sample(32, 32, (1, 16, 16)))),
+        ValueError, ODD + "mask shape (1, 16, 16) differs from its image's (1, 32, 32)")
+       for part in ("train", "val")},
+    "train-image-34x34": (lambda ctx: training(ctx, adding(ctx, "train", sample(34, 34))),
+                          ValueError, ODD + f"input shape (1, 34, 34) {SHAPE}"),
+    # the DDL's grid: epoch 1 has no teacher, so this used to fail in epoch 2
+    "train-image-32x64": (lambda ctx: training(ctx, adding(ctx, "val", sample(32, 64))),
+                          ValueError, ODD + "grid 4x4 does not evenly tile 32x64 into square "
+                          "patches"),
+    **{f"train-nan-image-at-{position}": (lambda ctx, position=position: training(
+        ctx, in_first_batch(ctx, position, image=Tensor(np.full((1, 32, 32), np.nan))), 1),
+        FloatingPointError, "epoch 1, batch 0: dice loss is nan") for position in (0, 2)},
+    "train-worker-killed": (lambda ctx: training(ctx, t=2, hook=kill_workers),
+                            RuntimeError, "a training worker exited unexpectedly"),
+    "train-worker-dies-mid-batch": (worker_dies_mid_batch, RuntimeError,
+                                    "a training worker exited unexpectedly"),
+    **{f"train-failing-sample-at-{position}": (
+        failing_sample(position), ShapeError, "dice_loss: shapes differ, (1, 32, 32) vs "
+        "(1, 16, 16)") for position in (0, 2)},
+    "write_metrics_csv-no-rows": (lambda ctx: write_metrics_csv([], "metrics.csv"), ValueError,
+                                  "no metric rows to write"),
+    # sweep, refusing before any run trains
+    "sweep-axis-x": (sweeping("x", [1.0]), ValueError,
+                     "unknown sweep axis 'x' (expected tau, n, or alpha)"),
+    "sweep-no-test-samples": (
+        sweeping("tau", [1.0], lambda ctx: dataclasses.replace(ctx.dataset, test=[])),
+        ValueError, "dataset has no test samples to score the runs on"),
+    **{f"sweep-{part}-image-{side}x{side}": (
+        sweeping("tau", [1.0], lambda ctx, part=part, side=side: adding(
+            ctx, part, sample(side, side))), ValueError,
+        ODD + f"input shape (1, {side}, {side}) {SHAPE}") for part, side in [("test", 31),
+                                                                           ("train", 34)]},
+    "sweep-alpha-True": (sweeping("alpha", [0.5, True]), ValueError,
+                         "alpha value True is not a number"),
+    "sweep-n-5": (sweeping("n", [4, 5]), ValueError,
+                  "patch count 5 is not a positive whole perfect square"),
 }
 
 
-@pytest.mark.parametrize("call, kind, message", LIBRARY_ROWS.values(), ids=LIBRARY_ROWS.keys())
-def test_a_bad_library_argument_is_refused_naming_it(tmp_path, monkeypatch, call, kind, message):
+@pytest.mark.parametrize("call, kind, message", ROWS.values(), ids=ROWS.keys())
+def test_a_bad_library_argument_is_refused_naming_it(ctx, tmp_path, monkeypatch, call, kind,
+                                                     message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(kind) as raised:
-        call()
+        call(ctx)
     assert type(raised.value) is kind and str(raised.value) == message, raised.value
 
 
 LIBRARY = pathlib.Path(vesseldistill.__file__).parent
-# module -> the functions whose raises the rows must reach, or None for all of them
-SCANNED = {**dict.fromkeys(["tensor.py", "distill.py", "data.py", "metrics.py", "optim.py"]),
-           "network.py": {"_check_input_shape", "_check_flat", "_check_float", "side_output"}}
+SOURCES = sorted(LIBRARY.glob("*.py"))
+# the modules whose every raise a row must reach: all but cli.py, whose refusals
+# `main` catches and the CLI cells assert
+SCANNED = [path for path in SOURCES if path.name != "cli.py"]
 
 
-def library_raises(scanned=SCANNED):
-    """module:line -> the (file, line) pairs it spans, of each `raise` statement of
-    `scanned` that raises an exception rather than re-raising one."""
+def raise_statements(paths=SCANNED):
+    """module:line -> the (file, line) pairs it spans, of each `raise` statement in
+    `paths` that raises an exception rather than re-raising one."""
     found = {}
-    for name, functions in scanned.items():
-        tree = ast.parse((LIBRARY / name).read_text())
-        scopes = [tree] if functions is None else [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name in functions]
-        for node in (node for scope in scopes for node in ast.walk(scope)):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc:
                 lines = range(node.lineno, node.end_lineno + 1)
-                found[f"{name}:{node.lineno}"] = {(LIBRARY / name, line) for line in lines}
+                found[f"{path.name}:{node.lineno}"] = {(path, line) for line in lines}
     return found
 
 
-def test_every_library_raise_has_a_row(tmp_path, monkeypatch):
-    # a DistillConfig refusal counts as reached by the config rows' dataclass column
-    calls = {**{row: call for row, (call, _, _) in LIBRARY_ROWS.items()},
-             **{cell: functools.partial(build_directly, *spec[1:3])
-                for cell, spec in CONFIG_CELLS.items() if spec[0] == "dataclass"}}
-    raise_lines = set().union(*library_raises(
-        dict.fromkeys(path.name for path in LIBRARY.glob("*.py"))).values())
+def test_every_library_raise_has_a_row(ctx, tmp_path, monkeypatch):
+    raise_lines = set().union(*raise_statements(SOURCES).values())
     reached, foreign = set(), []
-    for i, (row, call) in enumerate(calls.items()):
+    for i, (row, (call, _, _)) in enumerate(ROWS.items()):
         (tmp_path / str(i)).mkdir()
         monkeypatch.chdir(tmp_path / str(i))
         with pytest.raises(Exception) as raised:
-            call()
+            call(ctx)
         exc, sites = raised.value, []
-        while exc:  # where it was raised, then each exception in its cause/context chain
+        # where it was raised, then each raised exception in its cause/context chain
+        while exc is not None and exc.__traceback__ is not None:
             tb = exc.__traceback__
             while tb.tb_next:
                 tb = tb.tb_next
@@ -865,5 +1020,5 @@ def test_every_library_raise_has_a_row(tmp_path, monkeypatch):
             foreign.append(f"{row}: %s:%d" % sites[0])
         reached.update(sites)
     assert not foreign, f"raised by no library `raise`: {foreign}"
-    unreached = [at for at, lines in library_raises().items() if not lines & reached]
+    unreached = [at for at, lines in raise_statements().items() if not lines & reached]
     assert not unreached, f"reached by no row: {unreached}"

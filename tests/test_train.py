@@ -7,7 +7,6 @@ import json
 import multiprocessing
 import os
 import pathlib
-import re
 import select
 import shutil
 import signal
@@ -22,13 +21,13 @@ import pytest
 
 from vesseldistill import distill
 from vesseldistill import tensor as T
-from vesseldistill.data import DatasetSplit, batches, generate_synthetic, load_pgm, split
+from vesseldistill.data import batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.optim import AdamW, lr_at
 from vesseldistill.network import (NetworkConfig, SegNetwork, _views, load_checkpoint,
                                    save_checkpoint)
-from vesseldistill.tensor import ShapeError, Tensor
+from vesseldistill.tensor import Tensor
 from vesseldistill.train import TrainConfig, evaluate, predict_to_file, sweep, train
 
 from _checkpoints import rewrite
@@ -59,13 +58,6 @@ def keep_epochs(out_dir):
     out_dir = pathlib.Path(out_dir)
     return lambda t, net, teacher, log: shutil.copyfile(out_dir / "last.npz",
                                                         out_dir / f"epoch_{t:03d}.npz")
-
-
-def worker_sample(dataset, position=2):
-    """Index of the training sample at `position` in epoch 1's first batch;
-    split across 2 processes, positions 2 and 3 fall to the worker."""
-    first = next(batches(list(range(len(dataset.train))), 4, seed=0, epoch=1))
-    return first[position]
 
 
 def views_of_its_weights(net):
@@ -277,7 +269,7 @@ class TestResume:
                         tiny_dataset, resume_from=tmp_path / "full" / "epoch_002.npz")
         self.assert_same_best(full, resumed)
 
-    def test_resume_past_the_best_epoch_copies_it_or_refuses(self, tiny_dataset, tmp_path):
+    def test_resume_past_the_best_epoch_copies_it(self, tiny_dataset, tmp_path):
         # seed 3's best epoch is 1, before the checkpoint
         cfg = dataclasses.replace(tiny_cfg(tmp_path / "full", epochs=4), seed=3)
         full = train(cfg, tiny_dataset, epoch_end_hook=keep_epochs(tmp_path / "full"))
@@ -291,24 +283,6 @@ class TestResume:
             self.assert_same_best(full, resumed)
             assert (tmp_path / name / "epochs.csv").read_bytes() \
                 == (tmp_path / "full" / "epochs.csv").read_bytes()
-
-        # once best.npz holds another epoch, epoch 1 of another run, or epoch 1's
-        # weights without the logged rows, nothing holds epoch 1's weights
-        other = train(dataclasses.replace(cfg, epochs=1, seed=4, out_dir=str(tmp_path / "other")),
-                      tiny_dataset)
-        bare = tmp_path / "bare.npz"
-        save_checkpoint(bare, load_checkpoint(full.best_path).to_network(), epoch=1)
-        refusal = (f"cannot resume from {re.escape(str(tmp_path / 'full' / 'epoch_002.npz'))}: "
-                   f"its run's best epoch so far, 1, is not the one "
-                   f"{re.escape(str(full.best_path))} holds")
-        for source in (full.final_path, other.best_path, bare):
-            shutil.copyfile(source, full.best_path)
-            started = []
-            with pytest.raises(ValueError, match=refusal):
-                train(dataclasses.replace(cfg, out_dir=str(tmp_path / "refused")), tiny_dataset,
-                      resume_from=tmp_path / "full" / "epoch_002.npz",
-                      epoch_start_hook=lambda t, teacher: started.append(t))
-            assert not started and not (tmp_path / "refused").exists()
 
     def test_a_resume_writes_its_runs_log_before_its_first_epoch(self, full, resumed):
         """A run stopped in epoch 3 leaves epochs 1 and 2 in epochs.csv, and a resume
@@ -397,56 +371,6 @@ class TestDeeperHeads:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("size, network, grid_g, message", [
-        # the DDL's grid: epoch 1 has no teacher, so this used to fail in epoch 2
-        (64, NetworkConfig(depth=2, base_channels=4, height=48, width=48), 3,
-         "grid 3x3 does not evenly tile 64x64"),
-        (34, NetworkConfig(depth=3, base_channels=4, height=32, width=32), 2,
-         r"input shape \(1, 34, 34\) is not \[1,H,W\] with H and W divisible"),
-    ])
-    def test_rejects_data_the_config_cannot_take_before_epoch_1(self, tmp_path, size,
-                                                                network, grid_g, message):
-        dataset = split(generate_synthetic(seed=1, count=10, size=size), seed=0)
-        cfg = TrainConfig(epochs=2, network=network, distill=DistillConfig(grid_g=grid_g),
-                          out_dir=str(tmp_path / "run"))
-        started = []
-        with pytest.raises(ValueError, match=rf"sample '{dataset.train[0].id}': {message}"):
-            train(cfg, dataset, epoch_start_hook=lambda t, teacher: started.append(t))
-        assert not started
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("part", ["train", "val"])
-    def test_rejects_a_mask_of_another_shape_than_its_image_before_epoch_1(
-            self, tiny_dataset, tmp_path, part):
-        broken = copy.deepcopy(tiny_dataset)
-        sample = getattr(broken, part)[-1]
-        sample.mask = Tensor(np.zeros((1, 16, 16)))
-        started = []
-        with pytest.raises(ValueError, match=re.escape(
-                f"sample {sample.id!r}: mask shape (1, 16, 16) differs from its image's "
-                "(1, 32, 32)")):
-            train(tiny_cfg(tmp_path / "run"), broken,
-                  epoch_start_hook=lambda t, teacher: started.append(t))
-        assert not started
-        assert not (tmp_path / "run").exists()
-
-    def test_rejects_empty_train_split(self, tmp_path):
-        ds = split(generate_synthetic(seed=2, count=3, size=32), ratios=(0, 1, 2))
-        with pytest.raises(ValueError):
-            train(tiny_cfg(tmp_path / "v"), ds)
-
-    @pytest.mark.parametrize("field, value, must_be", [
-        ("network", {"depth": 3}, "NetworkConfig"),
-        ("network", DistillConfig(), "NetworkConfig"),
-        ("distill", {"tau": 3.0}, "DistillConfig"),
-        ("distill", None, "DistillConfig"),
-    ])
-    def test_rejects_a_section_that_is_no_config(self, field, value, must_be):
-        # a dict used to fail with an AttributeError naming no field
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a {must_be}, "
-                                                       f"got {value!r}")):
-            dataclasses.replace(tiny_cfg("unused"), **{field: value})
-
     def test_accepts_the_boundaries(self):
         tiny_cfg("unused", dtype="float64", weight_decay=0.0, lr_step_every=1,
                  lr_gamma=1.0)
@@ -454,28 +378,10 @@ class TestValidation:
         tiny_cfg("unused", learning_rate=1, weight_decay=0, lr_gamma=1,
                  dice_only=True)
 
-    def test_sweep_takes_numpy_scalars_and_refuses_a_bool_before_training(self, tiny_dataset,
-                                                                         tmp_path):
+    def test_sweep_takes_numpy_scalars(self, tiny_dataset, tmp_path):
         cfg = tiny_cfg(tmp_path / "sweep", epochs=1)
-        with pytest.raises(ValueError, match=r"^alpha value True is not a number$"):
-            sweep("alpha", [0.5, True], cfg, tiny_dataset)
-        assert not (tmp_path / "sweep").exists()
         rows = sweep("tau", [np.float64(2.0), np.int64(3)], cfg, tiny_dataset)
         assert [row["tau"] for row in rows] == [2.0, 3]
-
-    @pytest.mark.parametrize("test_size", [31, None], ids=["31x31", "empty"])
-    def test_sweep_checks_the_test_split_before_training(self, tiny_dataset, tmp_path,
-                                                         monkeypatch, test_size):
-        trained = []
-        monkeypatch.setattr(train_module, "train", lambda *args: trained.append(args))
-        test = [] if test_size is None else generate_synthetic(seed=2, count=2, size=test_size)
-        dataset = DatasetSplit(tiny_dataset.train, tiny_dataset.val, test)
-        message = ("^dataset has no test samples" if test_size is None else
-                   rf"^sample '{test[0].id}': input shape \(1, 31, 31\) is not \[1,H,W\]")
-        with pytest.raises(ValueError, match=message):
-            sweep("tau", [1.0, 2.0], tiny_cfg(tmp_path / "sweep", epochs=1), dataset)
-        assert not trained
-        assert not (tmp_path / "sweep").exists()
 
     def test_evaluate_returns_report(self, tiny_dataset, full):
         net = load_checkpoint(full.result.final_path).to_network()
@@ -566,14 +472,6 @@ class TestValidation:
 
 
 class TestNonFiniteLoss:
-    def test_nan_pixel_stops_training_naming_the_term(self, tiny_dataset, tmp_path):
-        poisoned = copy.deepcopy(tiny_dataset)
-        poisoned.train[3].image.data[0, 5, 7] = np.nan
-        out = tmp_path / "nan"
-        with pytest.raises(FloatingPointError, match=r"epoch 1, batch \d+: dice loss is nan"):
-            train(tiny_cfg(out, epochs=2), poisoned)
-        assert not list(out.glob("*.npz"))
-
     def test_a_run_stopped_in_epoch_2_leaves_epoch_1s_log(self, tiny_dataset, full, tmp_path,
                                                           monkeypatch):
         # one process, so the hook's poisoned pixel reaches the training step
@@ -588,16 +486,6 @@ class TestNonFiniteLoss:
             train(tiny_cfg(tmp_path / "stopped", epochs=2), poisoned,
                   epoch_start_hook=poison_in_epoch_2)
         assert (tmp_path / "stopped" / "epochs.csv").read_bytes() == full.start[2].csv
-
-    def test_nan_in_a_workers_share_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
-        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
-        poisoned = copy.deepcopy(tiny_dataset)
-        poisoned.train[worker_sample(poisoned)].image.data[0, 5, 7] = np.nan
-        out = tmp_path / "nan"
-        with pytest.raises(FloatingPointError, match=r"epoch 1, batch 0: dice loss is nan"):
-            train(tiny_cfg(out, epochs=2), poisoned)
-        assert not list(out.glob("*.npz"))
-        assert not multiprocessing.active_children()
 
 
 class TestGraphLifetime:
@@ -724,50 +612,6 @@ class TestWorkers:
             result = train(dataclasses.replace(cfg, out_dir=out), dataset)
             weights.append(load_checkpoint(result.final_path).weights.tobytes())
         assert weights[0] == weights[1]
-
-    @pytest.mark.parametrize("position", [0, 2])  # the main process's share, a worker's
-    def test_a_failing_sample_raises_its_exception(self, tiny_dataset, tmp_path, monkeypatch,
-                                                   position):
-        broken = copy.deepcopy(tiny_dataset)
-        broken.train[worker_sample(broken, position)].mask = Tensor(np.zeros((1, 16, 16)))
-        # train() refuses this mask before any epoch; skipped, it fails inside a step
-        monkeypatch.setattr(train_module, "_check_run", lambda cfg, dataset: None)
-        with pytest.raises(ShapeError) as raised:
-            self.run(broken, tmp_path / "b", monkeypatch, 2, epochs=2)
-        if position >= 2:
-            assert "dice_loss" in str(raised.value.__cause__)  # the worker's traceback
-        assert not multiprocessing.active_children()
-
-    def test_a_killed_worker_stops_training(self, tiny_dataset, tmp_path, monkeypatch):
-        def kill_workers(t, teacher):
-            if t == 2:
-                for child in multiprocessing.active_children():
-                    os.kill(child.pid, signal.SIGKILL)
-                    child.join(timeout=10)
-
-        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
-        with pytest.raises(RuntimeError, match="worker exited"):
-            train(tiny_cfg(tmp_path / "k", epochs=3), tiny_dataset, epoch_start_hook=kill_workers)
-        assert not multiprocessing.active_children()
-
-    def test_a_worker_that_dies_mid_batch_stops_training(self, tiny_dataset, tmp_path,
-                                                        monkeypatch):
-        """A worker that exits inside its share's step, after the request
-        reached it, is found when its reply is read; the epoch saves nothing."""
-        main, step = os.getpid(), train_module._sample_step
-
-        def dying_step(net, teacher_net, *args):
-            if teacher_net is not None and os.getpid() != main:  # a worker, in epoch 2
-                os._exit(1)
-            return step(net, teacher_net, *args)
-
-        monkeypatch.setattr(train_module, "_sample_step", dying_step)
-        with pytest.raises(RuntimeError, match="a training worker exited unexpectedly") as raised:
-            self.run(tiny_dataset, tmp_path / "d", monkeypatch, 2, epochs=3)
-        assert isinstance(raised.value.__cause__, EOFError)  # not a failed send
-        assert not multiprocessing.active_children()
-        for name in ("last.npz", "best.npz"):
-            assert load_checkpoint(tmp_path / "d" / name, extras=False).epoch == 1
 
     def test_sample_order_sum_matches_the_single_graph_batch_gradient(self, tiny_dataset):
         cfg = tiny_cfg("unused", epochs=3)
