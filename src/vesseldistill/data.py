@@ -6,7 +6,9 @@ root curves entering from the borders, recursive branching with shrinking
 width) as a list of (y, x, radius) disks, one per path step, then
 rasterize the union of the disks in one vectorized pass. The mask is
 rendered as dark vessels over a smooth random background with blur and
-noise.
+noise. The blur, `_blur`, gives scipy.ndimage.gaussian_filter's bits, which
+the generator used before, so every seed's dataset and every run trained on
+it stay what they were, with numpy the one dependency.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .metrics import _foreground
+from .network import _check_int
 from .tensor import Tensor
 
 
@@ -60,7 +62,7 @@ def _grow_branch(disks, size, rng, y, x, angle, width, length, depth):
     if depth > 0 and width > 1.0:
         n_children = rng.integers(1, 3)
         for _ in range(n_children):
-            child_angle = angle + rng.uniform(0.4, 1.0) * rng.choice([-1.0, 1.0])
+            child_angle = angle + rng.uniform(0.4, 1.0) * (-1.0, 1.0)[rng.integers(2)]
             child_len = length * rng.uniform(0.5, 0.8)
             _grow_branch(disks, size, rng, y, x, child_angle, max(1.0, width * 0.7),
                          child_len, depth - 1)
@@ -117,6 +119,28 @@ def _vessel_mask(rng, size):
     return _rasterize(disks, size)
 
 
+def _blur(a, sigma):
+    """scipy.ndimage.gaussian_filter(a, sigma) of a 2-D float64 array, to the bit.
+
+    Its kernel and border, and its loop for a symmetric kernel: the weights
+    exp(-x**2 / (2 sigma**2)) / sum over |x| <= int(4 sigma + 0.5), the border
+    reflected (d c b a | a b c d | d c b a, again for a line shorter than the
+    radius), axis 0 and then axis 1, each output x[i] w_0 plus
+    (x[i-j] + x[i+j]) w_j for j from the radius down to 1.
+    """
+    r = int(4 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = w / w.sum()
+    x = np.pad(a, r, mode="symmetric")
+    for _ in range(2):  # filter axis 0, then transpose so that axis 1 is next
+        n = len(x) - 2 * r
+        out = x[r:r + n] * w[r]
+        for j in range(r, 0, -1):
+            out += (x[r - j:r - j + n] + x[r + j:r + j + n]) * w[r + j]
+        x = out.T
+    return np.ascontiguousarray(x)
+
+
 def _render_image(rng, mask, size):
     # smooth random background from an upsampled coarse grid
     coarse = rng.uniform(0.45, 0.75, size=(5, 5))
@@ -130,16 +154,15 @@ def _render_image(rng, mask, size):
           + (1 - wy) * wx * coarse[np.ix_(i0, i1)]
           + wy * (1 - wx) * coarse[np.ix_(i1, i0)]
           + wy * wx * coarse[np.ix_(i1, i1)])
-    vessels = gaussian_filter(mask.astype(np.float64), sigma=0.7)
+    vessels = _blur(mask.astype(np.float64), 0.7)
     img = bg - 0.35 * vessels
-    img = gaussian_filter(img, sigma=0.5)
+    img = _blur(img, 0.5)
     img = img + rng.normal(0.0, 0.03, size=img.shape)
     return np.clip(img, 0.0, 1.0)
 
 
 def _check_seed(seed):
-    if isinstance(seed, bool):  # an int to Python, but no seed; the configs refuse it too
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    _check_int("seed", seed)
     if seed < 0:  # numpy seeds no generator with it
         raise ValueError(f"seed must be >= 0, got {seed}")
 
@@ -147,6 +170,8 @@ def _check_seed(seed):
 def generate_synthetic(seed, count, size=64):
     """Deterministically generate `count` vessel samples of shape [1,size,size]."""
     _check_seed(seed)
+    _check_int("count", count)
+    _check_int("size", size)
     if count <= 0:
         raise ValueError(f"count must be positive, got {count}")
     if size < 1:
@@ -315,6 +340,7 @@ def split(samples, ratios=(7, 1, 2), seed=0):
 
 def batches(samples, batch_size, seed, epoch):
     """Yield reshuffled batches; the shuffle is a pure function of seed and epoch."""
+    _check_int("batch_size", batch_size)
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.random.default_rng([seed, epoch]).permutation(len(samples))

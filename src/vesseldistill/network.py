@@ -68,6 +68,13 @@ def _check_field_types(cfg):
             raise ValueError(f"{f.name} must be {must_be}, got {value!r}")
 
 
+def _check_int(name, value):
+    """ValueError in the configs' words unless `value` is a Python or numpy integer;
+    a bool is none."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_known(cls, values, refusal="unknown config field {}"):
     """ValueError refusal.format(key, value) for the first key of `values` that is no
     field of the dataclass cls."""

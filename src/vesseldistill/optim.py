@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .network import _check_flat
+from .network import _check_flat, _check_int
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's defaults (Kingma & Ba 2015)
 
@@ -64,4 +64,5 @@ def lr_at(t, initial_lr, gamma, step_every):
         raise ValueError(f"epoch must be >= 1, got {t}")
     if not step_every >= 1:  # 0 divides by zero, below it the rate grows, NaN fails it too
         raise ValueError(f"step_every must be >= 1, got {step_every}")
+    _check_int("step_every", step_every)  # after the range, which names NaN
     return initial_lr * gamma ** ((t - 1) // step_every)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,7 +67,8 @@ class TestSampleDirs:
 class TestGenerator:
     def test_deterministic(self):
         a = generate_synthetic(seed=7, count=3, size=32)
-        b = generate_synthetic(seed=7, count=3, size=32)
+        b = generate_synthetic(seed=np.uint8(7), count=np.int32(3), size=np.int64(32))  # numpy ints
+        assert [s.id for s in a] == [s.id for s in b]
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image.data, t.image.data)
             np.testing.assert_array_equal(s.mask.data, t.mask.data)
@@ -193,6 +199,43 @@ class TestRasterizer:
         assert not data._rasterize([], 16).any()
 
 
+class TestBlur:
+    # every side up to 69 covers lines shorter than, as long as and longer than
+    # the kernel's radius (2 at sigma 0.5, 3 at 0.7), where the border repeats
+    SIDES = [*range(1, 70), 100, 128, 256, 300, 512]
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.7])
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "continuous"])
+    def test_bitwise_equal_to_scipy(self, sigma, binary):
+        gaussian_filter = pytest.importorskip("scipy.ndimage").gaussian_filter
+        rng = np.random.default_rng(0)
+        for side in self.SIDES:
+            for shape in [(side, side), (side, side // 2 + 1), (side // 3 + 1, side)]:
+                a = rng.uniform(size=shape)
+                if binary:
+                    a = (a < 0.3).astype(np.float64)
+                got, want = data._blur(a, sigma), gaussian_filter(a, sigma)
+                assert got.shape == shape and got.tobytes() == want.tobytes(), shape
+
+    def test_the_cli_generates_and_trains_without_scipy(self, tmp_path):
+        # None in sys.modules makes every import of scipy raise ImportError
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from vesseldistill.cli import main
+            assert main(["generate-data", "--out", "data", "--count", "6", "--size", "16",
+                         "--seed", "0"]) == 0
+            assert main(["train", "--data", "data", "out_dir=run", "network.depth=2",
+                         "network.base_channels=4", "network.height=16", "network.width=16",
+                         "distill.grid_g=4", "epochs=2"]) == 0
+        """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], cwd=tmp_path, timeout=300, check=True,
+                       env={**os.environ, "PYTHONPATH": path})
+        assert (tmp_path / "run" / "last.npz").exists()
+
+
 class TestSplit:
     def test_ten_samples_split_7_1_2(self):
         s = split(list(range(10)), ratios=(7, 1, 2), seed=0)
@@ -220,8 +263,9 @@ class TestSplit:
 
 class TestBatches:
     def test_sizes_with_remainder(self):
-        got = [len(b) for b in batches(list(range(10)), 4, seed=0, epoch=1)]
-        assert got == [4, 4, 2]
+        for size in (4, np.int64(4)):
+            got = [len(b) for b in batches(list(range(10)), size, seed=0, epoch=1)]
+            assert got == [4, 4, 2]
 
     def test_each_sample_once(self):
         items = list(range(11))

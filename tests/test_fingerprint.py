@@ -2,10 +2,10 @@
 
 tests/fingerprint.json holds the sha256 lines that `tools/fingerprint.py --seed 1
 --epochs 2 --one-process` prints, and the environment they hold for: the bits
-depend on numpy, on scipy (the synthetic data) and on the OpenBLAS core and
-build. Under another environment the test skips, naming what differs. A change
-that moves trained bits on purpose says so and re-records the file in the same
-commit:
+depend on numpy and on the OpenBLAS core and build (the synthetic data's blur
+is numpy's own). Under another environment the test skips, naming what differs.
+A change that moves trained bits on purpose says so and re-records the file in
+the same commit:
 
     PYTHONPATH=src python tests/test_fingerprint.py > tests/fingerprint.json
 """
@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from vesseldistill.train import _openblas
 
@@ -29,7 +28,7 @@ COMMAND = ["tools/fingerprint.py", "--seed", "1", "--epochs", "2", "--one-proces
 
 
 def environment():
-    found = {"numpy": np.__version__, "scipy": scipy.__version__}
+    found = {"numpy": np.__version__}
     for what in ("corename", "config"):
         fn = _openblas(f"get_{what}", ctypes.c_char_p, [])
         found[f"openblas_{what}"] = None if fn is None else fn().decode().strip()

@@ -817,12 +817,23 @@ ROWS = {  # row -> (a call of ctx, its exception's type, its message)
     **{f"generate_synthetic-size-{size}": (
         lambda ctx, size=size: generate_synthetic(seed=0, count=1, size=size), ValueError,
         f"size must be positive, got {size}") for size in (0, -3)},
-    **{f"{name}-seed-{seed}": (lambda ctx, call=call, seed=seed: call(seed), ValueError, refusal)
+    # a count is an int: a bool, a float and NaN are none, though Python compares them
+    **{f"{name}-{value}": (lambda ctx, call=call, value=value: call(value), ValueError,
+                           f"{argument} must be an int, got {value!r}")
+       for name, argument, call in [
+           ("generate_synthetic-count", "count", lambda n: generate_synthetic(seed=0, count=n)),
+           ("generate_synthetic-size", "size",
+            lambda n: generate_synthetic(seed=0, count=1, size=n)),
+           ("batches-size", "batch_size", lambda n: next(batches([1, 2], n, seed=0, epoch=1)))]
+       for value in (True, 2.5, NAN)},
+    **{f"{name}-seed-{seed!r}": (lambda ctx, call=call, seed=seed: call(seed), ValueError,
+                                 refusal)
        for name, call, negative in [
            ("generate_synthetic", lambda seed: generate_synthetic(seed, count=1), -1),
            ("split", lambda seed: split([1, 2, 3], seed=seed), -3)]
        for seed, refusal in [(negative, f"seed must be >= 0, got {negative}"),
-                             (True, "seed must be an int, got True")]},
+                             *((seed, f"seed must be an int, got {seed!r}")
+                               for seed in (True, 2.5, np.True_))]},
     **{f"load_pgm-{row}": (loading(load_pgm, "image.pgm", {"image.pgm": content}), kind,
                            f"image.pgm: {refusal}") for row, content, kind, refusal in [
         ("one-byte", b"P", PGMTruncatedError, "file too short for a magic number"),
@@ -885,6 +896,8 @@ ROWS = {  # row -> (a call of ctx, its exception's type, its message)
                       "epoch must be >= 1, got 0"),
     **{f"lr_at-step_every-{n}": (lambda ctx, n=n: lr_at(3, 1e-3, 0.5, n), ValueError,
                                  f"step_every must be >= 1, got {n}") for n in (0, -3, NAN)},
+    **{f"lr_at-step_every-{n}": (lambda ctx, n=n: lr_at(3, 1e-3, 0.5, n), ValueError,
+                                 f"step_every must be an int, got {n!r}") for n in (True, 2.5)},
     # network
     **{f"forward-{shape}": (lambda ctx, shape=shape: net().forward(np.zeros(shape)), ShapeError,
                             f"input shape {shape} {SHAPE}")

@@ -228,4 +228,5 @@ class TestLRSchedule:
         assert abs(lr_at(11, 1e-3, 0.3, 10) - 3e-4) < 1e-18
 
     def test_custom_gamma_and_window(self):
-        assert abs(lr_at(7, 1.0, gamma=0.5, step_every=3) - 0.25) < 1e-15
+        for step_every in (3, np.int64(3)):
+            assert abs(lr_at(7, 1.0, gamma=0.5, step_every=step_every) - 0.25) < 1e-15
