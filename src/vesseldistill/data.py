@@ -42,8 +42,8 @@ class PGMMaxvalError(PGMError):
 
 @dataclass
 class ImageSample:
-    image: Tensor  # [1,H,W], values in [0,1]
-    mask: Tensor   # [1,H,W], values in {0,1}
+    image: Tensor  # [1,H,W] float32, values in [0,1]
+    mask: Tensor   # [1,H,W] float32, values in {0,1}
     id: str
 
 
@@ -168,7 +168,8 @@ def _check_seed(seed):
 
 
 def generate_synthetic(seed, count, size=64):
-    """Deterministically generate `count` vessel samples of shape [1,size,size]."""
+    """Deterministically generate `count` vessel samples of shape [1,size,size],
+    each image the float32 of its float64 render."""
     _check_seed(seed)
     _check_int("count", count)
     _check_int("size", size)
@@ -182,8 +183,8 @@ def generate_synthetic(seed, count, size=64):
         mask = _vessel_mask(rng, size)
         img = _render_image(rng, mask, size)
         samples.append(ImageSample(
-            image=Tensor(img[None, :, :]),
-            mask=Tensor(mask[None, :, :].astype(np.float64)),
+            image=Tensor(img[None].astype(np.float32)),
+            mask=Tensor(mask[None].astype(np.float32)),
             id=f"synthetic-{seed}-{idx:04d}",
         ))
     return samples
@@ -276,16 +277,16 @@ def save_pgm(image, path):
 
 
 def load_sample_dir(root):
-    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem; ValueError
-    naming the mask file if its shape differs from its image's."""
+    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem, as float32
+    samples; ValueError naming the mask file if its shape differs from its image's."""
     root = Path(root)
     samples = []
     for img_path in sorted((root / "images").glob("*.pgm")):
         mask_path = root / "masks" / img_path.name
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask for {img_path.name} under {root / 'masks'}")
-        img = load_pgm(img_path)
-        mask = _foreground(load_pgm(mask_path)).astype(np.float64)
+        img = load_pgm(img_path).astype(np.float32)
+        mask = _foreground(load_pgm(mask_path)).astype(np.float32)
         if mask.shape != img.shape:
             raise ValueError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
                              f"but its image is {img.shape[1]}x{img.shape[0]}")

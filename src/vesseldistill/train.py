@@ -62,7 +62,7 @@ class TrainConfig:
     network: NetworkConfig = field(default_factory=NetworkConfig)
     seed: int = 0
     out_dir: str = "runs/default"
-    dtype: str = "float32"
+    dtype: str = "float32"  # float64 casts up the float32 samples, rounded as stored
     dice_only: bool = False  # baseline control: skip distillation entirely
 
     def __post_init__(self):
@@ -170,7 +170,9 @@ def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     all the weights (see _take_grad). The deeper side outputs are built
     only when there is a teacher for the DDL to read.
     """
-    y = Tensor(sample.mask.data.astype(net.dtype))
+    y = sample.mask  # as forward takes an image: uncopied when in the net's dtype
+    if y.dtype != net.dtype:
+        y = Tensor(y.data.astype(net.dtype))
     pred, feats = net.forward(sample.image)
     if teacher_net is None:
         sides, t_sides = [pred], None

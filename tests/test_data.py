@@ -63,6 +63,15 @@ class TestSampleDirs:
             np.testing.assert_array_equal(s.mask.data, by_id[s.id].mask.data)
             assert np.max(np.abs(s.image.data - by_id[s.id].image.data)) <= 0.5 / 255 + 1e-12
 
+    def test_a_sample_holds_the_float32_of_load_pgm(self, tmp_path):
+        save_sample_dir(generate_synthetic(seed=3, count=4, size=32), tmp_path)
+        for s in load_sample_dir(tmp_path):
+            image = load_pgm(tmp_path / "images" / f"{s.id}.pgm").astype(np.float32)
+            mask = load_pgm(tmp_path / "masks" / f"{s.id}.pgm") >= 0.5
+            assert s.image.dtype == s.mask.dtype == np.float32
+            assert s.image.data.tobytes() == image[None].tobytes()
+            assert s.mask.data.tobytes() == mask[None].astype(np.float32).tobytes()
+
 
 class TestGenerator:
     def test_deterministic(self):
@@ -72,6 +81,14 @@ class TestGenerator:
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image.data, t.image.data)
             np.testing.assert_array_equal(s.mask.data, t.mask.data)
+
+    def test_a_smoke_set_holds_float32_pixels(self):
+        """200 samples of 64x64, the smoke shape: 6.25 MiB of pixels, each array its own."""
+        samples = generate_synthetic(seed=1, count=200, size=64)
+        arrays = [a for s in samples for a in (s.image.data, s.mask.data)]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+        assert all(a.base is None for a in arrays)  # no view keeps a float64 buffer alive
+        assert sum(a.nbytes for a in arrays) == 200 * 2 * 64 * 64 * 4
 
     def test_seeds_differ(self):
         a = generate_synthetic(seed=7, count=1, size=32)[0]
@@ -169,8 +186,9 @@ class TestRasterizer:
         samples = generate_synthetic(seed=seed, count=count, size=size)
         for idx, (s, (image, mask)) in enumerate(zip(samples, generate_oracle(seed, count, size))):
             assert s.id == f"synthetic-{seed}-{idx:04d}"
-            assert s.mask.data.tobytes() == mask[None].astype(np.float64).tobytes()
-            assert s.image.data.tobytes() == image[None].tobytes()
+            # a sample holds the float32 of the oracle's float64 render
+            assert s.mask.data.tobytes() == mask[None].astype(np.float32).tobytes()
+            assert s.image.data.tobytes() == image[None].astype(np.float32).tobytes()
 
     def test_hand_built_disks_match_the_oracle(self):
         size = 12

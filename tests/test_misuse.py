@@ -13,7 +13,8 @@ resumed from, `train` and `sweep` refusing before they train, and `train`
 stopped inside an epoch. A call runs in an empty directory of its own, may read
 `ctx`, the module's trained run, and asserts what its refusal leaves behind. A
 `raise` outside cli.py that no row reaches fails test_every_library_raise_has_a_row;
-`main` catches cli.py's, and the CLI cells assert them there.
+`main` catches cli.py's, so the CLI cells assert them there, and one in cli.py that
+no cell reaches fails test_every_cli_raise_has_a_cell.
 """
 
 import ast
@@ -27,6 +28,7 @@ import pathlib
 import re
 import shutil
 import signal
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -997,8 +999,9 @@ def test_a_bad_library_argument_is_refused_naming_it(ctx, tmp_path, monkeypatch,
 LIBRARY = pathlib.Path(vesseldistill.__file__).parent
 SOURCES = sorted(LIBRARY.glob("*.py"))
 # the modules whose every raise a row must reach: all but cli.py, whose refusals
-# `main` catches and the CLI cells assert
-SCANNED = [path for path in SOURCES if path.name != "cli.py"]
+# `main` catches and the CLI cells reach (test_every_cli_raise_has_a_cell)
+CLI = LIBRARY / "cli.py"
+SCANNED = [path for path in SOURCES if path != CLI]
 
 
 def raise_statements(paths=SCANNED):
@@ -1035,3 +1038,29 @@ def test_every_library_raise_has_a_row(ctx, tmp_path, monkeypatch):
     assert not foreign, f"raised by no library `raise`: {foreign}"
     unreached = [at for at, lines in raise_statements().items() if not lines & reached]
     assert not unreached, f"reached by no row: {unreached}"
+
+
+def test_every_cli_raise_has_a_cell(ctx, tmp_path, capsys):
+    """`main` catches what cli.py raises, so no traceback is left to read; a
+    tracer on cli.py's frames records each line an exception starts from."""
+    reached = set()
+
+    def in_cli(frame, event, arg):
+        if event == "exception" and arg[2].tb_next is None:  # raised here, not passed on
+            reached.add((CLI, frame.f_lineno))
+        return in_cli
+
+    def on_call(frame, event, arg):
+        return in_cli if frame.f_code.co_filename == str(CLI) else None
+
+    previous = sys.gettrace()
+    for i, cell in enumerate(CLI_CELLS.values()):
+        (tmp_path / str(i)).mkdir()
+        argv, text = cell(ctx, tmp_path / str(i))
+        sys.settrace(on_call)
+        try:
+            refused(argv, text, tmp_path / str(i), capsys)
+        finally:
+            sys.settrace(previous)
+    unreached = [at for at, lines in raise_statements([CLI]).items() if not lines & reached]
+    assert not unreached, f"reached by no CLI cell: {unreached}"

@@ -21,7 +21,7 @@ import pytest
 
 from vesseldistill import distill
 from vesseldistill import tensor as T
-from vesseldistill.data import batches, generate_synthetic, load_pgm, split
+from vesseldistill.data import ImageSample, batches, generate_synthetic, load_pgm, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.metrics import evaluate_pairs
 from vesseldistill.optim import AdamW, lr_at
@@ -412,7 +412,9 @@ class TestValidation:
         """forward casts the image to the net's dtype, so a float64 image
         gives the float32 prediction evaluate thresholds, bit for bit."""
         net = SegNetwork(tiny_cfg("unused").network, seed=1, dtype=np.float32)
-        sample = tiny_dataset.test[0]
+        mask = tiny_dataset.test[0].mask  # a sample's image is float32, so build one
+        image = np.random.default_rng(0).uniform(size=mask.shape)
+        sample = ImageSample(image=Tensor(image), mask=mask, id="float64")
         assert sample.image.dtype == np.float64
         seen = []
 
@@ -427,6 +429,8 @@ class TestValidation:
             assert pred.dtype == np.float32
             assert all(f.dtype == np.float32 for f in feats)
             np.testing.assert_array_equal(pred.data, seen[0][0])
+        pred32, _ = net.forward(Tensor(image.astype(np.float32)))
+        np.testing.assert_array_equal(pred32.data, seen[0][0])
 
     def test_predict_writes_the_full_load_mask(self, tiny_dataset, full, tmp_path):
         image = tiny_dataset.test[0].image
