@@ -84,7 +84,7 @@ forward's) come from the heap, and up to 64 MiB of freed heap stays
 resident. A larger array is mapped on its own (at 32 MiB, float64 256x256
 forwards after float32 ones peaked at 124-138 MB). The kept heap can still
 have holes that unrelated objects' sizes move. On 2 vCPUs and one BLAS
-thread, the infer_256 benchmark peaked at 85.0-85.2 MB with PYTHONHASHSEED
+thread, the infer_256 benchmark peaked at 84.9-85.2 MB with PYTHONHASHSEED
 0-5 and in 24 runs with random hash seeds.
 Setting any of glibc's MALLOC_MMAP_THRESHOLD_, MALLOC_TRIM_THRESHOLD_ or
 MALLOC_TOP_PAD_ leaves the allocator as the environment configures it.
