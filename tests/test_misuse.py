@@ -1055,11 +1055,12 @@ def test_every_cli_raise_has_a_cell(ctx, tmp_path, capsys):
 
     previous = sys.gettrace()
     for i, cell in enumerate(CLI_CELLS.values()):
-        (tmp_path / str(i)).mkdir()
-        argv, text = cell(ctx, tmp_path / str(i))
+        tmp = tmp_path / str(i)
+        tmp.mkdir()
+        argv, text = cell(ctx, tmp)
         sys.settrace(on_call)
         try:
-            refused(argv, text, tmp_path / str(i), capsys)
+            refused(argv, text, tmp, capsys)
         finally:
             sys.settrace(previous)
     unreached = [at for at, lines in raise_statements([CLI]).items() if not lines & reached]
