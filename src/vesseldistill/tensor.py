@@ -66,16 +66,22 @@ product took about 6 of 44 ms in a float32 256x256 forward on one BLAS
 thread, the bands 1.5. The taps a band leaves out are exact zeros and BLAS
 still does the multiply-adds, so the rounding stays the GEMM's: on
 OpenBLAS the bands give the dense product's bits, forward and backward,
-from power-of-two sides of 2 and more in up to 256 out; other sides can
-move in the last bit. The forward runs one band of 32 output rows at a
-time: its row GEMMs into a [C,32,w] scratch, then its column GEMMs
-straight into the output, which for upsample_concat is the padded buffer
-the next conv reads, so no full-size upsampled map or row-pass intermediate
-is ever held. Each output is the dot product over the same taps as in two
-whole passes (all rows, then all columns), and on OpenBLAS it keeps their
-bits; the backward still runs the two passes over the adjoint bands, as
-running the adjoint a band at a time moved its bits in 20 of 156 shapes
-tried (factors 2, 4 and 8, input sides 1-256, float32 and float64).
+from power-of-two sides of 1 and more in up to 256 out; other sides, and
+the gradient at 512 out, can move in the last bit. One routine,
+_banded_product, runs both directions one band of 32 output rows at a
+time: its row GEMMs into a [C,32,m] scratch, then its column GEMMs
+straight into the output, which for upsample_concat's forward is the
+padded buffer the next conv reads. So no full-size upsampled map or
+row-pass intermediate is ever held: a float32 [16,256,256] input's
+gradient peaks at 1.25x its result, where two whole passes (all rows,
+then all columns) held 3x. Each output is the dot product over the same
+taps as in those two passes. On OpenBLAS the forward keeps their bits,
+and so does the gradient at square power-of-two sides of 4 and more in
+up to 512 out; of 268 gradient shapes tried (factors 2, 4 and 8, square
+and 2-wider inputs of sides 1-256, 1 and 16 channels, float32 and
+float64), 20 moved in the last bit, all with 16 channels: sides 1 and 2,
+where the bands give the dense bits and two passes did not, and sides 3,
+25, 75 and 150.
 
 On glibc, importing this module makes the allocator keep freed heap
 pages mapped, so repeated forwards reuse their pages instead of
@@ -737,11 +743,6 @@ def conv2d(x, kernel, bias):
 # 1.5-1.9 with 16 and 2.9 with 64 (the dense product 6.4)
 _BAND_ROWS = 32
 
-# rows of the column pass's input per GEMM. On OpenBLAS (SkylakeX, one
-# thread), 512 and 1024 ran within 5% of each other and 2048 1.6-2.5x slower,
-# from 64 -> 128 to 256 -> 512 in float32 and float64
-_BAND_GEMM_ROWS = 1024
-
 
 def _interp_matrix(n_in, factor, dtype):
     """Dense 1-D bilinear interpolation matrix, half-pixel centers, edge clamp.
@@ -787,51 +788,33 @@ def _interp_bands(n_in, factor, dtype, adjoint):
     return tuple(bands)
 
 
-def _interp_rows(bands, x):
-    """mat @ x along x's middle axis, for x [C,n,w] and mat given as bands."""
-    out = np.empty((x.shape[0], bands[-1][1], x.shape[2]), x.dtype)
-    for r0, r1, k0, k1, band, _ in bands:
-        np.matmul(band, x[:, k0:k1], out=out[:, r0:r1])
-    return out
-
-
-def _interp_cols(x, bands):
-    """x @ mat.T along x's last axis, for a contiguous x [C,h,n], its C*h
-    rows _BAND_GEMM_ROWS at a time."""
-    c, h, n = x.shape
-    n_out = bands[-1][1]
-    out = np.empty((c, h, n_out), x.dtype)
-    flat, out_flat = x.reshape(c * h, n), out.reshape(c * h, n_out)
-    for m0 in range(0, c * h, _BAND_GEMM_ROWS):
-        rows = flat[m0:m0 + _BAND_GEMM_ROWS]
-        out_rows = out_flat[m0:m0 + _BAND_GEMM_ROWS]
-        for r0, r1, k0, k1, _, band_t in bands:
-            np.matmul(rows[:, k0:k1], band_t, out=out_rows[:, r0:r1])
+def _banded_product(x, rows, cols, out):
+    """rows @ x @ cols.T for x [C,n,m] and two interpolation matrices given as
+    bands (_interp_bands), into `out`, an array or view whose rows are
+    contiguous, one band of _BAND_ROWS output rows at a time: the band's row
+    GEMMs into a small [C, _BAND_ROWS, m] scratch, then its column GEMMs, one
+    per channel and column band, straight into `out`."""
+    scratch = np.empty((x.shape[0], _BAND_ROWS, x.shape[2]), x.dtype)  # reused by every band
+    for r0, r1, k0, k1, band, _ in rows:
+        part = scratch[:, :r1 - r0]
+        np.matmul(band, x[:, k0:k1], out=part)
+        for q0, q1, j0, j1, _, band_t in cols:
+            np.matmul(part[:, :, j0:j1], band_t, out=out[:, r0:r1, q0:q1])
     return out
 
 
 def _upsample_into(x, factor, out):
-    """wh @ x @ ww.T for x [C,h,w] into `out`, a [C, h*factor, w*factor] array or
-    view whose rows are contiguous, one band of _BAND_ROWS output rows at a time:
-    the band's row GEMMs into a small [C, _BAND_ROWS, w] scratch, then its column
-    GEMMs, one per channel and column band, straight into `out`. Each output is
-    the dot product over the same taps as in _interp_rows then _interp_cols,
-    and on OpenBLAS it keeps their bits."""
-    c, h, w = x.shape
-    cols = _interp_bands(w, factor, x.dtype, False)
-    scratch = np.empty((c, _BAND_ROWS, w), x.dtype)  # reused by every band
-    for r0, r1, k0, k1, band, _ in _interp_bands(h, factor, x.dtype, False):
-        rows = scratch[:, :r1 - r0]
-        np.matmul(band, x[:, k0:k1], out=rows)
-        for q0, q1, j0, j1, _, band_t in cols:
-            np.matmul(rows[:, :, j0:j1], band_t, out=out[:, r0:r1, q0:q1])
+    """wh @ x @ ww.T for x [C,h,w] into `out` [C, h*factor, w*factor]."""
+    _banded_product(x, _interp_bands(x.shape[1], factor, x.dtype, False),
+                    _interp_bands(x.shape[2], factor, x.dtype, False), out)
 
 
 def _upsample_grad(g, h, w, factor, dtype):
     """The gradient wh.T @ g @ ww that an upsample of a [C,h,w] `dtype` input
-    passes back for g, as two banded passes (_interp_rows, _interp_cols)."""
-    return _interp_cols(_interp_rows(_interp_bands(h, factor, dtype, True), g),
-                        _interp_bands(w, factor, dtype, True))
+    passes back for g."""
+    return _banded_product(g, _interp_bands(h, factor, dtype, True),
+                           _interp_bands(w, factor, dtype, True),
+                           np.empty((g.shape[0], h, w), g.dtype))
 
 
 def bilinear_upsample(x, factor):

@@ -7,8 +7,9 @@ that side) and one synthetic sample, then times, after one warm-up call each:
 - evaluate: `train.evaluate` of the trainable net on that one sample;
 - step: one `train._sample_step` with a teacher, forward, losses and backward.
 
-forward_peak_mib is the tracemalloc peak of one more frozen forward, made
-apart from the timed calls, as tracing slows every allocation.
+forward_peak_mib and step_peak_mib are the tracemalloc peaks of one more
+frozen forward and one more step, made apart from the timed calls, as
+tracing slows every allocation.
 
     PYTHONPATH=src python tools/step_bench.py --sides 64 256 512 --repeats 5
 
@@ -64,7 +65,8 @@ def peak_mib(fn):
 
 
 def bench(side, repeats):
-    """(forward, evaluate, step) median ms and the forward's peak MiB at one side."""
+    """(forward, evaluate, step) median ms and the forward's and step's peak MiB
+    at one side."""
     network = NetworkConfig(depth=3, base_channels=8, height=side, width=side)
     cfg = train.TrainConfig(epochs=2, network=network)
     net = SegNetwork(network, seed=0, dtype=np.float32)
@@ -72,11 +74,15 @@ def bench(side, repeats):
     teacher = SegNetwork.from_arrays(network, net.weights, trainable=False)  # as train() builds it
     sample = generate_synthetic(seed=side, count=1, size=side)[0]
     image = sample.image.data.astype(np.float32)
+
+    def step():
+        train._sample_step(net, teacher, sample, cfg, 0.25, 0.25)
+
     return (median_ms(lambda: frozen.forward(image), repeats),
             median_ms(lambda: train.evaluate(net, [sample]), repeats),
-            median_ms(lambda: train._sample_step(net, teacher, sample, cfg, 0.25, 0.25),
-                      repeats),
-            peak_mib(lambda: frozen.forward(image)))
+            median_ms(step, repeats),
+            peak_mib(lambda: frozen.forward(image)),
+            peak_mib(step))
 
 
 def main(argv=None):
@@ -90,11 +96,11 @@ def main(argv=None):
     threads = train._openblas("get_num_threads", ctypes.c_int, [])  # None: cannot be asked
     print(f"blas_threads {None if threads is None else threads()}")
     print(f"{'side':>6}{'forward_ms':>12}{'evaluate_ms':>13}{'step_ms':>10}"
-          f"{'forward_peak_mib':>18}")
+          f"{'forward_peak_mib':>18}{'step_peak_mib':>15}")
     for side in args.sides:
-        forward, evaluate, step, peak = bench(side, args.repeats)
-        print(f"{side:>6}{forward:>12.2f}{evaluate:>13.2f}{step:>10.2f}{peak:>18.2f}",
-              flush=True)
+        forward, evaluate, step, forward_peak, step_peak = bench(side, args.repeats)
+        print(f"{side:>6}{forward:>12.2f}{evaluate:>13.2f}{step:>10.2f}{forward_peak:>18.2f}"
+              f"{step_peak:>15.2f}", flush=True)
 
 
 if __name__ == "__main__":
