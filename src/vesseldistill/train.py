@@ -12,16 +12,16 @@ is rewritten from it after every epoch, and one rule, _best, reads the best
 epoch from it for best.npz, the result and a resume.
 
 Training splits every batch across min(CPUs, batch size) processes: this one
-and workers forked when training starts (one process without fork). This
-process orders and splits the batches. A worker keeps no state between
-batches: a request carries the student's and the teacher's (or None) flat
-weight arrays, sample indices, α and loss scale 1/len(batch). Each process
-runs forward, loss and backward one sample at a time, one flat gradient of
-all the weights per sample. This process sums the samples' term values and
-gradients in sample order, in the net's dtype, then steps the optimizer, so
-the numbers are bitwise the same for any process count. Each process runs
-OpenBLAS on one thread while training, however many there are: a float32
-GEMV's bits depend on each BLAS thread's share of it.
+and workers forked at the start of every epoch (one process without fork),
+which inherit that epoch's teacher (or None) and α. This process orders and
+splits the batches. A request carries the student's flat weight array, sample
+indices and loss scale 1/len(batch), and a worker keeps no net between
+batches. Each process runs forward, loss and backward one sample at a time,
+one flat gradient of all the weights per sample. This process sums the
+samples' term values and gradients in sample order, in the net's dtype, then
+steps the optimizer, so the numbers are bitwise the same for any process
+count. Each process runs OpenBLAS on one thread while training, however many
+there are: a float32 GEMV's bits depend on each BLAS thread's share of it.
 """
 
 from __future__ import annotations
@@ -236,37 +236,35 @@ def _openblas(name, restype, argtypes):
     return None
 
 
-def _answer(request, samples, cfg):
+def _answer(request, samples, teacher, cfg, alpha):
     """A request's step results, or the exception that stopped them and its traceback."""
-    student, teacher, indices, alpha, scale = request
+    student, indices, scale = request
     try:
         net = SegNetwork.from_arrays(cfg.network, student)
-        if teacher is not None:
-            teacher = SegNetwork.from_arrays(cfg.network, teacher, trainable=False)
-        return "ok", [_sample_step(net, teacher, samples[i], cfg, alpha, scale)
-                      for i in indices]
+        return "ok", [_sample_step(net, teacher, samples[i], cfg, alpha, scale) for i in indices]
     except Exception as exc:
         return "error", (exc, traceback.format_exc())
 
 
-def _worker(conn, inherited, samples, cfg):
-    """Answer step requests (see _Workers.send) until the main process sends
-    None or is gone; a request's nets go with its reply, so none outlives it."""
+def _worker(conn, inherited, samples, teacher, cfg, alpha):
+    """Answer step requests (see _Workers.step) with the epoch's teacher and α, forked with
+    it, until the main process sends None or is gone; no request's net outlives its reply."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the main process stops us
     for c in inherited:
         c.close()  # so this worker sees EOF when the main process is gone
     try:
         while (request := conn.recv()) is not None:
-            conn.send(_answer(request, samples, cfg))
+            conn.send(_answer(request, samples, teacher, cfg, alpha))
     except (EOFError, OSError):
         pass  # the main process is gone; there is no one left to answer
 
 
 class _Workers:
-    """Forked processes answering requests for shares 1..size-1; share 0 is this one's."""
+    """One epoch's processes: forked workers step shares 1..size-1 of each batch and
+    this one share 0, all with the teacher (or None) and α they were forked with."""
 
-    def __init__(self, size, samples, cfg):
-        self.size = size
+    def __init__(self, size, samples, teacher, cfg, alpha):
+        self.samples, self.teacher, self.cfg, self.alpha = samples, teacher, cfg, alpha
         self.conns, self.procs = [], []
         # one BLAS thread per process, for any process count (see the module
         # docstring); the workers inherit it, this process gets its own back on close
@@ -279,7 +277,7 @@ class _Workers:
             for _ in range(size - 1):
                 ours, theirs = ctx.Pipe()
                 proc = ctx.Process(target=_worker, daemon=True, args=(
-                    theirs, self.conns + [ours], samples, cfg))
+                    theirs, self.conns + [ours], samples, teacher, cfg, alpha))
                 proc.start()
                 theirs.close()
                 self.conns.append(ours)
@@ -294,20 +292,19 @@ class _Workers:
     def __exit__(self, *exc_info):
         self.close()
 
-    def send(self, net, teacher, shares, alpha, scale):
-        """Ask each worker for the step results of its share of sample indices:
-        a request is (student weights, teacher weights or None, share, alpha,
-        scale), each net's flat weight array sent uncopied, as a send pickles it at once."""
-        weights = None if teacher is None else teacher.weights
+    def step(self, net, batch):
+        """The batch's term values and flat gradient, summed in sample order (see
+        _sum_in_order). Worker i gets a request (student weights, share i, loss scale),
+        the weights uncopied, as a send pickles them at once; this process steps share 0."""
+        ours, *theirs = np.array_split(batch, len(self.conns) + 1)
+        scale = 1.0 / len(batch)
         try:
-            for conn, share in zip(self.conns, shares):
-                conn.send((net.weights, weights, share, alpha, scale))
+            for conn, share in zip(self.conns, theirs):
+                conn.send((net.weights, share, scale))
         except OSError as exc:
             raise RuntimeError("a training worker exited unexpectedly") from exc
-
-    def gather(self):
-        """The workers' step results for the current batch, in share order."""
-        results = []
+        results = [_sample_step(net, self.teacher, self.samples[i], self.cfg, self.alpha, scale)
+                   for i in ours]
         for conn in self.conns:
             try:
                 status, payload = conn.recv()
@@ -317,7 +314,7 @@ class _Workers:
                 exc, worker_traceback = payload
                 raise exc from RuntimeError(f"in a training worker:\n{worker_traceback}")
             results += payload
-        return results
+        return _sum_in_order(results)
 
     def close(self):
         for conn in self.conns:
@@ -457,8 +454,10 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     net's are stepped at every batch, so a hook keeps an epoch's weights as
     teacher_net.state_arrays() (or net's), not as the net or a parameter's data.
 
-    Batches are split across min(CPUs, batch size) processes (see the
-    module docstring); hooks, checkpoints and evaluation run in this one.
+    Batches are split across min(CPUs, batch size) processes (see the module
+    docstring); hooks, checkpoints and evaluation run in this one while the
+    epoch's workers are alive. They hold the teacher and α forked before the
+    start hook, so a hook must not change teacher_net's weights.
     """
     _check_run(cfg, dataset)
     out_dir = Path(cfg.out_dir)
@@ -486,25 +485,21 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
     # resume (never at epoch 1) its first weights are exactly the checkpointed ones
     teacher = SegNetwork.from_arrays(cfg.network, net.weights, trainable=False)
 
-    with _Workers(_process_count(cfg.batch_size), dataset.train, cfg) as workers:
-        for t in range(len(logs) + 1, cfg.epochs + 1):
+    for t in range(len(logs) + 1, cfg.epochs + 1):
+        lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
+        # the one fact that decides whether this epoch's steps distill,
+        # and the epoch's one soft-label weight
+        step_teacher = None if t == 1 or cfg.dice_only else teacher
+        alpha = (0.0 if step_teacher is None
+                 else distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T))
+        with _Workers(_process_count(cfg.batch_size), dataset.train, step_teacher, cfg,
+                      alpha) as workers:
             if epoch_start_hook is not None:
                 epoch_start_hook(t, None if t == 1 else teacher)
-            lr = lr_at(t, cfg.learning_rate, cfg.lr_gamma, cfg.lr_step_every)
-            # the one fact that decides whether this epoch's steps distill,
-            # and the epoch's one soft-label weight
-            step_teacher = None if t == 1 or cfg.dice_only else teacher
-            alpha = (0.0 if step_teacher is None
-                     else distill.alpha_at(t, cfg.epochs, cfg.distill.alpha_T))
             term_sums = dict.fromkeys(_TERMS, 0.0)
             n_batches = 0
             for batch in batches(range(len(dataset.train)), cfg.batch_size, cfg.seed, t):
-                ours, *theirs = np.array_split(batch, workers.size)
-                scale = 1.0 / len(batch)
-                workers.send(net, step_teacher, theirs, alpha, scale)
-                results = [_sample_step(net, step_teacher, dataset.train[i], cfg, alpha, scale)
-                           for i in ours]
-                values, grad = _sum_in_order(results + workers.gather())
+                values, grad = workers.step(net, batch)
                 for k, v in zip(_TERMS, values):
                     if not math.isfinite(v):
                         raise FloatingPointError(

@@ -14,6 +14,8 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 from types import SimpleNamespace
 
 import numpy as np
@@ -669,6 +671,24 @@ class TestWorkers:
         two = self.run(tiny_dataset, tmp_path / "two", monkeypatch, 2, epochs=2)
         assert list(map(dataclasses.asdict, one.logs)) == list(map(dataclasses.asdict, two.logs))
 
+    def test_a_request_carries_only_the_student(self, tiny_dataset, tmp_path, monkeypatch):
+        """The workers inherit the epoch's teacher and α when forked, so a distilling
+        epoch's request is the student's weights, a share and a loss scale alone."""
+        main_pid, send, sizes, starts = os.getpid(), Connection.send, [], {}
+
+        def measured(conn, obj):
+            if os.getpid() == main_pid and obj is not None:  # None closes a worker
+                sizes.append(len(ForkingPickler.dumps(obj)))
+            return send(conn, obj)
+
+        monkeypatch.setattr(Connection, "send", measured)
+        monkeypatch.setattr(train_module, "_process_count", lambda batch_size: 2)
+        result = train(tiny_cfg(tmp_path, epochs=2), tiny_dataset,
+                       epoch_start_hook=lambda t, teacher: starts.setdefault(t, len(sizes)))
+        student = load_checkpoint(result.final_path).weights.nbytes
+        epoch2 = sizes[starts[2]:]
+        assert epoch2 and max(epoch2) <= student + 1024, (student, epoch2)
+
     def test_workers_exit_when_the_main_process_is_killed(self, tmp_path):
         """SIGKILL gives the main process no chance to send the workers
         None; each must see its pipe close and exit on its own."""
@@ -697,10 +717,10 @@ class TestWorkers:
         assert not alive
 
 
-# trains with 2 processes in a fresh interpreter and prints its workers'
-# pids at the start of epoch 2
+# trains with 2 processes in a fresh interpreter, prints its workers' pids
+# at the start of epoch 2 and sleeps there, so those pids are epoch 2's pool
 KILLED_MAIN = """
-import importlib, multiprocessing, sys
+import importlib, multiprocessing, sys, time
 from vesseldistill.data import generate_synthetic, split
 from vesseldistill.distill import DistillConfig
 from vesseldistill.network import NetworkConfig
@@ -710,6 +730,7 @@ train_module._process_count = lambda batch_size: 2
 def announce(t, teacher):
     if t == 2:
         print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+        time.sleep(60)  # so the kill lands while these are the live workers
 
 train_module.train(train_module.TrainConfig(
     epochs=500, network=NetworkConfig(depth=2, base_channels=4, height=32, width=32),
