@@ -15,17 +15,17 @@ from vesseldistill.data import (
 )
 
 samples = generate_synthetic(seed=7, count=12, size=64)
-fracs = [s.mask.data.mean() for s in samples]
+fracs = [s.mask.mean() for s in samples]
 print(f"generated {len(samples)} samples, vessel coverage "
       f"{min(fracs):.1%} .. {max(fracs):.1%}")
 
 s = samples[0]
-fg = s.image.data[s.mask.data > 0.5].mean()
-bg = s.image.data[s.mask.data < 0.5].mean()
+fg = s.image.data[s.mask].mean()
+bg = s.image.data[~s.mask].mean()
 print(f"sample {s.id}: vessel intensity {fg:.3f} vs background {bg:.3f}")
 
 # crude terminal rendering of the first mask (every other row/column)
-art = s.mask.data[0][::4, ::2]
+art = s.mask[0][::4, ::2]
 print("\nmask sketch:")
 for row in art:
     print("".join("#" if v else "." for v in row))

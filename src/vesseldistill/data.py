@@ -42,9 +42,19 @@ class PGMMaxvalError(PGMError):
 
 @dataclass
 class ImageSample:
-    image: Tensor  # [1,H,W] float32, values in [0,1]
-    mask: Tensor   # [1,H,W] float32, values in {0,1}
+    """An image and its vessel mask, both [1,H,W].
+
+    The package's samples hold a float32 image in [0,1] and a bool mask.
+    A mask given as a Tensor or a non-bool array is stored as _foreground
+    of its values; a bool array is kept uncopied.
+    """
+    image: Tensor
+    mask: np.ndarray
     id: str
+
+    def __post_init__(self):
+        mask = self.mask.data if isinstance(self.mask, Tensor) else np.asarray(self.mask)
+        self.mask = mask if mask.dtype == bool else _foreground(mask)
 
 
 # ---- synthetic generation ----
@@ -169,7 +179,12 @@ def _check_seed(seed):
 
 def generate_synthetic(seed, count, size=64):
     """Deterministically generate `count` vessel samples of shape [1,size,size],
-    each image the float32 of its float64 render."""
+    each image the float32 of its float64 render.
+
+    The call fills one float32 [count,1,size,size] image block and one bool
+    mask block; each sample holds views of its row, so any one sample keeps
+    both whole blocks alive.
+    """
     _check_seed(seed)
     _check_int("count", count)
     _check_int("size", size)
@@ -178,16 +193,13 @@ def generate_synthetic(seed, count, size=64):
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
     rng = np.random.default_rng(seed)
-    samples = []
+    images = np.empty((count, 1, size, size), dtype=np.float32)
+    masks = np.empty((count, 1, size, size), dtype=bool)
     for idx in range(count):
-        mask = _vessel_mask(rng, size)
-        img = _render_image(rng, mask, size)
-        samples.append(ImageSample(
-            image=Tensor(img[None].astype(np.float32)),
-            mask=Tensor(mask[None].astype(np.float32)),
-            id=f"synthetic-{seed}-{idx:04d}",
-        ))
-    return samples
+        masks[idx, 0] = _vessel_mask(rng, size)
+        images[idx, 0] = _render_image(rng, masks[idx, 0], size)
+    return [ImageSample(image=Tensor(images[idx]), mask=masks[idx],
+                        id=f"synthetic-{seed}-{idx:04d}") for idx in range(count)]
 
 
 # ---- PGM I/O ----
@@ -277,8 +289,9 @@ def save_pgm(image, path):
 
 
 def load_sample_dir(root):
-    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem, as float32
-    samples; ValueError naming the mask file if its shape differs from its image's."""
+    """Load `images/*.pgm` with parallel `masks/*.pgm` matched by stem, as samples of
+    a float32 image and the bool _foreground of the mask file; ValueError naming the
+    mask file if its shape differs from its image's."""
     root = Path(root)
     samples = []
     for img_path in sorted((root / "images").glob("*.pgm")):
@@ -286,12 +299,12 @@ def load_sample_dir(root):
         if not mask_path.exists():
             raise FileNotFoundError(f"no mask for {img_path.name} under {root / 'masks'}")
         img = load_pgm(img_path).astype(np.float32)
-        mask = _foreground(load_pgm(mask_path)).astype(np.float32)
+        mask = load_pgm(mask_path)  # ImageSample keeps its _foreground
         if mask.shape != img.shape:
             raise ValueError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
                              f"but its image is {img.shape[1]}x{img.shape[0]}")
         samples.append(ImageSample(
-            image=Tensor(img[None]), mask=Tensor(mask[None]), id=img_path.stem))
+            image=Tensor(img[None]), mask=mask[None], id=img_path.stem))
     if not samples:
         raise FileNotFoundError(f"no .pgm images under {root / 'images'}")
     return samples
@@ -303,7 +316,7 @@ def save_sample_dir(samples, root):
     (root / "masks").mkdir(parents=True, exist_ok=True)
     for s in samples:
         save_pgm(s.image.data, root / "images" / f"{s.id}.pgm")
-        save_pgm(s.mask.data, root / "masks" / f"{s.id}.pgm")
+        save_pgm(s.mask, root / "masks" / f"{s.id}.pgm")
 
 
 # ---- splitting and batching ----

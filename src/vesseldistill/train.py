@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import dataclasses
+import functools
 import math
 import multiprocessing
 import numbers
@@ -156,7 +157,7 @@ def evaluate(net, samples):
     ValueError names a sample the net cannot take (see _check_samples)."""
     _check_samples(samples, net.config)
     with no_grad():
-        pairs = [(net.forward(s.image)[0].data, s.mask.data) for s in samples]
+        pairs = [(net.forward(s.image)[0].data, s.mask) for s in samples]
     return evaluate_pairs(pairs)
 
 
@@ -170,9 +171,7 @@ def _sample_step(net, teacher_net, sample, cfg, alpha, scale):
     all the weights (see _take_grad). The deeper side outputs are built
     only when there is a teacher for the DDL to read.
     """
-    y = sample.mask  # as forward takes an image: uncopied when in the net's dtype
-    if y.dtype != net.dtype:
-        y = Tensor(y.data.astype(net.dtype))
+    y = Tensor(sample.mask.astype(net.dtype))  # the bool mask's 0 and 1, exact in any dtype
     pred, feats = net.forward(sample.image)
     if teacher_net is None:
         sides, t_sides = [pred], None
@@ -214,25 +213,36 @@ def _process_count(batch_size):
     return min(len(os.sched_getaffinity(0)), batch_size)
 
 
-def _openblas(name, restype, argtypes):
-    """The loaded OpenBLAS's function openblas_<name>, under any of its builds'
-    spellings (scipy_ prefix, 64_ suffix), or None if none is found."""
+@functools.cache
+def _openblas_libraries():
+    """The OpenBLAS libraries this process has loaded, opened once per process."""
     try:
         with open("/proc/self/maps") as f:
             paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
     except OSError:
-        return None
+        return ()
+    libraries = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libraries.append(ctypes.CDLL(path))
         except OSError:
             continue
+    return tuple(libraries)
+
+
+def _openblas(name, restype, argtypes):
+    """The loaded OpenBLAS's function openblas_<name>, under any of its builds'
+    spellings (scipy_ prefix, 64_ suffix), or None if none is found. Each call
+    returns its own function object, typed by its own restype and argtypes."""
+    for lib in _openblas_libraries():
         for spelling in ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_",
                          "openblas_{}"):
-            fn = getattr(lib, spelling.format(name), None)
-            if fn is not None:
-                fn.restype, fn.argtypes = restype, argtypes
-                return fn
+            try:
+                fn = lib[spelling.format(name)]
+            except AttributeError:
+                continue
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
     return None
 
 
@@ -407,8 +417,8 @@ def _check_samples(samples, network, grid_g=None):
     for s in samples:
         shape = s.image.data.shape
         try:
-            if s.mask.data.shape != shape:
-                raise ValueError(f"mask shape {s.mask.data.shape} differs from its image's {shape}")
+            if s.mask.shape != shape:
+                raise ValueError(f"mask shape {s.mask.shape} differs from its image's {shape}")
             _check_input_shape(network, shape)
             if grid_g is not None:
                 distill._patch_side(shape[1], shape[2], grid_g)
@@ -534,11 +544,12 @@ def train(cfg: TrainConfig, dataset: DatasetSplit, resume_from=None,
 
 
 def predict_to_file(checkpoint_path, image, out_path):
-    """Forward an [H,W] or [1,H,W] image through a checkpoint; write the binarized P5 mask."""
+    """Forward an [H,W] or [1,H,W] image through a checkpoint; write the binarized P5 mask
+    and return it as an [H,W] bool array."""
     net = load_checkpoint(checkpoint_path, extras=False).to_network(trainable=False)
     arr = image.data if isinstance(image, Tensor) else np.asarray(image)
     pred, _ = net.forward(arr[None] if arr.ndim == 2 else arr)
-    mask = _foreground(pred.data[0]).astype(np.float64)
+    mask = _foreground(pred.data[0])
     save_pgm(mask, out_path)
     return mask
 

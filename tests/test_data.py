@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestSampleDirs:
         assert [s.id for s in back] == sorted(s.id for s in samples)
         by_id = {s.id: s for s in samples}
         for s in back:
-            np.testing.assert_array_equal(s.mask.data, by_id[s.id].mask.data)
+            np.testing.assert_array_equal(s.mask, by_id[s.id].mask)
             assert np.max(np.abs(s.image.data - by_id[s.id].image.data)) <= 0.5 / 255 + 1e-12
 
     def test_a_sample_holds_the_float32_of_load_pgm(self, tmp_path):
@@ -68,9 +69,9 @@ class TestSampleDirs:
         for s in load_sample_dir(tmp_path):
             image = load_pgm(tmp_path / "images" / f"{s.id}.pgm").astype(np.float32)
             mask = load_pgm(tmp_path / "masks" / f"{s.id}.pgm") >= 0.5
-            assert s.image.dtype == s.mask.dtype == np.float32
+            assert s.image.dtype == np.float32 and s.mask.dtype == bool
             assert s.image.data.tobytes() == image[None].tobytes()
-            assert s.mask.data.tobytes() == mask[None].astype(np.float32).tobytes()
+            assert s.mask.tobytes() == mask[None].tobytes()
 
 
 class TestGenerator:
@@ -80,15 +81,32 @@ class TestGenerator:
         assert [s.id for s in a] == [s.id for s in b]
         for s, t in zip(a, b):
             np.testing.assert_array_equal(s.image.data, t.image.data)
-            np.testing.assert_array_equal(s.mask.data, t.mask.data)
+            np.testing.assert_array_equal(s.mask, t.mask)
 
     def test_a_smoke_set_holds_float32_pixels(self):
-        """200 samples of 64x64, the smoke shape: 6.25 MiB of pixels, each array its own."""
+        """200 samples of 64x64, the smoke shape: images are views of one float32
+        block and masks of one bool block, 3.9 MiB of pixels in all."""
         samples = generate_synthetic(seed=1, count=200, size=64)
-        arrays = [a for s in samples for a in (s.image.data, s.mask.data)]
-        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
-        assert all(a.base is None for a in arrays)  # no view keeps a float64 buffer alive
-        assert sum(a.nbytes for a in arrays) == 200 * 2 * 64 * 64 * 4
+        images = {id(s.image.data.base) for s in samples}
+        masks = {id(s.mask.base) for s in samples}
+        assert len(images) == len(masks) == 1  # no view keeps a float64 buffer alive
+        image_block, mask_block = samples[0].image.data.base, samples[0].mask.base
+        assert image_block.dtype == np.float32 and image_block.shape == (200, 1, 64, 64)
+        assert mask_block.dtype == bool and mask_block.shape == (200, 1, 64, 64)
+        assert image_block.nbytes + mask_block.nbytes == 200 * 64 * 64 * (4 + 1)
+
+    def test_a_smoke_set_retains_only_its_two_blocks(self):
+        """A 200-sample 64x64 set holds 4,096,000 B of pixels; each sample's Python
+        objects (sample, tensor, two array views, id; about 0.9 KiB) get 2 KiB on top."""
+        generate_synthetic(seed=1, count=2, size=64)  # caches and first-call allocations
+        tracemalloc.start()
+        try:
+            samples = generate_synthetic(seed=1, count=200, size=64)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 200
+        assert retained <= 200 * 64 * 64 * (4 + 1) + 200 * 2048
 
     def test_seeds_differ(self):
         a = generate_synthetic(seed=7, count=1, size=32)[0]
@@ -98,21 +116,20 @@ class TestGenerator:
     def test_shapes_ranges_binary_masks(self):
         for s in generate_synthetic(seed=9, count=5, size=64):
             assert s.image.data.shape == (1, 64, 64)
-            assert s.mask.data.shape == (1, 64, 64)
+            assert s.mask.shape == (1, 64, 64) and s.mask.dtype == bool
             assert np.all(s.image.data >= 0) and np.all(s.image.data <= 1)
-            assert set(np.unique(s.mask.data)) <= {0.0, 1.0}
 
     def test_foreground_fraction_band(self):
         # vessels should be sparse but present; wide band, many samples
-        fracs = [s.mask.data.mean()
+        fracs = [s.mask.mean()
                  for s in generate_synthetic(seed=0, count=100, size=64)]
         assert all(0.01 <= f <= 0.35 for f in fracs)
         assert 0.05 <= float(np.mean(fracs)) <= 0.20
 
     def test_vessels_darker_than_background(self):
         for s in generate_synthetic(seed=11, count=5, size=64):
-            fg = s.image.data[s.mask.data > 0.5].mean()
-            bg = s.image.data[s.mask.data < 0.5].mean()
+            fg = s.image.data[s.mask].mean()
+            bg = s.image.data[~s.mask].mean()
             assert fg < bg
 
 
@@ -186,8 +203,8 @@ class TestRasterizer:
         samples = generate_synthetic(seed=seed, count=count, size=size)
         for idx, (s, (image, mask)) in enumerate(zip(samples, generate_oracle(seed, count, size))):
             assert s.id == f"synthetic-{seed}-{idx:04d}"
-            # a sample holds the float32 of the oracle's float64 render
-            assert s.mask.data.tobytes() == mask[None].astype(np.float32).tobytes()
+            # a sample holds the oracle's mask and the float32 of its float64 render
+            assert s.mask.tobytes() == mask[None].tobytes()
             assert s.image.data.tobytes() == image[None].astype(np.float32).tobytes()
 
     def test_hand_built_disks_match_the_oracle(self):

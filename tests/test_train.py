@@ -552,7 +552,7 @@ def single_graph_batch_grads(net, teacher, batch, cfg, alpha):
     sample's terms, scaled by 1/len(batch), and one backward."""
     sums = None
     for sample in batch:
-        y = Tensor(sample.mask.data.astype(net.dtype))
+        y = Tensor(sample.mask.astype(net.dtype))
         pred, feats = net.forward(sample.image)
         t_pred, t_feats = teacher.forward(sample.image)
         terms = distill.loss_terms(net.side_outputs(feats, pred),
@@ -601,6 +601,21 @@ class TestWorkers:
         before = threads()
         self.run(tiny_dataset, tmp_path / "a", monkeypatch, 2, epochs=1)
         assert threads() == before
+
+    def test_openblas_is_opened_once_per_process(self, tiny_dataset, tmp_path, monkeypatch):
+        """After this process's first lookup, a run forking a pool every epoch
+        opens no library again, however many epochs it has."""
+        if train_module._openblas("get_num_threads", ctypes.c_int, []) is None:
+            pytest.skip("no OpenBLAS found in this process")
+        opened, cdll = [], ctypes.CDLL
+
+        def counting_cdll(path, *args, **kw):
+            opened.append(path)
+            return cdll(path, *args, **kw)
+
+        monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+        self.run(tiny_dataset, tmp_path, monkeypatch, 2, epochs=3)
+        assert opened == []
 
     def test_one_process_trains_on_one_blas_thread(self, tmp_path, monkeypatch):
         """At 344x344 a float32 one-channel head's GEMV is long enough for
